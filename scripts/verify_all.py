@@ -4,55 +4,38 @@
 Usage:
     python scripts/verify_all.py [--quick]
 
---quick drops the truncation orders to smoke-test levels (a second or two);
-the default orders match the acceptance suite.  Exits nonzero if anything
-fails.
+The identities and their default orders come from the CLI registry
+(``qdissect.cli.IDENTITIES``); dissection-5 runs for all four primitive
+roots.  --quick drops the costlier orders to smoke-test levels.  Exits
+nonzero if anything fails.
 """
 
 import argparse
 import sys
 import time
 
-from qdissect.identities import (
-    verify_2_dissection,
-    verify_3_dissection,
-    verify_5_dissection,
-    verify_component_4_vanishing,
-    verify_congruence,
-    verify_crank_gf,
-    verify_equidistribution,
-    verify_rank_gf,
-)
+from qdissect.cli import IDENTITIES
 
-FULL = {"crank-gf": 40, "rank-gf": 30, "dissection-2": 80, "dissection-3": 81,
-        "dissection-5": 100, "component-4": 100}
-QUICK = {"crank-gf": 12, "rank-gf": 10, "dissection-2": 20, "dissection-3": 21,
-         "dissection-5": 20, "component-4": 20}
+# the registry knows this one only to explain why it is refused: the rank
+# does not equidistribute modulo 11
+REFUSED = {"equidist-rank-11"}
+QUICK = {"crank-gf": 12, "rank-gf": 10, "equidist-crank-5": 4, "equidist-rank-5": 4,
+         "dissection-2": 20, "dissection-3": 21, "dissection-5": 20,
+         "component-4-vanishing": 20}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
-    orders = QUICK if args.quick else FULL
 
-    runs = [
-        lambda: verify_crank_gf(orders["crank-gf"]),
-        lambda: verify_rank_gf(orders["rank-gf"]),
-        lambda: verify_congruence(5, 4, 20),
-        lambda: verify_congruence(7, 5, 15),
-        lambda: verify_congruence(11, 6, 10),
-        lambda: verify_equidistribution("crank", 5, 4, 8),
-        lambda: verify_equidistribution("crank", 7, 5, 5),
-        lambda: verify_equidistribution("crank", 11, 6, 3),
-        lambda: verify_equidistribution("rank", 5, 4, 8),
-        lambda: verify_equidistribution("rank", 7, 5, 5),
-        lambda: verify_2_dissection(orders["dissection-2"]),
-        lambda: verify_3_dissection(orders["dissection-3"]),
-        *[lambda r=r: verify_5_dissection(orders["dissection-5"], root_power=r)
-          for r in (1, 2, 3, 4)],
-        lambda: verify_component_4_vanishing(orders["component-4"]),
-    ]
+    runs = []
+    for name, (default_order, _, runner) in IDENTITIES.items():
+        if name in REFUSED:
+            continue
+        order = QUICK.get(name, default_order) if args.quick else default_order
+        roots = (1, 2, 3, 4) if name == "dissection-5" else (1,)
+        runs.extend(lambda o=order, r=r, run=runner: run(o, r, None) for r in roots)
 
     started = time.perf_counter()
     failures = 0

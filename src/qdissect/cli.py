@@ -26,7 +26,7 @@ from .identities import (
     verify_equidistribution,
     verify_rank_gf,
 )
-from .partitions import ENUMERATION_CAP, build_stat_table, partition_count
+from .partitions import build_stat_table, partition_count
 from .ring import LaurentPoly
 from .series import crank_gf, euler_product, partition_gf
 
@@ -103,15 +103,11 @@ def _cmd_tables(args) -> int:
             _emit_csv(["n", "count"], [[str(n), str(c)] for n, c in rows])
         return 0
 
-    if args.n_max > ENUMERATION_CAP:
-        raise ValueError(
-            f"--n-max {args.n_max} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    if args.modulo is not None and args.modulo < 1:
+        raise ValueError("--modulo must be >= 1")
     table = build_stat_table(args.kind, args.n_max)
     if args.modulo is not None:
         t = args.modulo
-        if t < 1:
-            raise ValueError("--modulo must be >= 1")
         folded = [(n, {k: table.count_mod(k, t, n) for k in range(t)})
                   for n in range(args.n_max + 1)]
         if args.format == "json":

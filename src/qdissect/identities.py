@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .partitions import StatTable, build_stat_table, partition_count
 from .ring import (
@@ -33,6 +34,9 @@ from .series import TruncatedSeries, crank_gf, pochhammer_inf, rank_gf, theta
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
 RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
+
+# Z[a]/(a - 1): the specialisation a = 1, where the crank series is 1/(q;q)_inf
+_AT_ONE = Modulus((-1, 1))
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,19 @@ def _first_mismatch(expected: TruncatedSeries, actual: TruncatedSeries) -> Failu
     return None
 
 
-def _perturbed(series: TruncatedSeries, power: int) -> TruncatedSeries:
-    if not 0 <= power <= series.order:
-        raise ValueError(f"perturbation power {power} outside order {series.order}")
+def _check_perturb_power(power: int | None, order: int) -> None:
+    # every verifier calls this before any work, so a self-test that could
+    # not perturb anything is refused instead of reporting a pass
+    if power is not None and not 0 <= power <= order:
+        raise ValueError(f"perturbation power {power} outside order {order}")
+
+
+def _perturbed(series: TruncatedSeries, power: int | None) -> TruncatedSeries:
+    if power is None:
+        return series
     coeffs = list(series.coefficients)
     coeffs[power] = coeffs[power] + series.ring.one
     return TruncatedSeries(coeffs, series.ring)
-
-
-def _projected(series: TruncatedSeries, modulus: Modulus) -> TruncatedSeries:
-    return series.map_coefficients(modulus.project, quotient_ring(modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +109,14 @@ def _stat_table(kind: str, n_max: int) -> StatTable:
 
 
 def _verify_gf_against_table(identity: str, kind: str, order: int,
-                             series: TruncatedSeries,
-                             perturb_power: int | None,
-                             started: float) -> VerificationReport:
+                             build: Callable[[int], TruncatedSeries],
+                             perturb_power: int | None) -> VerificationReport:
+    _check_perturb_power(perturb_power, order)
+    started = time.perf_counter()
+    # the table first: it refuses orders beyond the enumeration cap before
+    # any series is built
     table = _stat_table(kind, order)
+    series = build(order)
     witness = None
     for n in range(order + 1):
         row = table.row(n)
@@ -124,18 +135,14 @@ def verify_crank_gf(order: int, perturb_power: int | None = None) -> Verificatio
     table: conventions at n <= 1, full enumeration for 2 <= n <= order."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    started = time.perf_counter()
-    return _verify_gf_against_table("crank-gf", "crank", order, crank_gf(order),
-                                    perturb_power, started)
+    return _verify_gf_against_table("crank-gf", "crank", order, crank_gf, perturb_power)
 
 
 def verify_rank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Coefficients of the rank series equal the enumerated rank table."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    started = time.perf_counter()
-    return _verify_gf_against_table("rank-gf", "rank", order, rank_gf(order),
-                                    perturb_power, started)
+    return _verify_gf_against_table("rank-gf", "rank", order, rank_gf, perturb_power)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +219,10 @@ def verify_2_dissection(order: int, perturb_power: int | None = None) -> Verific
     Z[a]/(a^4+1), with q already rescaled so all exponents are integral."""
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
+    _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = _projected(crank_gf(order), PHI8)
-    rhs = _dissection_2_rhs(order)
-    if perturb_power is not None:
-        rhs = _perturbed(rhs, perturb_power)
+    lhs = crank_gf(order, PHI8)
+    rhs = _perturbed(_dissection_2_rhs(order), perturb_power)
     return _report("dissection-2", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -237,11 +243,10 @@ def verify_3_dissection(order: int, perturb_power: int | None = None) -> Verific
     Z[a]/(a^6+a^3+1), after rescaling q to clear third powers."""
     if order < 3 or order % 3:
         raise ValueError("order must be a positive multiple of 3")
+    _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = _projected(crank_gf(order), PHI9)
-    rhs = _dissection_3_rhs(order)
-    if perturb_power is not None:
-        rhs = _perturbed(rhs, perturb_power)
+    lhs = crank_gf(order, PHI9)
+    rhs = _perturbed(_dissection_3_rhs(order), perturb_power)
     return _report("dissection-3", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -271,18 +276,21 @@ def verify_5_dissection(order: int, root_power: int = 1,
 
     root_power selects which primitive 5th root the symbol plays on the
     left-hand side (a -> a^root_power); the identity holds for all four.
+    The left-hand side is built once in Z[a]/Phi5; the other roots apply
+    the Galois automorphism a -> a^root_power to each coefficient.
     """
     if order < 5 or order % 5:
         raise ValueError("order must be a positive multiple of 5")
     if root_power not in (1, 2, 3, 4):
         raise ValueError("root_power must be 1, 2, 3 or 4")
+    _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = crank_gf(order).map_coefficients(
-        lambda c: PHI5.project(c.substitute_power(root_power)), quotient_ring(PHI5)
-    )
-    rhs = _dissection_5_rhs(order, root_power)
-    if perturb_power is not None:
-        rhs = _perturbed(rhs, perturb_power)
+    lhs = crank_gf(order, PHI5)
+    if root_power != 1:
+        lhs = lhs.map_coefficients(
+            lambda c: PHI5.project(c.as_laurent().substitute_power(root_power))
+        )
+    rhs = _perturbed(_dissection_5_rhs(order, root_power), perturb_power)
     return _report("dissection-5", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -305,8 +313,8 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
             break
 
     if witness is None:
-        at_one = crank_gf(order).map_coefficients(
-            lambda c: c.evaluate_at_one(), INTEGER_RING
+        at_one = crank_gf(order, _AT_ONE).map_coefficients(
+            lambda c: c.residue[0], INTEGER_RING
         )
         for n in range(order + 1):
             if at_one.coefficient(n) != partition_count(n):

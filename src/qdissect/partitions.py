@@ -20,8 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
-# Full-enumeration table builds beyond this are refused by the CLI; at 60
-# there are just under a million partitions per row at the top end.
+# Full-enumeration table builds beyond this are refused, whichever entry
+# point asks; at 60 there are just under a million partitions per row at
+# the top end.
 ENUMERATION_CAP = 60
 
 WORKERS_ENV_VAR = "QDISSECT_WORKERS"
@@ -195,12 +196,14 @@ def build_stat_table(kind: str, n_max: int, workers: int | None = None) -> StatT
     remaining rows are the generating-function conventions.  With
     workers > 1 the enumeration shards by n across processes and merges
     deterministically; workers defaults to the QDISSECT_WORKERS
-    environment variable, else 1.
+    environment variable, else 1.  n_max beyond ENUMERATION_CAP is refused.
     """
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > ENUMERATION_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
 

@@ -9,7 +9,10 @@ The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
 products, bilateral theta sums f(+-q^r, +-q^s), the partition generating
 function, and the crank and rank generating functions whose coefficients
-are Laurent polynomials in the statistic-counting symbol ``a``.
+are Laurent polynomials in the statistic-counting symbol ``a`` (the crank
+one also directly in a quotient ring Z[a]/(m(a))).  Both statistic
+functions are built by dividing a sparse numerator in place by their
+factors (1 - a^(+-1) q^k), one ascending pass per factor.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .ring import (
     INTEGER_RING,
     LAURENT_RING,
     CoefficientRing,
-    LaurentPoly,
+    Modulus,
+    quotient_ring,
 )
 
 
@@ -363,32 +367,49 @@ def partition_gf(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedS
     return euler_product(order, ring).inverse()
 
 
-_A = LaurentPoly.monomial(1, 1)
-_A_INV = LaurentPoly.monomial(1, -1)
-
 # Largest series computed so far, reused for smaller orders: both generating
 # functions are immutable, so slicing a longer computation down is exact.
-_crank_cache: TruncatedSeries | None = None
+# The crank series is kept per target ring, keyed by its modulus (None for
+# the Laurent polynomials).
+_crank_cache: dict[Modulus | None, TruncatedSeries] = {}
 _rank_cache: TruncatedSeries | None = None
 
 
-def crank_gf(order: int) -> TruncatedSeries:
+def _divide_by_crank_factors(coeffs: list, count: int) -> None:
+    """Divide a series in place by (aq;q)_count (q/a;q)_count.
+
+    Division by one factor (1 - a^e q^k) is the ascending recurrence
+    c_n += a^e c_{n-k}; a^e is a unit monomial, so each step is a shift of
+    the coefficient's exponents in every coefficient ring that has ``a``.
+    Factors with k beyond the truncation order leave the series unchanged.
+    """
+    order = len(coeffs) - 1
+    for k in range(1, min(count, order) + 1):
+        for e in (1, -1):
+            for n in range(k, order + 1):
+                c = coeffs[n - k]
+                if c:
+                    coeffs[n] = coeffs[n] + c.times_a(e)
+
+
+def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
     """Crank generating function (q;q)_inf / ((aq;q)_inf (q/a;q)_inf).
 
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
-    conventions at n <= 1).
+    conventions at n <= 1).  Given a modulus, the product is built directly
+    in Z[a]/(modulus) instead, and each coefficient is the residue of that
+    Laurent polynomial.
     """
-    global _crank_cache
     if order < 0:
         raise ValueError("order must be >= 0")
-    cached = _crank_cache
+    cached = _crank_cache.get(modulus)
     if cached is None or cached.order < order:
-        euler = euler_product(order, LAURENT_RING)
-        den1 = pochhammer_inf(_A, 1, 1, order, LAURENT_RING)
-        den2 = pochhammer_inf(_A_INV, 1, 1, order, LAURENT_RING)
-        cached = euler * den1.inverse() * den2.inverse()
-        _crank_cache = cached
+        ring = LAURENT_RING if modulus is None else quotient_ring(modulus)
+        coeffs = list(euler_product(order, ring).coefficients)
+        _divide_by_crank_factors(coeffs, order)
+        cached = TruncatedSeries(coeffs, ring)
+        _crank_cache[modulus] = cached
     return cached.truncate(order)
 
 
@@ -399,14 +420,15 @@ def rank_gf(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 0")
     cached = _rank_cache
     if cached is None or cached.order < order:
-        total = TruncatedSeries.one(order, LAURENT_RING)   # n = 0 term
+        zero, one = LAURENT_RING.zero, LAURENT_RING.one
+        total = [one] + [zero] * order          # n = 0 term
         n = 1
         while n * n <= order:
-            d1 = pochhammer_fin(_A, n, order, start=1, ring=LAURENT_RING)
-            d2 = pochhammer_fin(_A_INV, n, order, start=1, ring=LAURENT_RING)
-            term = (d1.inverse() * d2.inverse()).shift(n * n).truncate(order)
-            total = total + term
+            term = [zero] * (order + 1)
+            term[n * n] = one
+            _divide_by_crank_factors(term, n)
+            total = [x + y for x, y in zip(total, term)]
             n += 1
-        cached = total
+        cached = TruncatedSeries(total, LAURENT_RING)
         _rank_cache = cached
     return cached.truncate(order)

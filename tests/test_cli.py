@@ -1,9 +1,16 @@
 import csv
 import io
 import json
+import time
 
-from qdissect.cli import main
+import pytest
+
+from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf
+
+# a small valid order for every identity that accepts --perturb-power
+PERTURBABLE = {"crank-gf": 10, "rank-gf": 10, "dissection-2": 10,
+               "dissection-3": 9, "dissection-5": 10}
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +85,38 @@ def test_verify_usage_errors(capsys):
                    "--perturb-power", "1")[0] == 2
     assert run_cli(capsys, "verify", "--identity", "dissection-2",
                    "--order", "7")[0] == 2
+
+
+def test_perturbable_identities_listed():
+    assert {name for name, (_, allows, _) in IDENTITIES.items() if allows} == set(PERTURBABLE)
+
+
+@pytest.mark.parametrize("identity", sorted(PERTURBABLE))
+def test_perturb_power_fails_in_range_and_is_refused_outside(capsys, identity):
+    order = PERTURBABLE[identity]
+    base = ("verify", "--identity", identity, "--order", str(order))
+    for power in (0, order // 2, order):
+        code, out, _ = run_cli(capsys, *base, "--perturb-power", str(power))
+        assert code == 1
+        body = payload_of(out)
+        assert body["status"] == "fail"
+        assert body["failure_witness"]["power"] == power
+    for power in (order + 1, order + 40, -1, -3):
+        code, out, err = run_cli(capsys, *base, "--perturb-power", str(power))
+        assert code == 2
+        assert out == ""
+        assert "perturbation power" in err
+
+
+@pytest.mark.parametrize("identity,order", [("crank-gf", 75), ("rank-gf", 61),
+                                            ("equidist-crank-11", 10)])
+def test_enumeration_cap_refused_before_any_work(capsys, identity, order):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "enumeration cap" in err
 
 
 def test_verify_dissection_5_with_root(capsys):

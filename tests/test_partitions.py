@@ -1,6 +1,7 @@
 import pytest
 
 from qdissect.partitions import (
+    ENUMERATION_CAP,
     Partition,
     StatTable,
     build_stat_table,
@@ -140,6 +141,8 @@ def test_build_validation():
         build_stat_table("median", 4)
     with pytest.raises(ValueError):
         build_stat_table("rank", -1)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        build_stat_table("crank", ENUMERATION_CAP + 1)
 
 
 def test_parallel_build_matches_sequential():

@@ -1,7 +1,19 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qdissect.ring import INTEGER_RING, LAURENT_RING, LaurentPoly, PHI5, quotient_ring
+from qdissect import series
+from qdissect.ring import (
+    INTEGER_RING,
+    LAURENT_RING,
+    PHI5,
+    PHI8,
+    PHI9,
+    LaurentPoly,
+    Modulus,
+    quotient_ring,
+)
 from qdissect.series import (
     TruncatedSeries,
     crank_gf,
@@ -39,6 +51,55 @@ def count_partitions(n, m=None):
     if n == 0:
         return 1
     return sum(count_partitions(n - k, k) for k in range(1, min(n, m) + 1))
+
+
+# independent oracle: the crank product by two dense series inverses and a
+# multiply, over the Laurent polynomials
+@cache
+def crank_by_inverses(order):
+    euler = euler_product(order, LAURENT_RING)
+    den1 = pochhammer_inf(A, 1, 1, order, LAURENT_RING)
+    den2 = pochhammer_inf(A_INV, 1, 1, order, LAURENT_RING)
+    return euler * den1.inverse() * den2.inverse()
+
+
+def expected_crank(order, modulus):
+    laurent = crank_by_inverses(40).truncate(order)
+    if modulus is None:
+        return laurent
+    return laurent.map_coefficients(modulus.project, quotient_ring(modulus))
+
+
+# independent oracle: the rank series term by term, each term by inverting
+# the two finite products
+def rank_by_inverses(order):
+    total = TruncatedSeries.one(order, LAURENT_RING)
+    n = 1
+    while n * n <= order:
+        d1 = pochhammer_fin(A, n, order, start=1, ring=LAURENT_RING)
+        d2 = pochhammer_fin(A_INV, n, order, start=1, ring=LAURENT_RING)
+        total = total + (d1.inverse() * d2.inverse()).shift(n * n).truncate(order)
+        n += 1
+    return total
+
+
+AT_ONE = Modulus((-1, 1))      # a - 1: the specialisation a = 1
+TARGETS = (None, PHI8, PHI9, PHI5)
+
+
+@pytest.fixture
+def fresh_crank_cache(monkeypatch):
+    """An empty crank cache, and a list recording the order of each build."""
+    monkeypatch.setattr(series, "_crank_cache", {})
+    builds = []
+    divide = series._divide_by_crank_factors
+
+    def recording(coeffs, count):
+        builds.append(len(coeffs) - 1)
+        divide(coeffs, count)
+
+    monkeypatch.setattr(series, "_divide_by_crank_factors", recording)
+    return builds
 
 
 int_series = st.lists(st.integers(-9, 9), min_size=1, max_size=24).map(
@@ -260,6 +321,77 @@ def test_rank_gf_low_coefficients():
 def test_rank_gf_palindromic():
     gf = rank_gf(20)
     assert all(gf.coefficient(n).is_palindromic() for n in range(21))
+
+
+def test_crank_gf_matches_inverse_product():
+    assert crank_gf(40) == crank_by_inverses(40)
+
+
+def test_rank_gf_matches_inverse_product():
+    assert rank_gf(30) == rank_by_inverses(30)
+
+
+@pytest.mark.parametrize("modulus", (PHI8, PHI9, PHI5))
+@pytest.mark.parametrize("order", (0, 1, 2, 17, 40))
+def test_crank_gf_in_quotient_ring_equals_projection(modulus, order):
+    built = crank_gf(order, modulus)
+    assert built.ring is quotient_ring(modulus)
+    assert built == crank_gf(order).map_coefficients(modulus.project, quotient_ring(modulus))
+    assert built == expected_crank(order, modulus)
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 17, 40))
+def test_crank_gf_at_one_is_partition_gf(order):
+    at_one = [c.residue[0] for c in crank_gf(order, AT_ONE).coefficients]
+    assert at_one == list(partition_gf(order).coefficients)
+
+
+@pytest.mark.parametrize("root", (2, 3, 4))
+def test_galois_map_on_phi5_series(root):
+    # a -> a^root on the residues in Z[a]/Phi5 agrees with substituting in
+    # the Laurent polynomials first and projecting afterwards
+    mapped = crank_gf(40, PHI5).map_coefficients(
+        lambda c: PHI5.project(c.as_laurent().substitute_power(root))
+    )
+    direct = crank_gf(40).map_coefficients(
+        lambda c: PHI5.project(c.substitute_power(root)), quotient_ring(PHI5)
+    )
+    assert mapped == direct
+
+
+@pytest.mark.parametrize("modulus", TARGETS)
+def test_crank_cache_large_then_small(fresh_crank_cache, modulus):
+    big = crank_gf(30, modulus)
+    small = crank_gf(12, modulus)
+    assert fresh_crank_cache == [30]          # the small one is a slice
+    assert small == big.truncate(12) == expected_crank(12, modulus)
+    assert big == expected_crank(30, modulus)
+
+
+@pytest.mark.parametrize("modulus", TARGETS)
+def test_crank_cache_small_then_large(fresh_crank_cache, modulus):
+    small = crank_gf(12, modulus)
+    big = crank_gf(30, modulus)
+    assert fresh_crank_cache == [12, 30]
+    assert big == expected_crank(30, modulus)
+    assert big.truncate(12) == small
+    assert crank_gf(20, modulus) == expected_crank(20, modulus)
+    assert fresh_crank_cache == [12, 30]
+
+
+def test_crank_cache_keeps_each_ring(fresh_crank_cache):
+    crank_gf(30, PHI8)
+    crank_gf(20, PHI9)
+    crank_gf(10, PHI8)
+    crank_gf(25, PHI9)
+    crank_gf(5)
+    assert fresh_crank_cache == [30, 20, 25, 5]
+    assert {m: s.order for m, s in series._crank_cache.items()} == {
+        PHI8: 30, PHI9: 25, None: 5,
+    }
+    for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
+        assert crank_gf(order, modulus) == expected_crank(order, modulus)
+    assert fresh_crank_cache == [30, 20, 25, 5]
 
 
 def test_gf_cache_consistency():
