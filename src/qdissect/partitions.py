@@ -11,21 +11,20 @@ Crank counts for n <= 1 follow the generating-function conventions rather
 than raw enumeration: the n=1 row is {-1: 1, 0: -1, 1: 1}, which is what
 the product formula forces (the lone partition {1} combinatorially has
 crank -1; ``crank_row`` reports that raw row if wanted).
+
+Tables are built by one sequential pass over n and store one row dict per
+n, so a row lookup touches only that row.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 # Full-enumeration table builds beyond this are refused, whichever entry
 # point asks; at 60 there are just under a million partitions per row at
 # the top end.
 ENUMERATION_CAP = 60
-
-WORKERS_ENV_VAR = "QDISSECT_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -125,13 +124,17 @@ def crank(pi: Partition) -> int:
     return exceeding - ones
 
 
-def rank_row(n: int) -> dict[int, int]:
-    """Counts of partitions of n by rank, from raw enumeration."""
+def _stat_row(stat: Callable[[Partition], int], n: int) -> dict[int, int]:
     row: dict[int, int] = {}
     for pi in enumerate_partitions(n):
-        m = rank(pi)
+        m = stat(pi)
         row[m] = row.get(m, 0) + 1
     return row
+
+
+def rank_row(n: int) -> dict[int, int]:
+    """Counts of partitions of n by rank, from raw enumeration."""
+    return _stat_row(rank, n)
 
 
 def crank_row(n: int) -> dict[int, int]:
@@ -140,24 +143,23 @@ def crank_row(n: int) -> dict[int, int]:
     Note the n=1 row here is the combinatorial {-1: 1}; the statistic
     tables override n <= 1 with the generating-function conventions.
     """
-    row: dict[int, int] = {}
-    for pi in enumerate_partitions(n):
-        m = crank(pi)
-        row[m] = row.get(m, 0) + 1
-    return row
-
-
-def _table_row(kind: str, n: int) -> dict[int, int]:
-    return crank_row(n) if kind == "crank" else rank_row(n)
+    return _stat_row(crank, n)
 
 
 @dataclass(frozen=True)
 class StatTable:
-    """Counts of partitions of n by statistic value m, for 0 <= n <= n_max."""
+    """Counts of partitions of n by statistic value m, for 0 <= n <= n_max.
+
+    ``rows[n]`` maps each statistic value m to its count; values with no
+    partitions are absent.
+    """
 
     kind: str
-    n_max: int
-    counts: dict[tuple[int, int], int] = field(repr=False)
+    rows: tuple[dict[int, int], ...] = field(repr=False)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
 
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.n_max:
@@ -165,11 +167,12 @@ class StatTable:
 
     def count(self, m: int, n: int) -> int:
         self._check_n(n)
-        return self.counts.get((m, n), 0)
+        return self.rows[n].get(m, 0)
 
     def row(self, n: int) -> dict[int, int]:
+        """A copy of row n, which the caller may change freely."""
         self._check_n(n)
-        return {m: c for (m, nn), c in self.counts.items() if nn == n}
+        return dict(self.rows[n])
 
     def count_mod(self, k: int, t: int, n: int) -> int:
         """Total count over statistic values congruent to k modulo t."""
@@ -178,25 +181,22 @@ class StatTable:
         if not 0 <= k < t:
             raise ValueError(f"residue class {k} outside 0..{t - 1}")
         self._check_n(n)
-        return sum(c for (m, nn), c in self.counts.items() if nn == n and m % t == k)
+        return sum(c for m, c in self.rows[n].items() if m % t == k)
 
     def truncated(self, n_max: int) -> "StatTable":
         if n_max > self.n_max:
             raise ValueError("cannot extend a table by truncation")
         if n_max == self.n_max:
             return self
-        kept = {(m, n): c for (m, n), c in self.counts.items() if n <= n_max}
-        return StatTable(self.kind, n_max, kept)
+        return StatTable(self.kind, self.rows[: n_max + 1])
 
 
-def build_stat_table(kind: str, n_max: int, workers: int | None = None) -> StatTable:
+def build_stat_table(kind: str, n_max: int) -> StatTable:
     """Count partitions of every n <= n_max by rank or crank.
 
-    Rows for n >= 2 (rank: n >= 1) come from full enumeration; the
-    remaining rows are the generating-function conventions.  With
-    workers > 1 the enumeration shards by n across processes and merges
-    deterministically; workers defaults to the QDISSECT_WORKERS
-    environment variable, else 1.  n_max beyond ENUMERATION_CAP is refused.
+    Rows for n >= 2 (rank: n >= 1) come from full enumeration, one n after
+    another; the remaining rows are the generating-function conventions.
+    n_max beyond ENUMERATION_CAP is refused before any partition is listed.
     """
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
@@ -204,24 +204,10 @@ def build_stat_table(kind: str, n_max: int, workers: int | None = None) -> StatT
         raise ValueError("n_max must be >= 0")
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
 
-    counts: dict[tuple[int, int], int] = {(0, 0): 1}
-    first_enumerated = 1
+    stat = crank if kind == "crank" else rank
+    rows: list[dict[int, int]] = [{0: 1}]
     if kind == "crank" and n_max >= 1:
-        counts.update({(-1, 1): 1, (0, 1): -1, (1, 1): 1})
-        first_enumerated = 2
-
-    todo = range(first_enumerated, n_max + 1)
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_table_row, [kind] * len(todo), todo)
-            for n, row in zip(todo, rows):
-                for m, c in row.items():
-                    counts[(m, n)] = c
-    else:
-        for n in todo:
-            for m, c in _table_row(kind, n).items():
-                counts[(m, n)] = c
-    return StatTable(kind, n_max, counts)
+        rows.append({-1: 1, 0: -1, 1: 1})
+    rows.extend(_stat_row(stat, n) for n in range(len(rows), n_max + 1))
+    return StatTable(kind, tuple(rows))

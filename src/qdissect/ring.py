@@ -511,19 +511,18 @@ class CoefficientRing:
     """Uniform handle on a coefficient ring for generic series code.
 
     Elements are ordinary Python values carrying their own +, -, *; the
-    handle supplies the constants and the unit tests the series layer
-    needs (zero, one, from_int, is_unit, invert_unit).
+    handle supplies the constants and the unit inverse the series layer
+    needs (zero, one, from_int, invert_unit).  invert_unit raises
+    ValueError for an element that is not a unit.
     """
 
     def __init__(self, name: str, zero, one,
                  from_int: Callable[[int], object],
-                 is_unit: Callable[[object], bool],
                  invert_unit: Callable[[object], object]):
         self.name = name
         self.zero = zero
         self.one = one
         self.from_int = from_int
-        self.is_unit = is_unit
         self.invert_unit = invert_unit
 
     def __repr__(self) -> str:
@@ -536,33 +535,20 @@ def _int_invert(x: int) -> int:
     return x
 
 
-def _laurent_is_unit(p: LaurentPoly) -> bool:
-    t = p._terms
-    return len(t) == 1 and next(iter(t.values())) in (1, -1)
-
-
 def _laurent_invert(p: LaurentPoly) -> LaurentPoly:
-    if not _laurent_is_unit(p):
+    # the units of Z[a, 1/a] are exactly the monomials +-a^e
+    t = p._terms
+    if len(t) != 1 or next(iter(t.values())) not in (1, -1):
         raise ValueError(f"{p!r} is not a unit Laurent polynomial")
-    ((e, c),) = p._terms.items()
+    ((e, c),) = t.items()
     return LaurentPoly.monomial(c, -e)
 
 
-def _quotient_is_unit(x: QuotientElem) -> bool:
-    try:
-        x.inverse()
-    except ValueError:
-        return False
-    return True
-
-
-INTEGER_RING = CoefficientRing(
-    "integer", 0, 1, int, lambda x: x in (1, -1), _int_invert
-)
+INTEGER_RING = CoefficientRing("integer", 0, 1, int, _int_invert)
 
 LAURENT_RING = CoefficientRing(
     "laurent", _LP_ZERO, _LP_ONE,
-    lambda n: LaurentPoly.monomial(int(n)), _laurent_is_unit, _laurent_invert
+    lambda n: LaurentPoly.monomial(int(n)), _laurent_invert
 )
 
 
@@ -572,5 +558,5 @@ def quotient_ring(modulus: Modulus) -> CoefficientRing:
     return CoefficientRing(
         f"quotient({modulus})",
         modulus.zero(), modulus.one(), modulus.from_int,
-        _quotient_is_unit, lambda x: x.inverse(),
+        lambda x: x.inverse(),
     )

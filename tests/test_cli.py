@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,16 @@ def test_exit_code_contract_covers_all_classes(capsys):
     assert run_cli(capsys, "verify", "--identity", "dissection-5", "--order", "10",
                    "--perturb-power", "2")[0] == 1
     assert run_cli(capsys, "verify", "--identity", "dissection-5", "--order", "11")[0] == 2
+
+
+def test_import_loads_no_process_machinery():
+    # every CLI call is a fresh process, so what the import pulls in is paid
+    # on each of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, qdissect.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

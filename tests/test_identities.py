@@ -42,6 +42,15 @@ def test_verify_rank_gf_passes():
         verify_rank_gf(0)
 
 
+@pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf])
+def test_perturbation_leaves_cached_table_intact(verify):
+    # the verifiers share one cached table per statistic; a perturbed run
+    # must not write its corruption into it
+    for power in (0, 4, 12):
+        assert verify(12, perturb_power=power).failure_witness.power == power
+        assert verify(12).passed
+
+
 def test_verify_congruence():
     assert verify_congruence(5, 4, 8).passed
     assert verify_congruence(7, 5, 6).passed

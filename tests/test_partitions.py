@@ -145,7 +145,9 @@ def test_build_validation():
         build_stat_table("crank", ENUMERATION_CAP + 1)
 
 
-def test_parallel_build_matches_sequential():
-    seq = build_stat_table("crank", 12, workers=1)
-    par = build_stat_table("crank", 12, workers=2)
-    assert seq == par
+def test_row_is_a_copy():
+    table = build_stat_table("crank", 6)
+    row = table.row(5)
+    row[0] = row.get(0, 0) + 1
+    row[99] = 1
+    assert table.row(5) == crank_row(5)

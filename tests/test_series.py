@@ -12,6 +12,7 @@ from qdissect.ring import (
     PHI9,
     LaurentPoly,
     Modulus,
+    QuotientElem,
     quotient_ring,
 )
 from qdissect.series import (
@@ -187,6 +188,23 @@ def test_invert_roundtrip_laurent_unit_constant():
     x = TruncatedSeries((LaurentPoly.monomial(-1, 3), A, LaurentPoly({2: 5, 0: 1})),
                         LAURENT_RING)
     assert x * x.inverse() == TruncatedSeries.one(2, LAURENT_RING)
+
+
+def test_quotient_inverse_inverts_constant_term_once(monkeypatch):
+    calls = []
+    original = QuotientElem.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QuotientElem, "inverse", counting)
+    ring = quotient_ring(PHI5)
+    a = PHI5.project(A)
+    x = TruncatedSeries((ring.one + a, a, ring.from_int(3), a * a), ring)
+    y = x.inverse()
+    assert len(calls) == 1
+    assert x * y == TruncatedSeries.one(3, ring)
 
 
 # --- substitution and dissection --------------------------------------------------
