@@ -6,7 +6,7 @@ Usage:
 
 The identities and their default orders come from the CLI registry
 (``qdissect.cli.IDENTITIES``); dissection-5 runs for all four primitive
-roots.  --quick drops the costlier orders to smoke-test levels.  Exits
+roots.  --quick drops the dissection orders to smoke-test levels.  Exits
 nonzero if anything fails.
 """
 
@@ -19,8 +19,7 @@ from qdissect.cli import IDENTITIES
 # the registry knows this one only to explain why it is refused: the rank
 # does not equidistribute modulo 11
 REFUSED = {"equidist-rank-11"}
-QUICK = {"crank-gf": 12, "rank-gf": 10, "equidist-crank-5": 4, "equidist-rank-5": 4,
-         "dissection-2": 20, "dissection-3": 21, "dissection-5": 20,
+QUICK = {"dissection-2": 20, "dissection-3": 21, "dissection-5": 20,
          "component-4-vanishing": 20}
 
 

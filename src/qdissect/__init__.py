@@ -2,7 +2,7 @@
 
 Expands the crank and rank generating functions over Laurent-polynomial
 and cyclotomic-quotient coefficient rings, counts partitions by statistic
-through full enumeration, and mechanically verifies the classical
+through integer recurrences, and mechanically verifies the classical
 congruences, equidistribution theorems and 2-/3-/5-dissections, all in
 arbitrary-precision integer arithmetic with no floats anywhere.
 """

@@ -26,7 +26,7 @@ from .identities import (
     verify_equidistribution,
     verify_rank_gf,
 )
-from .partitions import build_stat_table, partition_count
+from .partitions import partition_count, stat_table
 from .ring import LaurentPoly
 from .series import crank_gf, euler_product, partition_gf
 
@@ -105,7 +105,7 @@ def _cmd_tables(args) -> int:
 
     if args.modulo is not None and args.modulo < 1:
         raise ValueError("--modulo must be >= 1")
-    table = build_stat_table(args.kind, args.n_max)
+    table = stat_table(args.kind, args.n_max)
     if args.modulo is not None:
         t = args.modulo
         folded = [(n, {k: table.count_mod(k, t, n) for k in range(t)})

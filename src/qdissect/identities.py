@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .partitions import StatTable, build_stat_table, partition_count
+from .partitions import partition_count, stat_table
 from .ring import (
     INTEGER_RING,
     PHI5,
@@ -94,19 +94,7 @@ def _perturbed(series: TruncatedSeries, power: int | None) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# generating function vs. enumeration
-
-_table_cache: dict[str, StatTable] = {}
-
-
-def _stat_table(kind: str, n_max: int) -> StatTable:
-    # tables are immutable; keep the largest one built so far per kind
-    table = _table_cache.get(kind)
-    if table is None or table.n_max < n_max:
-        table = build_stat_table(kind, n_max)
-        _table_cache[kind] = table
-    return table
-
+# generating function vs. combinatorial count
 
 def _verify_gf_against_table(identity: str, kind: str, order: int,
                              build: Callable[[int], TruncatedSeries],
@@ -115,7 +103,7 @@ def _verify_gf_against_table(identity: str, kind: str, order: int,
     started = time.perf_counter()
     # the table first: it refuses orders beyond the enumeration cap before
     # any series is built
-    table = _stat_table(kind, order)
+    table = stat_table(kind, order)
     series = build(order)
     witness = None
     for n in range(order + 1):
@@ -132,14 +120,17 @@ def _verify_gf_against_table(identity: str, kind: str, order: int,
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Coefficients of the crank product formula equal the crank counting
-    table: conventions at n <= 1, full enumeration for 2 <= n <= order."""
+    table: conventions at n <= 1, the (ones, parts above the ones)
+    recurrence of ``partitions.build_stat_table`` for 2 <= n <= order."""
     if order < 2:
         raise ValueError("order must be >= 2")
     return _verify_gf_against_table("crank-gf", "crank", order, crank_gf, perturb_power)
 
 
 def verify_rank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
-    """Coefficients of the rank series equal the enumerated rank table."""
+    """Coefficients of the rank series equal the rank counting table, from
+    the (largest part, number of parts) recurrence of
+    ``partitions.build_stat_table``."""
     if order < 1:
         raise ValueError("order must be >= 1")
     return _verify_gf_against_table("rank-gf", "rank", order, rank_gf, perturb_power)
@@ -183,7 +174,7 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     started = time.perf_counter()
-    table = _stat_table(statistic, modulus * n_max + residue)
+    table = stat_table(statistic, modulus * n_max + residue)
     witness = None
     for n in range(n_max + 1):
         arg = modulus * n + residue
@@ -261,10 +252,11 @@ def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
     w1 = PHI5.project(LaurentPoly({2 * r: 1, 0: 2, -2 * r: 1}))   # 4cos^2(2r*pi/5)
     w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))         # 2cos(4r*pi/5)
     w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))                 # 2cos(2r*pi/5)
-    term0 = t1 * t5sq * (t2 * t2).inverse()
-    term1 = (t5sq * t2.inverse()).scale(-w1).shift(1)
-    term2 = (t5sq * t1.inverse()).scale(w2).shift(2)
-    term3 = (t2 * t5sq * (t1 * t1).inverse()).scale(-w3).shift(3)
+    inv1, inv2 = t1.inverse(), t2.inverse()
+    term0 = t1 * t5sq * (inv2 * inv2)
+    term1 = (t5sq * inv2).scale(-w1).shift(1)
+    term2 = (t5sq * inv1).scale(w2).shift(2)
+    term3 = (t2 * t5sq * (inv1 * inv1)).scale(-w3).shift(3)
     return term0 + term1 + term2 + term3
 
 

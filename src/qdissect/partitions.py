@@ -1,19 +1,22 @@
-"""Integer partitions and their rank/crank statistics, by exact enumeration.
+"""Integer partitions and their rank/crank statistics.
 
-The enumeration is the combinatorial ground truth the generating-function
-layer is verified against.  Partitions of n are produced in lexicographically
-descending order; the statistic tables count partitions by rank (largest
-part minus number of parts) and by crank (largest part if there are no
-ones, otherwise the number of parts exceeding the number of ones minus the
-number of ones).
+The statistic tables are the combinatorial ground truth the
+generating-function layer is verified against.  They count partitions of n
+by rank (largest part minus number of parts) and by crank (largest part if
+there are no ones, otherwise the number of parts exceeding the number of
+ones minus the number of ones) through integer recurrences over the shape
+of a partition, without listing any partition; ``build_stat_table`` says
+how.  Enumeration (lexicographically descending) with ``rank``/``crank``
+and ``rank_row``/``crank_row`` stays as the small-n oracle the tests
+compare the recurrences against.
 
 Crank counts for n <= 1 follow the generating-function conventions rather
-than raw enumeration: the n=1 row is {-1: 1, 0: -1, 1: 1}, which is what
-the product formula forces (the lone partition {1} combinatorially has
-crank -1; ``crank_row`` reports that raw row if wanted).
+than the combinatorial count: the n=1 row is {-1: 1, 0: -1, 1: 1}, which
+is what the product formula forces (the lone partition {1} combinatorially
+has crank -1; ``crank_row`` reports that raw row if wanted).
 
-Tables are built by one sequential pass over n and store one row dict per
-n, so a row lookup touches only that row.
+Tables store one row dict per n, so a row lookup touches only that row;
+``stat_table`` keeps the largest table built so far per kind.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-# Full-enumeration table builds beyond this are refused, whichever entry
-# point asks; at 60 there are just under a million partitions per row at
-# the top end.
+# Table builds beyond this are refused, whichever entry point asks.  The
+# recurrences would reach much further; raising the cap waits for a second
+# fast route (the column formulas) to check the larger tables against.
 ENUMERATION_CAP = 60
 
 
@@ -165,10 +168,6 @@ class StatTable:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} outside table range 0..{self.n_max}")
 
-    def count(self, m: int, n: int) -> int:
-        self._check_n(n)
-        return self.rows[n].get(m, 0)
-
     def row(self, n: int) -> dict[int, int]:
         """A copy of row n, which the caller may change freely."""
         self._check_n(n)
@@ -183,20 +182,73 @@ class StatTable:
         self._check_n(n)
         return sum(c for m, c in self.rows[n].items() if m % t == k)
 
-    def truncated(self, n_max: int) -> "StatTable":
-        if n_max > self.n_max:
-            raise ValueError("cannot extend a table by truncation")
-        if n_max == self.n_max:
-            return self
-        return StatTable(self.kind, self.rows[: n_max + 1])
+
+def _rank_rows(n_max: int) -> list[dict[int, int]]:
+    # T[n][k]: partitions of n into exactly k parts, all <= L.  Raising the
+    # bound to L adds T[n-L][k-1] (ascending n, so several parts L may be
+    # taken); that term counts the partitions with largest part exactly L
+    # and k parts, whose rank is L - k.
+    T = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    T[0][0] = 1
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for L in range(1, n_max + 1):
+        for n in range(L, n_max + 1):
+            below, here, row = T[n - L], T[n], rows[n]
+            for k in range(1, n - L + 2):
+                c = below[k - 1]
+                if c:
+                    here[k] += c
+                    row[L - k] = row.get(L - k, 0) + c
+    return rows
+
+
+def _crank_rows(n_max: int) -> list[dict[int, int]]:
+    # E[j][t]: partitions of t into exactly j parts
+    E = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    E[0][0] = 1
+    for t in range(1, n_max + 1):
+        for j in range(1, t + 1):
+            E[j][t] = E[j - 1][t - 1] + E[j][t - j]
+    # D[s]: partitions of s into parts 2..w, one part size added per w
+    D = [1] + [0] * n_max
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for w in range(1, n_max + 1):
+        if w >= 2:
+            for s in range(w, n_max + 1):
+                D[s] += D[s - w]
+            # no ones and largest part w: crank w; the other parts lie in 2..w
+            for n in range(w, n_max + 1):
+                c = D[n - w]
+                if c:
+                    rows[n][w] = rows[n].get(w, 0) + c
+        # w ones, parts 2..w summing to s, and j parts above w: crank j - w.
+        # Taking w from each of the j parts leaves a partition of t into
+        # exactly j parts, so n = w + s + j*w + t.
+        for s in range(n_max - w + 1):
+            d = D[s]
+            if not d:
+                continue
+            for j in range((n_max - w - s) // (w + 1) + 1):
+                base = w + s + j * w
+                col = E[j]
+                for t in range(j, n_max - base + 1):
+                    c = col[t]
+                    if c:
+                        row = rows[base + t]
+                        row[j - w] = row.get(j - w, 0) + d * c
+    return rows
 
 
 def build_stat_table(kind: str, n_max: int) -> StatTable:
     """Count partitions of every n <= n_max by rank or crank.
 
-    Rows for n >= 2 (rank: n >= 1) come from full enumeration, one n after
-    another; the remaining rows are the generating-function conventions.
-    n_max beyond ENUMERATION_CAP is refused before any partition is listed.
+    Rows for n >= 2 (rank: n >= 1) are counted by integer recurrences that
+    list no partition and use no generating function: the rank split by
+    (largest part, number of parts), the crank by (number of ones w, parts
+    larger than w), after Andrews-Garvan, "Dyson's crank of a partition",
+    Bull. AMS 18 (1988).  The remaining rows are the generating-function
+    conventions.  Both counts take O(n_max^3) steps and O(n_max^2) integers.
+    n_max beyond ENUMERATION_CAP is refused before any work.
     """
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
@@ -205,9 +257,24 @@ def build_stat_table(kind: str, n_max: int) -> StatTable:
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
 
-    stat = crank if kind == "crank" else rank
-    rows: list[dict[int, int]] = [{0: 1}]
+    rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
+    rows[0] = {0: 1}
     if kind == "crank" and n_max >= 1:
-        rows.append({-1: 1, 0: -1, 1: 1})
-    rows.extend(_stat_row(stat, n) for n in range(len(rows), n_max + 1))
+        rows[1] = {-1: 1, 0: -1, 1: 1}
     return StatTable(kind, tuple(rows))
+
+
+_table_cache: dict[str, StatTable] = {}
+
+
+def stat_table(kind: str, n_max: int) -> StatTable:
+    """The cached table of `kind` covering at least 0..n_max.
+
+    Tables are immutable, so the largest one built so far per kind is kept
+    and shared; a request beyond it builds a new one.
+    """
+    table = _table_cache.get(kind)
+    if table is None or table.n_max < n_max:
+        table = build_stat_table(kind, n_max)
+        _table_cache[kind] = table
+    return table

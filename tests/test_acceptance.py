@@ -52,7 +52,7 @@ def test_criterion_1_crank_gf_matches_combinatorics():
         assert table.row(1) == {-1: 1, 0: -1, 1: 1}
         assert crank_gf(1).coefficient(1) == LaurentPoly({-1: 1, 0: -1, 1: 1})
 
-    announce(1, "crank gf vs enumeration to order 40", body)
+    announce(1, "crank gf vs combinatorial count to order 40", body)
 
 
 def test_criterion_2_rank_gf_matches_combinatorics():
@@ -60,7 +60,7 @@ def test_criterion_2_rank_gf_matches_combinatorics():
         report = verify_rank_gf(30)
         assert report.passed, report
 
-    announce(2, "rank gf vs enumeration to order 30", body)
+    announce(2, "rank gf vs combinatorial count to order 30", body)
 
 
 def test_criterion_3_partition_congruences():

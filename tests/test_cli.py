@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qdissect import partitions
 from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf
 
@@ -59,6 +60,24 @@ def test_tables_usage_errors(capsys):
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "5", "--modulo", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "nope", "--n-max", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3", "--modulo", "0")[0] == 2
+
+
+def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
+    builds = []
+    original = partitions.build_stat_table
+
+    def counted(kind, n_max):
+        builds.append((kind, n_max))
+        return original(kind, n_max)
+
+    monkeypatch.setattr(partitions, "_table_cache", {})
+    monkeypatch.setattr(partitions, "build_stat_table", counted)
+    assert run_cli(capsys, "verify", "--identity", "crank-gf", "--order", "40")[0] == 0
+    assert builds == [("crank", 40)]
+    code, out, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "20")
+    assert code == 0
+    assert len(payload_of(out)["rows"]) == 21
+    assert builds == [("crank", 40)]
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -15,6 +15,7 @@ from qdissect.identities import (
 )
 from qdissect.partitions import build_stat_table
 from qdissect.ring import LaurentPoly
+from qdissect.series import TruncatedSeries
 
 
 def test_verify_crank_gf_passes():
@@ -98,6 +99,19 @@ def test_dissection_5_all_roots():
         verify_5_dissection(21)
     with pytest.raises(ValueError):
         verify_5_dissection(20, root_power=5)
+
+
+def test_dissection_5_inverts_each_theta_once(monkeypatch):
+    calls = []
+    original = TruncatedSeries.inverse
+
+    def counted(self):
+        calls.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted)
+    assert verify_5_dissection(20).passed
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("verifier,order", [

@@ -1,9 +1,9 @@
 import pytest
 
+from qdissect import partitions
 from qdissect.partitions import (
     ENUMERATION_CAP,
     Partition,
-    StatTable,
     build_stat_table,
     crank,
     crank_row,
@@ -12,6 +12,8 @@ from qdissect.partitions import (
     rank,
     rank_row,
 )
+from qdissect.ring import LaurentPoly
+from qdissect.series import crank_gf, rank_gf
 
 
 # independent oracle: count partitions of n with parts <= m, bare recursion
@@ -122,18 +124,7 @@ def test_count_mod():
     with pytest.raises(ValueError):
         table.count_mod(0, 5, 9)
     with pytest.raises(ValueError):
-        table.count(0, 99)
-
-
-def test_table_truncation():
-    table = build_stat_table("crank", 8)
-    small = table.truncated(3)
-    assert small.n_max == 3
-    assert small.row(3) == table.row(3)
-    with pytest.raises(ValueError):
-        small.row(4)
-    with pytest.raises(ValueError):
-        small.truncated(10)
+        table.row(99)
 
 
 def test_build_validation():
@@ -151,3 +142,30 @@ def test_row_is_a_copy():
     row[0] = row.get(0, 0) + 1
     row[99] = 1
     assert table.row(5) == crank_row(5)
+
+
+def test_recurrence_rows_match_enumeration():
+    rank_table = build_stat_table("rank", 30)
+    crank_table = build_stat_table("crank", 30)
+    for n in range(1, 31):
+        assert rank_table.row(n) == rank_row(n), n
+    for n in range(2, 31):
+        assert crank_table.row(n) == crank_row(n), n
+
+
+@pytest.mark.parametrize("kind,build", [("crank", crank_gf), ("rank", rank_gf)])
+def test_recurrence_rows_match_generating_functions_to_the_cap(kind, build):
+    table = build_stat_table(kind, ENUMERATION_CAP)
+    series = build(ENUMERATION_CAP)
+    for n in range(ENUMERATION_CAP + 1):
+        assert LaurentPoly(table.row(n)) == series.coefficient(n), n
+
+
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+def test_build_lists_no_partition(monkeypatch, kind):
+    def refuse(n):
+        raise AssertionError("the table build must not enumerate")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    table = build_stat_table(kind, ENUMERATION_CAP)
+    assert sum(table.row(ENUMERATION_CAP).values()) == partition_count(ENUMERATION_CAP)
