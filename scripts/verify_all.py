@@ -2,12 +2,11 @@
 """Run every identity verifier at its default order and print one line each.
 
 Usage:
-    python scripts/verify_all.py [--quick]
+    python scripts/verify_all.py
 
 The identities and their default orders come from the CLI registry
 (``qdissect.cli.IDENTITIES``); dissection-5 runs for all four primitive
-roots.  --quick drops the dissection orders to smoke-test levels.  Exits
-nonzero if anything fails.
+roots.  Exits nonzero if anything fails.
 """
 
 import argparse
@@ -19,22 +18,17 @@ from qdissect.cli import IDENTITIES
 # the registry knows this one only to explain why it is refused: the rank
 # does not equidistribute modulo 11
 REFUSED = {"equidist-rank-11"}
-QUICK = {"dissection-2": 20, "dissection-3": 21, "dissection-5": 20,
-         "component-4-vanishing": 20}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     runs = []
     for name, (default_order, _, runner) in IDENTITIES.items():
         if name in REFUSED:
             continue
-        order = QUICK.get(name, default_order) if args.quick else default_order
         roots = (1, 2, 3, 4) if name == "dissection-5" else (1,)
-        runs.extend(lambda o=order, r=r, run=runner: run(o, r, None) for r in roots)
+        runs.extend(lambda o=default_order, r=r, run=runner: run(o, r, None) for r in roots)
 
     started = time.perf_counter()
     failures = 0

@@ -197,12 +197,14 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
 # dissections in the cyclotomic quotient rings
 
 def _dissection_2_rhs(order: int) -> TruncatedSeries:
+    # the products are integer series; each term enters Z[a]/Phi8 once
     ring = quotient_ring(PHI8)
-    inv = pochhammer_inf(ring.from_int(-1), 4, 4, order, ring).inverse()
-    even = theta(6, 10, order, ring=ring) * inv
-    odd = theta(2, 14, order, ring=ring) * inv
+    inv = pochhammer_inf(-1, 4, 4, order).inverse()
+    even = theta(6, 10, order) * inv
+    odd = theta(2, 14, order) * inv
     weight = PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
-    return even + odd.scale(weight).shift(1)
+    return (even.map_coefficients(ring.from_int, ring)
+            + odd.map_coefficients(lambda c: weight * c, ring).shift(1))
 
 
 def verify_2_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
@@ -219,14 +221,16 @@ def verify_2_dissection(order: int, perturb_power: int | None = None) -> Verific
 
 def _dissection_3_rhs(order: int) -> TruncatedSeries:
     ring = quotient_ring(PHI9)
-    t_a = theta(6, 21, order, ring=ring)
-    t_b = theta(12, 15, order, ring=ring)
-    t_c = theta(3, 24, order, ring=ring)
-    inv = pochhammer_inf(ring.one, 27, 27, order, ring).inverse()
+    t_a = theta(6, 21, order)
+    t_b = theta(12, 15, order)
+    t_c = theta(3, 24, order)
+    inv = pochhammer_inf(1, 27, 27, order).inverse()
     w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
     w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
-    combo = (t_a * t_b) + (t_c * t_b).scale(w1).shift(1) + (t_c * t_a).scale(w2).shift(2)
-    return combo * inv
+    c_inv = t_c * inv
+    return ((t_a * t_b * inv).map_coefficients(ring.from_int, ring)
+            + (c_inv * t_b).map_coefficients(lambda c: w1 * c, ring).shift(1)
+            + (c_inv * t_a).map_coefficients(lambda c: w2 * c, ring).shift(2))
 
 
 def verify_3_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
@@ -242,10 +246,11 @@ def verify_3_dissection(order: int, perturb_power: int | None = None) -> Verific
 
 
 def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
+    # the root enters only through the weights w1..w3
     ring = quotient_ring(PHI5)
-    t1 = theta(10, 15, order, ring=ring)
-    t2 = theta(5, 20, order, ring=ring)
-    t5sq = theta(25, 50, order, ring=ring)
+    t1 = theta(10, 15, order)
+    t2 = theta(5, 20, order)
+    t5sq = theta(25, 50, order)
     t5sq = t5sq * t5sq                         # f(-q^25)^2
     r = root_power
     # 2cos(2*pi*k/5) realized exactly as a^k + a^-k in Z[a]/(a^4+a^3+a^2+a+1)
@@ -254,10 +259,13 @@ def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
     w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))                 # 2cos(2r*pi/5)
     inv1, inv2 = t1.inverse(), t2.inverse()
     term0 = t1 * t5sq * (inv2 * inv2)
-    term1 = (t5sq * inv2).scale(-w1).shift(1)
-    term2 = (t5sq * inv1).scale(w2).shift(2)
-    term3 = (t2 * t5sq * (inv1 * inv1)).scale(-w3).shift(3)
-    return term0 + term1 + term2 + term3
+    term1 = -(t5sq * inv2)
+    term2 = t5sq * inv1
+    term3 = -(t2 * t5sq * (inv1 * inv1))
+    return (term0.map_coefficients(ring.from_int, ring)
+            + term1.map_coefficients(lambda c: w1 * c, ring).shift(1)
+            + term2.map_coefficients(lambda c: w2 * c, ring).shift(2)
+            + term3.map_coefficients(lambda c: w3 * c, ring).shift(3))
 
 
 def verify_5_dissection(order: int, root_power: int = 1,

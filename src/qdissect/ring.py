@@ -21,7 +21,6 @@ so anything here may be shared freely across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
@@ -110,10 +109,6 @@ class LaurentPoly:
         if k == 1:
             return self
         return LaurentPoly._raw({e * k: c for e, c in self._terms.items()})
-
-    def times_a(self, k: int) -> "LaurentPoly":
-        """Multiply by the unit monomial a^k."""
-        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
 
     def evaluate_at_one(self) -> int:
         """Sum of all coefficients, i.e. the specialization a = 1."""
@@ -357,27 +352,6 @@ class QuotientElem:
     def as_laurent(self) -> LaurentPoly:
         return LaurentPoly._raw({e: c for e, c in enumerate(self._residue) if c})
 
-    def times_a(self, k: int) -> "QuotientElem":
-        """Multiply by the unit monomial a^k, one power of a at a time.
-
-        Multiplying by a shifts the residue up and folds the a^d overflow
-        back in through a^d = a^d - m(a), which has degree < d; dividing
-        by a shifts it down and folds the a^0 term in through the residue
-        of a^-1.
-        """
-        mod = self._modulus
-        m = mod.coeffs
-        r = self._residue
-        for _ in range(k):
-            t = r[-1]
-            r = tuple(x - t * y for x, y in zip((0,) + r[:-1], m))
-        if k < 0:
-            inv = mod.inverse_of_a().residue
-            for _ in range(-k):
-                t = r[0]
-                r = tuple(x + t * y for x, y in zip(r[1:] + (0,), inv))
-        return QuotientElem._raw(r, mod)
-
     def _check(self, other: "QuotientElem") -> None:
         if self._modulus is not other._modulus and self._modulus != other._modulus:
             raise ValueError("quotient elements have different moduli")
@@ -460,6 +434,10 @@ class QuotientElem:
         unit over Z exactly when the rational inverse has integer
         coefficients.  Raises ValueError otherwise.
         """
+        # imported here: no series built by the verifiers needs a quotient
+        # inverse, and fractions pulls in decimal at import time
+        from fractions import Fraction
+
         mod = self._modulus
 
         def degree_of(v):

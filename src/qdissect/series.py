@@ -11,19 +11,27 @@ products, bilateral theta sums f(+-q^r, +-q^s), the partition generating
 function, and the crank and rank generating functions whose coefficients
 are Laurent polynomials in the statistic-counting symbol ``a`` (the crank
 one also directly in a quotient ring Z[a]/(m(a))).  Both statistic
-functions are built by dividing a sparse numerator in place by their
-factors (1 - a^(+-1) q^k), one ascending pass per factor.
+functions run one packed kernel: the series lives in Z[a]/(a^M - 1) as M
+Python ints, one per residue class of the exponent of ``a``, each holding
+its q-coefficients as fixed-width digits, so that division by a factor
+(1 - a^(+-1) q^k) is a few big-int shifts and additions per class.  M is
+the multiplicative order of ``a`` in the target ring, or 2N+1 for the
+Laurent polynomials; each coefficient is projected once at the end.
 """
 
 from __future__ import annotations
 
+import itertools
+from math import isqrt
 from typing import Callable, Sequence
 
 from .ring import (
     INTEGER_RING,
     LAURENT_RING,
     CoefficientRing,
+    LaurentPoly,
     Modulus,
+    QuotientElem,
     quotient_ring,
 )
 
@@ -373,21 +381,152 @@ _crank_cache: dict[Modulus | None, TruncatedSeries] = {}
 _rank_cache: TruncatedSeries | None = None
 
 
-def _divide_by_crank_factors(coeffs: list, count: int) -> None:
-    """Divide a series in place by (aq;q)_count (q/a;q)_count.
+# The packed kernel behind crank_gf and rank_gf.  A series in Z[a]/(a^M - 1),
+# truncated after q^N, is a list of M Python ints: int r packs the
+# q-coefficients of the residue class a^r as B-bit digits,
+# c_0 + c_1 2^B + ... + c_N 2^(BN), reduced modulo 2^(B(N+1)).  Sending q to
+# 2^B maps Z[q]/(q^(N+1)) onto the integers modulo 2^(B(N+1)), so adding
+# series and multiplying by q^s cost one big-int addition and one shift per
+# class.  The digits are read back as balanced residues in
+# (-2^(B-1), 2^(B-1)); they are the true coefficients because _digit_bits
+# keeps every |c_n| below 2^(B-1).
 
-    Division by one factor (1 - a^e q^k) is the ascending recurrence
-    c_n += a^e c_{n-k}; a^e is a unit monomial, so each step is a shift of
-    the coefficient's exponents in every coefficient ring that has ``a``.
-    Factors with k beyond the truncation order leave the series unchanged.
+
+def _digit_bits(order: int) -> int:
+    """Digit width B for packed crank and rank builds through q^order.
+
+    Write |F| for the q-series whose q^n coefficient is the sum of the
+    absolute values of all a^e q^n coefficients of F; then |FG| <= |F||G|
+    coefficientwise, and a class coefficient in Z[a]/(a^M - 1) is at most
+    the matching coefficient of |F|.  The crank numerator (q;q)_inf has
+    coefficients in {-1, 0, 1}, so |(q;q)_inf| <= 1/(1 - q); a partial
+    product of the factors 1 + (a^(+-1) q^k)^(2^i) has |.| <= 1/(1 - q^k).
+    In the rank build, |T| <= H_k = 1/(1 - q) prod_{j >= k} (1 - q^j)^-2 by
+    induction down k, since H_k has nondecreasing coefficients starting at
+    1, so 1 + q^(2k-1) H_k <= H_k.  Either way every intermediate series is
+    bounded by 1/((1 - q)(q;q)_inf^2), whose coefficients are nondecreasing:
+    |c_n| <= sum_{j <= order} p(j) (p(0) + ... + p(order - j)).  B is one
+    bit more than that bound, rounded up to whole bytes for the unpacking.
     """
-    order = len(coeffs) - 1
-    for k in range(1, min(count, order) + 1):
-        for e in (1, -1):
-            for n in range(k, order + 1):
-                c = coeffs[n - k]
-                if c:
-                    coeffs[n] = coeffs[n] + c.times_a(e)
+    euler = [(k, c) for k, c in enumerate(euler_product(order).coefficients) if k and c]
+    p = [1]
+    for n in range(1, order + 1):
+        p.append(-sum(c * p[n - k] for k, c in euler if k <= n))
+    below = list(itertools.accumulate(p))
+    bound = sum(p[j] * below[order - j] for j in range(order + 1))
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _divide_packed(classes: list[int], k: int, order: int, bits: int) -> list[int]:
+    """A packed series divided by (1 - a q^k)(1 - q^k/a).
+
+    1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)..., and with x = a^(+-1) q^k
+    the factors 1 + a^e q^s with s > order are 1 modulo q^(order+1).
+    Multiplying by 1 + a^e q^s adds
+    class r - e, shifted up s digits, into class r.  Only the digits below
+    q^(order+1-s) of the shifted class matter, so it is masked to those;
+    the sum itself may carry past q^order, and the bits up there are
+    dropped when the digits are read back.
+    """
+    size = len(classes)
+    for e in (1, -1):
+        s = k
+        while s <= order:
+            r = e % size
+            low = (1 << bits * (order + 1 - s)) - 1
+            shift = bits * s
+            classes = [c + ((d & low) << shift) if d else c
+                       for c, d in zip(classes, classes[-r:] + classes[:-r])]
+            s *= 2
+            e *= 2
+    return classes
+
+
+def _packed_crank(order: int, size: int, bits: int) -> list[int]:
+    """(q;q)_inf / ((aq;q)_inf (q/a;q)_inf) through q^order in Z[a]/(a^size - 1)."""
+    mask = (1 << bits * (order + 1)) - 1
+    numerator = sum(c << bits * n for n, c in enumerate(euler_product(order).coefficients))
+    classes = [numerator & mask] + [0] * (size - 1)
+    for k in range(1, order + 1):
+        classes = _divide_packed(classes, k, order, bits)
+    return classes
+
+
+def _packed_rank(order: int, size: int, bits: int) -> list[int]:
+    """sum_n q^(n^2) / ((aq;q)_n (q/a;q)_n) through q^order in Z[a]/(a^size - 1).
+
+    Built in the nested (Durfee) form T <- 1 + q^(2k-1) T / ((1 - aq^k)(1 - q^k/a))
+    for k = isqrt(order) down to 1, since q^(n^2) = q^1 q^3 ... q^(2n-1).
+    """
+    mask = (1 << bits * (order + 1)) - 1
+    classes = [1] + [0] * (size - 1)
+    for k in range(isqrt(order), 0, -1):
+        classes = [(c << bits * (2 * k - 1)) & mask for c in classes]
+        classes = _divide_packed(classes, k, order, bits)
+        classes[0] += 1
+    return classes
+
+
+def _unpacked(classes: list[int], order: int, bits: int) -> list[list[int]]:
+    """The balanced digits c_0..c_order of every packed class."""
+    width = bits // 8
+    half = 1 << (bits - 1)
+    mask = (1 << bits * (order + 1)) - 1
+    # half added to every digit makes each one nonnegative, so no digit
+    # borrows from the next one
+    bias = half * (mask // ((1 << bits) - 1))
+    columns = []
+    for value in classes:
+        raw = ((value + bias) & mask).to_bytes(width * (order + 1), "little")
+        columns.append([int.from_bytes(raw[i:i + width], "little") - half
+                        for i in range(0, len(raw), width)])
+    return columns
+
+
+def _powers_of_a(modulus: Modulus, limit: int) -> list[QuotientElem] | None:
+    """a^0..a^(M-1) in Z[a]/(modulus), where M is the multiplicative order
+    of a; None if a has no order M <= limit."""
+    a = modulus.project(LaurentPoly.monomial(1, 1))
+    powers = [modulus.one()]
+    while len(powers) <= limit:
+        power = powers[-1] * a
+        if power == powers[0]:
+            return powers
+        powers.append(power)
+    return None
+
+
+def _statistic_series(build: Callable[[int, int, int], list[int]], order: int,
+                      modulus: Modulus | None) -> TruncatedSeries:
+    """Run a packed build through q^order and project every coefficient once.
+
+    With a of order M in Z[a]/(modulus) the build runs in Z[a]/(a^M - 1),
+    which maps onto the quotient.  Otherwise it runs in Z[a]/(a^(2N+1) - 1),
+    N = order, where the classes -N..N are the Laurent exponents: |crank|
+    and |rank| of a partition of n are at most n, so no class wraps.
+    """
+    powers = None if modulus is None else _powers_of_a(modulus, 2 * order)
+    size = 2 * order + 1 if powers is None else len(powers)
+    bits = _digit_bits(order)
+    columns = _unpacked(build(order, size, bits), order, bits)
+    if powers is not None:
+        residues = [[0] * (order + 1) for _ in range(modulus.degree)]
+        for column, power in zip(columns, powers):
+            for j, x in enumerate(power.residue):
+                if x:
+                    residues[j] = [y + x * c for y, c in zip(residues[j], column)]
+        return TruncatedSeries([QuotientElem(vec, modulus) for vec in zip(*residues)],
+                               quotient_ring(modulus))
+    rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for r, column in enumerate(columns):
+        e = r if r <= order else r - size
+        for n, c in enumerate(column):
+            if c:
+                rows[n][e] = c
+    series = TruncatedSeries([LaurentPoly(row) for row in rows], LAURENT_RING)
+    if modulus is None:
+        return series
+    return series.map_coefficients(modulus.project, quotient_ring(modulus))
 
 
 def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
@@ -395,18 +534,14 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
 
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
-    conventions at n <= 1).  Given a modulus, the product is built directly
-    in Z[a]/(modulus) instead, and each coefficient is the residue of that
-    Laurent polynomial.
+    conventions at n <= 1).  Given a modulus, each coefficient is instead
+    the residue of that Laurent polynomial in Z[a]/(modulus).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     cached = _crank_cache.get(modulus)
     if cached is None or cached.order < order:
-        ring = LAURENT_RING if modulus is None else quotient_ring(modulus)
-        coeffs = list(euler_product(order, ring).coefficients)
-        _divide_by_crank_factors(coeffs, order)
-        cached = TruncatedSeries(coeffs, ring)
+        cached = _statistic_series(_packed_crank, order, modulus)
         _crank_cache[modulus] = cached
     return cached.truncate(order)
 
@@ -418,15 +553,6 @@ def rank_gf(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 0")
     cached = _rank_cache
     if cached is None or cached.order < order:
-        zero, one = LAURENT_RING.zero, LAURENT_RING.one
-        total = [one] + [zero] * order          # n = 0 term
-        n = 1
-        while n * n <= order:
-            term = [zero] * (order + 1)
-            term[n * n] = one
-            _divide_by_crank_factors(term, n)
-            total = [x + y for x, y in zip(total, term)]
-            n += 1
-        cached = TruncatedSeries(total, LAURENT_RING)
+        cached = _statistic_series(_packed_rank, order, None)
         _rank_cache = cached
     return cached.truncate(order)

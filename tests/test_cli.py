@@ -262,8 +262,8 @@ def test_import_loads_no_process_machinery():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import sys, qdissect.cli; "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
+             "'fractions', 'decimal') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"

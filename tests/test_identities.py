@@ -13,9 +13,10 @@ from qdissect.identities import (
     verify_equidistribution,
     verify_rank_gf,
 )
+from qdissect.identities import _dissection_2_rhs, _dissection_3_rhs, _dissection_5_rhs
 from qdissect.partitions import build_stat_table
-from qdissect.ring import LaurentPoly
-from qdissect.series import TruncatedSeries
+from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem, quotient_ring
+from qdissect.series import TruncatedSeries, pochhammer_inf, theta
 
 
 def test_verify_crank_gf_passes():
@@ -112,6 +113,64 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "inverse", counted)
     assert verify_5_dissection(20).passed
     assert len(calls) == 2
+
+
+# oracle: the right-hand sides built with every factor, product and inverse
+# in the quotient ring itself
+def quotient_rhs_2(order):
+    ring = quotient_ring(PHI8)
+    inv = pochhammer_inf(ring.from_int(-1), 4, 4, order, ring).inverse()
+    even = theta(6, 10, order, ring=ring) * inv
+    odd = theta(2, 14, order, ring=ring) * inv
+    return even + odd.scale(PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))).shift(1)
+
+
+def quotient_rhs_3(order):
+    ring = quotient_ring(PHI9)
+    t_a = theta(6, 21, order, ring=ring)
+    t_b = theta(12, 15, order, ring=ring)
+    t_c = theta(3, 24, order, ring=ring)
+    inv = pochhammer_inf(ring.one, 27, 27, order, ring).inverse()
+    w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
+    w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
+    return (t_a * t_b + (t_c * t_b).scale(w1).shift(1) + (t_c * t_a).scale(w2).shift(2)) * inv
+
+
+def quotient_rhs_5(order, r):
+    ring = quotient_ring(PHI5)
+    t1 = theta(10, 15, order, ring=ring)
+    t2 = theta(5, 20, order, ring=ring)
+    t5sq = theta(25, 50, order, ring=ring) * theta(25, 50, order, ring=ring)
+    w1 = PHI5.project(LaurentPoly({2 * r: 1, 0: 2, -2 * r: 1}))
+    w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))
+    w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))
+    return (t1 * t5sq * (t2 * t2).inverse()
+            + (t5sq * t2.inverse()).scale(-w1).shift(1)
+            + (t5sq * t1.inverse()).scale(w2).shift(2)
+            + (t2 * t5sq * (t1 * t1).inverse()).scale(-w3).shift(3))
+
+
+def test_integer_route_rhs_equals_quotient_ring_construction():
+    assert _dissection_2_rhs(20) == quotient_rhs_2(20)
+    assert _dissection_3_rhs(21) == quotient_rhs_3(21)
+    for r in (1, 2, 3, 4):
+        assert _dissection_5_rhs(20, r) == quotient_rhs_5(20, r)
+
+
+def test_dissection_verifiers_need_no_quotient_inverse(monkeypatch):
+    calls = []
+    original = QuotientElem.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QuotientElem, "inverse", counted)
+    assert verify_2_dissection(20).passed
+    assert verify_3_dissection(21).passed
+    for r in (1, 2, 3, 4):
+        assert verify_5_dissection(20, root_power=r).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("verifier,order", [

@@ -170,13 +170,6 @@ def test_projection_idempotent_on_residues(modulus, p):
 
 # --- quotient elements ----------------------------------------------------------
 
-@pytest.mark.parametrize("modulus", MODULI + (Modulus((-1, 1)),))
-@given(p=laurents, k=st.integers(-3, 3))
-def test_times_a_commutes_with_projection(modulus, p, k):
-    assert p.times_a(k) == p * LaurentPoly.monomial(1, k)
-    assert modulus.project(p).times_a(k) == modulus.project(p.times_a(k))
-
-
 def test_quotient_arithmetic():
     a8 = PHI8.project(A)
     assert a8 * PHI8.project(A_INV) == PHI8.one()

@@ -13,7 +13,7 @@ def run_script(name, *args):
 
 
 def test_verify_all_quick():
-    result = run_script("verify_all.py", "--quick")
+    result = run_script("verify_all.py")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("0 failure(s)")
 

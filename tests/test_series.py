@@ -85,6 +85,7 @@ def rank_by_inverses(order):
 
 
 AT_ONE = Modulus((-1, 1))      # a - 1: the specialisation a = 1
+FIBONACCI = Modulus((-1, -1, 1))   # a^2 - a - 1: a has infinite order
 TARGETS = (None, PHI8, PHI9, PHI5)
 
 
@@ -93,13 +94,13 @@ def fresh_crank_cache(monkeypatch):
     """An empty crank cache, and a list recording the order of each build."""
     monkeypatch.setattr(series, "_crank_cache", {})
     builds = []
-    divide = series._divide_by_crank_factors
+    packed = series._packed_crank
 
-    def recording(coeffs, count):
-        builds.append(len(coeffs) - 1)
-        divide(coeffs, count)
+    def recording(order, size, bits):
+        builds.append(order)
+        return packed(order, size, bits)
 
-    monkeypatch.setattr(series, "_divide_by_crank_factors", recording)
+    monkeypatch.setattr(series, "_packed_crank", recording)
     return builds
 
 
@@ -410,6 +411,52 @@ def test_crank_cache_keeps_each_ring(fresh_crank_cache):
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
         assert crank_gf(order, modulus) == expected_crank(order, modulus)
     assert fresh_crank_cache == [30, 20, 25, 5]
+
+
+# --- the packed kernel, against oracles that share none of its code ---------------
+
+def test_order_of_a_picks_the_packing_ring():
+    assert [len(series._powers_of_a(m, 40)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [8, 9, 5, 1]
+    assert series._powers_of_a(PHI9, 8) is None         # order 9 > limit: Laurent route
+    assert series._powers_of_a(FIBONACCI, 200) is None  # a^n = F(n) a + F(n-1)
+
+
+@pytest.mark.parametrize("order", (0, 1, 10, 100))
+def test_digit_bits_cover_the_coefficient_bound(order):
+    # [q^order] 1/((1 - q)(q;q)_inf^2) by series inversion
+    euler = euler_product(order)
+    geometric = TruncatedSeries((1, -1) + (0,) * order).truncate(order)
+    bound = (euler * euler * geometric).inverse().coefficient(order)
+    bits = series._digit_bits(order)
+    assert bits % 8 == 0
+    assert bound.bit_length() + 1 <= bits <= bound.bit_length() + 8
+
+
+def test_crank_gf_at_one_is_partition_gf_at_high_order():
+    at_one = [c.residue[0] for c in crank_gf(200, AT_ONE).coefficients]
+    assert at_one == list(partition_gf(200).coefficients)
+
+
+def test_rank_gf_at_one_is_partition_gf():
+    # Durfee squares: sum q^(n^2) / (q;q)_n^2 = 1/(q;q)_inf
+    sums = [c.evaluate_at_one() for c in rank_gf(100).coefficients]
+    assert sums == list(partition_gf(100).coefficients)
+
+
+def test_laurent_crank_gf_at_high_order():
+    gf = crank_gf(120)
+    p = partition_gf(120)
+    for n in range(2, 121):
+        c = gf.coefficient(n)
+        assert c.is_palindromic()
+        assert -n <= c.min_exponent and c.max_exponent <= n
+        assert c.evaluate_at_one() == p.coefficient(n)
+
+
+def test_crank_gf_where_a_has_infinite_order():
+    built = crank_gf(30, FIBONACCI)
+    assert built.ring is quotient_ring(FIBONACCI)
+    assert built == expected_crank(30, FIBONACCI)
 
 
 def test_gf_cache_consistency():
