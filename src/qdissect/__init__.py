@@ -45,6 +45,7 @@ from .ring import (
     quotient_ring,
 )
 from .series import (
+    LAURENT_CRANK_CAP,
     TruncatedSeries,
     crank_gf,
     euler_product,
@@ -63,6 +64,7 @@ __all__ = [
     "INTEGER_RING", "LAURENT_RING", "PHI5", "PHI8", "PHI9", "quotient_ring",
     "TruncatedSeries", "euler_product", "pochhammer_inf", "pochhammer_fin",
     "theta", "partition_gf", "crank_gf", "rank_gf", "reassemble",
+    "LAURENT_CRANK_CAP",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",
     "ENUMERATION_CAP",

@@ -16,10 +16,9 @@ self-test flag) to confirm the checks can actually fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .partitions import partition_count, stat_table
+from .partitions import _Record, partition_count, stat_table
 from .ring import (
     INTEGER_RING,
     PHI5,
@@ -39,23 +38,30 @@ RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
 _AT_ONE = Modulus((-1, 1))
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(_Record):
     """First failing coefficient: the power of q and both rendered values."""
 
-    power: int
-    expected: str
-    actual: str
-    ring: str
+    __slots__ = ("power", "expected", "actual", "ring")
+
+    def __init__(self, power: int, expected: str, actual: str, ring: str):
+        self._set(power, expected, actual, ring)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    order: int
-    status: str                                # "pass" | "fail"
-    failure_witness: FailureWitness | None
-    elapsed: float = field(compare=False)      # wall seconds; not part of equality
+class VerificationReport(_Record):
+    """Outcome of one verifier run; ``status`` is "pass" or "fail".
+
+    ``elapsed`` (wall seconds) takes no part in equality or hashing, so
+    reruns of the same check compare equal.
+    """
+
+    __slots__ = ("identity", "order", "status", "failure_witness", "elapsed")
+
+    def __init__(self, identity: str, order: int, status: str,
+                 failure_witness: FailureWitness | None, elapsed: float):
+        self._set(identity, order, status, failure_witness, elapsed)
+
+    def _key(self) -> tuple:
+        return (self.identity, self.order, self.status, self.failure_witness)
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,6 @@ Tables store one row dict per n, so a row lookup touches only that row;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 # Table builds beyond this are refused, whichever entry point asks.  The
@@ -30,20 +29,58 @@ from typing import Callable, Iterator
 ENUMERATION_CAP = 60
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """Base of the immutable records: fields are set once in ``__init__``
+    and compared, hashed and shown by ``_key``/``__slots__``.
+
+    Plain ``__slots__`` classes rather than frozen dataclasses, because
+    ``dataclasses`` imports ``inspect``, which costs every CLI process
+    about 10 ms of start-up.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        """The fields that take part in equality and hashing."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Partition(_Record):
     """A weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...] = ()):
         prev = None
-        for p in self.parts:
+        for p in parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError("parts must be positive integers")
             if prev is not None and p > prev:
                 raise ValueError("parts must be weakly decreasing")
             prev = p
+        self._set(parts)
 
     @property
     def weight(self) -> int:
@@ -149,16 +186,24 @@ def crank_row(n: int) -> dict[int, int]:
     return _stat_row(crank, n)
 
 
-@dataclass(frozen=True)
-class StatTable:
+class StatTable(_Record):
     """Counts of partitions of n by statistic value m, for 0 <= n <= n_max.
 
     ``rows[n]`` maps each statistic value m to its count; values with no
-    partitions are absent.
+    partitions are absent.  Tables are shared through the ``stat_table``
+    cache, so their fields cannot be reassigned; they are unhashable, as
+    their rows are dicts.
     """
 
-    kind: str
-    rows: tuple[dict[int, int], ...] = field(repr=False)
+    __slots__ = ("kind", "rows")
+
+    def __init__(self, kind: str, rows: tuple[dict[int, int], ...]):
+        self._set(kind, rows)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"StatTable(kind={self.kind!r}, n_max={self.n_max})"
 
     @property
     def n_max(self) -> int:

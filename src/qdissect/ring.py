@@ -48,8 +48,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial in the symbol ``a`` with int coefficients.
 
     Stored as a mapping exponent -> coefficient with no zero coefficients;
-    the zero polynomial has an empty mapping.  Supports +, -, *, ** and
-    exact equality.  Integers coerce in arithmetic (``p - 1``, ``2 * p``).
+    the zero polynomial has an empty mapping.  Supports +, -, * and exact
+    equality.  Integers coerce in arithmetic (``p - 1``, ``2 * p``).
     """
 
     __slots__ = ("_terms",)
@@ -182,18 +182,6 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __str__(self) -> str:
         return _format_terms(sorted(self._terms.items(), reverse=True))

@@ -124,10 +124,6 @@ class TruncatedSeries:
                 out[i + j] = out[i + j] + xi * yj
         return TruncatedSeries(tuple(out), self._ring)
 
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by the ring element c."""
-        return TruncatedSeries(tuple(x * c for x in self._coeffs), self._ring)
-
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0).  Exact, so the order grows by k."""
         if k < 0:
@@ -373,6 +369,12 @@ def partition_gf(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedS
     return euler_product(order, ring).inverse()
 
 
+# The Laurent crank build runs with M = 2N+1 classes and moves about
+# N^3 * B bits (B from _digit_bits, growing with N): about 0.5 s at order
+# 200 and 1.7 s at 300 on a 2-core VM with CPython 3.11, past 4 s at 400.
+# Quotient-ring builds are not capped.
+LAURENT_CRANK_CAP = 300
+
 # Largest series computed so far, reused for smaller orders: both generating
 # functions are immutable, so slicing a longer computation down is exact.
 # The crank series is kept per target ring, keyed by its modulus (None for
@@ -535,10 +537,14 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
     conventions at n <= 1).  Given a modulus, each coefficient is instead
-    the residue of that Laurent polynomial in Z[a]/(modulus).
+    the residue of that Laurent polynomial in Z[a]/(modulus).  Laurent
+    orders beyond LAURENT_CRANK_CAP are refused before any work; quotient
+    ring builds have no cap.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if modulus is None and order > LAURENT_CRANK_CAP:
+        raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
     cached = _crank_cache.get(modulus)
     if cached is None or cached.order < order:
         cached = _statistic_series(_packed_crank, order, modulus)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qdissect import partitions
+from qdissect import cli, partitions
 from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf
 
@@ -224,6 +224,28 @@ def test_coeffs_count_validated(capsys):
     assert run_cli(capsys, "coeffs", "--count", "0")[0] == 2
 
 
+def test_coeffs_match_the_crank_table(capsys):
+    code, out, _ = run_cli(capsys, "coeffs", "--count", "30")
+    assert code == 0
+    rows = [{int(e): int(c) for e, c in row["coefficients"].items()}
+            for row in payload_of(out)["rows"]]
+    table = partitions.stat_table("crank", 29)
+    assert rows == [table.row(n) for n in range(30)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--count", "100000"),
+    ("dissect", "--series", "crank-gf", "--m", "5", "--order", "100000"),
+])
+def test_laurent_crank_cap_refused_before_any_work(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "Laurent crank cap" in err
+
+
 def test_output_byte_stable(capsys):
     argv = ("verify", "--identity", "dissection-3", "--order", "9")
     _, first, _ = run_cli(capsys, *argv)
@@ -233,6 +255,37 @@ def test_output_byte_stable(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run_cli(capsys, "verify", "--identity", "congruence-5-4", "--order", "10")[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--identity", "no-such-thing")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+    argv = ("tables", "--kind", "crank", "--n-max", "10", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert builds == [1]
+    # the reused parser answers as a fresh process does
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = subprocess.run([sys.executable, "-m", "qdissect.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": str(src)},
+                           capture_output=True, text=True, check=True, timeout=60)
+    assert out == fresh.stdout
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: qdissect")
+    assert builds == [1]
 
 
 def test_json_and_csv_content_equivalent(capsys):
@@ -263,7 +316,8 @@ def test_import_loads_no_process_machinery():
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import sys, qdissect.cli; "
              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
-             "'fractions', 'decimal') if m in sys.modules))")
+             "'fractions', 'decimal', 'dataclasses', 'inspect', 'csv') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"

@@ -14,7 +14,7 @@ from qdissect.identities import (
     verify_rank_gf,
 )
 from qdissect.identities import _dissection_2_rhs, _dissection_3_rhs, _dissection_5_rhs
-from qdissect.partitions import build_stat_table
+from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem, quotient_ring
 from qdissect.series import TruncatedSeries, pochhammer_inf, theta
 
@@ -122,7 +122,8 @@ def quotient_rhs_2(order):
     inv = pochhammer_inf(ring.from_int(-1), 4, 4, order, ring).inverse()
     even = theta(6, 10, order, ring=ring) * inv
     odd = theta(2, 14, order, ring=ring) * inv
-    return even + odd.scale(PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))).shift(1)
+    weight = PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
+    return even + odd.map_coefficients(lambda c: c * weight).shift(1)
 
 
 def quotient_rhs_3(order):
@@ -133,7 +134,9 @@ def quotient_rhs_3(order):
     inv = pochhammer_inf(ring.one, 27, 27, order, ring).inverse()
     w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
     w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
-    return (t_a * t_b + (t_c * t_b).scale(w1).shift(1) + (t_c * t_a).scale(w2).shift(2)) * inv
+    return (t_a * t_b
+            + (t_c * t_b).map_coefficients(lambda c: c * w1).shift(1)
+            + (t_c * t_a).map_coefficients(lambda c: c * w2).shift(2)) * inv
 
 
 def quotient_rhs_5(order, r):
@@ -145,9 +148,9 @@ def quotient_rhs_5(order, r):
     w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))
     w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))
     return (t1 * t5sq * (t2 * t2).inverse()
-            + (t5sq * t2.inverse()).scale(-w1).shift(1)
-            + (t5sq * t1.inverse()).scale(w2).shift(2)
-            + (t2 * t5sq * (t1 * t1).inverse()).scale(-w3).shift(3))
+            + (t5sq * t2.inverse()).map_coefficients(lambda c: c * -w1).shift(1)
+            + (t5sq * t1.inverse()).map_coefficients(lambda c: c * w2).shift(2)
+            + (t2 * t5sq * (t1 * t1).inverse()).map_coefficients(lambda c: c * -w3).shift(3))
 
 
 def test_integer_route_rhs_equals_quotient_ring_construction():
@@ -242,3 +245,33 @@ def test_witness_fields():
     report = VerificationReport("x", 5, "fail", w, 0.0)
     assert not report.passed
     assert report.failure_witness.expected == "a"
+
+
+def test_records_compare_by_value_and_refuse_assignment():
+    witness = FailureWitness(3, "a", "b", "laurent")
+    same = FailureWitness(3, "a", "b", "laurent")
+    assert witness == same and hash(witness) == hash(same)
+    assert witness != FailureWitness(4, "a", "b", "laurent")
+
+    report = VerificationReport("x", 5, "fail", witness, 0.25)
+    rerun = VerificationReport("x", 5, "fail", same, 7.5)
+    assert report == rerun and hash(report) == hash(rerun)    # elapsed ignored
+    assert report != VerificationReport("x", 5, "pass", witness, 0.25)
+    assert report != VerificationReport("x", 5, "fail", FailureWitness(3, "a", "c", "laurent"),
+                                        0.25)
+
+    assert len(set(enumerate_partitions(8))) == 22
+    assert Partition((2, 1)) == Partition((2, 1)) != Partition((2,))
+
+    table = build_stat_table("crank", 6)
+    assert table == build_stat_table("crank", 6)
+    assert table != build_stat_table("rank", 6)
+    with pytest.raises(TypeError):
+        hash(table)
+
+    for record, name in ((witness, "power"), (report, "elapsed"),
+                         (Partition((2, 1)), "parts"), (table, "rows")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", None)

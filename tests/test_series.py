@@ -16,6 +16,7 @@ from qdissect.ring import (
     quotient_ring,
 )
 from qdissect.series import (
+    LAURENT_CRANK_CAP,
     TruncatedSeries,
     crank_gf,
     euler_product,
@@ -143,7 +144,7 @@ def test_shift_truncate_scale():
     assert x.truncate(1) == S(1, 2)
     with pytest.raises(ValueError):
         x.truncate(5)
-    assert x.scale(-2) == S(-2, -4, -6)
+    assert x.map_coefficients(lambda c: c * -2) == S(-2, -4, -6)
     with pytest.raises(ValueError):
         x.shift(-1)
 
@@ -451,6 +452,13 @@ def test_laurent_crank_gf_at_high_order():
         assert c.is_palindromic()
         assert -n <= c.min_exponent and c.max_exponent <= n
         assert c.evaluate_at_one() == p.coefficient(n)
+
+
+def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache):
+    with pytest.raises(ValueError, match="Laurent crank cap"):
+        crank_gf(LAURENT_CRANK_CAP + 1)
+    assert fresh_crank_cache == []                 # refused before any work
+    assert crank_gf(LAURENT_CRANK_CAP + 1, PHI5).order == LAURENT_CRANK_CAP + 1
 
 
 def test_crank_gf_where_a_has_infinite_order():
