@@ -106,6 +106,10 @@ def _cmd_tables(args) -> int:
 
     if args.modulo is not None and args.modulo < 1:
         raise ValueError("--modulo must be >= 1")
+    # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
+    # each class holds at most one value
+    if args.modulo is not None and args.modulo > 2 * args.n_max + 1:
+        raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
     table = stat_table(args.kind, args.n_max)
     if args.modulo is not None:
         t = args.modulo
@@ -171,6 +175,9 @@ def _cmd_dissect(args) -> int:
         raise ValueError("--m must be >= 1")
     if args.order < 0:
         raise ValueError("--order must be >= 0")
+    # past order + 1 components each one holds at most one coefficient
+    if args.m > args.order + 1:
+        raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
     params = {"series": args.series, "m": args.m, "order": args.order,
               "format": args.format}
     if args.series == "partition-gf":

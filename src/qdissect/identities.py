@@ -6,7 +6,10 @@ with the first failing power of q when the sides disagree.  Congruence-style
 dissection identities are checked as equalities of images in the matching
 cyclotomic quotient ring (a^4+1 for the 2-dissection, a^6+a^3+1 for the
 3-dissection, a^4+a^3+a^2+a+1 for the 5-dissection), after rescaling q so
-that every exponent is integral.
+that every exponent is integral.  The right-hand sides depend only on the
+order (and, for the 5-dissection, the root), so each is kept at the
+largest order built so far in :mod:`qdissect.memo`, like the left-hand
+sides, and sliced down for smaller requests.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison, used by the mutation tests (and the CLI
@@ -18,6 +21,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from .memo import largest
 from .partitions import _Record, partition_count, stat_table
 from .ring import (
     INTEGER_RING,
@@ -221,7 +225,8 @@ def verify_2_dissection(order: int, perturb_power: int | None = None) -> Verific
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
     lhs = crank_gf(order, PHI8)
-    rhs = _perturbed(_dissection_2_rhs(order), perturb_power)
+    rhs = largest(("dissection-2",), order, _dissection_2_rhs).truncate(order)
+    rhs = _perturbed(rhs, perturb_power)
     return _report("dissection-2", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -247,7 +252,8 @@ def verify_3_dissection(order: int, perturb_power: int | None = None) -> Verific
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
     lhs = crank_gf(order, PHI9)
-    rhs = _perturbed(_dissection_3_rhs(order), perturb_power)
+    rhs = largest(("dissection-3",), order, _dissection_3_rhs).truncate(order)
+    rhs = _perturbed(rhs, perturb_power)
     return _report("dissection-3", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -274,6 +280,13 @@ def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
             + term3.map_coefficients(lambda c: w3 * c, ring).shift(3))
 
 
+def _dissection_5_rhs_held(order: int, root_power: int) -> TruncatedSeries:
+    # one memo entry per root; component-4-vanishing reads the root-1 entry
+    built = largest(("dissection-5", root_power), order,
+                    lambda n: _dissection_5_rhs(n, root_power))
+    return built.truncate(order)
+
+
 def verify_5_dissection(order: int, root_power: int = 1,
                         perturb_power: int | None = None) -> VerificationReport:
     """Crank generating function splits by exponent residue mod 5 as an
@@ -296,7 +309,7 @@ def verify_5_dissection(order: int, root_power: int = 1,
         lhs = lhs.map_coefficients(
             lambda c: PHI5.project(c.as_laurent().substitute_power(root_power))
         )
-    rhs = _perturbed(_dissection_5_rhs(order, root_power), perturb_power)
+    rhs = _perturbed(_dissection_5_rhs_held(order, root_power), perturb_power)
     return _report("dissection-5", order, _first_mismatch(lhs, rhs), started)
 
 
@@ -310,7 +323,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     started = time.perf_counter()
     witness = None
 
-    rhs4 = _dissection_5_rhs(order, 1).dissect(5)[4]
+    rhs4 = _dissection_5_rhs_held(order, 1).dissect(5)[4]
     ring5 = quotient_ring(PHI5)
     for j in range(rhs4.order + 1):
         c = rhs4.coefficient(j)

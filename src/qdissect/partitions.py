@@ -16,12 +16,15 @@ is what the product formula forces (the lone partition {1} combinatorially
 has crank -1; ``crank_row`` reports that raw row if wanted).
 
 Tables store one row dict per n, so a row lookup touches only that row;
-``stat_table`` keeps the largest table built so far per kind.
+``stat_table`` shares the largest table built so far per kind through
+``qdissect.memo``, the one cache of series and tables.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
+
+from .memo import largest
 
 # Table builds beyond this are refused, whichever entry point asks.  The
 # recurrences would reach much further; raising the cap waits for a second
@@ -309,17 +312,12 @@ def build_stat_table(kind: str, n_max: int) -> StatTable:
     return StatTable(kind, tuple(rows))
 
 
-_table_cache: dict[str, StatTable] = {}
-
-
 def stat_table(kind: str, n_max: int) -> StatTable:
     """The cached table of `kind` covering at least 0..n_max.
 
     Tables are immutable, so the largest one built so far per kind is kept
-    and shared; a request beyond it builds a new one.
+    in ``memo`` and shared; a request beyond it builds a new one.
     """
-    table = _table_cache.get(kind)
-    if table is None or table.n_max < n_max:
-        table = build_stat_table(kind, n_max)
-        _table_cache[kind] = table
-    return table
+    # the lambda looks build_stat_table up when it runs, so a wrapped or
+    # patched one is the one that builds
+    return largest(("table", kind), n_max, lambda n: build_stat_table(kind, n))

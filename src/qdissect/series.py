@@ -25,6 +25,8 @@ import itertools
 from math import isqrt
 from typing import Callable, Sequence
 
+from .memo import largest
+from .partitions import partition_count
 from .ring import (
     INTEGER_RING,
     LAURENT_RING,
@@ -375,13 +377,6 @@ def partition_gf(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedS
 # Quotient-ring builds are not capped.
 LAURENT_CRANK_CAP = 300
 
-# Largest series computed so far, reused for smaller orders: both generating
-# functions are immutable, so slicing a longer computation down is exact.
-# The crank series is kept per target ring, keyed by its modulus (None for
-# the Laurent polynomials).
-_crank_cache: dict[Modulus | None, TruncatedSeries] = {}
-_rank_cache: TruncatedSeries | None = None
-
 
 # The packed kernel behind crank_gf and rank_gf.  A series in Z[a]/(a^M - 1),
 # truncated after q^N, is a list of M Python ints: int r packs the
@@ -410,10 +405,7 @@ def _digit_bits(order: int) -> int:
     |c_n| <= sum_{j <= order} p(j) (p(0) + ... + p(order - j)).  B is one
     bit more than that bound, rounded up to whole bytes for the unpacking.
     """
-    euler = [(k, c) for k, c in enumerate(euler_product(order).coefficients) if k and c]
-    p = [1]
-    for n in range(1, order + 1):
-        p.append(-sum(c * p[n - k] for k, c in euler if k <= n))
+    p = [partition_count(n) for n in range(order + 1)]
     below = list(itertools.accumulate(p))
     bound = sum(p[j] * below[order - j] for j in range(order + 1))
     return (bound.bit_length() + 8) // 8 * 8
@@ -545,20 +537,14 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
         raise ValueError("order must be >= 0")
     if modulus is None and order > LAURENT_CRANK_CAP:
         raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
-    cached = _crank_cache.get(modulus)
-    if cached is None or cached.order < order:
-        cached = _statistic_series(_packed_crank, order, modulus)
-        _crank_cache[modulus] = cached
-    return cached.truncate(order)
+    built = largest(("crank", modulus), order,
+                    lambda n: _statistic_series(_packed_crank, n, modulus))
+    return built.truncate(order)
 
 
 def rank_gf(order: int) -> TruncatedSeries:
     """Rank generating function: sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n)."""
-    global _rank_cache
     if order < 0:
         raise ValueError("order must be >= 0")
-    cached = _rank_cache
-    if cached is None or cached.order < order:
-        cached = _statistic_series(_packed_rank, order, None)
-        _rank_cache = cached
-    return cached.truncate(order)
+    built = largest(("rank",), order, lambda n: _statistic_series(_packed_rank, n, None))
+    return built.truncate(order)

@@ -70,7 +70,6 @@ def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
         builds.append((kind, n_max))
         return original(kind, n_max)
 
-    monkeypatch.setattr(partitions, "_table_cache", {})
     monkeypatch.setattr(partitions, "build_stat_table", counted)
     assert run_cli(capsys, "verify", "--identity", "crank-gf", "--order", "40")[0] == 0
     assert builds == [("crank", 40)]
@@ -244,6 +243,32 @@ def test_laurent_crank_cap_refused_before_any_work(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Laurent crank cap" in err
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (("dissect", "--series", "euler", "--order", "5", "--m", "100000"), "order + 1 = 6"),
+    (("tables", "--kind", "crank", "--n-max", "20", "--modulo", "100000"),
+     "2*n_max + 1 = 41"),
+])
+def test_output_size_bounds_refused_before_any_work(capsys, argv, bound):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert bound in err
+
+
+def test_output_size_bounds_are_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "dissect", "--series", "euler", "--order", "5", "--m", "6")
+    assert code == 0
+    assert [c["coefficients"] for c in payload_of(out)["components"]] == [
+        ["1"], ["-1"], ["-1"], ["0"], ["0"], ["1"]]
+    code, out, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3", "--modulo", "7")
+    assert code == 0
+    # the cranks -3, 0, 3 of n = 3 land in classes of their own
+    assert payload_of(out)["rows"][3]["classes"] == {
+        "0": "1", "1": "0", "2": "0", "3": "1", "4": "1", "5": "0", "6": "0"}
 
 
 def test_output_byte_stable(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from qdissect import identities, memo
 from qdissect.identities import (
     FailureWitness,
     VerificationReport,
@@ -44,13 +45,15 @@ def test_verify_rank_gf_passes():
         verify_rank_gf(0)
 
 
-@pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf])
+@pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf, verify_2_dissection,
+                                    verify_3_dissection, verify_5_dissection])
 def test_perturbation_leaves_cached_table_intact(verify):
-    # the verifiers share one cached table per statistic; a perturbed run
-    # must not write its corruption into it
-    for power in (0, 4, 12):
-        assert verify(12, perturb_power=power).failure_witness.power == power
-        assert verify(12).passed
+    # the verifiers share one cached table per statistic and one cached
+    # right-hand side per dissection; a perturbed run must not write its
+    # corruption into either
+    for power in (0, 4, 30):
+        assert verify(30, perturb_power=power).failure_witness.power == power
+        assert verify(30).passed
 
 
 def test_verify_congruence():
@@ -112,6 +115,15 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counted)
     assert verify_5_dissection(20).passed
+    assert len(calls) == 2
+
+    # a smaller order is a slice of the held right-hand side
+    def refuse(order, root_power):
+        raise AssertionError("right-hand side rebuilt")
+
+    monkeypatch.setattr(identities, "_dissection_5_rhs", refuse)
+    assert verify_5_dissection(10).passed
+    assert verify_component_4_vanishing(15).passed
     assert len(calls) == 2
 
 
@@ -197,13 +209,18 @@ def test_perturbation_power_validated():
 
 def test_dissections_pass_at_every_intermediate_order():
     # truncation consistency: not just the headline orders
-    assert verify_5_dissection(100).passed        # warms the series cache
-    for order in range(2, 81, 2):
-        assert verify_2_dissection(order).passed
-    for order in range(3, 82, 3):
-        assert verify_3_dissection(order).passed
-    for order in range(5, 101, 5):
-        assert verify_5_dissection(order).passed
+    # and each slice of a held right-hand side equals a direct build
+    for verify, key, build, top, step in (
+        (verify_2_dissection, ("dissection-2",), _dissection_2_rhs, 80, 2),
+        (verify_3_dissection, ("dissection-3",), _dissection_3_rhs, 81, 3),
+        (verify_5_dissection, ("dissection-5", 1), lambda n: _dissection_5_rhs(n, 1), 100, 5),
+    ):
+        assert verify(top).passed                 # warms the series caches
+        held_order, held = memo._held[key]
+        assert held_order == top
+        for order in range(step, top + 1, step):
+            assert verify(order).passed
+            assert held.truncate(order) == build(order)
 
 
 def test_component_4_vanishing():

@@ -3,7 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qdissect import series
+from qdissect import memo, series
 from qdissect.ring import (
     INTEGER_RING,
     LAURENT_RING,
@@ -92,8 +92,7 @@ TARGETS = (None, PHI8, PHI9, PHI5)
 
 @pytest.fixture
 def fresh_crank_cache(monkeypatch):
-    """An empty crank cache, and a list recording the order of each build."""
-    monkeypatch.setattr(series, "_crank_cache", {})
+    """A list recording the order of each crank build."""
     builds = []
     packed = series._packed_crank
 
@@ -406,9 +405,8 @@ def test_crank_cache_keeps_each_ring(fresh_crank_cache):
     crank_gf(25, PHI9)
     crank_gf(5)
     assert fresh_crank_cache == [30, 20, 25, 5]
-    assert {m: s.order for m, s in series._crank_cache.items()} == {
-        PHI8: 30, PHI9: 25, None: 5,
-    }
+    assert {key[1]: order for key, (order, _) in memo._held.items()
+            if key[0] == "crank"} == {PHI8: 30, PHI9: 25, None: 5}
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
         assert crank_gf(order, modulus) == expected_crank(order, modulus)
     assert fresh_crank_cache == [30, 20, 25, 5]
