@@ -5,8 +5,8 @@ smaller order is a prefix of its value at a larger one, so one entry per key
 serves every request up to the order it was built at; the caller slices it
 down.  Keys name the object and what it depends on besides the order, e.g.
 ``("crank", modulus)``, ``("table", kind)`` or ``("dissection-5", root)``.
-Callers validate their arguments before asking, so a refused request never
-reaches ``largest``, and a build that raises stores nothing.
+Refusals run before any work, either before ``largest`` is called or at
+the start of ``build``; a build that raises stores nothing.
 
 Kept out, on purpose:
 
