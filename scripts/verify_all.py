@@ -14,6 +14,7 @@ import sys
 import time
 
 from qdissect.cli import IDENTITIES
+from qdissect.identities import FIFTH_ROOTS
 
 # the registry knows this one only to explain why it is refused: the rank
 # does not equidistribute modulo 11
@@ -27,7 +28,7 @@ def main() -> int:
     for name, (default_order, _, runner) in IDENTITIES.items():
         if name in REFUSED:
             continue
-        roots = (1, 2, 3, 4) if name == "dissection-5" else (1,)
+        roots = FIFTH_ROOTS if name == "dissection-5" else (1,)
         runs.extend(lambda o=default_order, r=r, run=runner: run(o, r, None) for r in roots)
 
     started = time.perf_counter()

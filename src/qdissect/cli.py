@@ -14,6 +14,7 @@ import json
 import sys
 
 from .identities import (
+    FIFTH_ROOTS,
     VerificationReport,
     crank_coefficients,
     verify_2_dissection,
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, default=None,
                    help="truncation order (congruence/equidistribution: max n); "
                         "defaults depend on the identity")
-    v.add_argument("--n-root", type=int, default=None, choices=(1, 2, 3, 4),
+    v.add_argument("--n-root", type=int, default=None, choices=FIFTH_ROOTS,
                    help="which primitive 5th root powers the symbol (dissection-5)")
     v.add_argument("--perturb-power", type=int, default=None,
                    help="self-test: corrupt one comparison coefficient at this "

@@ -2,18 +2,22 @@
 
 Each verifier compares two independently computed sides of an identity,
 coefficient by exact coefficient, and returns a :class:`VerificationReport`
-with the first failing power of q when the sides disagree.  Congruence-style
-dissection identities are checked as equalities of images in the matching
-cyclotomic quotient ring (a^4+1 for the 2-dissection, a^6+a^3+1 for the
-3-dissection, a^4+a^3+a^2+a+1 for the 5-dissection), after rescaling q so
-that every exponent is integral.  The right-hand sides depend only on the
-order (and, for the 5-dissection, the root), so each is kept at the
-largest order built so far in :mod:`qdissect.memo`, like the left-hand
-sides, and sliced down for smaller requests.
+with the first failing power of q when the sides disagree; series are
+compared by one helper, ``_first_mismatch``.  The 2-, 3- and 5-dissections
+share one verifier body and are checked as equalities of images in the
+matching cyclotomic quotient ring (a^4+1, a^6+a^3+1 and a^4+a^3+a^2+a+1),
+after rescaling q so that every exponent is integral.  Each right-hand side
+states weights w_k (Laurent polynomials in a) and integer series S_k, and
+one helper sums q^k w_k S_k into the ring.  The right-hand sides depend
+only on the order (and, for the 5-dissection, the root), so each is kept
+at the largest order built so far in :mod:`qdissect.memo`, like the
+left-hand sides, and sliced down for smaller requests.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
-corruption of the comparison, used by the mutation tests (and the CLI
-self-test flag) to confirm the checks can actually fail.
+corruption of the comparison (``_perturbed``; the table side of the
+generating function checks, the right-hand side of the dissections), used
+by the mutation tests and the CLI self-test flag to confirm the checks can
+actually fail.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .memo import largest
 from .partitions import _Record, partition_count, stat_table
 from .ring import (
     INTEGER_RING,
+    LAURENT_RING,
     PHI5,
     PHI8,
     PHI9,
@@ -37,6 +42,8 @@ from .series import TruncatedSeries, crank_gf, pochhammer_inf, rank_gf, theta
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
 RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
+# a -> a^r for these r sends a primitive 5th root of unity to each of the four
+FIFTH_ROOTS = (1, 2, 3, 4)
 
 # Z[a]/(a - 1): the specialisation a = 1, where the crank series is 1/(q;q)_inf
 _AT_ONE = Modulus((-1, 1))
@@ -115,17 +122,10 @@ def _verify_gf_against_table(identity: str, kind: str, order: int,
     # any series is built
     table = stat_table(kind, order)
     series = build(order)
-    witness = None
-    for n in range(order + 1):
-        row = table.row(n)
-        if perturb_power == n:
-            row[0] = row.get(0, 0) + 1
-        expected = LaurentPoly(row)
-        actual = series.coefficient(n)
-        if expected != actual:
-            witness = FailureWitness(n, str(expected), str(actual), "laurent")
-            break
-    return _report(identity, order, witness, started)
+    expected = TruncatedSeries([LaurentPoly(table.row(n)) for n in range(order + 1)],
+                               LAURENT_RING)
+    return _report(identity, order,
+                   _first_mismatch(_perturbed(expected, perturb_power), series), started)
 
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
@@ -206,85 +206,90 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
 # ---------------------------------------------------------------------------
 # dissections in the cyclotomic quotient rings
 
+def _weighted_sum(modulus: Modulus,
+                  terms: list[tuple[LaurentPoly, TruncatedSeries]]) -> TruncatedSeries:
+    """sum_k q^k w_k S_k in Z[a]/(modulus) from the pairs (w_k, S_k): each
+    integer series S_k enters the ring once, times the projected weight."""
+    ring = quotient_ring(modulus)
+    total = None
+    for k, (weight, part) in enumerate(terms):
+        w = modulus.project(weight)
+        term = part.map_coefficients(lambda c: w * c, ring).shift(k)
+        total = term if total is None else total + term
+    return total
+
+
+def _verify_dissection(key: tuple, m: int, modulus: Modulus, order: int,
+                       perturb_power: int | None, build: Callable[[int], TruncatedSeries],
+                       root_power: int = 1) -> VerificationReport:
+    """The crank product in Z[a]/(modulus), with a -> a^root_power, against
+    the m-dissection right-hand side held under key, whose first entry is
+    the identity's name."""
+    if order < m or order % m:
+        raise ValueError(f"order must be a positive multiple of {m}")
+    _check_perturb_power(perturb_power, order)
+    started = time.perf_counter()
+    lhs = crank_gf(order, modulus)
+    if root_power != 1:
+        lhs = lhs.map_coefficients(
+            lambda c: modulus.project(c.as_laurent().substitute_power(root_power))
+        )
+    rhs = largest(key, order, build).truncate(order)
+    return _report(key[0], order, _first_mismatch(lhs, _perturbed(rhs, perturb_power)),
+                   started)
+
+
+# The right-hand sides: integer series S_k with their weights w_k in a.
+# 2cos(2*pi*k/m) is realized exactly as a^k + a^-k.
+
 def _dissection_2_rhs(order: int) -> TruncatedSeries:
-    # the products are integer series; each term enters Z[a]/Phi8 once
-    ring = quotient_ring(PHI8)
     inv = pochhammer_inf(-1, 4, 4, order).inverse()
-    even = theta(6, 10, order) * inv
-    odd = theta(2, 14, order) * inv
-    weight = PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
-    return (even.map_coefficients(ring.from_int, ring)
-            + odd.map_coefficients(lambda c: weight * c, ring).shift(1))
+    return _weighted_sum(PHI8, [
+        (LaurentPoly.ONE, theta(6, 10, order) * inv),
+        (LaurentPoly({1: 1, 0: -1, -1: 1}), theta(2, 14, order) * inv),
+    ])
 
 
 def verify_2_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Crank generating function splits into its even/odd parts in
     Z[a]/(a^4+1), with q already rescaled so all exponents are integral."""
-    if order < 2 or order % 2:
-        raise ValueError("order must be even and >= 2")
-    _check_perturb_power(perturb_power, order)
-    started = time.perf_counter()
-    lhs = crank_gf(order, PHI8)
-    rhs = largest(("dissection-2",), order, _dissection_2_rhs).truncate(order)
-    rhs = _perturbed(rhs, perturb_power)
-    return _report("dissection-2", order, _first_mismatch(lhs, rhs), started)
+    return _verify_dissection(("dissection-2",), 2, PHI8, order, perturb_power,
+                              _dissection_2_rhs)
 
 
 def _dissection_3_rhs(order: int) -> TruncatedSeries:
-    ring = quotient_ring(PHI9)
     t_a = theta(6, 21, order)
     t_b = theta(12, 15, order)
-    t_c = theta(3, 24, order)
     inv = pochhammer_inf(1, 27, 27, order).inverse()
-    w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
-    w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
-    c_inv = t_c * inv
-    return ((t_a * t_b * inv).map_coefficients(ring.from_int, ring)
-            + (c_inv * t_b).map_coefficients(lambda c: w1 * c, ring).shift(1)
-            + (c_inv * t_a).map_coefficients(lambda c: w2 * c, ring).shift(2))
+    c_inv = theta(3, 24, order) * inv
+    return _weighted_sum(PHI9, [
+        (LaurentPoly.ONE, t_a * t_b * inv),
+        (LaurentPoly({1: 1, 0: -1, -1: 1}), c_inv * t_b),
+        (LaurentPoly({2: 1, -2: 1}), c_inv * t_a),
+    ])
 
 
 def verify_3_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Crank generating function splits by exponent residue mod 3 in
     Z[a]/(a^6+a^3+1), after rescaling q to clear third powers."""
-    if order < 3 or order % 3:
-        raise ValueError("order must be a positive multiple of 3")
-    _check_perturb_power(perturb_power, order)
-    started = time.perf_counter()
-    lhs = crank_gf(order, PHI9)
-    rhs = largest(("dissection-3",), order, _dissection_3_rhs).truncate(order)
-    rhs = _perturbed(rhs, perturb_power)
-    return _report("dissection-3", order, _first_mismatch(lhs, rhs), started)
+    return _verify_dissection(("dissection-3",), 3, PHI9, order, perturb_power,
+                              _dissection_3_rhs)
 
 
 def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
-    # the root enters only through the weights w1..w3
-    ring = quotient_ring(PHI5)
+    # the root enters only through the weights
     t1 = theta(10, 15, order)
     t2 = theta(5, 20, order)
     t5sq = theta(25, 50, order)
     t5sq = t5sq * t5sq                         # f(-q^25)^2
-    r = root_power
-    # 2cos(2*pi*k/5) realized exactly as a^k + a^-k in Z[a]/(a^4+a^3+a^2+a+1)
-    w1 = PHI5.project(LaurentPoly({2 * r: 1, 0: 2, -2 * r: 1}))   # 4cos^2(2r*pi/5)
-    w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))         # 2cos(4r*pi/5)
-    w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))                 # 2cos(2r*pi/5)
     inv1, inv2 = t1.inverse(), t2.inverse()
-    term0 = t1 * t5sq * (inv2 * inv2)
-    term1 = -(t5sq * inv2)
-    term2 = t5sq * inv1
-    term3 = -(t2 * t5sq * (inv1 * inv1))
-    return (term0.map_coefficients(ring.from_int, ring)
-            + term1.map_coefficients(lambda c: w1 * c, ring).shift(1)
-            + term2.map_coefficients(lambda c: w2 * c, ring).shift(2)
-            + term3.map_coefficients(lambda c: w3 * c, ring).shift(3))
-
-
-def _dissection_5_rhs_held(order: int, root_power: int) -> TruncatedSeries:
-    # one memo entry per root; component-4-vanishing reads the root-1 entry
-    built = largest(("dissection-5", root_power), order,
-                    lambda n: _dissection_5_rhs(n, root_power))
-    return built.truncate(order)
+    r = root_power
+    return _weighted_sum(PHI5, [
+        (LaurentPoly.ONE, t1 * t5sq * (inv2 * inv2)),
+        (LaurentPoly({2 * r: -1, 0: -2, -2 * r: -1}), t5sq * inv2),   # -4cos^2(2r*pi/5)
+        (LaurentPoly({2 * r: 1, -2 * r: 1}), t5sq * inv1),            # 2cos(4r*pi/5)
+        (LaurentPoly({r: -1, -r: -1}), t2 * t5sq * (inv1 * inv1)),    # -2cos(2r*pi/5)
+    ])
 
 
 def verify_5_dissection(order: int, root_power: int = 1,
@@ -298,19 +303,11 @@ def verify_5_dissection(order: int, root_power: int = 1,
     The left-hand side is built once in Z[a]/Phi5; the other roots apply
     the Galois automorphism a -> a^root_power to each coefficient.
     """
-    if order < 5 or order % 5:
-        raise ValueError("order must be a positive multiple of 5")
-    if root_power not in (1, 2, 3, 4):
+    if root_power not in FIFTH_ROOTS:
         raise ValueError("root_power must be 1, 2, 3 or 4")
-    _check_perturb_power(perturb_power, order)
-    started = time.perf_counter()
-    lhs = crank_gf(order, PHI5)
-    if root_power != 1:
-        lhs = lhs.map_coefficients(
-            lambda c: PHI5.project(c.as_laurent().substitute_power(root_power))
-        )
-    rhs = _perturbed(_dissection_5_rhs_held(order, root_power), perturb_power)
-    return _report("dissection-5", order, _first_mismatch(lhs, rhs), started)
+    # one memo entry per root; component-4-vanishing reads the root-1 entry
+    return _verify_dissection(("dissection-5", root_power), 5, PHI5, order, perturb_power,
+                              lambda n: _dissection_5_rhs(n, root_power), root_power)
 
 
 def verify_component_4_vanishing(order: int) -> VerificationReport:
@@ -323,7 +320,8 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     started = time.perf_counter()
     witness = None
 
-    rhs4 = _dissection_5_rhs_held(order, 1).dissect(5)[4]
+    rhs = largest(("dissection-5", 1), order, lambda n: _dissection_5_rhs(n, 1))
+    rhs4 = rhs.truncate(order).dissect(5)[4]
     ring5 = quotient_ring(PHI5)
     for j in range(rhs4.order + 1):
         c = rhs4.coefficient(j)
@@ -335,12 +333,8 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
         at_one = crank_gf(order, _AT_ONE).map_coefficients(
             lambda c: c.residue[0], INTEGER_RING
         )
-        for n in range(order + 1):
-            if at_one.coefficient(n) != partition_count(n):
-                witness = FailureWitness(
-                    n, str(partition_count(n)), str(at_one.coefficient(n)), "integer"
-                )
-                break
+        counts = TruncatedSeries([partition_count(n) for n in range(order + 1)])
+        witness = _first_mismatch(counts, at_one)
 
     if witness is None:
         comp4 = at_one.dissect(5)[4]
@@ -356,6 +350,4 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
 def crank_coefficients(order: int = 20) -> list[LaurentPoly]:
     """The Laurent-polynomial coefficients of q^0..q^order of the crank
     generating function (default: the first 21)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     return list(crank_gf(order).coefficients)

@@ -5,8 +5,10 @@ smaller order is a prefix of its value at a larger one, so one entry per key
 serves every request up to the order it was built at; the caller slices it
 down.  Keys name the object and what it depends on besides the order, e.g.
 ``("crank", modulus)``, ``("table", kind)`` or ``("dissection-5", root)``.
-Refusals run before any work, either before ``largest`` is called or at
-the start of ``build``; a build that raises stores nothing.
+``largest`` itself refuses a negative order for every key.  Any other
+refusal must run before ``largest`` is called: one at the start of
+``build`` runs only on a miss, so a held entry would answer a request it
+should refuse.  A build that raises stores nothing.
 
 Kept out, on purpose:
 
@@ -33,6 +35,8 @@ _held: dict[Hashable, tuple[int, object]] = {}
 def largest(key: Hashable, order: int, build: Callable[[int], T]) -> T:
     """The value held under key if it was built at order or above; otherwise
     build(order), kept with its order in place of the smaller one."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     entry = _held.get(key)
     if entry is None or entry[0] < order:
         entry = (order, build(order))

@@ -247,24 +247,9 @@ def reassemble(parts: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
 
 
 def euler_product(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
-    """(q;q)_inf truncated: the sparse sum of (-1)^k q^(k(3k-1)/2) over all k."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    zero = ring.zero
-    out = [zero] * (order + 1)
-    out[0] = ring.one
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 > order:
-            break
-        sign = ring.from_int(-1 if k % 2 else 1)
-        out[e1] = out[e1] + sign
-        if e2 <= order:
-            out[e2] = out[e2] + sign
-        k += 1
-    return TruncatedSeries(tuple(out), ring)
+    """(q;q)_inf truncated: the sparse sum of (-1)^k q^(k(3k-1)/2) over all k,
+    which is the theta sum f(-q, -q^2)."""
+    return theta(1, 2, order, ring=ring)
 
 
 def pochhammer_inf(z, start: int, step: int, order: int,
@@ -327,7 +312,8 @@ def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1,
     """Bilateral theta sum of (sign_r q^r)^(n(n+1)/2) (sign_s q^s)^(n(n-1)/2).
 
     With the default signs this is f(-q^r, -q^s), whose n-th term carries
-    sign (-1)^n; theta(1, 2, N) is the Euler product.  Exponents r, s must
+    sign (-1)^n; theta(1, 2, N) is the Euler product (q;q)_inf, by
+    Euler's pentagonal number theorem.  Exponents r, s must
     be nonnegative and not both zero so the bilateral sum truncates.
     """
     if sign_r not in (1, -1) or sign_s not in (1, -1):
@@ -374,7 +360,7 @@ def partition_gf(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedS
 # The Laurent crank build runs with M = 2N+1 classes and moves about
 # N^3 * B bits (B from _digit_bits, growing with N): about 0.5 s at order
 # 200 and 1.7 s at 300 on a 2-core VM with CPython 3.11, past 4 s at 400.
-# Quotient-ring builds are not capped.
+# Quotient-ring builds in which a has a small finite order are not capped.
 LAURENT_CRANK_CAP = 300
 
 
@@ -529,13 +515,13 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
     conventions at n <= 1).  Given a modulus, each coefficient is instead
-    the residue of that Laurent polynomial in Z[a]/(modulus).  Laurent
-    orders beyond LAURENT_CRANK_CAP are refused before any work; quotient
-    ring builds have no cap.
+    the residue of that Laurent polynomial in Z[a]/(modulus).  A build that
+    would run at Laurent size (no modulus, or one in which a has no order
+    M <= 2N) is refused beyond LAURENT_CRANK_CAP before any work; quotient
+    builds in which a has such an order are not capped.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if modulus is None and order > LAURENT_CRANK_CAP:
+    if order > LAURENT_CRANK_CAP and (modulus is None
+                                      or _powers_of_a(modulus, 2 * order) is None):
         raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
     built = largest(("crank", modulus), order,
                     lambda n: _statistic_series(_packed_crank, n, modulus))
@@ -544,7 +530,5 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
 
 def rank_gf(order: int) -> TruncatedSeries:
     """Rank generating function: sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     built = largest(("rank",), order, lambda n: _statistic_series(_packed_rank, n, None))
     return built.truncate(order)

@@ -56,6 +56,39 @@ def test_perturbation_leaves_cached_table_intact(verify):
         assert verify(30).passed
 
 
+PHI5_RING = "quotient(a^4 + a^3 + a^2 + a + 1)"
+
+
+@pytest.mark.parametrize("verify,order,kwargs,witness", [
+    (verify_crank_gf, 20, {"perturb_power": 7},
+     (7, "a^7 + a^5 + a^4 + a^3 + a^2 + 2a + 2 + 2a^-1 + a^-2 + a^-3 + a^-4 + a^-5 + a^-7",
+      "a^7 + a^5 + a^4 + a^3 + a^2 + 2a + 1 + 2a^-1 + a^-2 + a^-3 + a^-4 + a^-5 + a^-7",
+      "laurent")),
+    (verify_rank_gf, 20, {"perturb_power": 7},
+     (7, "a^6 + a^4 + a^3 + 2a^2 + a + 4 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6",
+      "a^6 + a^4 + a^3 + 2a^2 + a + 3 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6", "laurent")),
+    (verify_2_dissection, 20, {"perturb_power": 1},
+     (1, "-a^3 + a - 1", "-a^3 + a", "quotient(a^4 + 1)")),
+    (verify_3_dissection, 21, {"perturb_power": 1},
+     (1, "-a^5 - a^2 + a - 1", "-a^5 - a^2 + a", "quotient(a^6 + a^3 + 1)")),
+    (verify_5_dissection, 20, {"root_power": 1, "perturb_power": 1},
+     (1, "-a^3 - a^2 - 2", "-a^3 - a^2 - 1", PHI5_RING)),
+    (verify_5_dissection, 20, {"root_power": 2, "perturb_power": 1},
+     (1, "a^3 + a^2 - 1", "a^3 + a^2", PHI5_RING)),
+    (verify_5_dissection, 20, {"root_power": 3, "perturb_power": 1},
+     (1, "a^3 + a^2 - 1", "a^3 + a^2", PHI5_RING)),
+    (verify_5_dissection, 20, {"root_power": 4, "perturb_power": 1},
+     (1, "-a^3 - a^2 - 2", "-a^3 - a^2 - 1", PHI5_RING)),
+], ids=["crank-gf", "rank-gf", "dissection-2", "dissection-3",
+        "dissection-5-root-1", "dissection-5-root-2", "dissection-5-root-3",
+        "dissection-5-root-4"])
+def test_failure_witnesses_are_frozen(verify, order, kwargs, witness):
+    # the gf verifiers perturb the table (expected), the dissections their
+    # right-hand side (actual); every rendered value is pinned
+    w = verify(order, **kwargs).failure_witness
+    assert (w.power, w.expected, w.actual, w.ring) == witness
+
+
 def test_verify_congruence():
     assert verify_congruence(5, 4, 8).passed
     assert verify_congruence(7, 5, 6).passed

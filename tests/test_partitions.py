@@ -1,6 +1,6 @@
 import pytest
 
-from qdissect import partitions
+from qdissect import memo, partitions
 from qdissect.partitions import (
     ENUMERATION_CAP,
     Partition,
@@ -11,6 +11,7 @@ from qdissect.partitions import (
     partition_count,
     rank,
     rank_row,
+    stat_table,
 )
 from qdissect.ring import LaurentPoly
 from qdissect.series import crank_gf, rank_gf
@@ -134,6 +135,19 @@ def test_build_validation():
         build_stat_table("rank", -1)
     with pytest.raises(ValueError, match="enumeration cap"):
         build_stat_table("crank", ENUMERATION_CAP + 1)
+
+
+def test_negative_order_refused_on_a_warm_memo(monkeypatch):
+    assert stat_table("crank", 10).n_max == 10
+
+    def refuse(kind, n_max):
+        raise AssertionError("refused requests must not build")
+
+    monkeypatch.setattr(partitions, "build_stat_table", refuse)
+    with pytest.raises(ValueError):
+        stat_table("crank", -5)
+    with pytest.raises(ValueError):
+        memo.largest(("table", "crank"), -1, lambda n: refuse("crank", n))
 
 
 def test_row_is_a_copy():

@@ -453,8 +453,11 @@ def test_laurent_crank_gf_at_high_order():
 
 
 def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache):
-    with pytest.raises(ValueError, match="Laurent crank cap"):
-        crank_gf(LAURENT_CRANK_CAP + 1)
+    # a has infinite order modulo a^2 - a - 1, so that build would run with
+    # 2N+1 classes, as the Laurent one does
+    for modulus in (None, FIBONACCI):
+        with pytest.raises(ValueError, match="Laurent crank cap"):
+            crank_gf(LAURENT_CRANK_CAP + 1, modulus)
     assert fresh_crank_cache == []                 # refused before any work
     assert crank_gf(LAURENT_CRANK_CAP + 1, PHI5).order == LAURENT_CRANK_CAP + 1
 
