@@ -4,14 +4,16 @@ Payloads go to stdout in JSON (default) or CSV; diagnostics go to stderr.
 Exit codes: 0 success / identity verified, 1 identity verifiably fails,
 2 usage error.  Output for fixed inputs is byte-stable: timing information
 never enters the payload.  Big counts and coefficients are serialized as
-decimal strings since they outgrow 64-bit integers quickly.
+decimal strings since they outgrow 64-bit integers quickly.  JSON is
+written by ``_json``, byte for byte as ``json.dumps(record, sort_keys=True,
+indent=2)`` would write it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote   # the C escaper
 
 from .identities import (
     FIFTH_ROOTS,
@@ -58,6 +60,37 @@ def _laurent_json(p: LaurentPoly) -> dict[str, str]:
     return {str(e): str(c) for e, c in sorted(p.terms.items())}
 
 
+def _json(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
+    str, int, bool, None, list and dict with str keys; any other type raises
+    TypeError.  The stdlib runs its pure-Python encoder whenever indent is
+    set, and that encoder was the largest single cost of a small request."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _quote raises TypeError for a key that is not a str
+        return ("{" + inner + ("," + inner).join([_quote(key) + ": " + _json(item, inner)
+                                                  for key, item in sorted(value.items())])
+                + newline + "}")
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json(item, inner) for item in value])
+                + newline + "]")
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"{kind.__name__} is not a JSON payload type")
+
+
 def _emit_json(command: str, parameters: dict, payload) -> None:
     record = {
         "format_version": FORMAT_VERSION,
@@ -65,7 +98,7 @@ def _emit_json(command: str, parameters: dict, payload) -> None:
         "parameters": parameters,
         "payload": payload,
     }
-    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json(record) + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:

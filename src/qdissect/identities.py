@@ -229,11 +229,14 @@ def _verify_dissection(key: tuple, m: int, modulus: Modulus, order: int,
         raise ValueError(f"order must be a positive multiple of {m}")
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = crank_gf(order, modulus)
-    if root_power != 1:
-        lhs = lhs.map_coefficients(
-            lambda c: modulus.project(c.as_laurent().substitute_power(root_power))
-        )
+    if root_power == 1:
+        lhs = crank_gf(order, modulus)
+    else:
+        def mapped(n: int) -> TruncatedSeries:
+            return crank_gf(n, modulus).map_coefficients(
+                lambda c: modulus.project(c.as_laurent().substitute_power(root_power)))
+        # held per root, like the series it maps
+        lhs = largest(("crank", modulus, root_power), order, mapped).truncate(order)
     rhs = largest(key, order, build).truncate(order)
     return _report(key[0], order, _first_mismatch(lhs, _perturbed(rhs, perturb_power)),
                    started)
@@ -301,7 +304,8 @@ def verify_5_dissection(order: int, root_power: int = 1,
     root_power selects which primitive 5th root the symbol plays on the
     left-hand side (a -> a^root_power); the identity holds for all four.
     The left-hand side is built once in Z[a]/Phi5; the other roots apply
-    the Galois automorphism a -> a^root_power to each coefficient.
+    the Galois automorphism a -> a^root_power to each coefficient, and the
+    mapped series is held per root in :mod:`qdissect.memo`.
     """
     if root_power not in FIFTH_ROOTS:
         raise ValueError("root_power must be 1, 2, 3 or 4")

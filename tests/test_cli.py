@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdissect import cli, partitions
 from qdissect.cli import IDENTITIES, main
@@ -280,6 +282,105 @@ def test_output_byte_stable(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+# sha256 of the exit code, a newline and stdout, recorded before the CLI got
+# its own JSON writer: a byte that changes between commits fails here, which
+# test_output_byte_stable (two runs in one process) cannot see
+GOLDEN = [
+    ("tables --kind p --n-max 12",
+     "5237ac8a3c2d799f2c2d03f76a503375261f5b52b07eca2c7b2a0f34c0e88d88"),
+    ("tables --kind p --n-max 12 --format csv",
+     "5c886f537d0e05951fcd6b1c8f2756d6958846e4f0b92baab9e4490abce6981f"),
+    ("tables --kind crank --n-max 8",
+     "cc66dd14f552249239feeaaae095d341d0d3e303546716de1f2f54b4a4bd2a2d"),
+    ("tables --kind crank --n-max 8 --format csv",
+     "20411f8e92379b09865713e48a3fd6f5f9a5044082c6ce8fba36a528c2f101a8"),
+    ("tables --kind rank --n-max 8",
+     "14cb510dea69171f5d52249a66f70e346e35fe99a29e8ff831f01a11587ce61c"),
+    ("tables --kind rank --n-max 8 --format csv",
+     "dfb3a2b13eb7012b4f0f4c0bb1138152319e9b2561f1241f23091ca2077d4b64"),
+    ("tables --kind crank --n-max 8 --modulo 5",
+     "ce5559dfef080209aeafccf16dd63dbf9babe161c0a7ad503eade480667fca9a"),
+    ("tables --kind rank --n-max 8 --modulo 7 --format csv",
+     "a683638fbc59662282519a6be725e528e121e575ecc32d46e27318b7d3496e0c"),
+    ("verify --identity dissection-5 --order 20 --n-root 2",
+     "67a9f287497be14ca075381525b7175ddfdfe402b4d19ec51ce71ee038943244"),
+    ("verify --identity dissection-5 --order 20 --n-root 2 --format csv",
+     "bc9ab5c9310aa0149aa0bda4d03bc9d7dafdc8fc6eea99cf743b06b0b6773b80"),
+    ("verify --identity crank-gf --order 12 --perturb-power 7",
+     "a312a1ef5150fe8d3679e9ae2178ed478c1f639f781e65d541be9c4ce28774b9"),
+    ("verify --identity crank-gf --order 12 --perturb-power 7 --format csv",
+     "5f653d237e3715a59252857db7fddb54d8b9ec39f7dfaa06ca192ae9a524544b"),
+    ("dissect --series crank-gf --m 3 --order 9",
+     "c1cef8682ca9430f722a2dbaf7726a54f68ca0dfe6b9dc4ef3a7f92176763762"),
+    ("dissect --series crank-gf --m 3 --order 9 --format csv",
+     "ebe2ea6916e0411394a31d1f87626eae11f907e48b19e958410e75bb5e86721b"),
+    ("dissect --series partition-gf --m 5 --order 24",
+     "e5658cb0079a404219ed3e879d5ecf4d602dd728146deabd8fbefc8b9ce16486"),
+    ("dissect --series partition-gf --m 5 --order 24 --format csv",
+     "8c8d14dfd8958a88e5e30c3010d7bd18569e74ad63647cefab986a2d4cc47953"),
+    ("coeffs --count 8",
+     "5340a6d4d3a862ca40524e6e25f9b70324a1d62713600ad5e9c06fe340f29a23"),
+    ("coeffs --count 8 --format csv",
+     "399076f1bf2c11046225fb19393ef0eab3987682eda8001cc0c388569d9d0b70"),
+    ("dissect --series crank-gf --m 1 --order 0",
+     "deeecab00c5f54fe8e5328b2d3394a8a06077f491483e3ecdf058dfa0d9e87a9"),
+    ("tables --kind rank --n-max 0",
+     "aae163a23040a1a1e4bd7dc31e84c29901a507bde34530bcfc7487031cd13f2b"),
+]
+
+
+@pytest.mark.parametrize("request_line,digest", GOLDEN, ids=[r for r, _ in GOLDEN])
+def test_output_bytes_pinned_across_commits(capsys, request_line, digest):
+    code, out, _ = run_cli(capsys, *request_line.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
+
+
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é",
+                                     "\u2028", "\ud800", "\U0001d11e"])
+                    | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 300, 10 ** 300) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(JSON_VALUES)
+@example({'"\\\x00\u00e9\ud800\U0001d11e': [10 ** 100, -1, True, False, None, {}, [], ""]})
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"}, {"a": {2: "b"}}, {"a": 1, 2: "b"}, 1.5, ["a", 0.0], (1, 2), {"a": (1,)}, {"a"},
+], ids=["int-key", "nested-int-key", "mixed-keys", "float", "float-in-list", "tuple",
+        "nested-tuple", "set"])
+def test_json_writer_refuses_other_types(value):
+    # json.dumps would write most of these (keys coerced to str, tuples as
+    # lists); the writer refuses rather than risk bytes that differ from it
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_cli_never_reaches_the_stdlib_encoder(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stdlib JSON encoder called")
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    for argv, expected in (
+        (("tables", "--kind", "crank", "--n-max", "6", "--modulo", "3"), 0),
+        (("verify", "--identity", "dissection-2", "--order", "10"), 0),
+        (("verify", "--identity", "rank-gf", "--order", "10", "--perturb-power", "4"), 1),
+        (("dissect", "--series", "crank-gf", "--m", "2", "--order", "6"), 0),
+        (("coeffs", "--count", "5"), 0),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert out.startswith('{\n  "command": ') and out.endswith("\n}\n")
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

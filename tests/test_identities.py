@@ -17,7 +17,7 @@ from qdissect.identities import (
 from qdissect.identities import _dissection_2_rhs, _dissection_3_rhs, _dissection_5_rhs
 from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem, quotient_ring
-from qdissect.series import TruncatedSeries, pochhammer_inf, theta
+from qdissect.series import TruncatedSeries, crank_gf, pochhammer_inf, theta
 
 
 def test_verify_crank_gf_passes():
@@ -254,6 +254,31 @@ def test_dissections_pass_at_every_intermediate_order():
         for order in range(step, top + 1, step):
             assert verify(order).passed
             assert held.truncate(order) == build(order)
+
+
+@pytest.mark.parametrize("root", [2, 3, 4])
+def test_root_mapped_crank_series_held(monkeypatch, root):
+    calls = []
+    original = LaurentPoly.substitute_power
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(LaurentPoly, "substitute_power", counted)
+    assert verify_5_dissection(60, root).passed
+    assert calls
+    calls.clear()
+    for order in (60, 30, 5):
+        assert verify_5_dissection(order, root).passed
+    assert calls == []
+    held_order, held = memo._held[("crank", PHI5, root)]
+    assert held_order == 60
+    monkeypatch.setattr(LaurentPoly, "substitute_power", original)
+    for order in range(5, 61, 5):
+        direct = crank_gf(order, PHI5).map_coefficients(
+            lambda c: PHI5.project(c.as_laurent().substitute_power(root)))
+        assert held.truncate(order) == direct
 
 
 def test_component_4_vanishing():
