@@ -2,18 +2,23 @@
 
 Payloads go to stdout in JSON (default) or CSV; diagnostics go to stderr.
 Exit codes: 0 success / identity verified, 1 identity verifiably fails,
-2 usage error.  Output for fixed inputs is byte-stable: timing information
-never enters the payload.  Big counts and coefficients are serialized as
-decimal strings since they outgrow 64-bit integers quickly.  JSON is
-written by ``_json``, byte for byte as ``json.dumps(record, sort_keys=True,
+2 usage error, 141 stdout closed early (what a shell reports for SIGPIPE).
+Output for fixed inputs is byte-stable: timing information never enters
+the payload.  Big counts and coefficients are serialized as decimal
+strings since they outgrow 64-bit integers quickly.  JSON is written by
+the function ``_json``, byte for byte as ``json.dumps(record, sort_keys=True,
 indent=2)`` would write it.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote   # the C escaper
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
+
+# the C escaper json.encoder uses, imported without loading the json package
+from _json import encode_basestring_ascii as _quote
 
 from .identities import (
     FIFTH_ROOTS,
@@ -31,6 +36,9 @@ from .identities import (
 from .partitions import partition_count, stat_table
 from .ring import LaurentPoly
 from .series import crank_gf, euler_product, partition_gf
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMAT_VERSION = "1"
 
@@ -261,70 +269,145 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+_FORMAT = {"dest": "format", "choices": ("json", "csv"), "default": "json"}
+
+# The one declaration of the command line: subcommand -> (handler, help,
+# {flag: add_argument keywords, dest always given}).  build_parser() turns
+# it into the argparse parser, which writes --help and every usage error;
+# _fast_args() reads it directly for the well-formed requests that make up
+# nearly all traffic, so that they never import or run argparse.
+_COMMANDS = {
+    "tables": (_cmd_tables, "emit p(n), crank or rank counting tables", {
+        "--kind": {"dest": "kind", "choices": ("p", "crank", "rank"), "required": True},
+        "--n-max": {"dest": "n_max", "type": int, "required": True},
+        "--modulo": {"dest": "modulo", "type": int, "default": None,
+                     "help": "fold statistic values into residue classes mod t"},
+        "--format": _FORMAT,
+    }),
+    "verify": (_cmd_verify, "run one identity verifier", {
+        "--identity": {"dest": "identity", "choices": sorted(IDENTITIES), "required": True},
+        "--order": {"dest": "order", "type": int, "default": None,
+                    "help": "truncation order (congruence/equidistribution: max n); "
+                            "defaults depend on the identity"},
+        "--n-root": {"dest": "n_root", "type": int, "default": None, "choices": FIFTH_ROOTS,
+                     "help": "which primitive 5th root powers the symbol (dissection-5)"},
+        "--perturb-power": {"dest": "perturb_power", "type": int, "default": None,
+                            "help": "self-test: corrupt one comparison coefficient at "
+                                    "this power of q; the verifier must then fail"},
+        "--format": _FORMAT,
+    }),
+    "dissect": (_cmd_dissect, "split a named series by exponent residue", {
+        "--series": {"dest": "series", "choices": ("partition-gf", "crank-gf", "euler"),
+                     "required": True},
+        "--m": {"dest": "m", "type": int, "required": True},
+        "--order": {"dest": "order", "type": int, "default": 20},
+        "--format": _FORMAT,
+    }),
+    "coeffs": (_cmd_coeffs, "crank generating function coefficients", {
+        "--count": {"dest": "count", "type": int, "default": 21,
+                    "help": "number of coefficients, starting at q^0"},
+        "--format": _FORMAT,
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser declared by _COMMANDS."""
+    import argparse     # only help and usage errors pay for argparse and gettext
+
     parser = argparse.ArgumentParser(
         prog="qdissect",
         description="Exact q-series tables, dissections and identity verification "
                     "for partition statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("tables", help="emit p(n), crank or rank counting tables")
-    t.add_argument("--kind", choices=("p", "crank", "rank"), required=True)
-    t.add_argument("--n-max", type=int, required=True)
-    t.add_argument("--modulo", type=int, default=None,
-                   help="fold statistic values into residue classes mod t")
-    t.add_argument("--format", choices=("json", "csv"), default="json")
-    t.set_defaults(func=_cmd_tables)
-
-    v = sub.add_parser("verify", help="run one identity verifier")
-    v.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
-    v.add_argument("--order", type=int, default=None,
-                   help="truncation order (congruence/equidistribution: max n); "
-                        "defaults depend on the identity")
-    v.add_argument("--n-root", type=int, default=None, choices=FIFTH_ROOTS,
-                   help="which primitive 5th root powers the symbol (dissection-5)")
-    v.add_argument("--perturb-power", type=int, default=None,
-                   help="self-test: corrupt one comparison coefficient at this "
-                        "power of q; the verifier must then fail")
-    v.add_argument("--format", choices=("json", "csv"), default="json")
-    v.set_defaults(func=_cmd_verify)
-
-    d = sub.add_parser("dissect", help="split a named series by exponent residue")
-    d.add_argument("--series", choices=("partition-gf", "crank-gf", "euler"),
-                   required=True)
-    d.add_argument("--m", type=int, required=True)
-    d.add_argument("--order", type=int, default=20)
-    d.add_argument("--format", choices=("json", "csv"), default="json")
-    d.set_defaults(func=_cmd_dissect)
-
-    c = sub.add_parser("coeffs", help="crank generating function coefficients")
-    c.add_argument("--count", type=int, default=21,
-                   help="number of coefficients, starting at q^0")
-    c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.set_defaults(func=_cmd_coeffs)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, option in options.items():
+            command.add_argument(flag, **option)
+        command.set_defaults(func=func)
     return parser
 
 
-# built on the first request and reused: building costs about 0.7 ms, as
-# much as a small request itself
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for argv, if argv has the strict form
+    of a well-formed request; otherwise None.
+
+    The strict form is a subcommand, then exact ``--flag value`` pairs of
+    that subcommand, each flag at most once, no value starting with "-",
+    every value accepted by the option's converter and choices, and every
+    required flag present.  Everything else (help, abbreviations,
+    ``--flag=value``, repeats, negative numbers, bad input) is left to
+    argparse, which parses it or writes the usage error.
+    """
+    if len(argv) % 2 == 0:
+        return None
+    entry = _COMMANDS.get(argv[0])
+    if entry is None:
+        return None
+    func, _, options = entry
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:        # a flag given twice
+        return None
+    values = {"command": argv[0], "func": func}
+    for flag, option in options.items():
+        text = given.pop(flag, None)
+        if text is None:
+            if option.get("required"):
+                return None
+            values[option["dest"]] = option.get("default")
+            continue
+        if text[:1] == "-":
+            return None
+        convert = option.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except ValueError:
+            return None
+        choices = option.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[option["dest"]] = value
+    if given:                               # a flag this subcommand does not have
+        return None
+    return SimpleNamespace(**values)
+
+
+# built on the first request that needs argparse and reused: building costs
+# about 0.7 ms, as much as a small request itself
 _parser: argparse.ArgumentParser | None = None
 
 
-def main(argv=None) -> int:
+def _run(argv: list[str]) -> int:
+    """Parse argv and run its subcommand; the exit code."""
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:          # argparse handles its own usage errors
-        return int(exc.code or 0)
+    args = _fast_args(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:          # argparse handles its own usage errors
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Serve one request (default: the process's arguments); the exit code."""
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()      # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (``qdissect ... | head``): point stdout at
+        # devnull so that the flush at exit cannot raise again, and exit as a
+        # shell reports a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -352,9 +352,12 @@ def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1,
     return TruncatedSeries(tuple(out), ring)
 
 
-def partition_gf(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
-    """Generating function of the partition numbers: 1/(q;q)_inf."""
-    return euler_product(order, ring).inverse()
+def partition_gf(order: int) -> TruncatedSeries:
+    """Generating function of the partition numbers: 1/(q;q)_inf, read from
+    the cached p(n) of the pentagonal recurrence rather than inverted."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
 
 
 # The Laurent crank build runs with M = 2N+1 classes and moves about

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -394,6 +395,7 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counted)
     assert run_cli(capsys, "verify", "--identity", "congruence-5-4", "--order", "10")[0] == 0
+    assert builds == []         # a well-formed request needs no parser
     code, out, err = run_cli(capsys, "verify", "--identity", "no-such-thing")
     assert code == 2
     assert out == ""
@@ -437,13 +439,144 @@ def test_exit_code_contract_covers_all_classes(capsys):
 
 def test_import_loads_no_process_machinery():
     # every CLI call is a fresh process, so what the import pulls in is paid
-    # on each of them
+    # on each of them; argparse (with gettext) is loaded only for help and
+    # usage errors, and the JSON writer needs no part of the json package
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, qdissect.cli; "
+    probe = ("import sys, qdissect.cli\n"
              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
-             "'fractions', 'decimal', 'dataclasses', 'inspect', 'csv') "
-             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+             "'fractions', 'decimal', 'dataclasses', 'inspect', 'csv', "
+             "'argparse', 'gettext', 'json') if m in sys.modules))\n"
+             "code = qdissect.cli.main(['verify', '--identity', 'congruence-5-4', "
+             "'--order', '10'])\n"
+             "print(code, sorted(m for m in ('argparse', 'gettext', 'json') "
+             "if m in sys.modules))\n")
+    lines = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True, timeout=60).stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    # stdout block-buffered, as it is for a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    argv = [sys.executable, "-m", "qdissect.cli", "tables", "--kind", "p", "--format", "csv",
+            "--n-max"]
+    # the reader leaves after one line, as `| head -1` does; the CSV to
+    # n = 3000 (about 129 kB) outgrows the pipe's buffer, so a write fails
+    with subprocess.Popen(argv + ["3000"], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"n,count\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+    # the reader is gone before the CLI starts; the short CSV stays in the
+    # stdout buffer, so the final flush is what fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv + ["3"], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 141
+
+
+# sha256 of the exit code, stdout and stderr of requests only argparse
+# answers, with COLUMNS=80, recorded before well-formed requests stopped
+# going through argparse.  argparse's wording changes between Python
+# versions, so the digests hold for the CPython they were recorded with.
+USAGE_GOLDEN = [
+    ("--help", "a0c2ae60d3f24e63cdf9866cd0d4a129c1ef9ac8107f9c065146337b390f790c"),
+    ("verify --help", "da4ccd5cd28d0fc529f6975856b326edcfdc8bed42e5ca210149bf9fe34936f5"),
+    ("verify --identity no-such-thing",
+     "b6da08e087b4d04e2c4fd57d5616711fbf522d00fa12dfceea5bde436c7de1c3"),
+    ("tables --kind p", "e88ffaa274abc9c2d1beba66f6e58f9d92c693577f9d70abd4cc44a3696fafe3"),
+    ("tables --kind p --n-max x",
+     "f059484fbdab8e556f3cb66b6a2084ec577e2ce2009fdb513372153bb25b99c2"),
+    ("verify --identity dissection-5 --n-root 7",
+     "5a1b51953e81137ae52966de270f6405defae15e2c3477bfd46aab5307b9570e"),
+    ("tables --kind p --n-max 3 stray",
+     "0b27f4c24381ee005e5e55c4abb389d0b9c41ef6c82ee2c229623503ce8781a3"),
+    ("", "9674f2b2ee0ee1e1617293661ceddd2c3a1469b246c7061b9be827b72edebb59"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse text recorded with CPython 3.11")
+@pytest.mark.parametrize("request_line,digest", USAGE_GOLDEN,
+                         ids=[r or "no-arguments" for r, _ in USAGE_GOLDEN])
+def test_help_and_usage_errors_pinned_across_commits(capsys, monkeypatch,
+                                                     request_line, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *request_line.split())
+    assert hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("request_line", [r for r, _ in GOLDEN])
+def test_well_formed_requests_parse_without_argparse(request_line):
+    argv = request_line.split()
+    fast = cli._fast_args(argv)
+    assert fast is not None
+    assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+
+FLAGS = sorted({flag for _, _, options in cli._COMMANDS.values() for flag in options})
+ODD_FLAGS = ["--ord", "--n", "--n-m", "--perturb", "--ser", "--for", "--id", "-h", "--help"]
+ODD_VALUES = ["-1", "-3", "-1_0", "x", "", " 5", "+5", "1_0", "\u0665", "2.5", "7", "-h",
+              "--", "nope", "100000"]
+
+
+@st.composite
+def argvs(draw):
+    """Well-formed requests, each part of which may be spoilt: abbreviated or
+    foreign flags, --flag=value, repeats, help, stray tokens, and negative,
+    non-numeric or out-of-choice values."""
+    def spoilt():
+        return draw(st.integers(0, 7)) == 7
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS))) if not spoilt() else "-h"
+    options = cli._COMMANDS.get(command, (None, None, {}))[2]
+    argv = [command]
+    for flag in draw(st.permutations(sorted(options))):
+        if not options[flag].get("required") and draw(st.booleans()):
+            continue
+        choices = options[flag].get("choices")
+        value = draw(st.sampled_from([str(c) for c in choices]) if choices
+                     else st.integers(0, 30).map(str))
+        if spoilt():
+            value = draw(st.sampled_from(ODD_VALUES))
+        if spoilt():
+            argv += [flag, draw(st.sampled_from(ODD_VALUES))]      # a repeat
+        if spoilt():
+            flag = draw(st.sampled_from(FLAGS + ODD_FLAGS))
+        argv += [f"{flag}={value}"] if spoilt() else [flag, value]
+    while spoilt():
+        token = draw(st.sampled_from(FLAGS + ODD_FLAGS + ODD_VALUES + ["stray"]))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+@example(["verify", "--identity", "dissection-5", "--order", "10", "--n-root", "2"])
+@example(["verify", "--identity", "crank-gf", "--perturb-power", "-1"])
+@example(["verify", "--identity", "crank-gf", "--identity", "rank-gf"])
+@example(["dissect", "--series", "euler", "--m", "x", "--m", "2"])
+@example(["tables", "--kind", "p", "--n-max", "-1_0"])
+@example(["dissect", "--series", "euler", "--m", "2", "--ord", "5"])
+@example(["coeffs", "--count=5"])
+@example(["tables", "--kind", "p", "--n-max", "\u0665"])
+def test_fast_args_agree_with_argparse(argv):
+    fast = cli._fast_args(argv)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            expected = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None                 # help, or a usage error
+    if fast is not None:
+        assert vars(fast) == expected

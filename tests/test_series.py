@@ -169,6 +169,9 @@ def test_invert_euler_gives_partition_numbers():
     assert expected == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     assert list(euler_product(9).inverse().coefficients) == expected
     assert list(partition_gf(9).coefficients) == expected
+    assert partition_gf(200) == euler_product(200).inverse()
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        partition_gf(-1)
 
 
 def test_invert_requires_unit_constant():
