@@ -2,16 +2,15 @@
 
 Each verifier compares two independently computed sides of an identity,
 coefficient by exact coefficient, and returns a :class:`VerificationReport`
-with the first failing power of q when the sides disagree; series are
-compared by one helper, ``_first_mismatch``.  The 2-, 3- and 5-dissections
-share one verifier body and are checked as equalities of images in the
-matching cyclotomic quotient ring (a^4+1, a^6+a^3+1 and a^4+a^3+a^2+a+1),
-after rescaling q so that every exponent is integral.  Each right-hand side
-states weights w_k (Laurent polynomials in a) and integer series S_k, and
-one helper sums q^k w_k S_k into the ring.  The right-hand sides depend
-only on the order (and, for the 5-dissection, the root), so each is kept
-at the largest order built so far in :mod:`qdissect.memo`, like the
-left-hand sides, and sliced down for smaller requests.
+with the first failing power of q when the sides disagree.  Both sides are
+held as columns (the coefficient of q^n is the tuple of every column's n-th
+entry), compared as tuples, and rendered by ``_first_mismatch`` only for a
+witness.  The 2-, 3- and 5-dissections share one verifier body and are
+checked in the cyclotomic quotient rings Z[a]/(a^4+1), Z[a]/(a^6+a^3+1) and
+Z[a]/(a^4+a^3+a^2+a+1), after rescaling q so that every exponent is
+integral, with one integer column per coordinate a^0..a^(d-1).  Their
+integer series, weighted sums and root-mapped crank series are kept at the
+largest order built so far in :mod:`qdissect.memo` and sliced down.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the
@@ -26,7 +25,7 @@ import time
 from typing import Callable
 
 from .memo import largest
-from .partitions import _Record, partition_count, stat_table
+from .partitions import ENUMERATION_CAP, _Record, partition_count, stat_table
 from .ring import (
     INTEGER_RING,
     LAURENT_RING,
@@ -35,9 +34,10 @@ from .ring import (
     PHI9,
     LaurentPoly,
     Modulus,
+    QuotientElem,
     quotient_ring,
 )
-from .series import TruncatedSeries, crank_gf, pochhammer_inf, rank_gf, theta
+from .series import TruncatedSeries, crank_gf, partition_gf, pochhammer_inf, rank_gf, theta
 
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
@@ -87,11 +87,20 @@ def _report(identity: str, order: int, witness: FailureWitness | None,
     )
 
 
-def _first_mismatch(expected: TruncatedSeries, actual: TruncatedSeries) -> FailureWitness | None:
-    for n in range(min(expected.order, actual.order) + 1):
-        e, a = expected.coefficient(n), actual.coefficient(n)
+Columns = tuple[tuple, ...]
+
+
+def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple], str],
+                    ring: str) -> FailureWitness | None:
+    """The first power of q at which two series of one order, held as
+    columns, differ, with both coefficients rendered by render (which gets
+    the tuple of column entries at that power); None if they agree."""
+    if expected == actual:
+        return None
+    for n in range(len(expected[0])):
+        e, a = tuple(c[n] for c in expected), tuple(c[n] for c in actual)
         if e != a:
-            return FailureWitness(n, str(e), str(a), expected.ring.name)
+            return FailureWitness(n, render(e), render(a), ring)
     return None
 
 
@@ -102,12 +111,16 @@ def _check_perturb_power(power: int | None, order: int) -> None:
         raise ValueError(f"perturbation power {power} outside order {order}")
 
 
-def _perturbed(series: TruncatedSeries, power: int | None) -> TruncatedSeries:
+def _perturbed(columns: Columns, power: int | None,
+               plus_one: Callable = lambda c: c + 1) -> Columns:
+    """columns with the ring's one added to the q^power coefficient: plus_one
+    applied to the first column's entry, which is a whole integer or Laurent
+    coefficient, or the a^0 coordinate of a quotient-ring one.  The result
+    is new tuples, so a held series is never written."""
     if power is None:
-        return series
-    coeffs = list(series.coefficients)
-    coeffs[power] = coeffs[power] + series.ring.one
-    return TruncatedSeries(coeffs, series.ring)
+        return columns
+    first = columns[0]
+    return (first[:power] + (plus_one(first[power]),) + first[power + 1:],) + columns[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +129,18 @@ def _perturbed(series: TruncatedSeries, power: int | None) -> TruncatedSeries:
 def _verify_gf_against_table(identity: str, kind: str, order: int,
                              build: Callable[[int], TruncatedSeries],
                              perturb_power: int | None) -> VerificationReport:
+    if order > ENUMERATION_CAP:
+        raise ValueError(f"order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    # the table first: it refuses orders beyond the enumeration cap before
-    # any series is built
-    table = stat_table(kind, order)
-    series = build(order)
-    expected = TruncatedSeries([LaurentPoly(table.row(n)) for n in range(order + 1)],
-                               LAURENT_RING)
-    return _report(identity, order,
-                   _first_mismatch(_perturbed(expected, perturb_power), series), started)
+    # table rows and the series' canonical term dicts (read without the copy
+    # that LaurentPoly.terms makes) compare as they are
+    expected = _perturbed((stat_table(kind, order).rows[:order + 1],), perturb_power,
+                          lambda row: (LaurentPoly(row) + 1).terms)
+    actual = (tuple(c._terms for c in build(order).coefficients),)
+    witness = _first_mismatch(expected, actual, lambda values: str(LaurentPoly(values[0])),
+                              LAURENT_RING.name)
+    return _report(identity, order, witness, started)
 
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
@@ -183,8 +198,13 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
         raise ValueError(f"residue must be {RESIDUE_FOR_MODULUS[modulus]} for modulus {modulus}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    size = modulus * n_max + residue
+    if size > ENUMERATION_CAP:
+        raise ValueError(f"order {n_max} needs the {statistic} table to n = {size}, past "
+                         f"the enumeration cap {ENUMERATION_CAP}; the largest order is "
+                         f"{(ENUMERATION_CAP - residue) // modulus}")
     started = time.perf_counter()
-    table = stat_table(statistic, modulus * n_max + residue)
+    table = stat_table(statistic, size)
     witness = None
     for n in range(n_max + 1):
         arg = modulus * n + residue
@@ -203,96 +223,111 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
     return _report(f"equidist-{statistic}-{modulus}", n_max, witness, started)
 
 
+
+
 # ---------------------------------------------------------------------------
-# dissections in the cyclotomic quotient rings
+# dissections in the cyclotomic quotient rings, in integer coordinates
 
-def _weighted_sum(modulus: Modulus,
-                  terms: list[tuple[LaurentPoly, TruncatedSeries]]) -> TruncatedSeries:
-    """sum_k q^k w_k S_k in Z[a]/(modulus) from the pairs (w_k, S_k): each
-    integer series S_k enters the ring once, times the projected weight."""
-    ring = quotient_ring(modulus)
-    total = None
-    for k, (weight, part) in enumerate(terms):
-        w = modulus.project(weight)
-        term = part.map_coefficients(lambda c: w * c, ring).shift(k)
-        total = term if total is None else total + term
-    return total
+def _sliced(columns: Columns, order: int) -> Columns:
+    return tuple(c[:order + 1] for c in columns)
 
 
-def _verify_dissection(key: tuple, m: int, modulus: Modulus, order: int,
-                       perturb_power: int | None, build: Callable[[int], TruncatedSeries],
-                       root_power: int = 1) -> VerificationReport:
-    """The crank product in Z[a]/(modulus), with a -> a^root_power, against
-    the m-dissection right-hand side held under key, whose first entry is
-    the identity's name."""
-    if order < m or order % m:
-        raise ValueError(f"order must be a positive multiple of {m}")
-    _check_perturb_power(perturb_power, order)
-    started = time.perf_counter()
-    if root_power == 1:
-        lhs = crank_gf(order, modulus)
-    else:
-        def mapped(n: int) -> TruncatedSeries:
-            return crank_gf(n, modulus).map_coefficients(
-                lambda c: modulus.project(c.as_laurent().substitute_power(root_power)))
-        # held per root, like the series it maps
-        lhs = largest(("crank", modulus, root_power), order, mapped).truncate(order)
-    rhs = largest(key, order, build).truncate(order)
-    return _report(key[0], order, _first_mismatch(lhs, _perturbed(rhs, perturb_power)),
-                   started)
+def _crank_coordinates(order: int, modulus: Modulus, root: int) -> Columns:
+    """The coordinates of crank_gf(order, modulus) after a -> a^root: the
+    residues times the integer matrix whose column j is the residue of
+    a^(root*j), held per (modulus, root)."""
+    def build(n: int) -> Columns:
+        images = [modulus.project(LaurentPoly.monomial(1, root * j)).residue
+                  for j in range(modulus.degree)]
+        residues = [c.residue for c in crank_gf(n, modulus).coefficients]
+        return tuple(tuple(sum(m * x for m, x in zip(row, residue)) for residue in residues)
+                     for row in zip(*images))
+
+    return _sliced(largest(("crank-coordinates", modulus, root), order, build), order)
 
 
-# The right-hand sides: integer series S_k with their weights w_k in a.
-# 2cos(2*pi*k/m) is realized exactly as a^k + a^-k.
+# The right-hand sides: integer series S_k, and below their weights w_k in
+# a, stated at the root a itself.  2cos(2*pi*k/m) is realized exactly as
+# a^k + a^-k.
 
-def _dissection_2_rhs(order: int) -> TruncatedSeries:
+def _dissection_2_parts(order: int) -> tuple[TruncatedSeries, ...]:
     inv = pochhammer_inf(-1, 4, 4, order).inverse()
-    return _weighted_sum(PHI8, [
-        (LaurentPoly.ONE, theta(6, 10, order) * inv),
-        (LaurentPoly({1: 1, 0: -1, -1: 1}), theta(2, 14, order) * inv),
-    ])
+    return theta(6, 10, order) * inv, theta(2, 14, order) * inv
 
 
-def verify_2_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
-    """Crank generating function splits into its even/odd parts in
-    Z[a]/(a^4+1), with q already rescaled so all exponents are integral."""
-    return _verify_dissection(("dissection-2",), 2, PHI8, order, perturb_power,
-                              _dissection_2_rhs)
-
-
-def _dissection_3_rhs(order: int) -> TruncatedSeries:
+def _dissection_3_parts(order: int) -> tuple[TruncatedSeries, ...]:
     t_a = theta(6, 21, order)
     t_b = theta(12, 15, order)
     inv = pochhammer_inf(1, 27, 27, order).inverse()
     c_inv = theta(3, 24, order) * inv
-    return _weighted_sum(PHI9, [
-        (LaurentPoly.ONE, t_a * t_b * inv),
-        (LaurentPoly({1: 1, 0: -1, -1: 1}), c_inv * t_b),
-        (LaurentPoly({2: 1, -2: 1}), c_inv * t_a),
-    ])
+    return t_a * t_b * inv, c_inv * t_b, c_inv * t_a
 
 
-def verify_3_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
-    """Crank generating function splits by exponent residue mod 3 in
-    Z[a]/(a^6+a^3+1), after rescaling q to clear third powers."""
-    return _verify_dissection(("dissection-3",), 3, PHI9, order, perturb_power,
-                              _dissection_3_rhs)
-
-
-def _dissection_5_rhs(order: int, root_power: int) -> TruncatedSeries:
-    # the root enters only through the weights
+def _dissection_5_parts(order: int) -> tuple[TruncatedSeries, ...]:
     t1 = theta(10, 15, order)
     t2 = theta(5, 20, order)
     t5sq = theta(25, 50, order)
     t5sq = t5sq * t5sq                         # f(-q^25)^2
     inv1, inv2 = t1.inverse(), t2.inverse()
-    r = root_power
-    return _weighted_sum(PHI5, [
-        (LaurentPoly.ONE, t1 * t5sq * (inv2 * inv2)),
-        (LaurentPoly({2 * r: -1, 0: -2, -2 * r: -1}), t5sq * inv2),   # -4cos^2(2r*pi/5)
-        (LaurentPoly({2 * r: 1, -2 * r: 1}), t5sq * inv1),            # 2cos(4r*pi/5)
-        (LaurentPoly({r: -1, -r: -1}), t2 * t5sq * (inv1 * inv1)),    # -2cos(2r*pi/5)
-    ])
+    return t1 * t5sq * (inv2 * inv2), t5sq * inv2, t5sq * inv1, t2 * t5sq * (inv1 * inv1)
+
+
+_ONE = LaurentPoly.ONE
+_TWO_COS_1 = LaurentPoly({1: 1, -1: 1})
+_TWO_COS_2 = LaurentPoly({2: 1, -2: 1})
+
+# identity -> (m, modulus, weights w_k, builder of the S_k)
+_DISSECTIONS = {
+    "dissection-2": (2, PHI8, (_ONE, _TWO_COS_1 - 1), _dissection_2_parts),
+    "dissection-3": (3, PHI9, (_ONE, _TWO_COS_1 - 1, _TWO_COS_2), _dissection_3_parts),
+    # -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
+    "dissection-5": (5, PHI5, (_ONE, -_TWO_COS_2 - 2, _TWO_COS_2, -_TWO_COS_1),
+                     _dissection_5_parts),
+}
+
+
+def _rhs_coordinates(identity: str, order: int, root: int) -> Columns:
+    """The coordinates of sum_k q^k w_k S_k with a -> a^root in the weights:
+    the S_k are held per identity, the sum per (identity, root)."""
+    _, modulus, weights, parts = _DISSECTIONS[identity]
+
+    def build(n: int) -> Columns:
+        columns = [[0] * (n + 1) for _ in range(modulus.degree)]
+        for k, (weight, part) in enumerate(zip(weights, largest((identity,), n, parts))):
+            residue = modulus.project(weight.substitute_power(root)).residue
+            for column, w in zip(columns, residue):
+                if w:
+                    for j, c in enumerate(part.coefficients[:n + 1 - k], k):
+                        column[j] += w * c
+        return tuple(map(tuple, columns))
+
+    return _sliced(largest((identity, root), order, build), order)
+
+
+def _verify_dissection(identity: str, order: int, perturb_power: int | None,
+                       root: int = 1) -> VerificationReport:
+    m, modulus, _, _ = _DISSECTIONS[identity]
+    if order < m or order % m:
+        raise ValueError(f"order must be a positive multiple of {m}")
+    _check_perturb_power(perturb_power, order)
+    started = time.perf_counter()
+    lhs = _crank_coordinates(order, modulus, root)
+    rhs = _perturbed(_rhs_coordinates(identity, order, root), perturb_power)
+    witness = _first_mismatch(lhs, rhs, lambda values: str(QuotientElem(values, modulus)),
+                              quotient_ring(modulus).name)
+    return _report(identity, order, witness, started)
+
+
+def verify_2_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
+    """Crank generating function splits into its even/odd parts in
+    Z[a]/(a^4+1), with q already rescaled so all exponents are integral."""
+    return _verify_dissection("dissection-2", order, perturb_power)
+
+
+def verify_3_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
+    """Crank generating function splits by exponent residue mod 3 in
+    Z[a]/(a^6+a^3+1), after rescaling q to clear third powers."""
+    return _verify_dissection("dissection-3", order, perturb_power)
 
 
 def verify_5_dissection(order: int, root_power: int = 1,
@@ -301,17 +336,14 @@ def verify_5_dissection(order: int, root_power: int = 1,
     equality in Z[a]/(a^4+a^3+a^2+a+1), after rescaling q to clear fifth
     powers.
 
-    root_power selects which primitive 5th root the symbol plays on the
-    left-hand side (a -> a^root_power); the identity holds for all four.
-    The left-hand side is built once in Z[a]/Phi5; the other roots apply
-    the Galois automorphism a -> a^root_power to each coefficient, and the
-    mapped series is held per root in :mod:`qdissect.memo`.
+    root_power selects which primitive 5th root the symbol plays
+    (a -> a^root_power); the identity holds for all four.  The theta
+    quotients are built once for all four; only the weights and the map of
+    the crank series depend on the root.
     """
     if root_power not in FIFTH_ROOTS:
         raise ValueError("root_power must be 1, 2, 3 or 4")
-    # one memo entry per root; component-4-vanishing reads the root-1 entry
-    return _verify_dissection(("dissection-5", root_power), 5, PHI5, order, perturb_power,
-                              lambda n: _dissection_5_rhs(n, root_power), root_power)
+    return _verify_dissection("dissection-5", order, perturb_power, root_power)
 
 
 def verify_component_4_vanishing(order: int) -> VerificationReport:
@@ -324,28 +356,25 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     started = time.perf_counter()
     witness = None
 
-    rhs = largest(("dissection-5", 1), order, lambda n: _dissection_5_rhs(n, 1))
-    rhs4 = rhs.truncate(order).dissect(5)[4]
-    ring5 = quotient_ring(PHI5)
-    for j in range(rhs4.order + 1):
-        c = rhs4.coefficient(j)
-        if c != ring5.zero:
-            witness = FailureWitness(5 * j + 4, "0", str(c), ring5.name)
+    # the root-1 right-hand side that dissection-5 holds
+    rhs = _rhs_coordinates("dissection-5", order, 1)
+    for n in range(4, order + 1, 5):
+        values = tuple(c[n] for c in rhs)
+        if any(values):
+            witness = FailureWitness(n, "0", str(QuotientElem(values, PHI5)),
+                                     quotient_ring(PHI5).name)
             break
 
     if witness is None:
-        at_one = crank_gf(order, _AT_ONE).map_coefficients(
-            lambda c: c.residue[0], INTEGER_RING
-        )
-        counts = TruncatedSeries([partition_count(n) for n in range(order + 1)])
-        witness = _first_mismatch(counts, at_one)
+        at_one = _crank_coordinates(order, _AT_ONE, 1)
+        witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
+                                  lambda values: str(values[0]), INTEGER_RING.name)
 
     if witness is None:
-        comp4 = at_one.dissect(5)[4]
-        for j in range(comp4.order + 1):
-            c = comp4.coefficient(j)
+        for n in range(4, order + 1, 5):
+            c = at_one[0][n]
             if c % 5:
-                witness = FailureWitness(5 * j + 4, "0 mod 5", str(c % 5), "integers mod 5")
+                witness = FailureWitness(n, "0 mod 5", str(c % 5), "integers mod 5")
                 break
 
     return _report("component-4-vanishing", order, witness, started)

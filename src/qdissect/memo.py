@@ -1,11 +1,14 @@
 """The one cache of derived series and tables: the largest order built so far.
 
-Every object cached here is a truncated series or a table whose value at a
-smaller order is a prefix of its value at a larger one, so one entry per key
-serves every request up to the order it was built at; the caller slices it
-down.  Keys name the object and what it depends on besides the order, e.g.
-``("crank", modulus)``, ``("crank", modulus, root)`` (the same series with
-a -> a^root), ``("table", kind)`` or ``("dissection-5", root)``.
+Every object cached here is a truncated series, a table or a tuple of
+integer coordinate columns whose value at a smaller order is a prefix of its
+value at a larger one, so one entry per key serves every request up to the
+order it was built at; the caller slices it down.  Keys name the object and
+what it depends on besides the order: ``("crank", modulus)`` and
+``("rank",)`` (the series), ``("table", kind)``, ``("crank-coordinates",
+modulus, root)`` (the crank series' coordinates after a -> a^root), and per
+dissection ``(identity,)`` (its integer series S_k) and ``(identity, root)``
+(the coordinates of its right-hand side).
 ``largest`` itself refuses a negative order for every key.  Any other
 refusal must run before ``largest`` is called: one at the start of
 ``build`` runs only on a miss, so a held entry would answer a request it

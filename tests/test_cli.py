@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, partitions
+from qdissect import cli, identities, partitions
 from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf
 
@@ -142,6 +142,35 @@ def test_enumeration_cap_refused_before_any_work(capsys, identity, order):
     assert code == 2
     assert out == ""
     assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize("identity,order,message", [
+    ("equidist-crank-5", 12, "order 12 needs the crank table to n = 64, past the enumeration "
+                             "cap 60; the largest order is 11"),
+    ("equidist-rank-7", 8, "order 8 needs the rank table to n = 61, past the enumeration "
+                           "cap 60; the largest order is 7"),
+    ("equidist-crank-11", 5, "order 5 needs the crank table to n = 61, past the enumeration "
+                             "cap 60; the largest order is 4"),
+    ("crank-gf", 61, "order 61 exceeds the enumeration cap 60"),
+    ("rank-gf", 61, "order 61 exceeds the enumeration cap 60"),
+], ids=["equidist-crank-5", "equidist-rank-7", "equidist-crank-11", "crank-gf", "rank-gf"])
+def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order, message):
+    # the refusal names what the caller gave and runs before any table or
+    # series is built
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    monkeypatch.setattr(partitions, "build_stat_table", refuse)
+    monkeypatch.setattr(identities, "crank_gf", refuse)
+    monkeypatch.setattr(identities, "rank_gf", refuse)
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_largest_equidistribution_order_under_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-11", "--order", "4")
+    assert code == 0
+    assert payload_of(out)["status"] == "pass"
 
 
 def test_verify_dissection_5_with_root(capsys):
@@ -329,6 +358,18 @@ GOLDEN = [
      "deeecab00c5f54fe8e5328b2d3394a8a06077f491483e3ecdf058dfa0d9e87a9"),
     ("tables --kind rank --n-max 0",
      "aae163a23040a1a1e4bd7dc31e84c29901a507bde34530bcfc7487031cd13f2b"),
+    ("verify --identity dissection-2 --order 20 --perturb-power 1",
+     "c26498fb9ddda3cfe59ecadff8c6d9bb1297695ea430048787d372da495788e0"),
+    ("verify --identity dissection-3 --order 21 --perturb-power 1 --format csv",
+     "944f1ec41f6b41b3f4fe88dc13e74e358e6fc1116d8060ce5980545cfa3b8a10"),
+    ("verify --identity dissection-5 --order 20 --n-root 3 --perturb-power 1",
+     "464d33ece7d1d2163a41343b1b094c22029fb21317f841bf4fd66af6eda54914"),
+    ("verify --identity dissection-5 --order 30 --n-root 4 --perturb-power 17 --format csv",
+     "adce74902c76a561ec46090d08a33429d37c411969a3ae45ac8054e9510fbe6b"),
+    ("verify --identity component-4-vanishing --order 20",
+     "e9763bbf07c6744c0647d4f21adbd5087bcabc5cb8f1b8318a4f891b40931980"),
+    ("verify --identity rank-gf --order 12 --perturb-power 0",
+     "1458ab272af493abe9840d7b7491c5c91b2f3f659b287e1850e9aaa4524dbecf"),
 ]
 
 

@@ -1,7 +1,11 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdissect import identities, memo
 from qdissect.identities import (
+    FIFTH_ROOTS,
     FailureWitness,
     VerificationReport,
     crank_coefficients,
@@ -14,9 +18,9 @@ from qdissect.identities import (
     verify_equidistribution,
     verify_rank_gf,
 )
-from qdissect.identities import _dissection_2_rhs, _dissection_3_rhs, _dissection_5_rhs
+from qdissect.identities import _crank_coordinates, _rhs_coordinates
 from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
-from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem, quotient_ring
+from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem, quotient_ring
 from qdissect.series import TruncatedSeries, crank_gf, pochhammer_inf, theta
 
 
@@ -46,14 +50,17 @@ def test_verify_rank_gf_passes():
 
 
 @pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf, verify_2_dissection,
-                                    verify_3_dissection, verify_5_dissection])
+                                    verify_3_dissection, verify_5_dissection]
+                         + [functools.partial(verify_5_dissection, root_power=r)
+                            for r in (2, 3, 4)])
 def test_perturbation_leaves_cached_table_intact(verify):
-    # the verifiers share one cached table per statistic and one cached
-    # right-hand side per dissection; a perturbed run must not write its
-    # corruption into either
+    # the verifiers share one cached table per statistic and held coordinates
+    # per dissection and root; a perturbed run must not write its corruption
+    # into either, and component-4-vanishing reads the root-1 right-hand side
     for power in (0, 4, 30):
         assert verify(30, perturb_power=power).failure_witness.power == power
         assert verify(30).passed
+        assert verify_component_4_vanishing(30).passed
 
 
 PHI5_RING = "quotient(a^4 + a^3 + a^2 + a + 1)"
@@ -139,6 +146,8 @@ def test_dissection_5_all_roots():
 
 
 def test_dissection_5_inverts_each_theta_once(monkeypatch):
+    # the theta quotients are built once for all four roots and for
+    # component-4-vanishing
     calls = []
     original = TruncatedSeries.inverse
 
@@ -147,15 +156,18 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counted)
-    assert verify_5_dissection(20).passed
+    for root in FIFTH_ROOTS:
+        assert verify_5_dissection(20, root_power=root).passed
+    assert verify_component_4_vanishing(20).passed
     assert len(calls) == 2
 
-    # a smaller order is a slice of the held right-hand side
-    def refuse(order, root_power):
+    # a smaller order is a slice of what is held: no theta series is built
+    def refuse(*args, **kwargs):
         raise AssertionError("right-hand side rebuilt")
 
-    monkeypatch.setattr(identities, "_dissection_5_rhs", refuse)
-    assert verify_5_dissection(10).passed
+    monkeypatch.setattr(identities, "theta", refuse)
+    for root in FIFTH_ROOTS:
+        assert verify_5_dissection(10, root_power=root).passed
     assert verify_component_4_vanishing(15).passed
     assert len(calls) == 2
 
@@ -198,11 +210,69 @@ def quotient_rhs_5(order, r):
             + (t2 * t5sq * (t1 * t1).inverse()).map_coefficients(lambda c: c * -w3).shift(3))
 
 
+def columns(series):
+    """The integer coordinate columns of a quotient-ring series."""
+    return tuple(zip(*(c.residue for c in series.coefficients)))
+
+
 def test_integer_route_rhs_equals_quotient_ring_construction():
-    assert _dissection_2_rhs(20) == quotient_rhs_2(20)
-    assert _dissection_3_rhs(21) == quotient_rhs_3(21)
-    for r in (1, 2, 3, 4):
-        assert _dissection_5_rhs(20, r) == quotient_rhs_5(20, r)
+    assert _rhs_coordinates("dissection-2", 20, 1) == columns(quotient_rhs_2(20))
+    assert _rhs_coordinates("dissection-3", 21, 1) == columns(quotient_rhs_3(21))
+    for r in FIFTH_ROOTS:
+        assert _rhs_coordinates("dissection-5", 20, r) == columns(quotient_rhs_5(20, r))
+
+
+# oracle: the left-hand side mapped coefficient by coefficient, and the
+# first mismatch and perturbation over quotient-ring series
+def mapped_crank(order, modulus, root):
+    return crank_gf(order, modulus).map_coefficients(
+        lambda c: modulus.project(c.as_laurent().substitute_power(root)))
+
+
+def oracle_perturbed(series, power):
+    if power is None:
+        return series
+    coeffs = list(series.coefficients)
+    coeffs[power] = coeffs[power] + series.ring.one
+    return TruncatedSeries(coeffs, series.ring)
+
+
+def oracle_first_mismatch(expected, actual):
+    for n in range(min(expected.order, actual.order) + 1):
+        e, a = expected.coefficient(n), actual.coefficient(n)
+        if e != a:
+            return FailureWitness(n, str(e), str(a), expected.ring.name)
+    return None
+
+
+ORACLE_ORDER = 60
+DISSECTIONS = {2: (verify_2_dissection, PHI8, lambda n, r: quotient_rhs_2(n)),
+               3: (verify_3_dissection, PHI9, lambda n, r: quotient_rhs_3(n)),
+               5: (verify_5_dissection, PHI5, quotient_rhs_5)}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_sides(m, root):
+    _, modulus, rhs = DISSECTIONS[m]
+    return mapped_crank(ORACLE_ORDER, modulus, root), rhs(ORACLE_ORDER, root)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_dissection_reports_equal_the_quotient_ring_oracle(data):
+    m = data.draw(st.sampled_from(sorted(DISSECTIONS)), label="m")
+    order = m * data.draw(st.integers(1, ORACLE_ORDER // m), label="order / m")
+    root = data.draw(st.sampled_from(FIFTH_ROOTS), label="root") if m == 5 else 1
+    power = data.draw(st.none() | st.integers(0, order), label="perturb_power")
+    lhs, rhs = oracle_sides(m, root)
+    expected = oracle_first_mismatch(lhs.truncate(order),
+                                     oracle_perturbed(rhs.truncate(order), power))
+    verify = DISSECTIONS[m][0]
+    kwargs = {"root_power": root} if m == 5 else {}
+    report = verify(order, perturb_power=power, **kwargs)
+    assert (report.identity, report.order) == (f"dissection-{m}", order)
+    assert report.status == ("pass" if expected is None else "fail")
+    assert report.failure_witness == expected
 
 
 def test_dissection_verifiers_need_no_quotient_inverse(monkeypatch):
@@ -241,44 +311,54 @@ def test_perturbation_power_validated():
 
 
 def test_dissections_pass_at_every_intermediate_order():
-    # truncation consistency: not just the headline orders
-    # and each slice of a held right-hand side equals a direct build
-    for verify, key, build, top, step in (
-        (verify_2_dissection, ("dissection-2",), _dissection_2_rhs, 80, 2),
-        (verify_3_dissection, ("dissection-3",), _dissection_3_rhs, 81, 3),
-        (verify_5_dissection, ("dissection-5", 1), lambda n: _dissection_5_rhs(n, 1), 100, 5),
+    # truncation consistency: not just the headline orders; and each slice
+    # of the held coordinates (immutable tuples) equals a build from an
+    # empty memo
+    for verify, identity, modulus, top, step in (
+        (verify_2_dissection, "dissection-2", PHI8, 80, 2),
+        (verify_3_dissection, "dissection-3", PHI9, 81, 3),
+        (verify_5_dissection, "dissection-5", PHI5, 100, 5),
     ):
-        assert verify(top).passed                 # warms the series caches
-        held_order, held = memo._held[key]
-        assert held_order == top
+        assert verify(top).passed                 # warms the caches
+        builds = {(identity, 1): lambda n: _rhs_coordinates(identity, n, 1),
+                  ("crank-coordinates", modulus, 1): lambda n: _crank_coordinates(n, modulus, 1)}
+        held = {key: memo._held[key] for key in builds}
+        for held_order, coords in held.values():
+            assert held_order == top
+            assert type(coords) is tuple and all(type(c) is tuple for c in coords)
+            assert len(coords) == modulus.degree
         for order in range(step, top + 1, step):
             assert verify(order).passed
-            assert held.truncate(order) == build(order)
+            kept, memo._held = memo._held, {}
+            try:
+                direct = {key: build(order) for key, build in builds.items()}
+            finally:
+                memo._held = kept
+            for key, (_, coords) in held.items():
+                assert tuple(c[:order + 1] for c in coords) == direct[key]
 
 
 @pytest.mark.parametrize("root", [2, 3, 4])
 def test_root_mapped_crank_series_held(monkeypatch, root):
-    calls = []
-    original = LaurentPoly.substitute_power
-
-    def counted(self, k):
-        calls.append(k)
-        return original(self, k)
-
-    monkeypatch.setattr(LaurentPoly, "substitute_power", counted)
     assert verify_5_dissection(60, root).passed
-    assert calls
-    calls.clear()
-    for order in (60, 30, 5):
-        assert verify_5_dissection(order, root).passed
-    assert calls == []
-    held_order, held = memo._held[("crank", PHI5, root)]
+    held_order, held = memo._held[("crank-coordinates", PHI5, root)]
     assert held_order == 60
-    monkeypatch.setattr(LaurentPoly, "substitute_power", original)
+
+    # a warm request slices what is held: no ring or series arithmetic
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring or series work on a warm request")
+
+    with monkeypatch.context() as patched:
+        for cls, attr in ((LaurentPoly, "substitute_power"), (Modulus, "project"),
+                          (QuotientElem, "__mul__"), (TruncatedSeries, "__mul__"),
+                          (TruncatedSeries, "inverse")):
+            patched.setattr(cls, attr, refuse)
+        for order in (60, 30, 5):
+            assert verify_5_dissection(order, root).passed
+        assert verify_5_dissection(30, root, perturb_power=7).failure_witness.power == 7
+
     for order in range(5, 61, 5):
-        direct = crank_gf(order, PHI5).map_coefficients(
-            lambda c: PHI5.project(c.as_laurent().substitute_power(root)))
-        assert held.truncate(order) == direct
+        assert tuple(c[:order + 1] for c in held) == columns(mapped_crank(order, PHI5, root))
 
 
 def test_component_4_vanishing():
