@@ -35,7 +35,7 @@ from .identities import (
 )
 from .partitions import partition_count, stat_table
 from .ring import LaurentPoly
-from .series import crank_gf, euler_product, partition_gf
+from .series import LAURENT_CRANK_CAP, crank_gf, euler_product, partition_gf
 
 if TYPE_CHECKING:
     import argparse
@@ -153,30 +153,18 @@ def _cmd_tables(args) -> int:
     if args.modulo is not None and args.modulo > 2 * args.n_max + 1:
         raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
     table = stat_table(args.kind, args.n_max)
-    if args.modulo is not None:
-        t = args.modulo
-        folded = [(n, {k: table.count_mod(k, t, n) for k in range(t)})
-                  for n in range(args.n_max + 1)]
-        if args.format == "json":
-            _emit_json("tables", params, {"rows": [
-                {"n": n, "classes": {str(k): str(c) for k, c in classes.items()}}
-                for n, classes in folded
-            ]})
-        else:
-            _emit_csv(["n", "residue", "count"],
-                      [[str(n), str(k), str(c)]
-                       for n, classes in folded for k, c in classes.items()])
-        return 0
-
-    rows = [(n, dict(sorted(table.row(n).items()))) for n in range(args.n_max + 1)]
-    if args.format == "json":
-        _emit_json("tables", params, {"rows": [
-            {"n": n, "coefficients": {str(m): str(c) for m, c in row.items()}}
-            for n, row in rows
-        ]})
+    # each row as (statistic value or residue class, count) pairs
+    if args.modulo is None:
+        field, header = "coefficients", ["n", "exponent", "coefficient"]
+        rows = [sorted(table.row(n).items()) for n in range(args.n_max + 1)]
     else:
-        _emit_csv(["n", "exponent", "coefficient"],
-                  [[str(n), str(m), str(c)] for n, row in rows for m, c in row.items()])
+        field, header = "classes", ["n", "residue", "count"]
+        rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
+    if args.format == "json":
+        _emit_json("tables", params, {"rows": [{"n": n, field: {str(m): str(c) for m, c in row}}
+                                               for n, row in enumerate(rows)]})
+    else:
+        _emit_csv(header, [[str(n), str(m), str(c)] for n, row in enumerate(rows) for m, c in row])
     return 0
 
 
@@ -256,6 +244,9 @@ def _cmd_dissect(args) -> int:
 def _cmd_coeffs(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    if args.count > LAURENT_CRANK_CAP + 1:
+        raise ValueError(f"--count must be <= {LAURENT_CRANK_CAP + 1}: coefficient "
+                         f"q^{args.count - 1} is past the Laurent crank cap {LAURENT_CRANK_CAP}")
     params = {"count": args.count, "format": args.format}
     polys = crank_coefficients(args.count - 1)
     if args.format == "json":

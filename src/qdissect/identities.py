@@ -9,8 +9,9 @@ witness.  The 2-, 3- and 5-dissections share one verifier body and are
 checked in the cyclotomic quotient rings Z[a]/(a^4+1), Z[a]/(a^6+a^3+1) and
 Z[a]/(a^4+a^3+a^2+a+1), after rescaling q so that every exponent is
 integral, with one integer column per coordinate a^0..a^(d-1).  Their
-integer series, weighted sums and root-mapped crank series are kept at the
-largest order built so far in :mod:`qdissect.memo` and sliced down.
+integer series and weighted sums are kept at the largest order built so far
+in :mod:`qdissect.memo` and sliced down, as ``series.crank_coordinates``
+keeps the crank side.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the
@@ -37,7 +38,8 @@ from .ring import (
     QuotientElem,
     quotient_ring,
 )
-from .series import TruncatedSeries, crank_gf, partition_gf, pochhammer_inf, rank_gf, theta
+from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
+                     pochhammer_inf, rank_gf, theta)
 
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
@@ -213,8 +215,7 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
             witness = FailureWitness(arg, f"multiple of {modulus}", str(total), "integer")
             break
         share = total // modulus
-        for k in range(modulus):
-            got = table.count_mod(k, modulus, arg)
+        for k, got in enumerate(table.count_mod(modulus, arg)):
             if got != share:
                 witness = FailureWitness(arg, str(share), f"{got} (class {k})", "integer")
                 break
@@ -227,24 +228,6 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
 
 # ---------------------------------------------------------------------------
 # dissections in the cyclotomic quotient rings, in integer coordinates
-
-def _sliced(columns: Columns, order: int) -> Columns:
-    return tuple(c[:order + 1] for c in columns)
-
-
-def _crank_coordinates(order: int, modulus: Modulus, root: int) -> Columns:
-    """The coordinates of crank_gf(order, modulus) after a -> a^root: the
-    residues times the integer matrix whose column j is the residue of
-    a^(root*j), held per (modulus, root)."""
-    def build(n: int) -> Columns:
-        images = [modulus.project(LaurentPoly.monomial(1, root * j)).residue
-                  for j in range(modulus.degree)]
-        residues = [c.residue for c in crank_gf(n, modulus).coefficients]
-        return tuple(tuple(sum(m * x for m, x in zip(row, residue)) for residue in residues)
-                     for row in zip(*images))
-
-    return _sliced(largest(("crank-coordinates", modulus, root), order, build), order)
-
 
 # The right-hand sides: integer series S_k, and below their weights w_k in
 # a, stated at the root a itself.  2cos(2*pi*k/m) is realized exactly as
@@ -301,7 +284,7 @@ def _rhs_coordinates(identity: str, order: int, root: int) -> Columns:
                         column[j] += w * c
         return tuple(map(tuple, columns))
 
-    return _sliced(largest((identity, root), order, build), order)
+    return tuple(c[:order + 1] for c in largest((identity, root), order, build))
 
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
@@ -311,7 +294,7 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
         raise ValueError(f"order must be a positive multiple of {m}")
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = _crank_coordinates(order, modulus, root)
+    lhs = crank_coordinates(order, modulus, root)
     rhs = _perturbed(_rhs_coordinates(identity, order, root), perturb_power)
     witness = _first_mismatch(lhs, rhs, lambda values: str(QuotientElem(values, modulus)),
                               quotient_ring(modulus).name)
@@ -366,7 +349,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
             break
 
     if witness is None:
-        at_one = _crank_coordinates(order, _AT_ONE, 1)
+        at_one = crank_coordinates(order, _AT_ONE, 1)
         witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
                                   lambda values: str(values[0]), INTEGER_RING.name)
 

@@ -1,11 +1,12 @@
 """The one cache of derived series and tables: the largest order built so far.
 
-Every object cached here is a truncated series, a table or a tuple of
-integer coordinate columns whose value at a smaller order is a prefix of its
-value at a larger one, so one entry per key serves every request up to the
-order it was built at; the caller slices it down.  Keys name the object and
-what it depends on besides the order: ``("crank", modulus)`` and
-``("rank",)`` (the series), ``("table", kind)``, ``("crank-coordinates",
+Every object cached here is a truncated series, a table or integer columns
+whose value at a smaller order is a prefix of its value at a larger one, so
+one entry per key serves every request up to the order it was built at; the
+caller slices it down.  Keys name the object and what it depends on besides
+the order: ``("crank", modulus)`` and ``("rank",)`` (the series), ``("table",
+kind)``, ``("crank-classes", modulus)`` (the crank kernel's classes, with
+a^0..a^(M-1) if they are the classes of a^M = 1), ``("crank-coordinates",
 modulus, root)`` (the crank series' coordinates after a -> a^root), and per
 dissection ``(identity,)`` (its integer series S_k) and ``(identity, root)``
 (the coordinates of its right-hand side).

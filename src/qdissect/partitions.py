@@ -193,9 +193,9 @@ class StatTable(_Record):
     """Counts of partitions of n by statistic value m, for 0 <= n <= n_max.
 
     ``rows[n]`` maps each statistic value m to its count; values with no
-    partitions are absent.  Tables are shared through the ``stat_table``
-    cache, so their fields cannot be reassigned; they are unhashable, as
-    their rows are dicts.
+    partitions are absent.  ``count_mod`` folds a row mod t in one pass.
+    Tables are shared through the ``stat_table`` cache, so their fields
+    cannot be reassigned; they are unhashable, as their rows are dicts.
     """
 
     __slots__ = ("kind", "rows")
@@ -221,14 +221,15 @@ class StatTable(_Record):
         self._check_n(n)
         return dict(self.rows[n])
 
-    def count_mod(self, k: int, t: int, n: int) -> int:
-        """Total count over statistic values congruent to k modulo t."""
+    def count_mod(self, t: int, n: int) -> tuple[int, ...]:
+        """Row n folded mod t: entry k totals the values congruent to k."""
         if t < 1:
             raise ValueError("modulus must be >= 1")
-        if not 0 <= k < t:
-            raise ValueError(f"residue class {k} outside 0..{t - 1}")
         self._check_n(n)
-        return sum(c for m, c in self.rows[n].items() if m % t == k)
+        out = [0] * t
+        for m, c in self.rows[n].items():
+            out[m % t] += c
+        return tuple(out)
 
 
 def _rank_rows(n_max: int) -> list[dict[int, int]]:

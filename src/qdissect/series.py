@@ -16,7 +16,8 @@ Python ints, one per residue class of the exponent of ``a``, each holding
 its q-coefficients as fixed-width digits, so that division by a factor
 (1 - a^(+-1) q^k) is a few big-int shifts and additions per class.  M is
 the multiplicative order of ``a`` in the target ring, or 2N+1 for the
-Laurent polynomials; each coefficient is projected once at the end.
+Laurent polynomials; the classes are read back once, as Laurent exponents
+or, in a quotient ring, as its integer coordinates (``crank_coordinates``).
 """
 
 from __future__ import annotations
@@ -450,8 +451,10 @@ def _packed_rank(order: int, size: int, bits: int) -> list[int]:
     return classes
 
 
-def _unpacked(classes: list[int], order: int, bits: int) -> list[list[int]]:
-    """The balanced digits c_0..c_order of every packed class."""
+def _unpacked(build: Callable, order: int, size: int) -> list[list[int]]:
+    """Run a packed build through q^order in Z[a]/(a^size - 1) and read back
+    the balanced digits c_0..c_order of every class."""
+    bits = _digit_bits(order)
     width = bits // 8
     half = 1 << (bits - 1)
     mask = (1 << bits * (order + 1)) - 1
@@ -459,7 +462,7 @@ def _unpacked(classes: list[int], order: int, bits: int) -> list[list[int]]:
     # borrows from the next one
     bias = half * (mask // ((1 << bits) - 1))
     columns = []
-    for value in classes:
+    for value in build(order, size, bits):
         raw = ((value + bias) & mask).to_bytes(width * (order + 1), "little")
         columns.append([int.from_bytes(raw[i:i + width], "little") - half
                         for i in range(0, len(raw), width)])
@@ -479,37 +482,57 @@ def _powers_of_a(modulus: Modulus, limit: int) -> list[QuotientElem] | None:
     return None
 
 
-def _statistic_series(build: Callable[[int, int, int], list[int]], order: int,
-                      modulus: Modulus | None) -> TruncatedSeries:
-    """Run a packed build through q^order and project every coefficient once.
+def _check_crank_cap(order: int, modulus: Modulus | None) -> None:
+    # a crank build runs at Laurent size with no modulus, or one in which a has no order M <= 2N
+    if order > LAURENT_CRANK_CAP and (modulus is None or _powers_of_a(modulus, 2 * order) is None):
+        raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
 
-    With a of order M in Z[a]/(modulus) the build runs in Z[a]/(a^M - 1),
-    which maps onto the quotient.  Otherwise it runs in Z[a]/(a^(2N+1) - 1),
-    N = order, where the classes -N..N are the Laurent exponents: |crank|
-    and |rank| of a partition of n are at most n, so no class wraps.
-    """
-    powers = None if modulus is None else _powers_of_a(modulus, 2 * order)
-    size = 2 * order + 1 if powers is None else len(powers)
-    bits = _digit_bits(order)
-    columns = _unpacked(build(order, size, bits), order, bits)
-    if powers is not None:
-        residues = [[0] * (order + 1) for _ in range(modulus.degree)]
-        for column, power in zip(columns, powers):
-            for j, x in enumerate(power.residue):
-                if x:
-                    residues[j] = [y + x * c for y, c in zip(residues[j], column)]
-        return TruncatedSeries([QuotientElem(vec, modulus) for vec in zip(*residues)],
-                               quotient_ring(modulus))
+
+def _laurent_series(build: Callable[[int, int, int], list[int]], order: int) -> TruncatedSeries:
+    """Run a packed build through q^order in Z[a]/(a^(2N+1) - 1), N = order,
+    where the classes -N..N are the Laurent exponents: |crank| and |rank| of
+    a partition of n are at most n, so no class wraps."""
+    size = 2 * order + 1
     rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for r, column in enumerate(columns):
+    for r, column in enumerate(_unpacked(build, order, size)):
         e = r if r <= order else r - size
         for n, c in enumerate(column):
             if c:
                 rows[n][e] = c
-    series = TruncatedSeries([LaurentPoly(row) for row in rows], LAURENT_RING)
-    if modulus is None:
-        return series
-    return series.map_coefficients(modulus.project, quotient_ring(modulus))
+    # each row has one entry per exponent and no zero: canonical as it stands
+    return TruncatedSeries([LaurentPoly._raw(row) for row in rows], LAURENT_RING)
+
+
+def crank_coordinates(order: int, modulus: Modulus, root: int = 1) -> tuple[tuple, ...]:
+    """crank_gf(order, modulus) after a -> a^root, as d integer columns c_i,
+    d the degree of the modulus: the q^n coefficient is sum_i c_i[n] a^i.
+
+    The kernel runs once per modulus (held at the largest order so far) in
+    Z[a]/(a^M - 1), which maps onto the quotient, if a has an order M <= 2N
+    there, else at the Laurent size 2N+1, where class j > N holds a^(j-2N-1).
+    Class j adds in the residue of a^(root*j); the columns are held per
+    (modulus, root)."""
+    _check_crank_cap(order, modulus)
+
+    def run(n: int) -> tuple[list[QuotientElem] | None, list[list[int]]]:
+        powers = _powers_of_a(modulus, 2 * n)
+        return powers, _unpacked(_packed_crank, n, 2 * n + 1 if powers is None else len(powers))
+
+    def project(n: int) -> tuple[tuple, ...]:
+        powers, classes = largest(("crank-classes", modulus), n, run)
+        size = len(classes)
+        images = [powers[root * e % size] if powers
+                  else modulus.project(LaurentPoly.monomial(1, root * e))
+                  for e in (j if 2 * j < size else j - size for j in range(size))]
+        columns = [[0] * (n + 1) for _ in range(modulus.degree)]
+        for image, values in zip(images, classes):
+            for i, x in enumerate(image.residue):
+                if x:
+                    columns[i] = [y + x * c for y, c in zip(columns[i], values)]
+        return tuple(map(tuple, columns))
+
+    held = largest(("crank-coordinates", modulus, root), order, project)
+    return tuple(c[:order + 1] for c in held)
 
 
 def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
@@ -518,20 +541,21 @@ def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
     conventions at n <= 1).  Given a modulus, each coefficient is instead
-    the residue of that Laurent polynomial in Z[a]/(modulus).  A build that
+    its residue in Z[a]/(modulus), from crank_coordinates.  A build that
     would run at Laurent size (no modulus, or one in which a has no order
     M <= 2N) is refused beyond LAURENT_CRANK_CAP before any work; quotient
     builds in which a has such an order are not capped.
     """
-    if order > LAURENT_CRANK_CAP and (modulus is None
-                                      or _powers_of_a(modulus, 2 * order) is None):
-        raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
-    built = largest(("crank", modulus), order,
-                    lambda n: _statistic_series(_packed_crank, n, modulus))
+    _check_crank_cap(order, modulus)
+    if modulus is None:
+        built = largest(("crank", None), order, lambda n: _laurent_series(_packed_crank, n))
+    else:
+        built = largest(("crank", modulus), order, lambda n: TruncatedSeries(
+            [QuotientElem._raw(vec, modulus) for vec in zip(*crank_coordinates(n, modulus))],
+            quotient_ring(modulus)))
     return built.truncate(order)
 
 
 def rank_gf(order: int) -> TruncatedSeries:
     """Rank generating function: sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n)."""
-    built = largest(("rank",), order, lambda n: _statistic_series(_packed_rank, n, None))
-    return built.truncate(order)
+    return largest(("rank",), order, lambda n: _laurent_series(_packed_rank, n)).truncate(order)

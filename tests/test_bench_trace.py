@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` patches qdissect functions and methods by name, so
 renaming one of them would crash ``perfbench/run.py --trace 1``.  This runs
 the benchmark's in-process child with tracing on, over one request of each
-subcommand, each fifth root and one perturbed dissection.
+subcommand, each fifth root, both statistic folds and one perturbed
+dissection.
 """
 
 import json
@@ -18,7 +19,9 @@ REQUESTS = [
     (["tables", "--kind", "crank", "--n-max", "8"], 0),
     (["dissect", "--series", "crank-gf", "--m", "3", "--order", "9"], 0),
     (["coeffs", "--count", "5"], 0),
+    (["tables", "--kind", "rank", "--n-max", "12", "--modulo", "5"], 0),
     (["verify", "--identity", "rank-gf", "--order", "10"], 0),
+    (["verify", "--identity", "equidist-crank-5", "--order", "2"], 0),
     (["verify", "--identity", "dissection-3", "--order", "9"], 0),
     (["verify", "--identity", "component-4-vanishing", "--order", "10"], 0),
 ] + [
@@ -32,7 +35,8 @@ REQUESTS = [
 # spans every traced run must show; ring.quotient_inverse is patched too,
 # but no request calls QuotientElem.inverse, so it records no span
 SPANS = ("ring.project", "series.inverse", "series.products", "series.mul",
-         "series.crank_gf", "identities.verify_5_dissection", "cli.main")
+         "series.crank_gf", "partitions.lookup", "identities.verify_5_dissection",
+         "cli.main")
 
 
 def test_traced_child_runs_every_kind_of_request():

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, identities, partitions
+from qdissect import cli, identities, partitions, series
 from qdissect.cli import IDENTITIES, main
+from qdissect.ring import LaurentPoly
 from qdissect.series import crank_gf
 
 # a small valid order for every identity that accepts --perturb-power
@@ -275,6 +276,60 @@ def test_laurent_crank_cap_refused_before_any_work(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Laurent crank cap" in err
+
+
+def test_coeffs_refusal_names_count(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    monkeypatch.setattr(cli, "crank_coefficients", refuse)
+    monkeypatch.setattr(series, "_packed_crank", refuse)
+    code, out, err = run_cli(capsys, "coeffs", "--count", "302")
+    assert (code, out, err) == (2, "", "error: --count must be <= 301: coefficient q^301 is "
+                                       "past the Laurent crank cap 300\n")
+
+
+def test_coeffs_largest_count_accepted(capsys, monkeypatch):
+    asked = []
+
+    def fake(order):
+        asked.append(order)
+        return [LaurentPoly.ONE] * (order + 1)
+
+    monkeypatch.setattr(cli, "crank_coefficients", fake)
+    code, out, _ = run_cli(capsys, "coeffs", "--count", "301")
+    assert code == 0 and asked == [300]
+    assert len(payload_of(out)["rows"]) == 301
+
+
+def _fold_calls(monkeypatch):
+    calls = []
+    original = partitions.StatTable.count_mod
+
+    def counted(self, t, n):
+        calls.append((t, n))
+        return original(self, t, n)
+
+    monkeypatch.setattr(partitions.StatTable, "count_mod", counted)
+    return calls
+
+
+def test_tables_modulo_folds_each_row_once(capsys, monkeypatch):
+    calls = _fold_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "16", "--modulo", "7")
+    assert code == 0
+    assert calls == [(7, n) for n in range(17)]
+    table = partitions.stat_table("crank", 16)
+    assert [row["classes"] for row in payload_of(out)["rows"]] == [
+        {str(k): str(sum(c for m, c in table.row(n).items() if m % 7 == k)) for k in range(7)}
+        for n in range(17)]
+
+
+def test_equidistribution_folds_each_row_once(capsys, monkeypatch):
+    calls = _fold_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-5", "--order", "3")
+    assert code == 0 and payload_of(out)["status"] == "pass"
+    assert calls == [(5, 5 * n + 4) for n in range(4)]
 
 
 @pytest.mark.parametrize("argv,bound", [

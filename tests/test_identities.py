@@ -18,10 +18,10 @@ from qdissect.identities import (
     verify_equidistribution,
     verify_rank_gf,
 )
-from qdissect.identities import _crank_coordinates, _rhs_coordinates
+from qdissect.identities import _rhs_coordinates
 from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem, quotient_ring
-from qdissect.series import TruncatedSeries, crank_gf, pochhammer_inf, theta
+from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, pochhammer_inf, theta
 
 
 def test_verify_crank_gf_passes():
@@ -321,7 +321,7 @@ def test_dissections_pass_at_every_intermediate_order():
     ):
         assert verify(top).passed                 # warms the caches
         builds = {(identity, 1): lambda n: _rhs_coordinates(identity, n, 1),
-                  ("crank-coordinates", modulus, 1): lambda n: _crank_coordinates(n, modulus, 1)}
+                  ("crank-coordinates", modulus, 1): lambda n: crank_coordinates(n, modulus, 1)}
         held = {key: memo._held[key] for key in builds}
         for held_order, coords in held.values():
             assert held_order == top

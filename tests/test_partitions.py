@@ -114,18 +114,34 @@ def test_stat_table_row_sums_and_symmetry():
 
 def test_count_mod():
     table = build_stat_table("crank", 4)
-    assert [table.count_mod(k, 5, 4) for k in range(5)] == [1, 1, 1, 1, 1]
+    assert [table.count_mod(5, 4)[k] for k in range(5)] == [1, 1, 1, 1, 1]
     rtable = build_stat_table("rank", 4)
-    assert [rtable.count_mod(k, 5, 4) for k in range(5)] == [1, 1, 1, 1, 1]
-    assert sum(table.count_mod(k, 3, 4) for k in range(3)) == partition_count(4)
+    assert [rtable.count_mod(5, 4)[k] for k in range(5)] == [1, 1, 1, 1, 1]
+    assert sum(table.count_mod(3, 4)[k] for k in range(3)) == partition_count(4)
     with pytest.raises(ValueError):
-        table.count_mod(5, 5, 4)
+        table.count_mod(0, 4)
     with pytest.raises(ValueError):
-        table.count_mod(-1, 5, 4)
-    with pytest.raises(ValueError):
-        table.count_mod(0, 5, 9)
+        table.count_mod(5, 9)
     with pytest.raises(ValueError):
         table.row(99)
+
+
+@pytest.mark.parametrize("kind", ("rank", "crank"))
+def test_count_mod_folds_every_row(kind):
+    table = build_stat_table(kind, ENUMERATION_CAP)
+    for n in range(ENUMERATION_CAP + 1):
+        row = table.row(n)
+        for t in range(1, 2 * n + 2):
+            counts = table.count_mod(t, n)
+            assert counts == tuple(sum(c for m, c in row.items() if m % t == k)
+                                   for k in range(t))
+            assert sum(counts) == partition_count(n)
+    for t in (0, -1, -7):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            table.count_mod(t, 5)
+    for n in (-1, ENUMERATION_CAP + 1):
+        with pytest.raises(ValueError, match="outside table range"):
+            table.count_mod(5, n)
 
 
 def test_build_validation():

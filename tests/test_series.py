@@ -415,6 +415,31 @@ def test_crank_cache_keeps_each_ring(fresh_crank_cache):
     assert fresh_crank_cache == [30, 20, 25, 5]
 
 
+@pytest.mark.parametrize("modulus,roots", [(PHI8, (1,)), (PHI9, (1,)), (AT_ONE, (1,)),
+                                           (PHI5, (1, 2, 3, 4))],
+                         ids=["phi8", "phi9", "at-one", "phi5"])
+def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus, roots):
+    # every order from an empty memo, so the small ones build at them: where
+    # a's order exceeds 2N the kernel runs at the Laurent size
+    laurent = crank_gf(40)
+    for order in range(41):
+        monkeypatch.setattr(memo, "_held", {})
+        for root in roots:
+            expected = [modulus.project(c.substitute_power(root)).residue
+                        for c in laurent.truncate(order).coefficients]
+            assert list(zip(*series.crank_coordinates(order, modulus, root))) == expected
+        assert [c.residue for c in crank_gf(order, modulus).coefficients] == [
+            modulus.project(c).residue for c in laurent.truncate(order).coefficients]
+
+
+def test_roots_share_one_crank_build(fresh_crank_cache):
+    for order in (30, 60, 45):
+        for root in (1, 2, 3, 4):
+            series.crank_coordinates(order, PHI5, root)
+    crank_gf(50, PHI5)
+    assert fresh_crank_cache == [30, 60]
+
+
 # --- the packed kernel, against oracles that share none of its code ---------------
 
 def test_order_of_a_picks_the_packing_ring():
