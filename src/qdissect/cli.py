@@ -65,7 +65,8 @@ IDENTITIES = {
 
 
 def _laurent_json(p: LaurentPoly) -> dict[str, str]:
-    return {str(e): str(c) for e, c in sorted(p.terms.items())}
+    # unsorted and uncopied: _json sorts the keys itself
+    return {str(e): str(c) for e, c in p._terms.items()}
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -80,16 +81,22 @@ def _json(value, newline: str = "\n") -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        # _quote raises TypeError for a key that is not a str
-        return ("{" + inner + ("," + inner).join([_quote(key) + ": " + _json(item, inner)
-                                                  for key, item in sorted(value.items())])
-                + newline + "}")
+        # str and int members are written in place; keys sort faster alone than
+        # as items, and a loop skips the call a comprehension makes
+        members = []
+        for key in sorted(value):
+            item = value[key]
+            text = (_quote(item) if type(item) is str else
+                    repr(item) if type(item) is int else _json(item, inner))
+            members.append(f"{_quote(key)}: {text}")    # _quote refuses a non-str key
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
     if kind is list:
         if not value:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_json(item, inner) for item in value])
-                + newline + "]")
+        return ("[" + inner + ("," + inner).join([
+            _quote(item) if type(item) is str else repr(item) if type(item) is int
+            else _json(item, inner) for item in value]) + newline + "]")
     if kind is int:
         return repr(value)
     if value is None:
@@ -109,7 +116,8 @@ def _emit_json(command: str, parameters: dict, payload) -> None:
     sys.stdout.write(_json(record) + "\n")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
+def _emit_csv(header: list[str], rows: list[list[str | int]]) -> None:
+    """header, then rows, as CSV lines; csv formats int fields itself, in C."""
     import csv          # only the CSV path pays for the import
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -143,7 +151,7 @@ def _cmd_tables(args) -> int:
             _emit_json("tables", params,
                        {"rows": [{"n": n, "count": str(c)} for n, c in rows]})
         else:
-            _emit_csv(["n", "count"], [[str(n), str(c)] for n, c in rows])
+            _emit_csv(["n", "count"], rows)
         return 0
 
     if args.modulo is not None and args.modulo < 1:
@@ -153,10 +161,11 @@ def _cmd_tables(args) -> int:
     if args.modulo is not None and args.modulo > 2 * args.n_max + 1:
         raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
     table = stat_table(args.kind, args.n_max)
-    # each row as (statistic value or residue class, count) pairs
+    # each row as (value or residue class, count) pairs; only CSV needs them sorted
     if args.modulo is None:
         field, header = "coefficients", ["n", "exponent", "coefficient"]
-        rows = [sorted(table.row(n).items()) for n in range(args.n_max + 1)]
+        rows = [sorted(row.items()) if args.format == "csv" else row.items()
+                for row in table.rows[:args.n_max + 1]]
     else:
         field, header = "classes", ["n", "residue", "count"]
         rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
@@ -164,7 +173,7 @@ def _cmd_tables(args) -> int:
         _emit_json("tables", params, {"rows": [{"n": n, field: {str(m): str(c) for m, c in row}}
                                                for n, row in enumerate(rows)]})
     else:
-        _emit_csv(header, [[str(n), str(m), str(c)] for n, row in enumerate(rows) for m, c in row])
+        _emit_csv(header, [[n, m, c] for n, row in enumerate(rows) for m, c in row])
     return 0
 
 
@@ -231,10 +240,9 @@ def _cmd_dissect(args) -> int:
         for k, comp in enumerate(components):
             for j, c in enumerate(comp.coefficients):
                 if laurent:
-                    rows.extend([[str(k), str(j), str(e), str(v)]
-                                 for e, v in sorted(c.terms.items())])
+                    rows.extend([[k, j, e, v] for e, v in sorted(c._terms.items())])
                 else:
-                    rows.append([str(k), str(j), str(c)])
+                    rows.append([k, j, c])
         header = (["component", "index", "exponent", "coefficient"] if laurent
                   else ["component", "index", "coefficient"])
         _emit_csv(header, rows)
@@ -255,8 +263,7 @@ def _cmd_coeffs(args) -> int:
         ]})
     else:
         _emit_csv(["n", "exponent", "coefficient"],
-                  [[str(n), str(e), str(c)]
-                   for n, p in enumerate(polys) for e, c in sorted(p.terms.items())])
+                  [[n, e, c] for n, p in enumerate(polys) for e, c in sorted(p._terms.items())])
     return 0
 
 

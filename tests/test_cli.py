@@ -425,6 +425,23 @@ GOLDEN = [
      "e9763bbf07c6744c0647d4f21adbd5087bcabc5cb8f1b8318a4f891b40931980"),
     ("verify --identity rank-gf --order 12 --perturb-power 0",
      "1458ab272af493abe9840d7b7491c5c91b2f3f659b287e1850e9aaa4524dbecf"),
+    # session-sized payloads: 16-digit counts and multi-digit negative exponents
+    ("tables --kind p --n-max 300",
+     "d584d5392adbc35adbadec27536fb0b9d0aafe0e7ba2f11ccb3adfda454922c8"),
+    ("tables --kind p --n-max 200 --format csv",
+     "a5d100e65c92093661381c9ccc8276417f70e5e0bab6abf0a333bda61d598ede"),
+    ("tables --kind crank --n-max 20",
+     "9c1ae27e491b9f7b44a8d7fdba274c482e8e237052942a2325ac271752ea3eae"),
+    ("tables --kind rank --n-max 16 --modulo 7",
+     "00485b4e46956278c7b2ac3f6a458652066792cd3a5b87bafc1e41f527145c61"),
+    ("tables --kind crank --n-max 20 --modulo 5 --format csv",
+     "ec819e4b9c7ded1413cc79a0d0bf6cf3e75803d243a970ec40e23ef3747a16f5"),
+    ("dissect --series crank-gf --m 2 --order 30",
+     "032e2325491fa9c257e33d92833ec7706ebf396f1234574c3235356665899f1f"),
+    ("dissect --series crank-gf --m 5 --order 30 --format csv",
+     "f2f26a7e846c0e2f2d0b9e3b6dc3f5bb108038fa4e64b6c834ae97a3ba5eaa73"),
+    ("coeffs --count 30 --format csv",
+     "eafb31ce319e56f649d24a61d95d5e5f721dcff0179d797f7853199922e97a48"),
 ]
 
 
@@ -447,6 +464,10 @@ JSON_VALUES = st.recursive(
 @settings(deadline=None)
 @given(JSON_VALUES)
 @example({'"\\\x00\u00e9\ud800\U0001d11e': [10 ** 100, -1, True, False, None, {}, [], ""]})
+@example([{"n": 0, "count": "1", "exact": True, "witness": None},
+          {"n": -12, "count": "", "exact": False, "witness": None}])
+@example({"passed": True, "failed": False})
+@example({"count": [-(10 ** 300)]})
 def test_json_writer_matches_the_stdlib(value):
     assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -512,17 +533,25 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert builds == [1]
 
 
-def test_json_and_csv_content_equivalent(capsys):
-    _, jout, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3")
-    _, cout, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3",
-                         "--format", "csv")
+@pytest.mark.parametrize("argv", [
+    ("tables", "--kind", "crank", "--n-max", "3"),
+    ("tables", "--kind", "crank", "--n-max", "20"),
+    ("tables", "--kind", "rank", "--n-max", "20"),
+    ("tables", "--kind", "crank", "--n-max", "20", "--modulo", "5"),
+], ids=" ".join)
+def test_json_and_csv_content_equivalent(capsys, argv):
+    _, jout, _ = run_cli(capsys, *argv)
+    _, cout, _ = run_cli(capsys, *argv, "--format", "csv")
+    field, key, value = (("classes", "residue", "count") if "--modulo" in argv
+                         else ("coefficients", "exponent", "coefficient"))
     from_json = {
-        (int(row["n"]), int(e)): int(c)
+        (int(row["n"]), int(m)): int(c)
         for row in payload_of(jout)["rows"]
-        for e, c in row["coefficients"].items()
+        for m, c in row[field].items()
     }
-    reader = csv.DictReader(io.StringIO(cout))
-    from_csv = {(int(r["n"]), int(r["exponent"])): int(r["coefficient"]) for r in reader}
+    reader = csv.reader(io.StringIO(cout))
+    assert next(reader) == ["n", key, value]
+    from_csv = {(int(n), int(m)): int(c) for n, m, c in reader}
     assert from_json == from_csv
 
 
