@@ -1,7 +1,7 @@
 """qdissect: exact q-series arithmetic for partition statistics.
 
-Expands the crank and rank generating functions over Laurent-polynomial
-and cyclotomic-quotient coefficient rings, counts partitions by statistic
+Expands the crank and rank generating functions over Laurent polynomials
+and cyclotomic quotient rings, counts partitions by statistic
 through integer recurrences, and mechanically verifies the classical
 congruences, equidistribution theorems and 2-/3-/5-dissections, all in
 arbitrary-precision integer arithmetic with no floats anywhere.
@@ -32,21 +32,11 @@ from .partitions import (
     rank,
     rank_row,
 )
-from .ring import (
-    INTEGER_RING,
-    LAURENT_RING,
-    PHI5,
-    PHI8,
-    PHI9,
-    CoefficientRing,
-    LaurentPoly,
-    Modulus,
-    QuotientElem,
-    quotient_ring,
-)
+from .ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from .series import (
     LAURENT_CRANK_CAP,
     TruncatedSeries,
+    crank_coordinates,
     crank_gf,
     euler_product,
     partition_gf,
@@ -60,10 +50,9 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientRing", "LaurentPoly", "Modulus", "QuotientElem",
-    "INTEGER_RING", "LAURENT_RING", "PHI5", "PHI8", "PHI9", "quotient_ring",
+    "LaurentPoly", "Modulus", "QuotientElem", "PHI5", "PHI8", "PHI9",
     "TruncatedSeries", "euler_product", "pochhammer_inf", "pochhammer_fin",
-    "theta", "partition_gf", "crank_gf", "rank_gf", "reassemble",
+    "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf", "reassemble",
     "LAURENT_CRANK_CAP",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",

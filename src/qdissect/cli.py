@@ -116,13 +116,13 @@ def _emit_json(command: str, parameters: dict, payload) -> None:
     sys.stdout.write(_json(record) + "\n")
 
 
-def _emit_csv(header: list[str], rows: list[list[str | int]]) -> None:
-    """header, then rows, as CSV lines; csv formats int fields itself, in C."""
-    import csv          # only the CSV path pays for the import
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
+    """header, then rows, as CSV lines in one write.  No field needs quoting:
+    they are ints, names, pass/fail and witness strings made by str of ints,
+    LaurentPoly and QuotientElem, none with a comma, quote or newline.  One
+    %-format per row costs less than joining the str() of each field."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    sys.stdout.write("".join([line % row for row in (header, *rows)]))
 
 
 def _report_payload(report: VerificationReport) -> dict:
@@ -151,7 +151,7 @@ def _cmd_tables(args) -> int:
             _emit_json("tables", params,
                        {"rows": [{"n": n, "count": str(c)} for n, c in rows]})
         else:
-            _emit_csv(["n", "count"], rows)
+            _emit_csv(("n", "count"), rows)
         return 0
 
     if args.modulo is not None and args.modulo < 1:
@@ -163,17 +163,17 @@ def _cmd_tables(args) -> int:
     table = stat_table(args.kind, args.n_max)
     # each row as (value or residue class, count) pairs; only CSV needs them sorted
     if args.modulo is None:
-        field, header = "coefficients", ["n", "exponent", "coefficient"]
+        field, header = "coefficients", ("n", "exponent", "coefficient")
         rows = [sorted(row.items()) if args.format == "csv" else row.items()
                 for row in table.rows[:args.n_max + 1]]
     else:
-        field, header = "classes", ["n", "residue", "count"]
+        field, header = "classes", ("n", "residue", "count")
         rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
     if args.format == "json":
         _emit_json("tables", params, {"rows": [{"n": n, field: {str(m): str(c) for m, c in row}}
                                                for n, row in enumerate(rows)]})
     else:
-        _emit_csv(header, [[n, m, c] for n, row in enumerate(rows) for m, c in row])
+        _emit_csv(header, [(n, m, c) for n, row in enumerate(rows) for m, c in row])
     return 0
 
 
@@ -198,13 +198,10 @@ def _cmd_verify(args) -> int:
     else:
         w = report.failure_witness
         _emit_csv(
-            ["identity", "order", "status", "witness_power", "witness_expected",
-             "witness_actual", "witness_ring"],
-            [[report.identity, str(report.order), report.status,
-              "" if w is None else str(w.power),
-              "" if w is None else w.expected,
-              "" if w is None else w.actual,
-              "" if w is None else w.ring]],
+            ("identity", "order", "status", "witness_power", "witness_expected",
+             "witness_actual", "witness_ring"),
+            [(report.identity, report.order, report.status) + (
+                ("", "", "", "") if w is None else (w.power, w.expected, w.actual, w.ring))],
         )
     return 0 if report.passed else 1
 
@@ -240,11 +237,11 @@ def _cmd_dissect(args) -> int:
         for k, comp in enumerate(components):
             for j, c in enumerate(comp.coefficients):
                 if laurent:
-                    rows.extend([[k, j, e, v] for e, v in sorted(c._terms.items())])
+                    rows.extend([(k, j, e, v) for e, v in sorted(c._terms.items())])
                 else:
-                    rows.append([k, j, c])
-        header = (["component", "index", "exponent", "coefficient"] if laurent
-                  else ["component", "index", "coefficient"])
+                    rows.append((k, j, c))
+        header = (("component", "index", "exponent", "coefficient") if laurent
+                  else ("component", "index", "coefficient"))
         _emit_csv(header, rows)
     return 0
 
@@ -262,8 +259,8 @@ def _cmd_coeffs(args) -> int:
             {"n": n, "coefficients": _laurent_json(p)} for n, p in enumerate(polys)
         ]})
     else:
-        _emit_csv(["n", "exponent", "coefficient"],
-                  [[n, e, c] for n, p in enumerate(polys) for e, c in sorted(p._terms.items())])
+        _emit_csv(("n", "exponent", "coefficient"),
+                  [(n, e, c) for n, p in enumerate(polys) for e, c in sorted(p._terms.items())])
     return 0
 
 

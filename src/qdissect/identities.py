@@ -27,17 +27,7 @@ from typing import Callable
 
 from .memo import largest
 from .partitions import ENUMERATION_CAP, _Record, partition_count, stat_table
-from .ring import (
-    INTEGER_RING,
-    LAURENT_RING,
-    PHI5,
-    PHI8,
-    PHI9,
-    LaurentPoly,
-    Modulus,
-    QuotientElem,
-    quotient_ring,
-)
+from .ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, rank_gf, theta)
 
@@ -141,7 +131,7 @@ def _verify_gf_against_table(identity: str, kind: str, order: int,
                           lambda row: (LaurentPoly(row) + 1).terms)
     actual = (tuple(c._terms for c in build(order).coefficients),)
     witness = _first_mismatch(expected, actual, lambda values: str(LaurentPoly(values[0])),
-                              LAURENT_RING.name)
+                              "laurent")
     return _report(identity, order, witness, started)
 
 
@@ -297,7 +287,7 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
     lhs = crank_coordinates(order, modulus, root)
     rhs = _perturbed(_rhs_coordinates(identity, order, root), perturb_power)
     witness = _first_mismatch(lhs, rhs, lambda values: str(QuotientElem(values, modulus)),
-                              quotient_ring(modulus).name)
+                              f"quotient({modulus})")
     return _report(identity, order, witness, started)
 
 
@@ -345,13 +335,13 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
         values = tuple(c[n] for c in rhs)
         if any(values):
             witness = FailureWitness(n, "0", str(QuotientElem(values, PHI5)),
-                                     quotient_ring(PHI5).name)
+                                     f"quotient({PHI5})")
             break
 
     if witness is None:
         at_one = crank_coordinates(order, _AT_ONE, 1)
         witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
-                                  lambda values: str(values[0]), INTEGER_RING.name)
+                                  lambda values: str(values[0]), "integer")
 
     if witness is None:
         for n in range(4, order + 1, 5):

@@ -4,7 +4,7 @@ Every object cached here is a truncated series, a table or integer columns
 whose value at a smaller order is a prefix of its value at a larger one, so
 one entry per key serves every request up to the order it was built at; the
 caller slices it down.  Keys name the object and what it depends on besides
-the order: ``("crank", modulus)`` and ``("rank",)`` (the series), ``("table",
+the order: ``("crank",)`` and ``("rank",)`` (the Laurent series), ``("table",
 kind)``, ``("crank-classes", modulus)`` (the crank kernel's classes, with
 a^0..a^(M-1) if they are the classes of a^M = 1), ``("crank-coordinates",
 modulus, root)`` (the crank series' coordinates after a -> a^root), and per
@@ -20,8 +20,6 @@ Kept out, on purpose:
 - ``partitions._pcounts`` grows in place, one p(n) at a time.  Its callers
   walk n upward one step at a time, so rebuilding it on every growth would
   make ``tables --kind p --n-max 300`` quadratic.
-- ``ring.quotient_ring`` keeps its ``lru_cache``: ring handles are compared
-  by identity, so each modulus must map to one handle, not to a rebuilt one.
 - ``Modulus._inv_a`` and ``cli._parser`` are per-object and per-process
   constants, not series built up to an order.
 - Hits and misses are not counted yet: nothing reads such counts.

@@ -21,8 +21,7 @@ so anything here may be shared freely across threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 SYMBOL = "a"
 
@@ -125,7 +124,11 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant hashes as the int it equals
+        t = self._terms
+        if len(t) > 1 or (t and 0 not in t):
+            return hash(frozenset(t.items()))
+        return hash(t.get(0, 0))
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -225,14 +228,9 @@ class Modulus:
             raise ValueError("modulus constant term must be +1 or -1")
         self._coeffs = coeffs
         self._inv_a: QuotientElem | None = None
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "Modulus":
-        """Clear negative powers of a symmetric generator, e.g. a^2 + a^-2 -> a^4 + 1."""
-        shift = -p.min_exponent
-        shifted = p * LaurentPoly.monomial(1, shift) if shift > 0 else p
-        degree = shifted.max_exponent
-        return cls(tuple(shifted.coefficient(e) for e in range(degree + 1)))
+        # rendered once: every dissection report names its ring by it
+        self._text = _format_terms(sorted(((e, c) for e, c in enumerate(coeffs) if c),
+                                          reverse=True))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -292,8 +290,7 @@ class Modulus:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        pairs = [(e, c) for e, c in enumerate(self._coeffs) if c]
-        return _format_terms(sorted(pairs, reverse=True))
+        return self._text
 
     def __repr__(self) -> str:
         return f"Modulus({list(self._coeffs)!r})"
@@ -355,7 +352,11 @@ class QuotientElem:
         return self._modulus == other._modulus and self._residue == other._residue
 
     def __hash__(self):
-        return hash((self._residue, self._modulus))
+        # a constant hashes as the int it equals
+        r = self._residue
+        if any(r[1:]):
+            return hash((r, self._modulus))
+        return hash(r[0])
 
     def __add__(self, other) -> "QuotientElem":
         if isinstance(other, int):
@@ -471,58 +472,3 @@ class QuotientElem:
 
     def __repr__(self) -> str:
         return f"QuotientElem({self}, mod {self._modulus})"
-
-
-class CoefficientRing:
-    """Uniform handle on a coefficient ring for generic series code.
-
-    Elements are ordinary Python values carrying their own +, -, *; the
-    handle supplies the constants and the unit inverse the series layer
-    needs (zero, one, from_int, invert_unit).  invert_unit raises
-    ValueError for an element that is not a unit.
-    """
-
-    def __init__(self, name: str, zero, one,
-                 from_int: Callable[[int], object],
-                 invert_unit: Callable[[object], object]):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.from_int = from_int
-        self.invert_unit = invert_unit
-
-    def __repr__(self) -> str:
-        return f"CoefficientRing({self.name})"
-
-
-def _int_invert(x: int) -> int:
-    if x not in (1, -1):
-        raise ValueError(f"{x} is not a unit of the integers")
-    return x
-
-
-def _laurent_invert(p: LaurentPoly) -> LaurentPoly:
-    # the units of Z[a, 1/a] are exactly the monomials +-a^e
-    t = p._terms
-    if len(t) != 1 or next(iter(t.values())) not in (1, -1):
-        raise ValueError(f"{p!r} is not a unit Laurent polynomial")
-    ((e, c),) = t.items()
-    return LaurentPoly.monomial(c, -e)
-
-
-INTEGER_RING = CoefficientRing("integer", 0, 1, int, _int_invert)
-
-LAURENT_RING = CoefficientRing(
-    "laurent", _LP_ZERO, _LP_ONE,
-    lambda n: LaurentPoly.monomial(int(n)), _laurent_invert
-)
-
-
-@lru_cache(maxsize=None)
-def quotient_ring(modulus: Modulus) -> CoefficientRing:
-    """Coefficient-ring handle for Z[a]/(m(a)); cached so handles compare by identity."""
-    return CoefficientRing(
-        f"quotient({modulus})",
-        modulus.zero(), modulus.one(), modulus.from_int,
-        lambda x: x.inverse(),
-    )

@@ -1,23 +1,26 @@
-"""Truncated formal power series in q over a pluggable exact coefficient ring.
+"""Truncated formal power series in q with exact coefficients.
 
 A series is a dense coefficient vector c_0..c_N (N = truncation order,
-inclusive) together with a :class:`~qdissect.ring.CoefficientRing` handle.
-Everything is formal: no convergence, no floats.  Binary operations
-truncate to the smaller order, so precision never silently inflates.
+inclusive).  The coefficients are ``int``, :class:`~qdissect.ring.LaurentPoly`
+or :class:`~qdissect.ring.QuotientElem`, and each carries its own ring: the
+zero that pads a series and the one that seeds a product come from the
+coefficients themselves, so a series stays in one ring.  Everything is
+formal: no convergence, no floats.  Binary operations truncate to the
+smaller order, so precision never silently inflates.
 
 The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
 products, bilateral theta sums f(+-q^r, +-q^s), the partition generating
 function, and the crank and rank generating functions whose coefficients
-are Laurent polynomials in the statistic-counting symbol ``a`` (the crank
-one also directly in a quotient ring Z[a]/(m(a))).  Both statistic
-functions run one packed kernel: the series lives in Z[a]/(a^M - 1) as M
-Python ints, one per residue class of the exponent of ``a``, each holding
-its q-coefficients as fixed-width digits, so that division by a factor
-(1 - a^(+-1) q^k) is a few big-int shifts and additions per class.  M is
-the multiplicative order of ``a`` in the target ring, or 2N+1 for the
-Laurent polynomials; the classes are read back once, as Laurent exponents
-or, in a quotient ring, as its integer coordinates (``crank_coordinates``).
+are Laurent polynomials in the statistic-counting symbol ``a``.  Both
+statistic functions run one packed kernel: the series lives in
+Z[a]/(a^M - 1) as M Python ints, one per residue class of the exponent of
+``a``, each holding its q-coefficients as fixed-width digits, so that
+division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
+additions per class.  M is 2N+1 for the Laurent polynomials, or the
+multiplicative order of ``a`` in a quotient ring Z[a]/(m(a)); the classes
+are read back once, as Laurent exponents or, in a quotient ring, as its
+integer coordinates (``crank_coordinates``, the one quotient-ring route).
 """
 
 from __future__ import annotations
@@ -28,44 +31,38 @@ from typing import Callable, Sequence
 
 from .memo import largest
 from .partitions import partition_count
-from .ring import (
-    INTEGER_RING,
-    LAURENT_RING,
-    CoefficientRing,
-    LaurentPoly,
-    Modulus,
-    QuotientElem,
-    quotient_ring,
-)
+from .ring import LaurentPoly, Modulus, QuotientElem
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
 
 class TruncatedSeries:
     """Formal power series known exactly through q^order."""
 
-    __slots__ = ("_coeffs", "_ring")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence, ring: CoefficientRing = INTEGER_RING):
+    def __init__(self, coeffs: Sequence):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the q^0 coefficient")
         self._coeffs = coeffs
-        self._ring = ring
 
     @classmethod
-    def one(cls, order: int, ring: CoefficientRing = INTEGER_RING) -> "TruncatedSeries":
-        return cls((ring.one,) + (ring.zero,) * order, ring)
+    def one(cls, order: int) -> "TruncatedSeries":
+        _check_order(order)
+        return cls((1,) + (0,) * order)
 
     @classmethod
-    def zero(cls, order: int, ring: CoefficientRing = INTEGER_RING) -> "TruncatedSeries":
-        return cls((ring.zero,) * (order + 1), ring)
+    def zero(cls, order: int) -> "TruncatedSeries":
+        _check_order(order)
+        return cls((0,) * (order + 1))
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
-
-    @property
-    def ring(self) -> CoefficientRing:
-        return self._ring
 
     @property
     def coefficients(self) -> tuple:
@@ -76,32 +73,28 @@ class TruncatedSeries:
             raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
         return self._coeffs[n]
 
-    def _check_ring(self, other: "TruncatedSeries") -> None:
-        if self._ring is not other._ring:
-            raise ValueError(
-                f"coefficient ring mismatch: {self._ring.name} vs {other._ring.name}"
-            )
+    def _zero(self):
+        # the zero of this series' ring
+        return self._coeffs[0] * 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._ring is other._ring and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self._ring.name, self._coeffs))
+        return hash(self._coeffs)
 
     def __add__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         n = min(self.order, other.order)
         return TruncatedSeries(
-            tuple(x + y for x, y in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])),
-            self._ring,
+            tuple(x + y for x, y in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self._coeffs), self._ring)
+        return TruncatedSeries(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -111,27 +104,25 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         n = min(self.order, other.order)
         x, y = self._coeffs, other._coeffs
-        zero = self._ring.zero
-        out = [zero] * (n + 1)
+        out = [x[0] * y[0] * 0] * (n + 1)
         for i in range(n + 1):
             xi = x[i]
-            if xi == zero:
+            if not xi:
                 continue
             for j in range(n + 1 - i):
                 yj = y[j]
-                if yj == zero:
+                if not yj:
                     continue
                 out[i + j] = out[i + j] + xi * yj
-        return TruncatedSeries(tuple(out), self._ring)
+        return TruncatedSeries(tuple(out))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0).  Exact, so the order grows by k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return TruncatedSeries((self._ring.zero,) * k + self._coeffs, self._ring)
+        return TruncatedSeries((self._zero(),) * k + self._coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above the given order (which must not exceed ours)."""
@@ -139,31 +130,33 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         if order == self.order:
             return self
-        return TruncatedSeries(self._coeffs[: order + 1], self._ring)
+        return TruncatedSeries(self._coeffs[: order + 1])
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse through the truncation order.
 
-        The constant term must be a unit of the coefficient ring (ValueError
-        otherwise); the rest follows from the standard recurrence
+        The constant term y_0 must equal 1 or -1 (ValueError otherwise), so
+        it is its own inverse; the rest follows from the recurrence
         y_n = -y_0 * sum c_k y_{n-k}.
         """
-        y0 = self._ring.invert_unit(self._coeffs[0])
-        zero = self._ring.zero
+        y0 = self._coeffs[0]
+        if not (y0 == 1 or y0 == -1):
+            raise ValueError(f"constant term {y0} is not 1 or -1")
+        zero = y0 * 0
         out = [y0] + [zero] * self.order
         for n in range(1, self.order + 1):
             acc = zero
             for k in range(1, n + 1):
                 ck = self._coeffs[k]
-                if ck == zero:
+                if not ck:
                     continue
                 yk = out[n - k]
-                if yk == zero:
+                if not yk:
                     continue
                 acc = acc + ck * yk
-            if acc != zero:
+            if acc:
                 out[n] = -(y0 * acc)
-        return TruncatedSeries(tuple(out), self._ring)
+        return TruncatedSeries(tuple(out))
 
     def substitute_power(self, m: int, order: int | None = None) -> "TruncatedSeries":
         """Substitute q -> q^m: coefficient of q^(mn) becomes c_n, zeros elsewhere.
@@ -182,13 +175,12 @@ class TruncatedSeries:
             )
         if m == 1:
             return self.truncate(min(order, self.order))
-        zero = self._ring.zero
-        out = [zero] * (order + 1)
+        out = [self._zero()] * (order + 1)
         for n, c in enumerate(self._coeffs):
             if m * n > order:
                 break
             out[m * n] = c
-        return TruncatedSeries(tuple(out), self._ring)
+        return TruncatedSeries(tuple(out))
 
     def dissect(self, m: int) -> list["TruncatedSeries"]:
         """Split by exponent residue: returns P_0..P_{m-1} with P_k[j] = c_{jm+k}.
@@ -200,19 +192,18 @@ class TruncatedSeries:
             raise ValueError("dissection modulus must be >= 1")
         parts = []
         for k in range(m):
-            sub = self._coeffs[k :: m] if k <= self.order else (self._ring.zero,)
-            parts.append(TruncatedSeries(sub, self._ring))
+            sub = self._coeffs[k :: m] if k <= self.order else (self._zero(),)
+            parts.append(TruncatedSeries(sub))
         return parts
 
-    def map_coefficients(self, fn: Callable, ring: CoefficientRing | None = None) -> "TruncatedSeries":
-        """Apply fn to every coefficient, optionally landing in another ring."""
-        return TruncatedSeries(tuple(fn(c) for c in self._coeffs), ring or self._ring)
+    def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
+        """Apply fn to every coefficient, e.g. to lift it into another ring."""
+        return TruncatedSeries(tuple(fn(c) for c in self._coeffs))
 
     def __str__(self) -> str:
-        zero = self._ring.zero
         chunks = []
         for n, c in enumerate(self._coeffs):
-            if c == zero:
+            if not c:
                 continue
             cs = str(c)
             if n == 0:
@@ -233,13 +224,13 @@ class TruncatedSeries:
         return f"{body} + O(q^{self.order + 1})"
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, ring={self._ring.name})"
+        return f"TruncatedSeries(order={self.order})"
 
 
 def reassemble(parts: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
     """Rebuild sum_k q^k P_k(q^m) from the m dissection components."""
     m = len(parts)
-    total = TruncatedSeries.zero(order, parts[0].ring)
+    total = TruncatedSeries((parts[0]._zero(),) * (order + 1))
     for k, part in enumerate(parts):
         if k > order:
             break
@@ -247,84 +238,83 @@ def reassemble(parts: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
     return total
 
 
-def euler_product(order: int, ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
+def euler_product(order: int) -> TruncatedSeries:
     """(q;q)_inf truncated: the sparse sum of (-1)^k q^(k(3k-1)/2) over all k,
     which is the theta sum f(-q, -q^2)."""
-    return theta(1, 2, order, ring=ring)
+    return theta(1, 2, order)
 
 
-def pochhammer_inf(z, start: int, step: int, order: int,
-                   ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
+def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
     """Infinite product prod_{k>=0} (1 - z q^(start + k*step)), truncated.
 
     start >= 1 keeps the constant term equal to one; only the factors with
-    exponent <= order contribute.
+    exponent <= order contribute.  The coefficients lie in the ring of z.
     """
     if start < 1:
         raise ValueError("start must be >= 1 so the constant term is one")
     if step < 1:
         raise ValueError("step must be >= 1")
-    zero = ring.zero
+    _check_order(order)
+    zero = z * 0
     out = [zero] * (order + 1)
-    out[0] = ring.one
+    out[0] = zero + 1
     e = start
     while e <= order:
         # multiply by (1 - z q^e) in place, highest coefficient first
         for n in range(order, e - 1, -1):
             c = out[n - e]
-            if c != zero:
+            if c:
                 out[n] = out[n] - z * c
         e += step
-    return TruncatedSeries(tuple(out), ring)
+    return TruncatedSeries(tuple(out))
 
 
-def pochhammer_fin(z, count: int, order: int, start: int = 0,
-                   ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
+def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries:
     """Finite product prod_{k=0}^{count-1} (1 - z q^(start + k)), truncated.
 
     With start=1 this is the shifted product (zq;q)_count as a series in q.
-    count=0 gives the empty product 1.
+    count=0 gives the empty product 1.  The coefficients lie in the ring of z.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    zero = ring.zero
+    _check_order(order)
+    zero = z * 0
+    one = zero + 1
     out = [zero] * (order + 1)
-    out[0] = ring.one
+    out[0] = one
     for k in range(count):
         e = start + k
         if e > order:
             break
         if e == 0:
             # constant factor (1 - z)
-            w = ring.one - z
+            w = one - z
             for n in range(order + 1):
-                if out[n] != zero:
+                if out[n]:
                     out[n] = out[n] * w
             continue
         for n in range(order, e - 1, -1):
             c = out[n - e]
-            if c != zero:
+            if c:
                 out[n] = out[n] - z * c
-    return TruncatedSeries(tuple(out), ring)
+    return TruncatedSeries(tuple(out))
 
 
-def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1,
-          ring: CoefficientRing = INTEGER_RING) -> TruncatedSeries:
+def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1) -> TruncatedSeries:
     """Bilateral theta sum of (sign_r q^r)^(n(n+1)/2) (sign_s q^s)^(n(n-1)/2).
 
     With the default signs this is f(-q^r, -q^s), whose n-th term carries
     sign (-1)^n; theta(1, 2, N) is the Euler product (q;q)_inf, by
     Euler's pentagonal number theorem.  Exponents r, s must
-    be nonnegative and not both zero so the bilateral sum truncates.
+    be nonnegative and not both zero so the bilateral sum truncates.  The
+    coefficients are ints.
     """
     if sign_r not in (1, -1) or sign_s not in (1, -1):
         raise ValueError("signs must be +1 or -1")
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("exponents must be nonnegative and not both zero")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    zero = ring.zero
-    out = [zero] * (order + 1)
+    _check_order(order)
+    out = [0] * (order + 1)
 
     def tri(k: int) -> int:
         return k * (k + 1) // 2
@@ -338,7 +328,7 @@ def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1,
             sign = -sign
         if sign_s == -1 and tri(n - 1) % 2:
             sign = -sign
-        out[e] = out[e] + ring.from_int(sign)
+        out[e] += sign
         return True
 
     accumulate(0)
@@ -350,14 +340,13 @@ def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1,
     n = -1
     while accumulate(n):
         n -= 1
-    return TruncatedSeries(tuple(out), ring)
+    return TruncatedSeries(tuple(out))
 
 
 def partition_gf(order: int) -> TruncatedSeries:
     """Generating function of the partition numbers: 1/(q;q)_inf, read from
     the cached p(n) of the pentagonal recurrence rather than inverted."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_order(order)
     return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
 
 
@@ -500,18 +489,20 @@ def _laurent_series(build: Callable[[int, int, int], list[int]], order: int) -> 
             if c:
                 rows[n][e] = c
     # each row has one entry per exponent and no zero: canonical as it stands
-    return TruncatedSeries([LaurentPoly._raw(row) for row in rows], LAURENT_RING)
+    return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
 
 
 def crank_coordinates(order: int, modulus: Modulus, root: int = 1) -> tuple[tuple, ...]:
-    """crank_gf(order, modulus) after a -> a^root, as d integer columns c_i,
-    d the degree of the modulus: the q^n coefficient is sum_i c_i[n] a^i.
+    """The crank series in Z[a]/(modulus) after a -> a^root, as d integer
+    columns c_i, d the degree of the modulus: the q^n coefficient is
+    sum_i c_i[n] a^i.  This is the one quotient-ring route to the crank.
 
     The kernel runs once per modulus (held at the largest order so far) in
     Z[a]/(a^M - 1), which maps onto the quotient, if a has an order M <= 2N
     there, else at the Laurent size 2N+1, where class j > N holds a^(j-2N-1).
     Class j adds in the residue of a^(root*j); the columns are held per
-    (modulus, root)."""
+    (modulus, root).  Only a build at the Laurent size is capped, at
+    LAURENT_CRANK_CAP, and refused before any work."""
     _check_crank_cap(order, modulus)
 
     def run(n: int) -> tuple[list[QuotientElem] | None, list[list[int]]]:
@@ -535,25 +526,17 @@ def crank_coordinates(order: int, modulus: Modulus, root: int = 1) -> tuple[tupl
     return tuple(c[:order + 1] for c in held)
 
 
-def crank_gf(order: int, modulus: Modulus | None = None) -> TruncatedSeries:
+def crank_gf(order: int) -> TruncatedSeries:
     """Crank generating function (q;q)_inf / ((aq;q)_inf (q/a;q)_inf).
 
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
-    conventions at n <= 1).  Given a modulus, each coefficient is instead
-    its residue in Z[a]/(modulus), from crank_coordinates.  A build that
-    would run at Laurent size (no modulus, or one in which a has no order
-    M <= 2N) is refused beyond LAURENT_CRANK_CAP before any work; quotient
-    builds in which a has such an order are not capped.
+    conventions at n <= 1).  The build runs at Laurent size and is refused
+    beyond LAURENT_CRANK_CAP before any work; crank_coordinates gives the
+    series in a quotient ring.
     """
-    _check_crank_cap(order, modulus)
-    if modulus is None:
-        built = largest(("crank", None), order, lambda n: _laurent_series(_packed_crank, n))
-    else:
-        built = largest(("crank", modulus), order, lambda n: TruncatedSeries(
-            [QuotientElem._raw(vec, modulus) for vec in zip(*crank_coordinates(n, modulus))],
-            quotient_ring(modulus)))
-    return built.truncate(order)
+    _check_crank_cap(order, None)
+    return largest(("crank",), order, lambda n: _laurent_series(_packed_crank, n)).truncate(order)
 
 
 def rank_gf(order: int) -> TruncatedSeries:

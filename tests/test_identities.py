@@ -20,7 +20,7 @@ from qdissect.identities import (
 )
 from qdissect.identities import _rhs_coordinates
 from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
-from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem, quotient_ring
+from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, pochhammer_inf, theta
 
 
@@ -173,22 +173,24 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
 
 
 # oracle: the right-hand sides built with every factor, product and inverse
-# in the quotient ring itself
+# in the quotient ring itself; the integer theta series are lifted into it
+def lifted_theta(modulus, r, s, order):
+    return theta(r, s, order).map_coefficients(modulus.from_int)
+
+
 def quotient_rhs_2(order):
-    ring = quotient_ring(PHI8)
-    inv = pochhammer_inf(ring.from_int(-1), 4, 4, order, ring).inverse()
-    even = theta(6, 10, order, ring=ring) * inv
-    odd = theta(2, 14, order, ring=ring) * inv
+    inv = pochhammer_inf(PHI8.from_int(-1), 4, 4, order).inverse()
+    even = lifted_theta(PHI8, 6, 10, order) * inv
+    odd = lifted_theta(PHI8, 2, 14, order) * inv
     weight = PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
     return even + odd.map_coefficients(lambda c: c * weight).shift(1)
 
 
 def quotient_rhs_3(order):
-    ring = quotient_ring(PHI9)
-    t_a = theta(6, 21, order, ring=ring)
-    t_b = theta(12, 15, order, ring=ring)
-    t_c = theta(3, 24, order, ring=ring)
-    inv = pochhammer_inf(ring.one, 27, 27, order, ring).inverse()
+    t_a = lifted_theta(PHI9, 6, 21, order)
+    t_b = lifted_theta(PHI9, 12, 15, order)
+    t_c = lifted_theta(PHI9, 3, 24, order)
+    inv = pochhammer_inf(PHI9.one(), 27, 27, order).inverse()
     w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
     w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
     return (t_a * t_b
@@ -197,10 +199,9 @@ def quotient_rhs_3(order):
 
 
 def quotient_rhs_5(order, r):
-    ring = quotient_ring(PHI5)
-    t1 = theta(10, 15, order, ring=ring)
-    t2 = theta(5, 20, order, ring=ring)
-    t5sq = theta(25, 50, order, ring=ring) * theta(25, 50, order, ring=ring)
+    t1 = lifted_theta(PHI5, 10, 15, order)
+    t2 = lifted_theta(PHI5, 5, 20, order)
+    t5sq = lifted_theta(PHI5, 25, 50, order) * lifted_theta(PHI5, 25, 50, order)
     w1 = PHI5.project(LaurentPoly({2 * r: 1, 0: 2, -2 * r: 1}))
     w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))
     w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))
@@ -225,23 +226,23 @@ def test_integer_route_rhs_equals_quotient_ring_construction():
 # oracle: the left-hand side mapped coefficient by coefficient, and the
 # first mismatch and perturbation over quotient-ring series
 def mapped_crank(order, modulus, root):
-    return crank_gf(order, modulus).map_coefficients(
-        lambda c: modulus.project(c.as_laurent().substitute_power(root)))
+    return crank_gf(order).map_coefficients(
+        lambda c: modulus.project(c.substitute_power(root)))
 
 
 def oracle_perturbed(series, power):
     if power is None:
         return series
     coeffs = list(series.coefficients)
-    coeffs[power] = coeffs[power] + series.ring.one
-    return TruncatedSeries(coeffs, series.ring)
+    coeffs[power] = coeffs[power] + 1
+    return TruncatedSeries(coeffs)
 
 
 def oracle_first_mismatch(expected, actual):
     for n in range(min(expected.order, actual.order) + 1):
         e, a = expected.coefficient(n), actual.coefficient(n)
         if e != a:
-            return FailureWitness(n, str(e), str(a), expected.ring.name)
+            return FailureWitness(n, str(e), str(a), f"quotient({e.modulus})")
     return None
 
 

@@ -4,20 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdissect import memo, series
-from qdissect.ring import (
-    INTEGER_RING,
-    LAURENT_RING,
-    PHI5,
-    PHI8,
-    PHI9,
-    LaurentPoly,
-    Modulus,
-    QuotientElem,
-    quotient_ring,
-)
+from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.series import (
     LAURENT_CRANK_CAP,
     TruncatedSeries,
+    crank_coordinates,
     crank_gf,
     euler_product,
     partition_gf,
@@ -33,7 +24,17 @@ A_INV = LaurentPoly.monomial(1, -1)
 
 
 def S(*coeffs):
-    return TruncatedSeries(coeffs, INTEGER_RING)
+    return TruncatedSeries(coeffs)
+
+
+def laurent(series):
+    """An integer series with its coefficients lifted to Laurent constants."""
+    return series.map_coefficients(LaurentPoly.monomial)
+
+
+def quotient_series(columns, modulus):
+    """The series over Z[a]/(modulus) whose coordinates are the columns."""
+    return TruncatedSeries(QuotientElem(v, modulus) for v in zip(*columns))
 
 
 # independent oracle: the literal product (1-q)(1-q^2)...(1-q^N) on int lists
@@ -59,27 +60,33 @@ def count_partitions(n, m=None):
 # multiply, over the Laurent polynomials
 @cache
 def crank_by_inverses(order):
-    euler = euler_product(order, LAURENT_RING)
-    den1 = pochhammer_inf(A, 1, 1, order, LAURENT_RING)
-    den2 = pochhammer_inf(A_INV, 1, 1, order, LAURENT_RING)
-    return euler * den1.inverse() * den2.inverse()
+    den1 = pochhammer_inf(A, 1, 1, order)
+    den2 = pochhammer_inf(A_INV, 1, 1, order)
+    return laurent(euler_product(order)) * den1.inverse() * den2.inverse()
 
 
 def expected_crank(order, modulus):
-    laurent = crank_by_inverses(40).truncate(order)
+    series = crank_by_inverses(40).truncate(order)
     if modulus is None:
-        return laurent
-    return laurent.map_coefficients(modulus.project, quotient_ring(modulus))
+        return series
+    return series.map_coefficients(modulus.project)
+
+
+def built_crank(order, modulus):
+    """The Laurent crank series, or the one quotient-ring route for a modulus."""
+    if modulus is None:
+        return crank_gf(order)
+    return quotient_series(crank_coordinates(order, modulus), modulus)
 
 
 # independent oracle: the rank series term by term, each term by inverting
 # the two finite products
 def rank_by_inverses(order):
-    total = TruncatedSeries.one(order, LAURENT_RING)
+    total = laurent(TruncatedSeries.one(order))
     n = 1
     while n * n <= order:
-        d1 = pochhammer_fin(A, n, order, start=1, ring=LAURENT_RING)
-        d2 = pochhammer_fin(A_INV, n, order, start=1, ring=LAURENT_RING)
+        d1 = pochhammer_fin(A, n, order, start=1)
+        d2 = pochhammer_fin(A_INV, n, order, start=1)
         total = total + (d1.inverse() * d2.inverse()).shift(n * n).truncate(order)
         n += 1
     return total
@@ -104,9 +111,7 @@ def fresh_crank_cache(monkeypatch):
     return builds
 
 
-int_series = st.lists(st.integers(-9, 9), min_size=1, max_size=24).map(
-    lambda cs: TruncatedSeries(cs, INTEGER_RING)
-)
+int_series = st.lists(st.integers(-9, 9), min_size=1, max_size=24).map(TruncatedSeries)
 
 
 # --- arithmetic ---------------------------------------------------------------
@@ -124,8 +129,9 @@ def test_add_and_truncation_to_smaller_order():
 
 
 def test_ring_mismatch_rejected():
-    x = S(1, 1)
-    y = TruncatedSeries((LaurentPoly.ONE, A), LAURENT_RING)
+    # residues of different moduli never mix, so neither do their series
+    x = S(1, 1).map_coefficients(PHI5.from_int)
+    y = S(1, 1).map_coefficients(PHI8.from_int)
     with pytest.raises(ValueError):
         x + y
     with pytest.raises(ValueError):
@@ -135,6 +141,14 @@ def test_ring_mismatch_rejected():
 def test_equality_needs_same_order():
     assert S(1, 2) != S(1, 2, 0)
     assert S(1, 2) == S(1, 2)
+
+
+def test_hash_agrees_with_equality():
+    # equal coefficients compare and hash equal whatever ring carries them
+    lifted = laurent(S(1, 2, 0))
+    assert lifted == S(1, 2, 0) and hash(lifted) == hash(S(1, 2, 0))
+    assert len({S(1, 2, 0), lifted, S(1, 2, 0).map_coefficients(PHI5.from_int)}) == 1
+    assert len({S(1, 2), S(1, 2, 0)}) == 2
 
 
 def test_shift_truncate_scale():
@@ -152,7 +166,12 @@ def test_coefficient_bounds_checked():
     with pytest.raises(ValueError):
         S(1, 2).coefficient(3)
     with pytest.raises(ValueError):
-        TruncatedSeries((), INTEGER_RING)
+        TruncatedSeries(())
+    for constructor in (TruncatedSeries.one, TruncatedSeries.zero):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            constructor(-1)
+    assert TruncatedSeries.one(0) == S(1)
+    assert TruncatedSeries.zero(0) == S(0)
 
 
 # --- inversion -----------------------------------------------------------------
@@ -179,36 +198,37 @@ def test_invert_requires_unit_constant():
         S(2, 1).inverse()
     with pytest.raises(ValueError):
         S(0, 1).inverse()
+    # only 1 and -1 are inverted, in every ring
+    for c0 in (A, -LaurentPoly.monomial(1, 3), A + 1, PHI5.project(A)):
+        with pytest.raises(ValueError, match="is not 1 or -1"):
+            TruncatedSeries((c0, A)).inverse()
 
 
 @given(int_series)
 def test_invert_roundtrip(x):
     coeffs = (1,) + x.coefficients[1:]
-    x = TruncatedSeries(coeffs, INTEGER_RING)
+    x = TruncatedSeries(coeffs)
     assert x * x.inverse() == TruncatedSeries.one(x.order)
 
 
 def test_invert_roundtrip_laurent_unit_constant():
-    x = TruncatedSeries((LaurentPoly.monomial(-1, 3), A, LaurentPoly({2: 5, 0: 1})),
-                        LAURENT_RING)
-    assert x * x.inverse() == TruncatedSeries.one(2, LAURENT_RING)
-
-
-def test_quotient_inverse_inverts_constant_term_once(monkeypatch):
-    calls = []
-    original = QuotientElem.inverse
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(QuotientElem, "inverse", counting)
-    ring = quotient_ring(PHI5)
-    a = PHI5.project(A)
-    x = TruncatedSeries((ring.one + a, a, ring.from_int(3), a * a), ring)
+    x = TruncatedSeries((-LaurentPoly.ONE, A, LaurentPoly({2: 5, 0: 1}), A_INV))
     y = x.inverse()
-    assert len(calls) == 1
-    assert x * y == TruncatedSeries.one(3, ring)
+    assert all(type(c) is LaurentPoly for c in y.coefficients)
+    assert x * y == laurent(TruncatedSeries.one(3))
+
+
+def test_series_stay_in_the_ring_of_their_coefficients():
+    a5 = PHI5.project(A)
+    for cls, x in ((LaurentPoly, TruncatedSeries((LaurentPoly.ONE, A, A_INV, 2 * A))),
+                   (QuotientElem, TruncatedSeries((PHI5.one(), a5, a5 * a5, -a5)))):
+        derived = [x.shift(2), x.substitute_power(3, 8), x * x, x.inverse(), -x, x + x,
+                   reassemble(x.dissect(2), x.order), *x.dissect(5)]
+        z = A if cls is LaurentPoly else a5
+        derived += [pochhammer_inf(z, 1, 2, 6), pochhammer_fin(z, 3, 6),
+                    pochhammer_fin(z, 2, 6, start=1)]
+        for series in derived:
+            assert all(type(c) is cls for c in series.coefficients), series
 
 
 # --- substitution and dissection --------------------------------------------------
@@ -262,32 +282,32 @@ def test_euler_equals_its_theta_form():
 
 def test_pochhammer_inf_examples():
     assert pochhammer_inf(1, 1, 1, 30) == euler_product(30)
-    x = pochhammer_inf(A, 1, 1, 2, ring=LAURENT_RING)
+    x = pochhammer_inf(A, 1, 1, 2)
     assert x == TruncatedSeries(
-        (LaurentPoly.ONE, LaurentPoly.monomial(-1, 1), LaurentPoly.monomial(-1, 1)),
-        LAURENT_RING,
-    )
+        (LaurentPoly.ONE, LaurentPoly.monomial(-1, 1), LaurentPoly.monomial(-1, 1)))
     # frozen from (1+q^2)(1+q^4)(1+q^6) by hand
     assert pochhammer_inf(-1, 2, 2, 6) == S(1, 0, 1, 0, 1, 0, 2)
     with pytest.raises(ValueError):
         pochhammer_inf(1, 0, 1, 5)
     with pytest.raises(ValueError):
         pochhammer_inf(1, 1, 0, 5)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        pochhammer_inf(1, 1, 1, -1)
 
 
 def test_pochhammer_fin_examples():
     assert pochhammer_fin(1, 0, 6) == TruncatedSeries.one(6)
-    one_factor = pochhammer_fin(A, 1, 3, start=1, ring=LAURENT_RING)
+    one_factor = pochhammer_fin(A, 1, 3, start=1)
     assert one_factor.coefficient(1) == LaurentPoly.monomial(-1, 1)
     # frozen from (1-aq)(1-aq^2) by hand
-    two = pochhammer_fin(A, 2, 3, start=1, ring=LAURENT_RING)
+    two = pochhammer_fin(A, 2, 3, start=1)
     assert two == TruncatedSeries(
         (LaurentPoly.ONE, LaurentPoly.monomial(-1, 1), LaurentPoly.monomial(-1, 1),
-         LaurentPoly.monomial(1, 2)),
-        LAURENT_RING,
-    )
+         LaurentPoly.monomial(1, 2)))
     # start=0 multiplies in the constant factor (1 - z)
     assert pochhammer_fin(1, 1, 2, start=0) == S(0, 0, 0)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        pochhammer_fin(1, 1, -1)
 
 
 def test_theta_examples():
@@ -355,36 +375,35 @@ def test_rank_gf_matches_inverse_product():
 
 @pytest.mark.parametrize("modulus", (PHI8, PHI9, PHI5))
 @pytest.mark.parametrize("order", (0, 1, 2, 17, 40))
-def test_crank_gf_in_quotient_ring_equals_projection(modulus, order):
-    built = crank_gf(order, modulus)
-    assert built.ring is quotient_ring(modulus)
-    assert built == crank_gf(order).map_coefficients(modulus.project, quotient_ring(modulus))
+def test_crank_coordinates_equal_the_projection(modulus, order):
+    built = built_crank(order, modulus)
+    assert all(type(c) is QuotientElem for c in built.coefficients)
+    assert built == crank_gf(order).map_coefficients(modulus.project)
     assert built == expected_crank(order, modulus)
 
 
 @pytest.mark.parametrize("order", (0, 1, 2, 17, 40))
-def test_crank_gf_at_one_is_partition_gf(order):
-    at_one = [c.residue[0] for c in crank_gf(order, AT_ONE).coefficients]
-    assert at_one == list(partition_gf(order).coefficients)
+def test_crank_at_one_is_partition_gf(order):
+    (at_one,) = crank_coordinates(order, AT_ONE)
+    assert at_one == partition_gf(order).coefficients
 
 
 @pytest.mark.parametrize("root", (2, 3, 4))
 def test_galois_map_on_phi5_series(root):
     # a -> a^root on the residues in Z[a]/Phi5 agrees with substituting in
     # the Laurent polynomials first and projecting afterwards
-    mapped = crank_gf(40, PHI5).map_coefficients(
+    mapped = built_crank(40, PHI5).map_coefficients(
         lambda c: PHI5.project(c.as_laurent().substitute_power(root))
     )
-    direct = crank_gf(40).map_coefficients(
-        lambda c: PHI5.project(c.substitute_power(root)), quotient_ring(PHI5)
-    )
+    direct = crank_gf(40).map_coefficients(lambda c: PHI5.project(c.substitute_power(root)))
     assert mapped == direct
+    assert quotient_series(crank_coordinates(40, PHI5, root), PHI5) == direct
 
 
 @pytest.mark.parametrize("modulus", TARGETS)
 def test_crank_cache_large_then_small(fresh_crank_cache, modulus):
-    big = crank_gf(30, modulus)
-    small = crank_gf(12, modulus)
+    big = built_crank(30, modulus)
+    small = built_crank(12, modulus)
     assert fresh_crank_cache == [30]          # the small one is a slice
     assert small == big.truncate(12) == expected_crank(12, modulus)
     assert big == expected_crank(30, modulus)
@@ -392,26 +411,27 @@ def test_crank_cache_large_then_small(fresh_crank_cache, modulus):
 
 @pytest.mark.parametrize("modulus", TARGETS)
 def test_crank_cache_small_then_large(fresh_crank_cache, modulus):
-    small = crank_gf(12, modulus)
-    big = crank_gf(30, modulus)
+    small = built_crank(12, modulus)
+    big = built_crank(30, modulus)
     assert fresh_crank_cache == [12, 30]
     assert big == expected_crank(30, modulus)
     assert big.truncate(12) == small
-    assert crank_gf(20, modulus) == expected_crank(20, modulus)
+    assert built_crank(20, modulus) == expected_crank(20, modulus)
     assert fresh_crank_cache == [12, 30]
 
 
-def test_crank_cache_keeps_each_ring(fresh_crank_cache):
-    crank_gf(30, PHI8)
-    crank_gf(20, PHI9)
-    crank_gf(10, PHI8)
-    crank_gf(25, PHI9)
+def test_crank_cache_keeps_each_modulus(fresh_crank_cache):
+    crank_coordinates(30, PHI8)
+    crank_coordinates(20, PHI9)
+    crank_coordinates(10, PHI8)
+    crank_coordinates(25, PHI9)
     crank_gf(5)
     assert fresh_crank_cache == [30, 20, 25, 5]
     assert {key[1]: order for key, (order, _) in memo._held.items()
-            if key[0] == "crank"} == {PHI8: 30, PHI9: 25, None: 5}
+            if key[0] == "crank-classes"} == {PHI8: 30, PHI9: 25}
+    assert memo._held[("crank",)][0] == 5
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
-        assert crank_gf(order, modulus) == expected_crank(order, modulus)
+        assert built_crank(order, modulus) == expected_crank(order, modulus)
     assert fresh_crank_cache == [30, 20, 25, 5]
 
 
@@ -421,22 +441,19 @@ def test_crank_cache_keeps_each_ring(fresh_crank_cache):
 def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus, roots):
     # every order from an empty memo, so the small ones build at them: where
     # a's order exceeds 2N the kernel runs at the Laurent size
-    laurent = crank_gf(40)
+    laurent_crank = crank_gf(40)
     for order in range(41):
         monkeypatch.setattr(memo, "_held", {})
         for root in roots:
             expected = [modulus.project(c.substitute_power(root)).residue
-                        for c in laurent.truncate(order).coefficients]
+                        for c in laurent_crank.truncate(order).coefficients]
             assert list(zip(*series.crank_coordinates(order, modulus, root))) == expected
-        assert [c.residue for c in crank_gf(order, modulus).coefficients] == [
-            modulus.project(c).residue for c in laurent.truncate(order).coefficients]
 
 
 def test_roots_share_one_crank_build(fresh_crank_cache):
     for order in (30, 60, 45):
         for root in (1, 2, 3, 4):
             series.crank_coordinates(order, PHI5, root)
-    crank_gf(50, PHI5)
     assert fresh_crank_cache == [30, 60]
 
 
@@ -460,8 +477,8 @@ def test_digit_bits_cover_the_coefficient_bound(order):
 
 
 def test_crank_gf_at_one_is_partition_gf_at_high_order():
-    at_one = [c.residue[0] for c in crank_gf(200, AT_ONE).coefficients]
-    assert at_one == list(partition_gf(200).coefficients)
+    (at_one,) = crank_coordinates(200, AT_ONE)
+    assert at_one == partition_gf(200).coefficients
 
 
 def test_rank_gf_at_one_is_partition_gf():
@@ -483,17 +500,17 @@ def test_laurent_crank_gf_at_high_order():
 def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache):
     # a has infinite order modulo a^2 - a - 1, so that build would run with
     # 2N+1 classes, as the Laurent one does
-    for modulus in (None, FIBONACCI):
-        with pytest.raises(ValueError, match="Laurent crank cap"):
-            crank_gf(LAURENT_CRANK_CAP + 1, modulus)
+    with pytest.raises(ValueError, match="Laurent crank cap"):
+        crank_gf(LAURENT_CRANK_CAP + 1)
+    with pytest.raises(ValueError, match="Laurent crank cap"):
+        crank_coordinates(LAURENT_CRANK_CAP + 1, FIBONACCI)
     assert fresh_crank_cache == []                 # refused before any work
-    assert crank_gf(LAURENT_CRANK_CAP + 1, PHI5).order == LAURENT_CRANK_CAP + 1
+    columns = crank_coordinates(LAURENT_CRANK_CAP + 1, PHI5)
+    assert [len(c) for c in columns] == [LAURENT_CRANK_CAP + 2] * PHI5.degree
 
 
-def test_crank_gf_where_a_has_infinite_order():
-    built = crank_gf(30, FIBONACCI)
-    assert built.ring is quotient_ring(FIBONACCI)
-    assert built == expected_crank(30, FIBONACCI)
+def test_crank_coordinates_where_a_has_infinite_order():
+    assert built_crank(30, FIBONACCI) == expected_crank(30, FIBONACCI)
 
 
 def test_gf_cache_consistency():
@@ -506,14 +523,14 @@ def test_gf_cache_consistency():
 # --- quotient-ring series ----------------------------------------------------------
 
 def test_series_over_quotient_ring():
-    ring = quotient_ring(PHI5)
-    x = theta(5, 20, 25, ring=ring)
+    x = theta(5, 20, 25).map_coefficients(PHI5.from_int)
     y = x * x.inverse()
-    assert y == TruncatedSeries.one(25, ring)
+    assert all(type(c) is QuotientElem for c in y.coefficients)
+    assert y == TruncatedSeries.one(25).map_coefficients(PHI5.from_int)
 
 
 def test_str_rendering():
     assert str(S(1, -1, 0, 2)) == "1 - q + 2*q^3 + O(q^4)"
     lam = LaurentPoly({1: 1, 0: -1, -1: 1})
-    x = TruncatedSeries((LaurentPoly.ONE, lam), LAURENT_RING)
+    x = TruncatedSeries((LaurentPoly.ONE, lam))
     assert str(x) == "1 + (a - 1 + a^-1)*q + O(q^2)"
