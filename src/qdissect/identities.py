@@ -9,9 +9,10 @@ witness.  The 2-, 3- and 5-dissections share one verifier body and are
 checked in the cyclotomic quotient rings Z[a]/(a^4+1), Z[a]/(a^6+a^3+1) and
 Z[a]/(a^4+a^3+a^2+a+1), after rescaling q so that every exponent is
 integral, with one integer column per coordinate a^0..a^(d-1).  Their
-integer series and weighted sums are kept at the largest order built so far
-in :mod:`qdissect.memo` and sliced down, as ``series.crank_coordinates``
-keeps the crank side.
+right-hand sides are kept at the largest order built so far in
+:mod:`qdissect.memo` and sliced down, as ``series.crank_coordinates`` keeps
+the crank side.  Both sides are built once, at the root a itself; the
+5-dissection's other primitive roots a -> a^r map only a failure witness.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the
@@ -99,7 +100,7 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
 def _check_perturb_power(power: int | None, order: int) -> None:
     # every verifier calls this before any work, so a self-test that could
     # not perturb anything is refused instead of reporting a pass
-    if power is not None and not 0 <= power <= order:
+    if power is not None and (type(power) is not int or not 0 <= power <= order):
         raise ValueError(f"perturbation power {power} outside order {order}")
 
 
@@ -214,8 +215,6 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
     return _report(f"equidist-{statistic}-{modulus}", n_max, witness, started)
 
 
-
-
 # ---------------------------------------------------------------------------
 # dissections in the cyclotomic quotient rings, in integer coordinates
 
@@ -259,22 +258,20 @@ _DISSECTIONS = {
 }
 
 
-def _rhs_coordinates(identity: str, order: int, root: int) -> Columns:
-    """The coordinates of sum_k q^k w_k S_k with a -> a^root in the weights:
-    the S_k are held per identity, the sum per (identity, root)."""
+def _rhs_coordinates(identity: str, order: int) -> Columns:
+    """The coordinates of sum_k q^k w_k S_k, held per identity."""
     _, modulus, weights, parts = _DISSECTIONS[identity]
 
     def build(n: int) -> Columns:
         columns = [[0] * (n + 1) for _ in range(modulus.degree)]
-        for k, (weight, part) in enumerate(zip(weights, largest((identity,), n, parts))):
-            residue = modulus.project(weight.substitute_power(root)).residue
-            for column, w in zip(columns, residue):
+        for k, (weight, part) in enumerate(zip(weights, parts(n))):
+            for column, w in zip(columns, modulus.project(weight).residue):
                 if w:
                     for j, c in enumerate(part.coefficients[:n + 1 - k], k):
                         column[j] += w * c
         return tuple(map(tuple, columns))
 
-    return tuple(c[:order + 1] for c in largest((identity, root), order, build))
+    return tuple(c[:order + 1] for c in largest((identity,), order, build))
 
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
@@ -284,10 +281,16 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
         raise ValueError(f"order must be a positive multiple of {m}")
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    lhs = crank_coordinates(order, modulus, root)
-    rhs = _perturbed(_rhs_coordinates(identity, order, root), perturb_power)
-    witness = _first_mismatch(lhs, rhs, lambda values: str(QuotientElem(values, modulus)),
-                              f"quotient({modulus})")
+    lhs = crank_coordinates(order, modulus)
+    rhs = _perturbed(_rhs_coordinates(identity, order), perturb_power)
+    # both sides are compared at the root a itself: a -> a^root is a ring
+    # automorphism, so they agree after it exactly where they agree before,
+    # and it fixes the one that _perturbed adds; it maps only the witness
+    witness = _first_mismatch(
+        lhs, rhs,
+        lambda values: str(modulus.project(
+            QuotientElem(values, modulus).as_laurent().substitute_power(root))),
+        f"quotient({modulus})")
     return _report(identity, order, witness, started)
 
 
@@ -310,11 +313,11 @@ def verify_5_dissection(order: int, root_power: int = 1,
     powers.
 
     root_power selects which primitive 5th root the symbol plays
-    (a -> a^root_power); the identity holds for all four.  The theta
-    quotients are built once for all four; only the weights and the map of
-    the crank series depend on the root.
+    (a -> a^root_power); the identity holds for all four.  The map is an
+    automorphism of the ring, so both sides are built and compared once, at
+    root 1, and only a failure witness is mapped to the chosen root.
     """
-    if root_power not in FIFTH_ROOTS:
+    if type(root_power) is not int or root_power not in FIFTH_ROOTS:
         raise ValueError("root_power must be 1, 2, 3 or 4")
     return _verify_dissection("dissection-5", order, perturb_power, root_power)
 
@@ -329,8 +332,8 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     started = time.perf_counter()
     witness = None
 
-    # the root-1 right-hand side that dissection-5 holds
-    rhs = _rhs_coordinates("dissection-5", order, 1)
+    # the right-hand side that dissection-5 holds
+    rhs = _rhs_coordinates("dissection-5", order)
     for n in range(4, order + 1, 5):
         values = tuple(c[n] for c in rhs)
         if any(values):
@@ -339,7 +342,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
             break
 
     if witness is None:
-        at_one = crank_coordinates(order, _AT_ONE, 1)
+        at_one = crank_coordinates(order, _AT_ONE)
         witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
                                   lambda values: str(values[0]), "integer")
 

@@ -5,11 +5,9 @@ whose value at a smaller order is a prefix of its value at a larger one, so
 one entry per key serves every request up to the order it was built at; the
 caller slices it down.  Keys name the object and what it depends on besides
 the order: ``("crank",)`` and ``("rank",)`` (the Laurent series), ``("table",
-kind)``, ``("crank-classes", modulus)`` (the crank kernel's classes, with
-a^0..a^(M-1) if they are the classes of a^M = 1), ``("crank-coordinates",
-modulus, root)`` (the crank series' coordinates after a -> a^root), and per
-dissection ``(identity,)`` (its integer series S_k) and ``(identity, root)``
-(the coordinates of its right-hand side).
+kind)``, ``("crank-coordinates", modulus)`` (the crank series' coordinates in
+Z[a]/(modulus)) and per dissection ``(identity,)`` (the coordinates of its
+right-hand side).
 ``largest`` itself refuses a negative order for every key.  Any other
 refusal must run before ``largest`` is called: one at the start of
 ``build`` runs only on a miss, so a held entry would answer a request it

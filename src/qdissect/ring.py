@@ -306,8 +306,10 @@ PHI5 = Modulus((1, 1, 1, 1, 1))            # a^4 + a^3 + a^2 + a + 1
 class QuotientElem:
     """Canonical residue in Z[a]/(m(a)): a dense degree-0..d-1 coefficient vector.
 
-    Equality and hashing are O(d) on the canonical form.  Mixing elements of
-    different moduli raises ValueError.
+    Equality and hashing are O(d) on the canonical form.  A constant equals,
+    and hashes as, the int it names, so it also equals a constant Laurent
+    polynomial and the same constant of any modulus.  Arithmetic that mixes
+    elements of different moduli raises ValueError.
     """
 
     __slots__ = ("_residue", "_modulus")
@@ -345,11 +347,13 @@ class QuotientElem:
         return any(self._residue)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._modulus.from_int(other)
-        if not isinstance(other, QuotientElem):
+        if isinstance(other, QuotientElem) and self._modulus == other._modulus:
+            return self._residue == other._residue
+        if not isinstance(other, (int, LaurentPoly, QuotientElem)):
             return NotImplemented
-        return self._modulus == other._modulus and self._residue == other._residue
+        # across rings only constants compare, as the ints they hash as
+        r = self._residue
+        return not any(r[1:]) and r[0] == other
 
     def __hash__(self):
         # a constant hashes as the int it equals

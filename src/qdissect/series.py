@@ -20,7 +20,8 @@ division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
 additions per class.  M is 2N+1 for the Laurent polynomials, or the
 multiplicative order of ``a`` in a quotient ring Z[a]/(m(a)); the classes
 are read back once, as Laurent exponents or, in a quotient ring, as its
-integer coordinates (``crank_coordinates``, the one quotient-ring route).
+integer coordinates (``crank_coordinates``, the one quotient-ring route,
+held once per modulus).
 """
 
 from __future__ import annotations
@@ -492,29 +493,25 @@ def _laurent_series(build: Callable[[int, int, int], list[int]], order: int) -> 
     return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
 
 
-def crank_coordinates(order: int, modulus: Modulus, root: int = 1) -> tuple[tuple, ...]:
-    """The crank series in Z[a]/(modulus) after a -> a^root, as d integer
-    columns c_i, d the degree of the modulus: the q^n coefficient is
-    sum_i c_i[n] a^i.  This is the one quotient-ring route to the crank.
+def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
+    """The crank series in Z[a]/(modulus) as d integer columns c_i, d the
+    degree of the modulus: the q^n coefficient is sum_i c_i[n] a^i.  This is
+    the one quotient-ring route to the crank.
 
-    The kernel runs once per modulus (held at the largest order so far) in
-    Z[a]/(a^M - 1), which maps onto the quotient, if a has an order M <= 2N
-    there, else at the Laurent size 2N+1, where class j > N holds a^(j-2N-1).
-    Class j adds in the residue of a^(root*j); the columns are held per
-    (modulus, root).  Only a build at the Laurent size is capped, at
-    LAURENT_CRANK_CAP, and refused before any work."""
+    The kernel runs in Z[a]/(a^M - 1), which maps onto the quotient, if a has
+    an order M <= 2N there, else at the Laurent size 2N+1, where class j > N
+    holds a^(j-2N-1); class j adds in the residue of its power of a.  The
+    columns are held per modulus at the largest order so far.  Only a build
+    at the Laurent size is capped, at LAURENT_CRANK_CAP, and refused before
+    any work."""
     _check_crank_cap(order, modulus)
 
-    def run(n: int) -> tuple[list[QuotientElem] | None, list[list[int]]]:
+    def build(n: int) -> tuple[tuple, ...]:
         powers = _powers_of_a(modulus, 2 * n)
-        return powers, _unpacked(_packed_crank, n, 2 * n + 1 if powers is None else len(powers))
-
-    def project(n: int) -> tuple[tuple, ...]:
-        powers, classes = largest(("crank-classes", modulus), n, run)
+        classes = _unpacked(_packed_crank, n, 2 * n + 1 if powers is None else len(powers))
         size = len(classes)
-        images = [powers[root * e % size] if powers
-                  else modulus.project(LaurentPoly.monomial(1, root * e))
-                  for e in (j if 2 * j < size else j - size for j in range(size))]
+        images = powers or [modulus.project(LaurentPoly.monomial(1, e))
+                            for e in (j if 2 * j < size else j - size for j in range(size))]
         columns = [[0] * (n + 1) for _ in range(modulus.degree)]
         for image, values in zip(images, classes):
             for i, x in enumerate(image.residue):
@@ -522,8 +519,7 @@ def crank_coordinates(order: int, modulus: Modulus, root: int = 1) -> tuple[tupl
                     columns[i] = [y + x * c for y, c in zip(columns[i], values)]
         return tuple(map(tuple, columns))
 
-    held = largest(("crank-coordinates", modulus, root), order, project)
-    return tuple(c[:order + 1] for c in held)
+    return tuple(c[:order + 1] for c in largest(("crank-coordinates", modulus), order, build))
 
 
 def crank_gf(order: int) -> TruncatedSeries:

@@ -421,6 +421,14 @@ GOLDEN = [
      "464d33ece7d1d2163a41343b1b094c22029fb21317f841bf4fd66af6eda54914"),
     ("verify --identity dissection-5 --order 30 --n-root 4 --perturb-power 17 --format csv",
      "adce74902c76a561ec46090d08a33429d37c411969a3ae45ac8054e9510fbe6b"),
+    ("verify --identity dissection-5 --order 25 --n-root 1 --perturb-power 11",
+     "16aac262b138938028dc68a1a2953927ebb6bdbc9f486d3732e250d437b9b00d"),
+    ("verify --identity dissection-5 --order 25 --n-root 1 --perturb-power 11 --format csv",
+     "7dbe9cb9c70d7c551c59bf193b923da12351cef96f3380c39f278000ce49c5b2"),
+    ("verify --identity dissection-5 --order 25 --n-root 2 --perturb-power 11",
+     "55170f00667d7481b65fa673a34f2e977c228623fef6c2a80c4b8db720a4962f"),
+    ("verify --identity dissection-5 --order 25 --n-root 2 --perturb-power 11 --format csv",
+     "e032d72af6030e255a48238cf3e4d7a43a3748090942c634a1648d53d6d09ba8"),
     ("verify --identity component-4-vanishing --order 20",
      "e9763bbf07c6744c0647d4f21adbd5087bcabc5cb8f1b8318a4f891b40931980"),
     ("verify --identity rank-gf --order 12 --perturb-power 0",

@@ -55,8 +55,9 @@ def test_verify_rank_gf_passes():
                             for r in (2, 3, 4)])
 def test_perturbation_leaves_cached_table_intact(verify):
     # the verifiers share one cached table per statistic and held coordinates
-    # per dissection and root; a perturbed run must not write its corruption
-    # into either, and component-4-vanishing reads the root-1 right-hand side
+    # per dissection, for every root; a perturbed run must not write its
+    # corruption into either, and component-4-vanishing reads the same
+    # right-hand side
     for power in (0, 4, 30):
         assert verify(30, perturb_power=power).failure_witness.power == power
         assert verify(30).passed
@@ -216,11 +217,20 @@ def columns(series):
     return tuple(zip(*(c.residue for c in series.coefficients)))
 
 
+def mapped_columns(cols, modulus, root):
+    """Columns over Z[a]/(modulus) with a -> a^root applied to every coefficient."""
+    return tuple(zip(*(modulus.project(QuotientElem(v, modulus).as_laurent()
+                                       .substitute_power(root)).residue
+                       for v in zip(*cols))))
+
+
 def test_integer_route_rhs_equals_quotient_ring_construction():
-    assert _rhs_coordinates("dissection-2", 20, 1) == columns(quotient_rhs_2(20))
-    assert _rhs_coordinates("dissection-3", 21, 1) == columns(quotient_rhs_3(21))
+    assert _rhs_coordinates("dissection-2", 20) == columns(quotient_rhs_2(20))
+    assert _rhs_coordinates("dissection-3", 21) == columns(quotient_rhs_3(21))
+    # the other fifth roots are the automorphisms a -> a^r of the root-1 sum
+    at_root_1 = _rhs_coordinates("dissection-5", 20)
     for r in FIFTH_ROOTS:
-        assert _rhs_coordinates("dissection-5", 20, r) == columns(quotient_rhs_5(20, r))
+        assert mapped_columns(at_root_1, PHI5, r) == columns(quotient_rhs_5(20, r))
 
 
 # oracle: the left-hand side mapped coefficient by coefficient, and the
@@ -311,6 +321,25 @@ def test_perturbation_power_validated():
         verify_2_dissection(10, perturb_power=11)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+def test_perturb_and_root_powers_must_be_ints(monkeypatch, value):
+    # refused before any work: nothing is built, and a bool is not read as 0 or 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the arguments were checked")
+
+    monkeypatch.setattr(identities, "stat_table", refuse)
+    monkeypatch.setattr(identities, "crank_coordinates", refuse)
+    monkeypatch.setattr(identities, "_rhs_coordinates", refuse)
+    checks = [functools.partial(verify_5_dissection, 30, root_power=value)]
+    if value is not None:
+        checks += [functools.partial(verify, 30, perturb_power=value)
+                   for verify in (verify_crank_gf, verify_rank_gf, verify_2_dissection,
+                                  verify_3_dissection, verify_5_dissection)]
+    for check in checks:
+        with pytest.raises(ValueError):
+            check()
+
+
 def test_dissections_pass_at_every_intermediate_order():
     # truncation consistency: not just the headline orders; and each slice
     # of the held coordinates (immutable tuples) equals a build from an
@@ -321,8 +350,8 @@ def test_dissections_pass_at_every_intermediate_order():
         (verify_5_dissection, "dissection-5", PHI5, 100, 5),
     ):
         assert verify(top).passed                 # warms the caches
-        builds = {(identity, 1): lambda n: _rhs_coordinates(identity, n, 1),
-                  ("crank-coordinates", modulus, 1): lambda n: crank_coordinates(n, modulus, 1)}
+        builds = {(identity,): lambda n: _rhs_coordinates(identity, n),
+                  ("crank-coordinates", modulus): lambda n: crank_coordinates(n, modulus)}
         held = {key: memo._held[key] for key in builds}
         for held_order, coords in held.values():
             assert held_order == top
@@ -342,13 +371,15 @@ def test_dissections_pass_at_every_intermediate_order():
 @pytest.mark.parametrize("root", [2, 3, 4])
 def test_root_mapped_crank_series_held(monkeypatch, root):
     assert verify_5_dissection(60, root).passed
-    held_order, held = memo._held[("crank-coordinates", PHI5, root)]
+    held_order, held = memo._held[("crank-coordinates", PHI5)]
     assert held_order == 60
 
     # a warm request slices what is held: no ring or series arithmetic
     def refuse(*args, **kwargs):
         raise AssertionError("ring or series work on a warm request")
 
+    project, substitute_power = Modulus.project, LaurentPoly.substitute_power
+    projected = []
     with monkeypatch.context() as patched:
         for cls, attr in ((LaurentPoly, "substitute_power"), (Modulus, "project"),
                           (QuotientElem, "__mul__"), (TruncatedSeries, "__mul__"),
@@ -356,10 +387,18 @@ def test_root_mapped_crank_series_held(monkeypatch, root):
             patched.setattr(cls, attr, refuse)
         for order in (60, 30, 5):
             assert verify_5_dissection(order, root).passed
-        assert verify_5_dissection(30, root, perturb_power=7).failure_witness.power == 7
+        # a failing one maps its two witness coefficients to the root and
+        # projects them back, and does no other ring or series work
+        patched.setattr(LaurentPoly, "substitute_power", substitute_power)
+        patched.setattr(Modulus, "project",
+                        lambda self, p: projected.append(p) or project(self, p))
+        w = verify_5_dissection(30, root, perturb_power=11).failure_witness
+    assert len(projected) == 2
+    expected = mapped_crank(30, PHI5, root).coefficient(11)
+    assert (w.power, w.expected, w.actual) == (11, str(expected), str(expected + 1))
 
     for order in range(5, 61, 5):
-        assert tuple(c[:order + 1] for c in held) == columns(mapped_crank(order, PHI5, root))
+        assert tuple(c[:order + 1] for c in held) == columns(mapped_crank(order, PHI5, 1))
 
 
 def test_component_4_vanishing():

@@ -198,6 +198,30 @@ def test_constants_hash_as_the_ints_they_equal():
     assert {0: "zero"}[ZERO] == "zero"
 
 
+def test_constants_equal_across_rings():
+    # equality stays transitive, so a set holds one constant whatever the
+    # order it is filled in
+    for c in (0, 3, -2**70):
+        values = (c, LaurentPoly.monomial(c), PHI5.from_int(c), PHI8.from_int(c))
+        for x in values:
+            for y in values:
+                assert x == y and y == x and not x != y
+        assert len({PHI5.from_int(c), c, PHI8.from_int(c)}) == 1
+        assert len({c, PHI5.from_int(c), PHI8.from_int(c)}) == 1
+    assert ONE == PHI5.one() and PHI5.one() == ONE
+    assert not ONE != PHI5.one() and not PHI5.one() != ONE
+
+
+def test_non_constants_of_different_rings_stay_unequal():
+    a5, a8 = PHI5.project(A), PHI8.project(A)
+    assert a5 != a8 and a8 != a5
+    assert a5 != A and A != a5
+    assert PHI5.from_int(3) != PHI8.from_int(4)
+    assert len({a5, a8, A}) == 3
+    with pytest.raises(ValueError):
+        PHI5.from_int(3) + PHI8.from_int(3)
+
+
 @given(laurents)
 def test_equal_values_hash_equal(p):
     assert hash(p) == hash(LaurentPoly(dict(p.terms)))

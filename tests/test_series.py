@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdissect import memo, series
+from qdissect.identities import FIFTH_ROOTS, verify_5_dissection, verify_component_4_vanishing
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.series import (
     LAURENT_CRANK_CAP,
@@ -397,7 +398,6 @@ def test_galois_map_on_phi5_series(root):
     )
     direct = crank_gf(40).map_coefficients(lambda c: PHI5.project(c.substitute_power(root)))
     assert mapped == direct
-    assert quotient_series(crank_coordinates(40, PHI5, root), PHI5) == direct
 
 
 @pytest.mark.parametrize("modulus", TARGETS)
@@ -428,33 +428,45 @@ def test_crank_cache_keeps_each_modulus(fresh_crank_cache):
     crank_gf(5)
     assert fresh_crank_cache == [30, 20, 25, 5]
     assert {key[1]: order for key, (order, _) in memo._held.items()
-            if key[0] == "crank-classes"} == {PHI8: 30, PHI9: 25}
+            if key[0] == "crank-coordinates"} == {PHI8: 30, PHI9: 25}
     assert memo._held[("crank",)][0] == 5
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
         assert built_crank(order, modulus) == expected_crank(order, modulus)
     assert fresh_crank_cache == [30, 20, 25, 5]
 
 
-@pytest.mark.parametrize("modulus,roots", [(PHI8, (1,)), (PHI9, (1,)), (AT_ONE, (1,)),
-                                           (PHI5, (1, 2, 3, 4))],
+@pytest.mark.parametrize("modulus", [PHI8, PHI9, AT_ONE, PHI5],
                          ids=["phi8", "phi9", "at-one", "phi5"])
-def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus, roots):
+def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus):
     # every order from an empty memo, so the small ones build at them: where
     # a's order exceeds 2N the kernel runs at the Laurent size
     laurent_crank = crank_gf(40)
     for order in range(41):
         monkeypatch.setattr(memo, "_held", {})
-        for root in roots:
-            expected = [modulus.project(c.substitute_power(root)).residue
-                        for c in laurent_crank.truncate(order).coefficients]
-            assert list(zip(*series.crank_coordinates(order, modulus, root))) == expected
+        expected = [modulus.project(c).residue
+                    for c in laurent_crank.truncate(order).coefficients]
+        assert list(zip(*series.crank_coordinates(order, modulus))) == expected
 
 
-def test_roots_share_one_crank_build(fresh_crank_cache):
+def test_roots_share_one_crank_build(monkeypatch):
+    # a -> a^r maps only a witness, so the four roots and
+    # component-4-vanishing read one crank entry and one right-hand side
+    builds = []
+    packed = series._packed_crank
+
+    def recording(order, size, bits):
+        builds.append((order, size))
+        return packed(order, size, bits)
+
+    monkeypatch.setattr(series, "_packed_crank", recording)
     for order in (30, 60, 45):
-        for root in (1, 2, 3, 4):
-            series.crank_coordinates(order, PHI5, root)
-    assert fresh_crank_cache == [30, 60]
+        for root in FIFTH_ROOTS:
+            assert verify_5_dissection(order, root).passed
+        assert verify_component_4_vanishing(order).passed
+    # Phi5 packs into the 5 classes of a^5 = 1, the specialisation a = 1 into one
+    assert builds == [(30, 5), (30, 1), (60, 5), (60, 1)]
+    assert set(memo._held) == {("crank-coordinates", PHI5), ("crank-coordinates", AT_ONE),
+                               ("dissection-5",)}
 
 
 # --- the packed kernel, against oracles that share none of its code ---------------
