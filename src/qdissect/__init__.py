@@ -1,10 +1,11 @@
 """qdissect: exact q-series arithmetic for partition statistics.
 
 Expands the crank and rank generating functions over Laurent polynomials
-and cyclotomic quotient rings, counts partitions by statistic
-through integer recurrences, and mechanically verifies the classical
-congruences, equidistribution theorems and 2-/3-/5-dissections, all in
-arbitrary-precision integer arithmetic with no floats anywhere.
+and cyclotomic quotient rings, counts partitions by statistic by three
+routes (column form, product formula, integer recurrences), and
+mechanically verifies the classical congruences, equidistribution
+theorems and 2-/3-/5-dissections, all in arbitrary-precision integer
+arithmetic with no floats anywhere.
 """
 
 from .identities import (
@@ -16,12 +17,14 @@ from .identities import (
     verify_5_dissection,
     verify_component_4_vanishing,
     verify_congruence,
+    verify_crank_columns,
     verify_crank_gf,
     verify_equidistribution,
+    verify_rank_columns,
     verify_rank_gf,
 )
 from .partitions import (
-    ENUMERATION_CAP,
+    TABLE_CAP,
     Partition,
     StatTable,
     build_stat_table,
@@ -56,9 +59,10 @@ __all__ = [
     "LAURENT_CRANK_CAP",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",
-    "ENUMERATION_CAP",
+    "TABLE_CAP",
     "VerificationReport", "FailureWitness",
-    "verify_crank_gf", "verify_rank_gf", "verify_congruence",
+    "verify_crank_gf", "verify_rank_gf", "verify_crank_columns", "verify_rank_columns",
+    "verify_congruence",
     "verify_equidistribution", "verify_2_dissection", "verify_3_dissection",
     "verify_5_dissection", "verify_component_4_vanishing",
     "crank_coefficients",

@@ -29,13 +29,15 @@ from .identities import (
     verify_5_dissection,
     verify_component_4_vanishing,
     verify_congruence,
+    verify_crank_columns,
     verify_crank_gf,
     verify_equidistribution,
+    verify_rank_columns,
     verify_rank_gf,
 )
-from .partitions import partition_count, stat_table
+from .partitions import TABLE_CAP, partition_count, stat_table
 from .ring import LaurentPoly
-from .series import LAURENT_CRANK_CAP, crank_gf, euler_product, partition_gf
+from .series import crank_gf, euler_product, partition_gf
 
 if TYPE_CHECKING:
     import argparse
@@ -46,14 +48,17 @@ FORMAT_VERSION = "1"
 IDENTITIES = {
     "crank-gf": (40, True, lambda o, r, p: verify_crank_gf(o, perturb_power=p)),
     "rank-gf": (40, True, lambda o, r, p: verify_rank_gf(o, perturb_power=p)),
+    "crank-columns": (100, True, lambda o, r, p: verify_crank_columns(o, perturb_power=p)),
+    "rank-columns": (100, True, lambda o, r, p: verify_rank_columns(o, perturb_power=p)),
     "congruence-5-4": (20, False, lambda o, r, p: verify_congruence(5, 4, o)),
     "congruence-7-5": (15, False, lambda o, r, p: verify_congruence(7, 5, o)),
     "congruence-11-6": (10, False, lambda o, r, p: verify_congruence(11, 6, o)),
-    "equidist-crank-5": (8, False, lambda o, r, p: verify_equidistribution("crank", 5, 4, o)),
-    "equidist-crank-7": (5, False, lambda o, r, p: verify_equidistribution("crank", 7, 5, o)),
-    "equidist-crank-11": (3, False, lambda o, r, p: verify_equidistribution("crank", 11, 6, o)),
-    "equidist-rank-5": (8, False, lambda o, r, p: verify_equidistribution("rank", 5, 4, o)),
-    "equidist-rank-7": (5, False, lambda o, r, p: verify_equidistribution("rank", 7, 5, o)),
+    # the largest orders the table cap allows
+    "equidist-crank-5": (59, False, lambda o, r, p: verify_equidistribution("crank", 5, 4, o)),
+    "equidist-crank-7": (42, False, lambda o, r, p: verify_equidistribution("crank", 7, 5, o)),
+    "equidist-crank-11": (26, False, lambda o, r, p: verify_equidistribution("crank", 11, 6, o)),
+    "equidist-rank-5": (59, False, lambda o, r, p: verify_equidistribution("rank", 5, 4, o)),
+    "equidist-rank-7": (42, False, lambda o, r, p: verify_equidistribution("rank", 7, 5, o)),
     # recognized so the refusal is explained, but always a usage error:
     # the rank does not equidistribute modulo 11
     "equidist-rank-11": (3, False, lambda o, r, p: verify_equidistribution("rank", 11, 6, o)),
@@ -249,9 +254,9 @@ def _cmd_dissect(args) -> int:
 def _cmd_coeffs(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    if args.count > LAURENT_CRANK_CAP + 1:
-        raise ValueError(f"--count must be <= {LAURENT_CRANK_CAP + 1}: coefficient "
-                         f"q^{args.count - 1} is past the Laurent crank cap {LAURENT_CRANK_CAP}")
+    if args.count > TABLE_CAP + 1:
+        raise ValueError(f"--count must be <= {TABLE_CAP + 1}: coefficient "
+                         f"q^{args.count - 1} is past the table cap {TABLE_CAP}")
     params = {"count": args.count, "format": args.format}
     polys = crank_coefficients(args.count - 1)
     if args.format == "json":

@@ -14,11 +14,16 @@ right-hand sides are kept at the largest order built so far in
 the crank side.  Both sides are built once, at the root a itself; the
 5-dissection's other primitive roots a -> a^r map only a failure witness.
 
+The statistic tables (the column form) are checked against the two other
+routes of :mod:`qdissect.partitions`: the product formulas (``crank-gf``,
+``rank-gf``) and the recurrences (``crank-columns``, ``rank-columns``).
+
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
-corruption of the comparison (``_perturbed``; the table side of the
-generating function checks, the right-hand side of the dissections), used
-by the mutation tests and the CLI self-test flag to confirm the checks can
-actually fail.
+corruption of the comparison (``_perturbed``; the table side of the table
+checks, the right-hand side of the dissections), used by the mutation tests
+and the CLI self-test flag to confirm the checks can actually fail.  Every
+order, n_max and perturbation power must be an ``int`` (not a ``bool``) and
+is refused before any work otherwise.
 """
 
 from __future__ import annotations
@@ -27,19 +32,16 @@ import time
 from typing import Callable
 
 from .memo import largest
-from .partitions import ENUMERATION_CAP, _Record, partition_count, stat_table
-from .ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
+from .partitions import TABLE_CAP, _Record, partition_count, recurrence_rows, stat_table
+from .ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
-                     pochhammer_inf, rank_gf, theta)
+                     pochhammer_inf, product_rows, theta)
 
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
 RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
 # a -> a^r for these r sends a primitive 5th root of unity to each of the four
 FIFTH_ROOTS = (1, 2, 3, 4)
-
-# Z[a]/(a - 1): the specialisation a = 1, where the crank series is 1/(q;q)_inf
-_AT_ONE = Modulus((-1, 1))
 
 
 class FailureWitness(_Record):
@@ -97,6 +99,13 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
     return None
 
 
+def _check_int(name: str, value: int) -> None:
+    # before any work, as _check_perturb_power: a bool would run as 0 or 1,
+    # and a float would fail deep inside
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _check_perturb_power(power: int | None, order: int) -> None:
     # every verifier calls this before any work, so a self-test that could
     # not perturb anything is refused instead of reporting a pass
@@ -117,41 +126,52 @@ def _perturbed(columns: Columns, power: int | None,
 
 
 # ---------------------------------------------------------------------------
-# generating function vs. combinatorial count
+# the statistic tables vs. the product formulas and the recurrences
 
-def _verify_gf_against_table(identity: str, kind: str, order: int,
-                             build: Callable[[int], TruncatedSeries],
-                             perturb_power: int | None) -> VerificationReport:
-    if order > ENUMERATION_CAP:
-        raise ValueError(f"order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
+def _verify_table(identity: str, kind: str, order: int, least: int,
+                  other: Callable[[str, int], tuple], perturb_power: int | None
+                  ) -> VerificationReport:
+    """Rows 0..order of the statistic table (the column form) against the
+    rows other(kind, order) of another route."""
+    _check_int("order", order)
+    if order < least:
+        raise ValueError(f"order must be >= {least}")
+    if order > TABLE_CAP:
+        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
-    # table rows and the series' canonical term dicts (read without the copy
-    # that LaurentPoly.terms makes) compare as they are
+    # the other route first: a refusal of its own then comes before any table
+    # work.  Rows are dicts without zeros, so they compare as they are
+    actual = (tuple(other(kind, order)),)
     expected = _perturbed((stat_table(kind, order).rows[:order + 1],), perturb_power,
                           lambda row: (LaurentPoly(row) + 1).terms)
-    actual = (tuple(c._terms for c in build(order).coefficients),)
     witness = _first_mismatch(expected, actual, lambda values: str(LaurentPoly(values[0])),
                               "laurent")
     return _report(identity, order, witness, started)
 
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
-    """Coefficients of the crank product formula equal the crank counting
-    table: conventions at n <= 1, the (ones, parts above the ones)
-    recurrence of ``partitions.build_stat_table`` for 2 <= n <= order."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    return _verify_gf_against_table("crank-gf", "crank", order, crank_gf, perturb_power)
+    """Coefficients of the crank product formula equal the crank table,
+    rows 0..order.  The product build is refused beyond LAURENT_CRANK_CAP."""
+    return _verify_table("crank-gf", "crank", order, 2, product_rows, perturb_power)
 
 
 def verify_rank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
-    """Coefficients of the rank series equal the rank counting table, from
-    the (largest part, number of parts) recurrence of
-    ``partitions.build_stat_table``."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _verify_gf_against_table("rank-gf", "rank", order, rank_gf, perturb_power)
+    """Coefficients of the rank series sum q^(n^2) / ((aq;q)_n (q/a;q)_n)
+    equal the rank table, rows 0..order."""
+    return _verify_table("rank-gf", "rank", order, 1, product_rows, perturb_power)
+
+
+def verify_crank_columns(order: int, perturb_power: int | None = None) -> VerificationReport:
+    """The crank table equals the (ones, parts above the ones) recurrence of
+    ``partitions.recurrence_rows``, rows 0..order."""
+    return _verify_table("crank-columns", "crank", order, 2, recurrence_rows, perturb_power)
+
+
+def verify_rank_columns(order: int, perturb_power: int | None = None) -> VerificationReport:
+    """The rank table equals the (largest part, number of parts) recurrence
+    of ``partitions.recurrence_rows``, rows 0..order."""
+    return _verify_table("rank-columns", "rank", order, 1, recurrence_rows, perturb_power)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +182,7 @@ def verify_congruence(modulus: int, residue: int, n_max: int) -> VerificationRep
     for the three classical pairs (5,4), (7,5), (11,6)."""
     if (modulus, residue) not in CONGRUENCE_PAIRS:
         raise ValueError(f"unsupported congruence pair ({modulus}, {residue})")
+    _check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     started = time.perf_counter()
@@ -189,13 +210,14 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
         raise ValueError(f"equidistribution of the {statistic} is not available mod {modulus}")
     if residue != RESIDUE_FOR_MODULUS[modulus]:
         raise ValueError(f"residue must be {RESIDUE_FOR_MODULUS[modulus]} for modulus {modulus}")
+    _check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     size = modulus * n_max + residue
-    if size > ENUMERATION_CAP:
+    if size > TABLE_CAP:
         raise ValueError(f"order {n_max} needs the {statistic} table to n = {size}, past "
-                         f"the enumeration cap {ENUMERATION_CAP}; the largest order is "
-                         f"{(ENUMERATION_CAP - residue) // modulus}")
+                         f"the table cap {TABLE_CAP}; the largest order is "
+                         f"{(TABLE_CAP - residue) // modulus}")
     started = time.perf_counter()
     table = stat_table(statistic, size)
     witness = None
@@ -277,6 +299,7 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
     m, modulus, _, _ = _DISSECTIONS[identity]
+    _check_int("order", order)
     if order < m or order % m:
         raise ValueError(f"order must be a positive multiple of {m}")
     _check_perturb_power(perturb_power, order)
@@ -326,7 +349,11 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     """Nothing lands in exponent class 4 mod 5: the 5-dissection right-hand
     side has an identically zero fourth component, and the fourth component
     of the partition generating function (the crank series at a=1) is
-    divisible by 5 coefficient-wise."""
+    divisible by 5 coefficient-wise.  The crank at a = 1 comes from the
+    product formula in Z[a]/(a - 1), checked against the p(n) of the
+    pentagonal recurrence: the column form gives p(n) there by itself, as
+    (1 - a) kills every term but 1/(q;q)_inf."""
+    _check_int("order", order)
     if order < 5 or order % 5:
         raise ValueError("order must be a positive multiple of 5")
     started = time.perf_counter()
@@ -342,7 +369,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
             break
 
     if witness is None:
-        at_one = crank_coordinates(order, _AT_ONE)
+        at_one = (tuple(row.get(0, 0) for row in product_rows("crank", order, 1)),)
         witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
                                   lambda values: str(values[0]), "integer")
 

@@ -4,10 +4,12 @@ Every object cached here is a truncated series, a table or integer columns
 whose value at a smaller order is a prefix of its value at a larger one, so
 one entry per key serves every request up to the order it was built at; the
 caller slices it down.  Keys name the object and what it depends on besides
-the order: ``("crank",)`` and ``("rank",)`` (the Laurent series), ``("table",
-kind)``, ``("crank-coordinates", modulus)`` (the crank series' coordinates in
-Z[a]/(modulus)) and per dissection ``(identity,)`` (the coordinates of its
-right-hand side).
+the order: ``("table", kind)`` (the statistic table, whose rows are also
+``crank_gf``/``rank_gf``), ``("crank-coordinates", modulus)`` (the crank
+series' coordinates in Z[a]/(modulus)), both from the column form;
+``("product", kind, size)`` (the rows of the product formula, the other
+side of the table checks and of component-4-vanishing); and per
+dissection ``(identity,)`` (the coordinates of its right-hand side).
 ``largest`` itself refuses a negative order for every key.  Any other
 refusal must run before ``largest`` is called: one at the start of
 ``build`` runs only on a miss, so a held entry would answer a request it

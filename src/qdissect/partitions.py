@@ -1,19 +1,29 @@
 """Integer partitions and their rank/crank statistics.
 
-The statistic tables are the combinatorial ground truth the
-generating-function layer is verified against.  They count partitions of n
-by rank (largest part minus number of parts) and by crank (largest part if
-there are no ones, otherwise the number of parts exceeding the number of
-ones minus the number of ones) through integer recurrences over the shape
-of a partition, without listing any partition; ``build_stat_table`` says
-how.  Enumeration (lexicographically descending) with ``rank``/``crank``
-and ``rank_row``/``crank_row`` stays as the small-n oracle the tests
-compare the recurrences against.
+The statistic tables count partitions of n by rank (largest part minus
+number of parts) and by crank (largest part if there are no ones,
+otherwise the number of parts exceeding the number of ones minus the
+number of ones).  Three routes compute them, and they share no code below
+``partition_count``:
+
+- ``build_stat_table`` reads every table off ``_columns``, the column
+  (Lambert-series) form of the generating functions, whose rows are also
+  ``series.crank_gf``/``rank_gf``; ``series.crank_coordinates`` folds the
+  same kernel in a quotient ring.
+- ``recurrence_rows`` counts by integer recurrences over the shape of a
+  partition (the ``crank-columns``/``rank-columns`` checks).
+- ``series.product_rows`` expands the product formulas (the
+  ``crank-gf``/``rank-gf`` checks).
+
+Enumeration (lexicographically descending) with ``rank``/``crank`` and
+``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
+the routes against.
 
 Crank counts for n <= 1 follow the generating-function conventions rather
 than the combinatorial count: the n=1 row is {-1: 1, 0: -1, 1: 1}, which
 is what the product formula forces (the lone partition {1} combinatorially
-has crank -1; ``crank_row`` reports that raw row if wanted).
+has crank -1; ``crank_row`` reports that raw row if wanted).  The column
+form gives these rows by itself; ``recurrence_rows`` sets them.
 
 Tables store one row dict per n, so a row lookup touches only that row;
 ``stat_table`` shares the largest table built so far per kind through
@@ -26,10 +36,12 @@ from typing import Callable, Iterator
 
 from .memo import largest
 
-# Table builds beyond this are refused, whichever entry point asks.  The
-# recurrences would reach much further; raising the cap waits for a second
-# fast route (the column formulas) to check the larger tables against.
-ENUMERATION_CAP = 60
+# Tables, and every check that reads one, are refused beyond this n,
+# whichever entry point asks.  The column form alone would reach much
+# further (0.12 s to n = 400, 2-core VM, CPython 3.11); the cap is where its
+# checks still run in a few seconds: to n = 300 the crank recurrence takes
+# about 2.2 s and the crank product 1.2 s, to n = 400 about 6-9 s and 3.3 s.
+TABLE_CAP = 300
 
 
 class _Record:
@@ -288,28 +300,88 @@ def _crank_rows(n_max: int) -> list[dict[int, int]]:
     return rows
 
 
+def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
+    """Rows 0..n_max of the rank or crank table by the recurrences above,
+    the rank split by (largest part, number of parts), the crank by (number
+    of ones w, parts larger than w), after Andrews-Garvan, "Dyson's crank of
+    a partition", Bull. AMS 18 (1988), with the conventions set at n <= 1:
+    O(n_max^3) steps and O(n_max^2) integers, bounded by the caller."""
+    rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
+    rows[0] = {0: 1}
+    if kind == "crank" and n_max >= 1:
+        rows[1] = {-1: 1, 0: -1, 1: 1}
+    return rows
+
+
+def _columns(kind: str, order: int, size: int) -> list[list[int]]:
+    """The crank or rank series through q^order in Z[a]/(a^size - 1): size
+    columns, column r the q-coefficients of the class a^r.
+
+    The column (Lambert) form (Garvan, Trans. AMS 305 (1988)) is
+    (1 - a)/(q;q)_inf * sum_{n in Z} (-1)^n q^e(n) / (1 - a q^n), with
+    e(n) = n(n+1)/2 for the crank and n(3n+1)/2 for the rank.  The n = 0
+    term is 1; for m >= 1, n = m and n = -m expand to
+    (-1)^m sum_{k >= 0} (a^k - a^-(k+1)) q^(e(m) + mk), so the numerator is
+    O(N log N) unit terms.  Each class is then multiplied by 1/(q;q)_inf in
+    one Kronecker-packed product with p(0..N).  The digits, of one bit more
+    than p(N) has, in whole bytes, are balanced and hold the numerator's
+    (at most 4(sqrt(2N) + 1)) and the result's (at most max(p(n), 2): class
+    sums of partition counts, but for n = 1).  Both series are fixed by
+    a -> 1/a, so class r > size//2 is the list of class size - r.
+    """
+    bits = (partition_count(order).bit_length() + 8) // 8 * 8
+    width, half = bits // 8, 1 << bits - 1
+    numerators: list[dict[int, int]] = [{} for _ in range(size)]
+    numerators[0][0] = 1
+    for m in range(1, order + 1):
+        e = m * (m + 1) // 2 if kind == "crank" else m * (3 * m + 1) // 2
+        if e > order:
+            break
+        s = -1 if m % 2 else 1
+        for k, j in enumerate(range(e, order + 1, m)):
+            for r, t in ((k, s), (k + 1, -s), (~k, -s), (-k, s)):
+                terms = numerators[r % size]
+                terms[j] = terms.get(j, 0) + t
+    # every digit is stored plus half, so none is negative; zero holds only
+    # that offset, and bias is its value
+    zero = half.to_bytes(width, "little") * (order + 1)
+    bias = int.from_bytes(zero, "little")
+    mask = (1 << bits * (order + 1)) - 1
+    p = int.from_bytes(b"".join([partition_count(n).to_bytes(width, "little")
+                                 for n in range(order + 1)]), "little")
+    columns = []
+    for terms in numerators[:size // 2 + 1]:
+        digits = bytearray(zero)
+        for j, d in terms.items():
+            digits[j * width:(j + 1) * width] = (d + half).to_bytes(width, "little")
+        raw = (((int.from_bytes(digits, "little") - bias) * p + bias) & mask).to_bytes(
+            len(zero), "little")
+        columns.append([int.from_bytes(raw[i:i + width], "little") - half
+                        for i in range(0, len(raw), width)])
+    return columns + columns[size - len(columns):0:-1]
+
+
 def build_stat_table(kind: str, n_max: int) -> StatTable:
     """Count partitions of every n <= n_max by rank or crank.
 
-    Rows for n >= 2 (rank: n >= 1) are counted by integer recurrences that
-    list no partition and use no generating function: the rank split by
-    (largest part, number of parts), the crank by (number of ones w, parts
-    larger than w), after Andrews-Garvan, "Dyson's crank of a partition",
-    Bull. AMS 18 (1988).  The remaining rows are the generating-function
-    conventions.  Both counts take O(n_max^3) steps and O(n_max^2) integers.
-    n_max beyond ENUMERATION_CAP is refused before any work.
+    The rows are the Laurent coefficients of the column form, ``_columns``
+    at size 2*n_max + 1, where the classes -n_max..n_max are the statistic
+    values: |crank| and |rank| of a partition of n are at most n, so no
+    class wraps.  n_max beyond TABLE_CAP is refused before any work.
     """
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > ENUMERATION_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the enumeration cap {ENUMERATION_CAP}")
-
-    rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
-    rows[0] = {0: 1}
-    if kind == "crank" and n_max >= 1:
-        rows[1] = {-1: 1, 0: -1, 1: 1}
+    if n_max > TABLE_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the table cap {TABLE_CAP}")
+    size = 2 * n_max + 1
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for r, column in enumerate(_columns(kind, n_max, size)):
+        m = r if r <= n_max else r - size
+        for n in range(abs(m), n_max + 1):
+            if column[n]:
+                rows[n][m] = column[n]
     return StatTable(kind, tuple(rows))
 
 

@@ -12,16 +12,21 @@ The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
 products, bilateral theta sums f(+-q^r, +-q^s), the partition generating
 function, and the crank and rank generating functions whose coefficients
-are Laurent polynomials in the statistic-counting symbol ``a``.  Both
-statistic functions run one packed kernel: the series lives in
-Z[a]/(a^M - 1) as M Python ints, one per residue class of the exponent of
+are Laurent polynomials in the statistic-counting symbol ``a``.
+
+The crank and rank series come from two routes that share no code below
+``partition_count``.  ``crank_gf``/``rank_gf`` are the rows of the
+statistic tables, which ``partitions._columns`` builds from the column
+(Lambert-series) form, and ``crank_coordinates`` folds the same kernel in
+Z[a]/(a^M - 1), M the multiplicative order of ``a`` in a quotient ring
+Z[a]/(m(a)), into that ring's integer coordinates (the one quotient-ring
+route, held once per modulus).  ``product_rows`` expands the product
+formulas, the independent side of the ``crank-gf``/``rank-gf`` checks and
+of the a = 1 side of ``component-4-vanishing``: one packed kernel over
+Z[a]/(a^M - 1), M Python ints, one per residue class of the exponent of
 ``a``, each holding its q-coefficients as fixed-width digits, so that
 division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
-additions per class.  M is 2N+1 for the Laurent polynomials, or the
-multiplicative order of ``a`` in a quotient ring Z[a]/(m(a)); the classes
-are read back once, as Laurent exponents or, in a quotient ring, as its
-integer coordinates (``crank_coordinates``, the one quotient-ring route,
-held once per modulus).
+additions per class.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from math import isqrt
 from typing import Callable, Sequence
 
 from .memo import largest
-from .partitions import partition_count
+from .partitions import TABLE_CAP, _columns, partition_count, stat_table
 from .ring import LaurentPoly, Modulus, QuotientElem
 
 
@@ -351,14 +356,14 @@ def partition_gf(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
 
 
-# The Laurent crank build runs with M = 2N+1 classes and moves about
-# N^3 * B bits (B from _digit_bits, growing with N): about 0.5 s at order
-# 200 and 1.7 s at 300 on a 2-core VM with CPython 3.11, past 4 s at 400.
-# Quotient-ring builds in which a has a small finite order are not capped.
+# The product route's Laurent crank build runs with M = 2N+1 classes and
+# moves about N^3 * B bits (B from _digit_bits, growing with N): about 0.5 s
+# at order 200 and 1.2-1.7 s at 300 on a 2-core VM with CPython 3.11, past
+# 3 s at 400.  Its build at M = 1 is not capped.
 LAURENT_CRANK_CAP = 300
 
 
-# The packed kernel behind crank_gf and rank_gf.  A series in Z[a]/(a^M - 1),
+# The packed kernel of the product route.  A series in Z[a]/(a^M - 1),
 # truncated after q^N, is a list of M Python ints: int r packs the
 # q-coefficients of the residue class a^r as B-bit digits,
 # c_0 + c_1 2^B + ... + c_N 2^(BN), reduced modulo 2^(B(N+1)).  Sending q to
@@ -472,25 +477,30 @@ def _powers_of_a(modulus: Modulus, limit: int) -> list[QuotientElem] | None:
     return None
 
 
-def _check_crank_cap(order: int, modulus: Modulus | None) -> None:
-    # a crank build runs at Laurent size with no modulus, or one in which a has no order M <= 2N
-    if order > LAURENT_CRANK_CAP and (modulus is None or _powers_of_a(modulus, 2 * order) is None):
+def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], ...]:
+    """The q^0..q^order coefficients of the crank or rank product formula in
+    Z[a]/(a^size - 1), each as {exponent: coefficient} without zeros, the
+    exponents taken in -size/2..size/2.  Size 0 means the Laurent size
+    2*order + 1, where they are the Laurent exponents: |crank| and |rank| of
+    a partition of n are at most n, so no class wraps.
+
+    Held per (kind, size) at the largest order so far.  A crank build at the
+    Laurent size beyond LAURENT_CRANK_CAP is refused before any work."""
+    if kind == "crank" and not size and order > LAURENT_CRANK_CAP:
         raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
 
+    def build(n: int) -> tuple[dict[int, int], ...]:
+        classes = size or 2 * n + 1
+        packed = _packed_crank if kind == "crank" else _packed_rank
+        rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for r, column in enumerate(_unpacked(packed, n, classes)):
+            e = r if 2 * r < classes else r - classes
+            for m, c in enumerate(column):
+                if c:
+                    rows[m][e] = c
+        return tuple(rows)
 
-def _laurent_series(build: Callable[[int, int, int], list[int]], order: int) -> TruncatedSeries:
-    """Run a packed build through q^order in Z[a]/(a^(2N+1) - 1), N = order,
-    where the classes -N..N are the Laurent exponents: |crank| and |rank| of
-    a partition of n are at most n, so no class wraps."""
-    size = 2 * order + 1
-    rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for r, column in enumerate(_unpacked(build, order, size)):
-        e = r if r <= order else r - size
-        for n, c in enumerate(column):
-            if c:
-                rows[n][e] = c
-    # each row has one entry per exponent and no zero: canonical as it stands
-    return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
+    return largest(("product", kind, size), order, build)[:order + 1]
 
 
 def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
@@ -498,17 +508,18 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     degree of the modulus: the q^n coefficient is sum_i c_i[n] a^i.  This is
     the one quotient-ring route to the crank.
 
-    The kernel runs in Z[a]/(a^M - 1), which maps onto the quotient, if a has
-    an order M <= 2N there, else at the Laurent size 2N+1, where class j > N
-    holds a^(j-2N-1); class j adds in the residue of its power of a.  The
-    columns are held per modulus at the largest order so far.  Only a build
-    at the Laurent size is capped, at LAURENT_CRANK_CAP, and refused before
-    any work."""
-    _check_crank_cap(order, modulus)
+    The column kernel runs in Z[a]/(a^M - 1), which maps onto the quotient,
+    if a has an order M <= 2N there, else at the Laurent size 2N+1, where
+    class j > N holds a^(j-2N-1); class j adds in the residue of its power of
+    a.  The columns are held per modulus at the largest order so far.  Only
+    a build at the Laurent size is capped, at TABLE_CAP as a table build is,
+    and refused before any work."""
+    if order > TABLE_CAP and _powers_of_a(modulus, 2 * order) is None:
+        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
 
     def build(n: int) -> tuple[tuple, ...]:
         powers = _powers_of_a(modulus, 2 * n)
-        classes = _unpacked(_packed_crank, n, 2 * n + 1 if powers is None else len(powers))
+        classes = _columns("crank", n, 2 * n + 1 if powers is None else len(powers))
         size = len(classes)
         images = powers or [modulus.project(LaurentPoly.monomial(1, e))
                             for e in (j if 2 * j < size else j - size for j in range(size))]
@@ -522,19 +533,28 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     return tuple(c[:order + 1] for c in largest(("crank-coordinates", modulus), order, build))
 
 
+def _table_series(kind: str, order: int) -> TruncatedSeries:
+    # the held table's rows, shared as they are: neither side writes them
+    _check_order(order)
+    if order > TABLE_CAP:
+        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
+    rows = stat_table(kind, order).rows[:order + 1]
+    return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
+
+
 def crank_gf(order: int) -> TruncatedSeries:
     """Crank generating function (q;q)_inf / ((aq;q)_inf (q/a;q)_inf).
 
     The coefficient of q^n is a Laurent polynomial in ``a`` whose a^m
     coefficient counts partitions of n by crank m (with the usual signed
-    conventions at n <= 1).  The build runs at Laurent size and is refused
-    beyond LAURENT_CRANK_CAP before any work; crank_coordinates gives the
-    series in a quotient ring.
+    conventions at n <= 1): row n of the crank table, refused beyond
+    TABLE_CAP before any work.  crank_coordinates gives the series in a
+    quotient ring.
     """
-    _check_crank_cap(order, None)
-    return largest(("crank",), order, lambda n: _laurent_series(_packed_crank, n)).truncate(order)
+    return _table_series("crank", order)
 
 
 def rank_gf(order: int) -> TruncatedSeries:
-    """Rank generating function: sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n)."""
-    return largest(("rank",), order, lambda n: _laurent_series(_packed_rank, n)).truncate(order)
+    """Rank generating function, sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n):
+    the rows of the rank table, refused beyond TABLE_CAP before any work."""
+    return _table_series("rank", order)

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, identities, partitions, series
+from qdissect import cli, identities, partitions
 from qdissect.cli import IDENTITIES, main
 from qdissect.ring import LaurentPoly
 from qdissect.series import crank_gf
 
 # a small valid order for every identity that accepts --perturb-power
-PERTURBABLE = {"crank-gf": 10, "rank-gf": 10, "dissection-2": 10,
-               "dissection-3": 9, "dissection-5": 10}
+PERTURBABLE = {"crank-gf": 10, "rank-gf": 10, "crank-columns": 10, "rank-columns": 10,
+               "dissection-2": 10, "dissection-3": 9, "dissection-5": 10}
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +60,7 @@ def test_tables_rank_modulo(capsys):
 
 
 def test_tables_usage_errors(capsys):
-    assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "61")[0] == 2
+    assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "301")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "5", "--modulo", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "nope", "--n-max", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3", "--modulo", "0")[0] == 2
@@ -134,36 +134,41 @@ def test_perturb_power_fails_in_range_and_is_refused_outside(capsys, identity):
         assert "perturbation power" in err
 
 
-@pytest.mark.parametrize("identity,order", [("crank-gf", 75), ("rank-gf", 61),
-                                            ("equidist-crank-11", 10)])
-def test_enumeration_cap_refused_before_any_work(capsys, identity, order):
+@pytest.mark.parametrize("identity,order", [("crank-gf", 375), ("rank-gf", 301),
+                                            ("crank-columns", 301), ("rank-columns", 1000),
+                                            ("equidist-crank-11", 30)])
+def test_table_cap_refused_before_any_work(capsys, identity, order):
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert "enumeration cap" in err
+    assert "table cap" in err
 
 
 @pytest.mark.parametrize("identity,order,message", [
-    ("equidist-crank-5", 12, "order 12 needs the crank table to n = 64, past the enumeration "
-                             "cap 60; the largest order is 11"),
-    ("equidist-rank-7", 8, "order 8 needs the rank table to n = 61, past the enumeration "
-                           "cap 60; the largest order is 7"),
-    ("equidist-crank-11", 5, "order 5 needs the crank table to n = 61, past the enumeration "
-                             "cap 60; the largest order is 4"),
-    ("crank-gf", 61, "order 61 exceeds the enumeration cap 60"),
-    ("rank-gf", 61, "order 61 exceeds the enumeration cap 60"),
-], ids=["equidist-crank-5", "equidist-rank-7", "equidist-crank-11", "crank-gf", "rank-gf"])
+    ("equidist-crank-5", 60, "order 60 needs the crank table to n = 304, past the table "
+                             "cap 300; the largest order is 59"),
+    ("equidist-rank-7", 43, "order 43 needs the rank table to n = 306, past the table "
+                            "cap 300; the largest order is 42"),
+    ("equidist-crank-11", 27, "order 27 needs the crank table to n = 303, past the table "
+                              "cap 300; the largest order is 26"),
+    ("crank-gf", 301, "order 301 exceeds the table cap 300"),
+    ("rank-gf", 301, "order 301 exceeds the table cap 300"),
+    ("crank-columns", 301, "order 301 exceeds the table cap 300"),
+    ("rank-columns", 301, "order 301 exceeds the table cap 300"),
+], ids=["equidist-crank-5", "equidist-rank-7", "equidist-crank-11", "crank-gf", "rank-gf",
+        "crank-columns", "rank-columns"])
 def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order, message):
-    # the refusal names what the caller gave and runs before any table or
-    # series is built
+    # the refusal names what the caller gave and runs before any table,
+    # series or recurrence is built
     def refuse(*args):
         raise AssertionError("work started before the cap refusal")
 
     monkeypatch.setattr(partitions, "build_stat_table", refuse)
-    monkeypatch.setattr(identities, "crank_gf", refuse)
-    monkeypatch.setattr(identities, "rank_gf", refuse)
+    monkeypatch.setattr(partitions, "_columns", refuse)
+    monkeypatch.setattr(identities, "product_rows", refuse)
+    monkeypatch.setattr(identities, "recurrence_rows", refuse)
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -265,17 +270,22 @@ def test_coeffs_match_the_crank_table(capsys):
     assert rows == [table.row(n) for n in range(30)]
 
 
-@pytest.mark.parametrize("argv", [
-    ("coeffs", "--count", "100000"),
-    ("dissect", "--series", "crank-gf", "--m", "5", "--order", "100000"),
+@pytest.mark.parametrize("argv,message", [
+    (("coeffs", "--count", "100000"), "--count must be <= 301: coefficient q^99999 is past "
+                                      "the table cap 300"),
+    (("dissect", "--series", "crank-gf", "--m", "5", "--order", "100000"),
+     "order 100000 exceeds the table cap 300"),
 ])
-def test_laurent_crank_cap_refused_before_any_work(capsys, argv):
+def test_crank_series_cap_refused_before_any_work(capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    monkeypatch.setattr(partitions, "build_stat_table", refuse)
+    monkeypatch.setattr(partitions, "_columns", refuse)
     started = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert out == ""
-    assert "Laurent crank cap" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_coeffs_refusal_names_count(capsys, monkeypatch):
@@ -283,10 +293,10 @@ def test_coeffs_refusal_names_count(capsys, monkeypatch):
         raise AssertionError("work started before the cap refusal")
 
     monkeypatch.setattr(cli, "crank_coefficients", refuse)
-    monkeypatch.setattr(series, "_packed_crank", refuse)
+    monkeypatch.setattr(partitions, "_columns", refuse)
     code, out, err = run_cli(capsys, "coeffs", "--count", "302")
     assert (code, out, err) == (2, "", "error: --count must be <= 301: coefficient q^301 is "
-                                       "past the Laurent crank cap 300\n")
+                                       "past the table cap 300\n")
 
 
 def test_coeffs_largest_count_accepted(capsys, monkeypatch):
@@ -622,16 +632,18 @@ def test_closed_stdout_exits_141_quietly():
 # answers, with COLUMNS=80, recorded before well-formed requests stopped
 # going through argparse.  argparse's wording changes between Python
 # versions, so the digests hold for the CPython they were recorded with.
+# The three that list the identities were re-recorded when crank-columns and
+# rank-columns joined the list; nothing else in them changed.
 USAGE_GOLDEN = [
     ("--help", "a0c2ae60d3f24e63cdf9866cd0d4a129c1ef9ac8107f9c065146337b390f790c"),
-    ("verify --help", "da4ccd5cd28d0fc529f6975856b326edcfdc8bed42e5ca210149bf9fe34936f5"),
+    ("verify --help", "18869b620b0f2598914005327192fe9a1c3da683ac5e2f05329f34e3f43779f3"),
     ("verify --identity no-such-thing",
-     "b6da08e087b4d04e2c4fd57d5616711fbf522d00fa12dfceea5bde436c7de1c3"),
+     "b870df6d524a41cdfe43ba29ba1a125c06aac01401fcee0b526cfaf3a7aff560"),
     ("tables --kind p", "e88ffaa274abc9c2d1beba66f6e58f9d92c693577f9d70abd4cc44a3696fafe3"),
     ("tables --kind p --n-max x",
      "f059484fbdab8e556f3cb66b6a2084ec577e2ce2009fdb513372153bb25b99c2"),
     ("verify --identity dissection-5 --n-root 7",
-     "5a1b51953e81137ae52966de270f6405defae15e2c3477bfd46aab5307b9570e"),
+     "1998dc05cdec685cb5d0f324e489b12ea774abcdfacf02449515f28725065c9e"),
     ("tables --kind p --n-max 3 stray",
      "0b27f4c24381ee005e5e55c4abb389d0b9c41ef6c82ee2c229623503ce8781a3"),
     ("", "9674f2b2ee0ee1e1617293661ceddd2c3a1469b246c7061b9be827b72edebb59"),

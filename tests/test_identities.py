@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdissect import identities, memo
+from qdissect import identities, memo, partitions, series
 from qdissect.identities import (
     FIFTH_ROOTS,
     FailureWitness,
@@ -14,12 +14,15 @@ from qdissect.identities import (
     verify_5_dissection,
     verify_component_4_vanishing,
     verify_congruence,
+    verify_crank_columns,
     verify_crank_gf,
     verify_equidistribution,
+    verify_rank_columns,
     verify_rank_gf,
 )
 from qdissect.identities import _rhs_coordinates
-from qdissect.partitions import Partition, build_stat_table, enumerate_partitions
+from qdissect.partitions import (Partition, build_stat_table, enumerate_partitions,
+                                 partition_count)
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, pochhammer_inf, theta
 
@@ -49,7 +52,8 @@ def test_verify_rank_gf_passes():
         verify_rank_gf(0)
 
 
-@pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf, verify_2_dissection,
+@pytest.mark.parametrize("verify", [verify_crank_gf, verify_rank_gf, verify_crank_columns,
+                                    verify_rank_columns, verify_2_dissection,
                                     verify_3_dissection, verify_5_dissection]
                          + [functools.partial(verify_5_dissection, root_power=r)
                             for r in (2, 3, 4)])
@@ -75,6 +79,13 @@ PHI5_RING = "quotient(a^4 + a^3 + a^2 + a + 1)"
     (verify_rank_gf, 20, {"perturb_power": 7},
      (7, "a^6 + a^4 + a^3 + 2a^2 + a + 4 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6",
       "a^6 + a^4 + a^3 + 2a^2 + a + 3 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6", "laurent")),
+    (verify_crank_columns, 20, {"perturb_power": 7},
+     (7, "a^7 + a^5 + a^4 + a^3 + a^2 + 2a + 2 + 2a^-1 + a^-2 + a^-3 + a^-4 + a^-5 + a^-7",
+      "a^7 + a^5 + a^4 + a^3 + a^2 + 2a + 1 + 2a^-1 + a^-2 + a^-3 + a^-4 + a^-5 + a^-7",
+      "laurent")),
+    (verify_rank_columns, 20, {"perturb_power": 7},
+     (7, "a^6 + a^4 + a^3 + 2a^2 + a + 4 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6",
+      "a^6 + a^4 + a^3 + 2a^2 + a + 3 + a^-1 + 2a^-2 + a^-3 + a^-4 + a^-6", "laurent")),
     (verify_2_dissection, 20, {"perturb_power": 1},
      (1, "-a^3 + a - 1", "-a^3 + a", "quotient(a^4 + 1)")),
     (verify_3_dissection, 21, {"perturb_power": 1},
@@ -87,11 +98,11 @@ PHI5_RING = "quotient(a^4 + a^3 + a^2 + a + 1)"
      (1, "a^3 + a^2 - 1", "a^3 + a^2", PHI5_RING)),
     (verify_5_dissection, 20, {"root_power": 4, "perturb_power": 1},
      (1, "-a^3 - a^2 - 2", "-a^3 - a^2 - 1", PHI5_RING)),
-], ids=["crank-gf", "rank-gf", "dissection-2", "dissection-3",
-        "dissection-5-root-1", "dissection-5-root-2", "dissection-5-root-3",
+], ids=["crank-gf", "rank-gf", "crank-columns", "rank-columns", "dissection-2",
+        "dissection-3", "dissection-5-root-1", "dissection-5-root-2", "dissection-5-root-3",
         "dissection-5-root-4"])
 def test_failure_witnesses_are_frozen(verify, order, kwargs, witness):
-    # the gf verifiers perturb the table (expected), the dissections their
+    # the table verifiers perturb the table (expected), the dissections their
     # right-hand side (actual); every rendered value is pinned
     w = verify(order, **kwargs).failure_witness
     assert (w.power, w.expected, w.actual, w.ring) == witness
@@ -327,17 +338,43 @@ def test_perturb_and_root_powers_must_be_ints(monkeypatch, value):
     def refuse(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 
-    monkeypatch.setattr(identities, "stat_table", refuse)
-    monkeypatch.setattr(identities, "crank_coordinates", refuse)
-    monkeypatch.setattr(identities, "_rhs_coordinates", refuse)
+    refuse_all_work(monkeypatch)
     checks = [functools.partial(verify_5_dissection, 30, root_power=value)]
     if value is not None:
         checks += [functools.partial(verify, 30, perturb_power=value)
-                   for verify in (verify_crank_gf, verify_rank_gf, verify_2_dissection,
+                   for verify in (verify_crank_gf, verify_rank_gf, verify_crank_columns,
+                                  verify_rank_columns, verify_2_dissection,
                                   verify_3_dissection, verify_5_dissection)]
     for check in checks:
         with pytest.raises(ValueError):
             check()
+
+
+def refuse_all_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the arguments were checked")
+
+    for name in ("stat_table", "crank_coordinates", "_rhs_coordinates", "product_rows",
+                 "recurrence_rows", "partition_count", "partition_gf"):
+        monkeypatch.setattr(identities, name, refuse)
+
+
+@pytest.mark.parametrize("value", [True, False, 20.0, 2.5, "20", None])
+@pytest.mark.parametrize("verify", [
+    verify_crank_gf, verify_rank_gf, verify_crank_columns, verify_rank_columns,
+    functools.partial(verify_congruence, 5, 4),
+    functools.partial(verify_equidistribution, "crank", 5, 4),
+    verify_2_dissection, verify_3_dissection, verify_5_dissection,
+    verify_component_4_vanishing,
+], ids=["crank-gf", "rank-gf", "crank-columns", "rank-columns", "congruence",
+        "equidistribution", "dissection-2", "dissection-3", "dissection-5",
+        "component-4-vanishing"])
+def test_orders_must_be_ints(monkeypatch, verify, value):
+    # refused before any work: a bool is not read as 0 or 1, and a float
+    # does not fail deep inside
+    refuse_all_work(monkeypatch)
+    with pytest.raises(ValueError, match="must be an int"):
+        verify(value)
 
 
 def test_dissections_pass_at_every_intermediate_order():
@@ -470,3 +507,109 @@ def test_records_compare_by_value_and_refuse_assignment():
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             setattr(record, "extra", None)
+
+
+# --- every route can fail on its own ------------------------------------------------
+
+def _corrupt_columns(monkeypatch):
+    """One wrong entry in the column kernel: class 0 at q^7 (every table, crank_gf,
+    rank_gf and crank_coordinates read it)."""
+    columns = partitions._columns
+
+    def corrupted(kind, order, size):
+        out = [list(c) for c in columns(kind, order, size)]
+        if order >= 7:
+            out[0][7] += 1
+        return out
+
+    monkeypatch.setattr(partitions, "_columns", corrupted)
+    monkeypatch.setattr(series, "_columns", corrupted)
+
+
+def _corrupt_product(monkeypatch, name):
+    """One wrong entry in a packed product build: class 0 at q^7."""
+    packed = getattr(series, name)
+
+    def corrupted(order, size, bits):
+        classes = packed(order, size, bits)
+        return [classes[0] + (1 << bits * 7)] + classes[1:]
+
+    monkeypatch.setattr(series, name, corrupted)
+
+
+def _corrupt_recurrence(monkeypatch, name):
+    rows = getattr(partitions, name)
+
+    def corrupted(n_max):
+        out = rows(n_max)
+        out[7][0] = out[7].get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(partitions, name, corrupted)
+
+
+@pytest.mark.parametrize("verify,corrupt", [
+    (verify_crank_gf, _corrupt_columns),
+    (verify_crank_gf, lambda mp: _corrupt_product(mp, "_packed_crank")),
+    (verify_rank_gf, _corrupt_columns),
+    (verify_rank_gf, lambda mp: _corrupt_product(mp, "_packed_rank")),
+    (verify_crank_columns, _corrupt_columns),
+    (verify_crank_columns, lambda mp: _corrupt_recurrence(mp, "_crank_rows")),
+    (verify_rank_columns, _corrupt_columns),
+    (verify_rank_columns, lambda mp: _corrupt_recurrence(mp, "_rank_rows")),
+    (verify_component_4_vanishing, lambda mp: _corrupt_product(mp, "_packed_crank")),
+], ids=["crank-gf-table", "crank-gf-product", "rank-gf-table", "rank-gf-product",
+        "crank-columns-table", "crank-columns-recurrence", "rank-columns-table",
+        "rank-columns-recurrence", "component-4-product"])
+def test_each_side_of_a_table_check_can_fail(monkeypatch, verify, corrupt):
+    corrupt(monkeypatch)
+    report = verify(30)
+    assert report.status == "fail"
+    assert report.failure_witness.power == 7
+
+
+@pytest.mark.parametrize("verify,order,identity", [
+    (verify_2_dissection, 20, "dissection-2"),
+    (verify_3_dissection, 21, "dissection-3"),
+    (verify_5_dissection, 20, "dissection-5"),
+])
+def test_each_side_of_a_dissection_can_fail(monkeypatch, verify, order, identity):
+    # the crank side through the column kernel, the right-hand side through
+    # its first integer series S_0
+    with monkeypatch.context() as mp:
+        _corrupt_columns(mp)
+        assert verify(order).failure_witness.power == 7
+    memo._held.clear()
+    m, modulus, weights, parts = identities._DISSECTIONS[identity]
+
+    def corrupted(n):
+        first, *rest = parts(n)
+        return (first + TruncatedSeries((0,) * 7 + (1,) + (0,) * (n - 7)), *rest)
+
+    monkeypatch.setitem(identities._DISSECTIONS, identity, (m, modulus, weights, corrupted))
+    assert verify(order).failure_witness.power == 7
+
+
+def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
+    m, modulus, weights, parts = identities._DISSECTIONS["dissection-5"]
+
+    def corrupted(n):
+        first, *rest = parts(n)
+        return (first + TruncatedSeries((0,) * 9 + (1,) + (0,) * (n - 9)), *rest)
+
+    monkeypatch.setitem(identities._DISSECTIONS, "dissection-5",
+                        (m, modulus, weights, corrupted))
+    assert verify_component_4_vanishing(30).failure_witness.power == 9
+
+
+def test_a_wrong_partition_number_fails_both_a_one_checks(monkeypatch):
+    # p(24) one too large: the column form multiplies by the wrong p(n), and
+    # the a = 1 side of component-4-vanishing is compared with it, while the
+    # product formula never reads p(n)
+    wrong = [partition_count(n) for n in range(61)]
+    wrong[24] += 1
+    monkeypatch.setattr(partitions, "_pcounts", wrong)
+    for verify in (verify_component_4_vanishing, verify_crank_gf):
+        report = verify(60)
+        assert report.status == "fail"
+        assert report.failure_witness.power == 24

@@ -1,8 +1,10 @@
 import pytest
 
 from qdissect import memo, partitions
+from qdissect.identities import (verify_crank_columns, verify_crank_gf, verify_rank_columns,
+                                 verify_rank_gf)
 from qdissect.partitions import (
-    ENUMERATION_CAP,
+    TABLE_CAP,
     Partition,
     build_stat_table,
     crank,
@@ -11,10 +13,10 @@ from qdissect.partitions import (
     partition_count,
     rank,
     rank_row,
+    recurrence_rows,
     stat_table,
 )
-from qdissect.ring import LaurentPoly
-from qdissect.series import crank_gf, rank_gf
+from qdissect.series import product_rows
 
 
 # independent oracle: count partitions of n with parts <= m, bare recursion
@@ -103,13 +105,14 @@ def test_stat_table_convention_rows():
 
 
 def test_stat_table_row_sums_and_symmetry():
+    # the column form is symmetric by construction; the recurrences are not
     for kind in ("rank", "crank"):
-        table = build_stat_table(kind, 30)
-        for n in range(31):
-            row = table.row(n)
-            assert sum(row.values()) == partition_count(n)
-            assert all(row.get(-m) == c for m, c in row.items())
-            assert all(abs(m) <= n for m in row)
+        for rows in (build_stat_table(kind, 30).rows, recurrence_rows(kind, 30)):
+            for n in range(31):
+                row = rows[n]
+                assert sum(row.values()) == partition_count(n)
+                assert all(row.get(-m) == c for m, c in row.items())
+                assert all(abs(m) <= n for m in row)
 
 
 def test_count_mod():
@@ -128,8 +131,9 @@ def test_count_mod():
 
 @pytest.mark.parametrize("kind", ("rank", "crank"))
 def test_count_mod_folds_every_row(kind):
-    table = build_stat_table(kind, ENUMERATION_CAP)
-    for n in range(ENUMERATION_CAP + 1):
+    # every fold of every row costs O(n^3) in all, so this stays at n = 60
+    table = build_stat_table(kind, 60)
+    for n in range(61):
         row = table.row(n)
         for t in range(1, 2 * n + 2):
             counts = table.count_mod(t, n)
@@ -139,7 +143,7 @@ def test_count_mod_folds_every_row(kind):
     for t in (0, -1, -7):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             table.count_mod(t, 5)
-    for n in (-1, ENUMERATION_CAP + 1):
+    for n in (-1, 61):
         with pytest.raises(ValueError, match="outside table range"):
             table.count_mod(5, n)
 
@@ -149,8 +153,8 @@ def test_build_validation():
         build_stat_table("median", 4)
     with pytest.raises(ValueError):
         build_stat_table("rank", -1)
-    with pytest.raises(ValueError, match="enumeration cap"):
-        build_stat_table("crank", ENUMERATION_CAP + 1)
+    with pytest.raises(ValueError, match="n_max 301 exceeds the table cap 300"):
+        build_stat_table("crank", TABLE_CAP + 1)
 
 
 def test_negative_order_refused_on_a_warm_memo(monkeypatch):
@@ -175,20 +179,29 @@ def test_row_is_a_copy():
 
 
 def test_recurrence_rows_match_enumeration():
-    rank_table = build_stat_table("rank", 30)
-    crank_table = build_stat_table("crank", 30)
-    for n in range(1, 31):
-        assert rank_table.row(n) == rank_row(n), n
-    for n in range(2, 31):
-        assert crank_table.row(n) == crank_row(n), n
+    # both the recurrences and the column form
+    for rank_rows, crank_rows in ((recurrence_rows("rank", 30), recurrence_rows("crank", 30)),
+                                  (build_stat_table("rank", 30).rows,
+                                   build_stat_table("crank", 30).rows)):
+        for n in range(1, 31):
+            assert rank_rows[n] == rank_row(n), n
+        for n in range(2, 31):
+            assert crank_rows[n] == crank_row(n), n
 
 
-@pytest.mark.parametrize("kind,build", [("crank", crank_gf), ("rank", rank_gf)])
-def test_recurrence_rows_match_generating_functions_to_the_cap(kind, build):
-    table = build_stat_table(kind, ENUMERATION_CAP)
-    series = build(ENUMERATION_CAP)
-    for n in range(ENUMERATION_CAP + 1):
-        assert LaurentPoly(table.row(n)) == series.coefficient(n), n
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+def test_recurrence_rows_match_generating_functions_to_the_cap(kind):
+    # the three routes, row for row, with the conventions at n <= 1
+    rows = build_stat_table(kind, 60).rows
+    assert tuple(recurrence_rows(kind, 60)) == rows == product_rows(kind, 60)
+
+
+@pytest.mark.parametrize("kind,checks", [
+    ("crank", (verify_crank_gf, verify_crank_columns)),
+    ("rank", (verify_rank_gf, verify_rank_columns))])
+def test_routes_agree_at_the_table_cap(kind, checks):
+    for check in checks:
+        assert check(TABLE_CAP).passed
 
 
 @pytest.mark.parametrize("kind", ["crank", "rank"])
@@ -197,5 +210,5 @@ def test_build_lists_no_partition(monkeypatch, kind):
         raise AssertionError("the table build must not enumerate")
 
     monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
-    table = build_stat_table(kind, ENUMERATION_CAP)
-    assert sum(table.row(ENUMERATION_CAP).values()) == partition_count(ENUMERATION_CAP)
+    table = build_stat_table(kind, TABLE_CAP)
+    assert sum(table.row(TABLE_CAP).values()) == partition_count(TABLE_CAP)

@@ -3,9 +3,10 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qdissect import memo, series
+from qdissect import memo, partitions, series
 from qdissect.identities import FIFTH_ROOTS, verify_5_dissection, verify_component_4_vanishing
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
+from qdissect.partitions import TABLE_CAP
 from qdissect.series import (
     LAURENT_CRANK_CAP,
     TruncatedSeries,
@@ -15,6 +16,7 @@ from qdissect.series import (
     partition_gf,
     pochhammer_fin,
     pochhammer_inf,
+    product_rows,
     rank_gf,
     reassemble,
     theta,
@@ -100,15 +102,18 @@ TARGETS = (None, PHI8, PHI9, PHI5)
 
 @pytest.fixture
 def fresh_crank_cache(monkeypatch):
-    """A list recording the order of each crank build."""
+    """A list recording the order of each crank build: the column kernel,
+    which builds the crank table (crank_gf) and crank_coordinates."""
     builds = []
-    packed = series._packed_crank
+    columns = partitions._columns
 
-    def recording(order, size, bits):
-        builds.append(order)
-        return packed(order, size, bits)
+    def recording(kind, order, size):
+        if kind == "crank":
+            builds.append(order)
+        return columns(kind, order, size)
 
-    monkeypatch.setattr(series, "_packed_crank", recording)
+    monkeypatch.setattr(partitions, "_columns", recording)
+    monkeypatch.setattr(series, "_columns", recording)
     return builds
 
 
@@ -429,7 +434,7 @@ def test_crank_cache_keeps_each_modulus(fresh_crank_cache):
     assert fresh_crank_cache == [30, 20, 25, 5]
     assert {key[1]: order for key, (order, _) in memo._held.items()
             if key[0] == "crank-coordinates"} == {PHI8: 30, PHI9: 25}
-    assert memo._held[("crank",)][0] == 5
+    assert memo._held[("table", "crank")][0] == 5
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
         assert built_crank(order, modulus) == expected_crank(order, modulus)
     assert fresh_crank_cache == [30, 20, 25, 5]
@@ -452,24 +457,39 @@ def test_roots_share_one_crank_build(monkeypatch):
     # a -> a^r maps only a witness, so the four roots and
     # component-4-vanishing read one crank entry and one right-hand side
     builds = []
-    packed = series._packed_crank
+    columns, packed = series._columns, series._packed_crank
 
-    def recording(order, size, bits):
-        builds.append((order, size))
+    def recording_columns(kind, order, size):
+        builds.append(("columns", order, size))
+        return columns(kind, order, size)
+
+    def recording_product(order, size, bits):
+        builds.append(("product", order, size))
         return packed(order, size, bits)
 
-    monkeypatch.setattr(series, "_packed_crank", recording)
+    monkeypatch.setattr(series, "_columns", recording_columns)
+    monkeypatch.setattr(series, "_packed_crank", recording_product)
     for order in (30, 60, 45):
         for root in FIFTH_ROOTS:
             assert verify_5_dissection(order, root).passed
         assert verify_component_4_vanishing(order).passed
-    # Phi5 packs into the 5 classes of a^5 = 1, the specialisation a = 1 into one
-    assert builds == [(30, 5), (30, 1), (60, 5), (60, 1)]
-    assert set(memo._held) == {("crank-coordinates", PHI5), ("crank-coordinates", AT_ONE),
+    # the columns for Phi5 in the 5 classes of a^5 = 1; the product formula
+    # for the specialisation a = 1 in one class
+    assert builds == [("columns", 30, 5), ("product", 30, 1),
+                      ("columns", 60, 5), ("product", 60, 1)]
+    assert set(memo._held) == {("crank-coordinates", PHI5), ("product", "crank", 1),
                                ("dissection-5",)}
 
 
-# --- the packed kernel, against oracles that share none of its code ---------------
+# --- the two kernels, against each other and oracles that share none of their code ---
+
+@pytest.mark.parametrize("kind,build", [("crank", series._packed_crank),
+                                        ("rank", series._packed_rank)], ids=["crank", "rank"])
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 8, 21, 55, 100))
+def test_column_kernel_equals_the_product_class_for_class(kind, build, order):
+    for size in (1, 5, 7, 8, 9, 11, 2 * order + 1):
+        assert partitions._columns(kind, order, size) == series._unpacked(build, order, size)
+
 
 def test_order_of_a_picks_the_packing_ring():
     assert [len(series._powers_of_a(m, 40)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [8, 9, 5, 1]
@@ -489,7 +509,9 @@ def test_digit_bits_cover_the_coefficient_bound(order):
 
 
 def test_crank_gf_at_one_is_partition_gf_at_high_order():
-    (at_one,) = crank_coordinates(200, AT_ONE)
+    # the product route in the one class of a = 1, which component-4-vanishing
+    # reads; the column form gives p(n) there by construction
+    at_one = tuple(row.get(0, 0) for row in product_rows("crank", 200, 1))
     assert at_one == partition_gf(200).coefficients
 
 
@@ -509,16 +531,24 @@ def test_laurent_crank_gf_at_high_order():
         assert c.evaluate_at_one() == p.coefficient(n)
 
 
-def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache):
+def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, monkeypatch):
     # a has infinite order modulo a^2 - a - 1, so that build would run with
-    # 2N+1 classes, as the Laurent one does
-    with pytest.raises(ValueError, match="Laurent crank cap"):
-        crank_gf(LAURENT_CRANK_CAP + 1)
-    with pytest.raises(ValueError, match="Laurent crank cap"):
-        crank_coordinates(LAURENT_CRANK_CAP + 1, FIBONACCI)
+    # 2N+1 classes, as the table build does
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    monkeypatch.setattr(series, "_packed_crank", refuse)
+    with pytest.raises(ValueError, match=f"order {TABLE_CAP + 1} exceeds the table cap"):
+        crank_gf(TABLE_CAP + 1)
+    with pytest.raises(ValueError, match=f"order {TABLE_CAP + 1} exceeds the table cap"):
+        crank_coordinates(TABLE_CAP + 1, FIBONACCI)
+    with pytest.raises(ValueError, match=f"order {LAURENT_CRANK_CAP + 1} exceeds the Laurent"):
+        product_rows("crank", LAURENT_CRANK_CAP + 1)
     assert fresh_crank_cache == []                 # refused before any work
-    columns = crank_coordinates(LAURENT_CRANK_CAP + 1, PHI5)
-    assert [len(c) for c in columns] == [LAURENT_CRANK_CAP + 2] * PHI5.degree
+    assert memo._held == {}
+    columns = crank_coordinates(TABLE_CAP + 1, PHI5)
+    assert [len(c) for c in columns] == [TABLE_CAP + 2] * PHI5.degree
+    assert fresh_crank_cache == [TABLE_CAP + 1]
 
 
 def test_crank_coordinates_where_a_has_infinite_order():
