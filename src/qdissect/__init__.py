@@ -37,7 +37,6 @@ from .partitions import (
 )
 from .ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from .series import (
-    LAURENT_CRANK_CAP,
     TruncatedSeries,
     crank_coordinates,
     crank_gf,
@@ -56,7 +55,6 @@ __all__ = [
     "LaurentPoly", "Modulus", "QuotientElem", "PHI5", "PHI8", "PHI9",
     "TruncatedSeries", "euler_product", "pochhammer_inf", "pochhammer_fin",
     "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf", "reassemble",
-    "LAURENT_CRANK_CAP",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",
     "TABLE_CAP",

@@ -373,20 +373,12 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-# built on the first request that needs argparse and reused: building costs
-# about 0.7 ms, as much as a small request itself
-_parser: argparse.ArgumentParser | None = None
-
-
 def _run(argv: list[str]) -> int:
     """Parse argv and run its subcommand; the exit code."""
-    global _parser
     args = _fast_args(argv)
     if args is None:
-        if _parser is None:
-            _parser = build_parser()
         try:
-            args = _parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:          # argparse handles its own usage errors
             return int(exc.code or 0)
     try:

@@ -39,7 +39,7 @@ from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
 
 CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
-RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
+RESIDUE_FOR_MODULUS = dict(CONGRUENCE_PAIRS)
 # a -> a^r for these r sends a primitive 5th root of unity to each of the four
 FIFTH_ROOTS = (1, 2, 3, 4)
 
@@ -152,7 +152,7 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Coefficients of the crank product formula equal the crank table,
-    rows 0..order.  The product build is refused beyond LAURENT_CRANK_CAP."""
+    rows 0..order."""
     return _verify_table("crank-gf", "crank", order, 2, product_rows, perturb_power)
 
 

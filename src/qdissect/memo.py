@@ -10,18 +10,20 @@ series' coordinates in Z[a]/(modulus)), both from the column form;
 ``("product", kind, size)`` (the rows of the product formula, the other
 side of the table checks and of component-4-vanishing); and per
 dissection ``(identity,)`` (the coordinates of its right-hand side).
-``largest`` itself refuses a negative order for every key.  Any other
-refusal must run before ``largest`` is called: one at the start of
-``build`` runs only on a miss, so a held entry would answer a request it
-should refuse.  A build that raises stores nothing.
+``largest`` itself refuses a negative order for every key.  A refusal
+that depends on the order must run before ``largest`` is called: one at
+the start of ``build`` runs only on a miss, so a held entry would answer a
+request it should refuse.  A refusal that depends only on the key may run
+in ``build`` (``crank_coordinates`` refuses a modulus there), because a
+held entry has passed it.  A build that raises stores nothing.
 
 Kept out, on purpose:
 
 - ``partitions._pcounts`` grows in place, one p(n) at a time.  Its callers
   walk n upward one step at a time, so rebuilding it on every growth would
   make ``tables --kind p --n-max 300`` quadratic.
-- ``Modulus._inv_a`` and ``cli._parser`` are per-object and per-process
-  constants, not series built up to an order.
+- ``Modulus._inv_a`` is a per-object constant, not a series built up to
+  an order.
 - Hits and misses are not counted yet: nothing reads such counts.
 """
 

@@ -15,6 +15,9 @@ number of ones).  Three routes compute them, and they share no code below
 - ``series.product_rows`` expands the product formulas (the
   ``crank-gf``/``rank-gf`` checks).
 
+Each of the three refuses rows beyond ``TABLE_CAP`` itself, before any
+work, whoever calls it.
+
 Enumeration (lexicographically descending) with ``rank``/``crank`` and
 ``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
 the routes against.
@@ -36,8 +39,9 @@ from typing import Callable, Iterator
 
 from .memo import largest
 
-# Tables, and every check that reads one, are refused beyond this n,
-# whichever entry point asks.  The column form alone would reach much
+# Tables, every check that reads one, and the recurrences and product
+# formulas at the Laurent size 2n + 1 are refused beyond this n, whichever
+# entry point asks.  The column form alone would reach much
 # further (0.12 s to n = 400, 2-core VM, CPython 3.11); the cap is where its
 # checks still run in a few seconds: to n = 300 the crank recurrence takes
 # about 2.2 s and the crank product 1.2 s, to n = 400 about 6-9 s and 3.3 s.
@@ -305,7 +309,10 @@ def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
     the rank split by (largest part, number of parts), the crank by (number
     of ones w, parts larger than w), after Andrews-Garvan, "Dyson's crank of
     a partition", Bull. AMS 18 (1988), with the conventions set at n <= 1:
-    O(n_max^3) steps and O(n_max^2) integers, bounded by the caller."""
+    O(n_max^3) steps and O(n_max^2) integers.  n_max beyond TABLE_CAP is
+    refused before any work."""
+    if n_max > TABLE_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the table cap {TABLE_CAP}")
     rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
     rows[0] = {0: 1}
     if kind == "crank" and n_max >= 1:

@@ -85,18 +85,6 @@ class LaurentPoly:
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    @property
-    def min_exponent(self) -> int:
-        """Lowest exponent present (0 for the zero polynomial)."""
-        return min(self._terms) if self._terms else 0
-
-    @property
-    def max_exponent(self) -> int:
-        return max(self._terms) if self._terms else 0
-
     def is_palindromic(self) -> bool:
         """True iff the coefficient of a^k equals that of a^-k for all k."""
         return all(self._terms.get(-e) == c for e, c in self._terms.items())
@@ -108,10 +96,6 @@ class LaurentPoly:
         if k == 1:
             return self
         return LaurentPoly._raw({e * k: c for e, c in self._terms.items()})
-
-    def evaluate_at_one(self) -> int:
-        """Sum of all coefficients, i.e. the specialization a = 1."""
-        return sum(self._terms.values())
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -10,7 +10,7 @@ smaller order, so precision never silently inflates.
 
 The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
-products, bilateral theta sums f(+-q^r, +-q^s), the partition generating
+products, bilateral theta sums f(-q^r, -q^s), the partition generating
 function, and the crank and rank generating functions whose coefficients
 are Laurent polynomials in the statistic-counting symbol ``a``.
 
@@ -20,13 +20,16 @@ statistic tables, which ``partitions._columns`` builds from the column
 (Lambert-series) form, and ``crank_coordinates`` folds the same kernel in
 Z[a]/(a^M - 1), M the multiplicative order of ``a`` in a quotient ring
 Z[a]/(m(a)), into that ring's integer coordinates (the one quotient-ring
-route, held once per modulus).  ``product_rows`` expands the product
+route, held once per modulus).  Every ring the identities use makes ``a``
+a root of unity; a modulus where ``a`` has no order M <= 2*TABLE_CAP + 1
+is refused.  ``product_rows`` expands the product
 formulas, the independent side of the ``crank-gf``/``rank-gf`` checks and
 of the a = 1 side of ``component-4-vanishing``: one packed kernel over
 Z[a]/(a^M - 1), M Python ints, one per residue class of the exponent of
 ``a``, each holding its q-coefficients as fixed-width digits, so that
 division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
-additions per class.
+additions per class.  Like the tables, a build at the Laurent size
+2N + 1 is refused beyond TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -206,29 +209,6 @@ class TruncatedSeries:
         """Apply fn to every coefficient, e.g. to lift it into another ring."""
         return TruncatedSeries(tuple(fn(c) for c in self._coeffs))
 
-    def __str__(self) -> str:
-        chunks = []
-        for n, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            cs = str(c)
-            if n == 0:
-                chunks.append(cs)
-            else:
-                qs = "q" if n == 1 else f"q^{n}"
-                if cs == "1":
-                    term = qs
-                elif cs == "-1":
-                    term = f"-{qs}"
-                elif " " in cs or cs.startswith("-"):
-                    term = f"({cs})*{qs}"
-                else:
-                    term = f"{cs}*{qs}"
-                chunks.append(term if not chunks else
-                              (f"+ {term}" if not term.startswith("-") else f"- {term[1:]}"))
-        body = " ".join(chunks) if chunks else "0"
-        return f"{body} + O(q^{self.order + 1})"
-
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"
 
@@ -306,46 +286,25 @@ def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries
     return TruncatedSeries(tuple(out))
 
 
-def theta(r: int, s: int, order: int, sign_r: int = -1, sign_s: int = -1) -> TruncatedSeries:
-    """Bilateral theta sum of (sign_r q^r)^(n(n+1)/2) (sign_s q^s)^(n(n-1)/2).
+def theta(r: int, s: int, order: int) -> TruncatedSeries:
+    """Bilateral theta sum f(-q^r, -q^s), the sum over n in Z of
+    (-1)^n q^(r n(n+1)/2 + s n(n-1)/2).
 
-    With the default signs this is f(-q^r, -q^s), whose n-th term carries
-    sign (-1)^n; theta(1, 2, N) is the Euler product (q;q)_inf, by
-    Euler's pentagonal number theorem.  Exponents r, s must
-    be nonnegative and not both zero so the bilateral sum truncates.  The
-    coefficients are ints.
+    theta(1, 2, N) is the Euler product (q;q)_inf, by Euler's pentagonal
+    number theorem.  Exponents r, s must be nonnegative and not both zero
+    so the bilateral sum truncates.  The coefficients are ints.
     """
-    if sign_r not in (1, -1) or sign_s not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("exponents must be nonnegative and not both zero")
     _check_order(order)
     out = [0] * (order + 1)
-
-    def tri(k: int) -> int:
-        return k * (k + 1) // 2
-
-    def accumulate(n: int) -> bool:
-        e = r * tri(n) + s * tri(n - 1)
-        if e > order:
-            return False
-        sign = 1
-        if sign_r == -1 and tri(n) % 2:
-            sign = -sign
-        if sign_s == -1 and tri(n - 1) % 2:
-            sign = -sign
-        out[e] += sign
-        return True
-
-    accumulate(0)
-    n = 1
-    # the exponent is strictly increasing in |n| once n != 0, so the first
-    # overshoot on each side ends that side
-    while accumulate(n):
-        n += 1
-    n = -1
-    while accumulate(n):
-        n -= 1
+    # n = 0, 1, 2, ... and then n = -1, -2, ...: the exponent is strictly
+    # increasing in |n| once n != 0, so the first overshoot on each side
+    # ends that side
+    for n, step in ((0, 1), (-1, -1)):
+        while (e := (r * n * (n + 1) + s * n * (n - 1)) // 2) <= order:
+            out[e] += -1 if n & 1 else 1
+            n += step
     return TruncatedSeries(tuple(out))
 
 
@@ -354,13 +313,6 @@ def partition_gf(order: int) -> TruncatedSeries:
     the cached p(n) of the pentagonal recurrence rather than inverted."""
     _check_order(order)
     return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
-
-
-# The product route's Laurent crank build runs with M = 2N+1 classes and
-# moves about N^3 * B bits (B from _digit_bits, growing with N): about 0.5 s
-# at order 200 and 1.2-1.7 s at 300 on a 2-core VM with CPython 3.11, past
-# 3 s at 400.  Its build at M = 1 is not capped.
-LAURENT_CRANK_CAP = 300
 
 
 # The packed kernel of the product route.  A series in Z[a]/(a^M - 1),
@@ -464,17 +416,19 @@ def _unpacked(build: Callable, order: int, size: int) -> list[list[int]]:
     return columns
 
 
-def _powers_of_a(modulus: Modulus, limit: int) -> list[QuotientElem] | None:
+def _powers_of_a(modulus: Modulus) -> list[QuotientElem]:
     """a^0..a^(M-1) in Z[a]/(modulus), where M is the multiplicative order
-    of a; None if a has no order M <= limit."""
+    of a.  Refused if a has no order M <= 2*TABLE_CAP + 1, the largest
+    Laurent size."""
     a = modulus.project(LaurentPoly.monomial(1, 1))
     powers = [modulus.one()]
-    while len(powers) <= limit:
+    while len(powers) <= 2 * TABLE_CAP + 1:
         power = powers[-1] * a
         if power == powers[0]:
             return powers
         powers.append(power)
-    return None
+    raise ValueError(f"a has no multiplicative order <= {2 * TABLE_CAP + 1} "
+                     f"modulo {modulus}")
 
 
 def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], ...]:
@@ -484,10 +438,10 @@ def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], 
     2*order + 1, where they are the Laurent exponents: |crank| and |rank| of
     a partition of n are at most n, so no class wraps.
 
-    Held per (kind, size) at the largest order so far.  A crank build at the
-    Laurent size beyond LAURENT_CRANK_CAP is refused before any work."""
-    if kind == "crank" and not size and order > LAURENT_CRANK_CAP:
-        raise ValueError(f"order {order} exceeds the Laurent crank cap {LAURENT_CRANK_CAP}")
+    Held per (kind, size) at the largest order so far.  A build at the
+    Laurent size beyond TABLE_CAP is refused before any work."""
+    if not size and order > TABLE_CAP:
+        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
 
     def build(n: int) -> tuple[dict[int, int], ...]:
         classes = size or 2 * n + 1
@@ -508,24 +462,18 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     degree of the modulus: the q^n coefficient is sum_i c_i[n] a^i.  This is
     the one quotient-ring route to the crank.
 
-    The column kernel runs in Z[a]/(a^M - 1), which maps onto the quotient,
-    if a has an order M <= 2N there, else at the Laurent size 2N+1, where
-    class j > N holds a^(j-2N-1); class j adds in the residue of its power of
-    a.  The columns are held per modulus at the largest order so far.  Only
-    a build at the Laurent size is capped, at TABLE_CAP as a table build is,
-    and refused before any work."""
-    if order > TABLE_CAP and _powers_of_a(modulus, 2 * order) is None:
-        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
+    The column kernel runs in Z[a]/(a^M - 1), M the multiplicative order of
+    a in the quotient, which maps onto the quotient: class j adds in the
+    residue of a^j.  A modulus where a has no order M <= 2*TABLE_CAP + 1 is
+    refused before any kernel work; the order itself is not capped.  The
+    columns are held per modulus at the largest order so far."""
 
     def build(n: int) -> tuple[tuple, ...]:
-        powers = _powers_of_a(modulus, 2 * n)
-        classes = _columns("crank", n, 2 * n + 1 if powers is None else len(powers))
-        size = len(classes)
-        images = powers or [modulus.project(LaurentPoly.monomial(1, e))
-                            for e in (j if 2 * j < size else j - size for j in range(size))]
+        # a refusal that depends only on the modulus: a held entry passed it
+        powers = _powers_of_a(modulus)
         columns = [[0] * (n + 1) for _ in range(modulus.degree)]
-        for image, values in zip(images, classes):
-            for i, x in enumerate(image.residue):
+        for power, values in zip(powers, _columns("crank", n, len(powers))):
+            for i, x in enumerate(power.residue):
                 if x:
                     columns[i] = [y + x * c for y, c in zip(columns[i], values)]
         return tuple(map(tuple, columns))

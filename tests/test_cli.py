@@ -519,38 +519,6 @@ def test_cli_never_reaches_the_stdlib_encoder(capsys, monkeypatch):
         assert out.startswith('{\n  "command": ') and out.endswith("\n}\n")
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    builds = []
-    original = cli.build_parser
-
-    def counted():
-        builds.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
-    assert run_cli(capsys, "verify", "--identity", "congruence-5-4", "--order", "10")[0] == 0
-    assert builds == []         # a well-formed request needs no parser
-    code, out, err = run_cli(capsys, "verify", "--identity", "no-such-thing")
-    assert code == 2
-    assert out == ""
-    assert "invalid choice" in err
-    argv = ("tables", "--kind", "crank", "--n-max", "10", "--format", "csv")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert builds == [1]
-    # the reused parser answers as a fresh process does
-    src = Path(__file__).resolve().parents[1] / "src"
-    fresh = subprocess.run([sys.executable, "-m", "qdissect.cli", *argv],
-                           env={**os.environ, "PYTHONPATH": str(src)},
-                           capture_output=True, text=True, check=True, timeout=60)
-    assert out == fresh.stdout
-    code, out, _ = run_cli(capsys, "--help")
-    assert code == 0
-    assert out.startswith("usage: qdissect")
-    assert builds == [1]
-
-
 @pytest.mark.parametrize("argv", [
     ("tables", "--kind", "crank", "--n-max", "3"),
     ("tables", "--kind", "crank", "--n-max", "20"),

@@ -1,6 +1,6 @@
 import pytest
 
-from qdissect import memo, partitions
+from qdissect import memo, partitions, series
 from qdissect.identities import (verify_crank_columns, verify_crank_gf, verify_rank_columns,
                                  verify_rank_gf)
 from qdissect.partitions import (
@@ -155,6 +155,26 @@ def test_build_validation():
         build_stat_table("rank", -1)
     with pytest.raises(ValueError, match="n_max 301 exceeds the table cap 300"):
         build_stat_table("crank", TABLE_CAP + 1)
+
+
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+@pytest.mark.parametrize("build,name", [(build_stat_table, "n_max"),
+                                        (recurrence_rows, "n_max"),
+                                        (product_rows, "order")],
+                         ids=["table", "recurrence", "product"])
+def test_laurent_size_builds_refused_past_the_cap(monkeypatch, kind, build, name):
+    # each kernel bounds its own work, whoever calls it
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    for home, attr in ((partitions, "_columns"), (partitions, "_crank_rows"),
+                       (partitions, "_rank_rows"), (series, "_packed_crank"),
+                       (series, "_packed_rank"), (series, "_unpacked")):
+        monkeypatch.setattr(home, attr, refuse)
+    with pytest.raises(ValueError, match=f"^{name} {TABLE_CAP + 1} exceeds the table cap "
+                                         f"{TABLE_CAP}$"):
+        build(kind, TABLE_CAP + 1)
+    assert memo._held == {}
 
 
 def test_negative_order_refused_on_a_warm_memo(monkeypatch):

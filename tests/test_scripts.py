@@ -17,10 +17,3 @@ def test_verify_all_quick():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("0 failure(s)")
 
-
-def test_coefficient_table():
-    result = run_script("coefficient_table.py", "4")
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 4
-    assert lines[1] == "q^1  a - 1 + a^-1"

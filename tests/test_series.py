@@ -8,7 +8,6 @@ from qdissect.identities import FIFTH_ROOTS, verify_5_dissection, verify_compone
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.partitions import TABLE_CAP
 from qdissect.series import (
-    LAURENT_CRANK_CAP,
     TruncatedSeries,
     crank_coordinates,
     crank_gf,
@@ -321,19 +320,11 @@ def test_theta_examples():
     assert theta(3, 5, 8) == S(1, 0, 0, -1, 0, -1, 0, 0, 0)
     with pytest.raises(ValueError):
         theta(0, 0, 5)
-    with pytest.raises(ValueError):
-        theta(1, 2, 5, sign_r=2)
 
 
 @given(st.integers(1, 10), st.integers(1, 10))
 def test_theta_argument_symmetry(r, s):
     assert theta(r, s, 30) == theta(s, r, 30)
-
-
-def test_theta_positive_signs():
-    # f(q, q) = sum q^(n^2): exponents T(n)+T(n-1) = n^2, all signs +
-    x = theta(1, 1, 10, sign_r=1, sign_s=1)
-    assert list(x.coefficients) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
 # --- the two statistic generating functions ---------------------------------------
@@ -350,13 +341,13 @@ def test_crank_gf_palindromic_and_bounded_support():
     for n in range(26):
         c = gf.coefficient(n)
         assert c.is_palindromic()
-        assert c == LaurentPoly.ZERO or (-n <= c.min_exponent and c.max_exponent <= n)
+        assert c == LaurentPoly.ZERO or (-n <= min(c.terms) and max(c.terms) <= n)
 
 
 def test_crank_gf_at_one_counts_partitions():
     gf = crank_gf(30)
     for n in range(31):
-        assert gf.coefficient(n).evaluate_at_one() == partition_gf(30).coefficient(n)
+        assert sum(gf.coefficient(n).terms.values()) == partition_gf(30).coefficient(n)
 
 
 def test_rank_gf_low_coefficients():
@@ -440,17 +431,26 @@ def test_crank_cache_keeps_each_modulus(fresh_crank_cache):
     assert fresh_crank_cache == [30, 20, 25, 5]
 
 
-@pytest.mark.parametrize("modulus", [PHI8, PHI9, AT_ONE, PHI5],
+@pytest.mark.parametrize("modulus,size", [(PHI8, 8), (PHI9, 9), (AT_ONE, 1), (PHI5, 5)],
                          ids=["phi8", "phi9", "at-one", "phi5"])
-def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus):
-    # every order from an empty memo, so the small ones build at them: where
-    # a's order exceeds 2N the kernel runs at the Laurent size
+def test_crank_coordinates_equal_the_mapped_laurent_series(monkeypatch, modulus, size):
+    # every order from an empty memo, so the small ones build at them: the
+    # kernel runs at M = ord(a) even where the Laurent size 2N + 1 is smaller
+    sizes = []
+    columns = series._columns
+
+    def recording(kind, order, classes):
+        sizes.append(classes)
+        return columns(kind, order, classes)
+
     laurent_crank = crank_gf(40)
+    monkeypatch.setattr(series, "_columns", recording)
     for order in range(41):
         monkeypatch.setattr(memo, "_held", {})
         expected = [modulus.project(c).residue
                     for c in laurent_crank.truncate(order).coefficients]
         assert list(zip(*series.crank_coordinates(order, modulus))) == expected
+    assert sizes == [size] * 41
 
 
 def test_roots_share_one_crank_build(monkeypatch):
@@ -492,9 +492,10 @@ def test_column_kernel_equals_the_product_class_for_class(kind, build, order):
 
 
 def test_order_of_a_picks_the_packing_ring():
-    assert [len(series._powers_of_a(m, 40)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [8, 9, 5, 1]
-    assert series._powers_of_a(PHI9, 8) is None         # order 9 > limit: Laurent route
-    assert series._powers_of_a(FIBONACCI, 200) is None  # a^n = F(n) a + F(n-1)
+    assert [len(series._powers_of_a(m)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [8, 9, 5, 1]
+    # a^n = F(n) a + F(n-1) is never 1
+    with pytest.raises(ValueError, match=f"order <= {2 * TABLE_CAP + 1} modulo a\\^2 - a - 1"):
+        series._powers_of_a(FIBONACCI)
 
 
 @pytest.mark.parametrize("order", (0, 1, 10, 100))
@@ -517,7 +518,7 @@ def test_crank_gf_at_one_is_partition_gf_at_high_order():
 
 def test_rank_gf_at_one_is_partition_gf():
     # Durfee squares: sum q^(n^2) / (q;q)_n^2 = 1/(q;q)_inf
-    sums = [c.evaluate_at_one() for c in rank_gf(100).coefficients]
+    sums = [sum(c.terms.values()) for c in rank_gf(100).coefficients]
     assert sums == list(partition_gf(100).coefficients)
 
 
@@ -527,23 +528,23 @@ def test_laurent_crank_gf_at_high_order():
     for n in range(2, 121):
         c = gf.coefficient(n)
         assert c.is_palindromic()
-        assert -n <= c.min_exponent and c.max_exponent <= n
-        assert c.evaluate_at_one() == p.coefficient(n)
+        assert -n <= min(c.terms) and max(c.terms) <= n
+        assert sum(c.terms.values()) == p.coefficient(n)
 
 
 def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, monkeypatch):
-    # a has infinite order modulo a^2 - a - 1, so that build would run with
-    # 2N+1 classes, as the table build does
+    # the Laurent-size builds run with 2N+1 classes, as the table build does
     def refuse(*args):
         raise AssertionError("work started before the cap refusal")
 
     monkeypatch.setattr(series, "_packed_crank", refuse)
+    monkeypatch.setattr(series, "_packed_rank", refuse)
     with pytest.raises(ValueError, match=f"order {TABLE_CAP + 1} exceeds the table cap"):
         crank_gf(TABLE_CAP + 1)
-    with pytest.raises(ValueError, match=f"order {TABLE_CAP + 1} exceeds the table cap"):
-        crank_coordinates(TABLE_CAP + 1, FIBONACCI)
-    with pytest.raises(ValueError, match=f"order {LAURENT_CRANK_CAP + 1} exceeds the Laurent"):
-        product_rows("crank", LAURENT_CRANK_CAP + 1)
+    for kind in ("crank", "rank"):
+        with pytest.raises(ValueError, match=f"^order {TABLE_CAP + 1} exceeds the table cap "
+                                             f"{TABLE_CAP}$"):
+            product_rows(kind, TABLE_CAP + 1)
     assert fresh_crank_cache == []                 # refused before any work
     assert memo._held == {}
     columns = crank_coordinates(TABLE_CAP + 1, PHI5)
@@ -551,8 +552,13 @@ def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, 
     assert fresh_crank_cache == [TABLE_CAP + 1]
 
 
-def test_crank_coordinates_where_a_has_infinite_order():
-    assert built_crank(30, FIBONACCI) == expected_crank(30, FIBONACCI)
+def test_crank_coordinates_where_a_has_infinite_order(fresh_crank_cache):
+    # no ring Z[a]/(a^M - 1) maps onto Z[a]/(a^2 - a - 1), at any order
+    for order in (0, 30, TABLE_CAP + 1):
+        with pytest.raises(ValueError, match="modulo a\\^2 - a - 1"):
+            crank_coordinates(order, FIBONACCI)
+    assert fresh_crank_cache == []                 # refused before any kernel work
+    assert memo._held == {}
 
 
 def test_gf_cache_consistency():
@@ -572,7 +578,7 @@ def test_series_over_quotient_ring():
 
 
 def test_str_rendering():
-    assert str(S(1, -1, 0, 2)) == "1 - q + 2*q^3 + O(q^4)"
+    # a series renders as its order only; its coefficients render themselves
+    assert str(S(1, -1, 0, 2)) == repr(S(1, -1, 0, 2)) == "TruncatedSeries(order=3)"
     lam = LaurentPoly({1: 1, 0: -1, -1: 1})
-    x = TruncatedSeries((LaurentPoly.ONE, lam))
-    assert str(x) == "1 + (a - 1 + a^-1)*q + O(q^2)"
+    assert str(TruncatedSeries((LaurentPoly.ONE, lam))) == "TruncatedSeries(order=1)"
