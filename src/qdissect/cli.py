@@ -23,7 +23,6 @@ from _json import encode_basestring_ascii as _quote
 from .identities import (
     FIFTH_ROOTS,
     VerificationReport,
-    crank_coefficients,
     verify_2_dissection,
     verify_3_dissection,
     verify_5_dissection,
@@ -35,8 +34,8 @@ from .identities import (
     verify_rank_columns,
     verify_rank_gf,
 )
+from .memo import largest
 from .partitions import TABLE_CAP, partition_count, stat_table
-from .ring import LaurentPoly
 from .series import crank_gf, euler_product, partition_gf
 
 if TYPE_CHECKING:
@@ -69,16 +68,49 @@ IDENTITIES = {
 }
 
 
-def _laurent_json(p: LaurentPoly) -> dict[str, str]:
-    # unsorted and uncopied: _json sorts the keys itself
-    return {str(e): str(c) for e, c in p._terms.items()}
+class _Members(tuple):
+    """A JSON object as its members, each written as '"key": value' on one
+    line, in sorted key order: _json writes it at any depth as the dict."""
+
+    __slots__ = ()
+
+
+def _render_rows(kind: str, n_max: int) -> tuple[tuple, tuple]:
+    if kind == "p":
+        counts = [partition_count(n) for n in range(n_max + 1)]
+        return (tuple([_Members((f'"count": "{c}"', f'"n": {n}')) for n, c in enumerate(counts)]),
+                tuple([f"{n},{c}\n" for n, c in enumerate(counts)]))
+    rows = ([p._terms for p in crank_gf(n_max).coefficients] if kind == "crank"
+            else stat_table(kind, n_max).rows[:n_max + 1])
+    # a member sorts as its key does: '"' sorts before "-" and the digits
+    return (tuple([_Members(sorted([f'"{m}": "{c}"' for m, c in row.items()])) for row in rows]),
+            tuple(["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
+                   for n, row in enumerate(rows)]))
+
+
+def _held_rows(kind: str, n_max: int) -> tuple[tuple, tuple]:
+    """Rows 0..N, N >= n_max, of the p, crank or rank table as text: each row's
+    JSON object (p) or coefficient object (crank, rank) as _Members, and its
+    CSV lines.  A process renders a row once, whichever command asks."""
+    return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n))
+
+
+def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
+    json_rows, csv_rows = _held_rows(kind, n_max)
+    if params["format"] == "csv":
+        header = "n,count\n" if kind == "p" else "n,exponent,coefficient\n"
+        sys.stdout.write(header + "".join(csv_rows[:n_max + 1]))
+    else:
+        rows = json_rows[:n_max + 1]
+        _emit_json(command, params, {"rows": list(rows) if kind == "p" else [
+            {"coefficients": members, "n": n} for n, members in enumerate(rows)]})
 
 
 def _json(value, newline: str = "\n") -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
-    str, int, bool, None, list and dict with str keys; any other type raises
-    TypeError.  The stdlib runs its pure-Python encoder whenever indent is
-    set, and that encoder was the largest single cost of a small request."""
+    str, int, bool, None, list, dict with str keys and _Members; any other
+    type raises TypeError.  The stdlib's pure-Python encoder runs whenever
+    indent is set, and it was the largest single cost of a small request."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -95,6 +127,9 @@ def _json(value, newline: str = "\n") -> str:
                     repr(item) if type(item) is int else _json(item, inner))
             members.append(f"{_quote(key)}: {text}")    # _quote refuses a non-str key
         return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if kind is _Members:
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(value) + newline + "}" if value else "{}"
     if kind is list:
         if not value:
             return "[]"
@@ -151,12 +186,7 @@ def _cmd_tables(args) -> int:
     if args.kind == "p":
         if args.modulo is not None:
             raise ValueError("--modulo applies to crank/rank tables only")
-        rows = [(n, partition_count(n)) for n in range(args.n_max + 1)]
-        if args.format == "json":
-            _emit_json("tables", params,
-                       {"rows": [{"n": n, "count": str(c)} for n, c in rows]})
-        else:
-            _emit_csv(("n", "count"), rows)
+        _emit_rows("tables", params, "p", args.n_max)
         return 0
 
     if args.modulo is not None and args.modulo < 1:
@@ -165,20 +195,18 @@ def _cmd_tables(args) -> int:
     # each class holds at most one value
     if args.modulo is not None and args.modulo > 2 * args.n_max + 1:
         raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
-    table = stat_table(args.kind, args.n_max)
-    # each row as (value or residue class, count) pairs; only CSV needs them sorted
+    table = stat_table(args.kind, args.n_max)     # refuses n_max past the table cap
     if args.modulo is None:
-        field, header = "coefficients", ("n", "exponent", "coefficient")
-        rows = [sorted(row.items()) if args.format == "csv" else row.items()
-                for row in table.rows[:args.n_max + 1]]
-    else:
-        field, header = "classes", ("n", "residue", "count")
-        rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
+        _emit_rows("tables", params, args.kind, args.n_max)
+        return 0
+    # folds are not held: their key space grows with the modulus
+    rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
     if args.format == "json":
-        _emit_json("tables", params, {"rows": [{"n": n, field: {str(m): str(c) for m, c in row}}
-                                               for n, row in enumerate(rows)]})
+        _emit_json("tables", params, {"rows": [
+            {"n": n, "classes": {str(m): str(c) for m, c in row}} for n, row in enumerate(rows)]})
     else:
-        _emit_csv(header, [(n, m, c) for n, row in enumerate(rows) for m, c in row])
+        _emit_csv(("n", "residue", "count"),
+                  [(n, m, c) for n, row in enumerate(rows) for m, c in row])
     return 0
 
 
@@ -221,22 +249,19 @@ def _cmd_dissect(args) -> int:
         raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
     params = {"series": args.series, "m": args.m, "order": args.order,
               "format": args.format}
-    if args.series == "partition-gf":
-        series = partition_gf(args.order)
-    elif args.series == "euler":
-        series = euler_product(args.order)
-    else:
-        series = crank_gf(args.order)
-    components = series.dissect(args.m)
-
     laurent = args.series == "crank-gf"
+    if laurent and args.format == "json":
+        held = _held_rows("crank", args.order)[0][:args.order + 1]
+        _emit_json("dissect", params, {"components": [
+            {"component": k, "coefficients": list(held[k::args.m])} for k in range(args.m)]})
+        return 0
+    series = {"partition-gf": partition_gf, "euler": euler_product}.get(args.series, crank_gf)
+    components = series(args.order).dissect(args.m)
+
     if args.format == "json":
-        payload = {"components": []}
-        for k, comp in enumerate(components):
-            coeffs = [_laurent_json(c) if laurent else str(c)
-                      for c in comp.coefficients]
-            payload["components"].append({"component": k, "coefficients": coeffs})
-        _emit_json("dissect", params, payload)
+        _emit_json("dissect", params, {"components": [
+            {"component": k, "coefficients": [str(c) for c in comp.coefficients]}
+            for k, comp in enumerate(components)]})
     else:
         rows = []
         for k, comp in enumerate(components):
@@ -257,15 +282,7 @@ def _cmd_coeffs(args) -> int:
     if args.count > TABLE_CAP + 1:
         raise ValueError(f"--count must be <= {TABLE_CAP + 1}: coefficient "
                          f"q^{args.count - 1} is past the table cap {TABLE_CAP}")
-    params = {"count": args.count, "format": args.format}
-    polys = crank_coefficients(args.count - 1)
-    if args.format == "json":
-        _emit_json("coeffs", params, {"rows": [
-            {"n": n, "coefficients": _laurent_json(p)} for n, p in enumerate(polys)
-        ]})
-    else:
-        _emit_csv(("n", "exponent", "coefficient"),
-                  [(n, e, c) for n, p in enumerate(polys) for e, c in sorted(p._terms.items())])
+    _emit_rows("coeffs", {"count": args.count, "format": args.format}, "crank", args.count - 1)
     return 0
 
 

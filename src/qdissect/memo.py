@@ -8,8 +8,9 @@ the order: ``("table", kind)`` (the statistic table, whose rows are also
 ``crank_gf``/``rank_gf``), ``("crank-coordinates", modulus)`` (the crank
 series' coordinates in Z[a]/(modulus)), both from the column form;
 ``("product", kind, size)`` (the rows of the product formula, the other
-side of the table checks and of component-4-vanishing); and per
-dissection ``(identity,)`` (the coordinates of its right-hand side).
+side of the table checks and of component-4-vanishing); per dissection
+``(identity,)`` (the coordinates of its right-hand side); and ``("rows",
+kind)`` (the p, crank or rank table rows as text the CLI writes).
 ``largest`` itself refuses a negative order for every key.  A refusal
 that depends on the order must run before ``largest`` is called: one at
 the start of ``build`` runs only on a miss, so a held entry would answer a
@@ -22,6 +23,8 @@ Kept out, on purpose:
 - ``partitions._pcounts`` grows in place, one p(n) at a time.  Its callers
   walk n upward one step at a time, so rebuilding it on every growth would
   make ``tables --kind p --n-max 300`` quadratic.
+- ``tables --modulo`` folds: their keys would grow with the modulus (up
+  to 601 per kind), and the memo would no longer stay bounded.
 - ``Modulus._inv_a`` is a per-object constant, not a series built up to
   an order.
 - Hits and misses are not counted yet: nothing reads such counts.

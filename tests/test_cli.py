@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, identities, partitions
+from qdissect import cli, identities, memo, partitions
 from qdissect.cli import IDENTITIES, main
-from qdissect.ring import LaurentPoly
 from qdissect.series import crank_gf
 
 # a small valid order for every identity that accepts --perturb-power
@@ -61,12 +60,14 @@ def test_tables_rank_modulo(capsys):
 
 def test_tables_usage_errors(capsys):
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "301")[0] == 2
+    assert run_cli(capsys, "tables", "--kind", "rank", "--n-max", "301")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "5", "--modulo", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "nope", "--n-max", "5")[0] == 2
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "3", "--modulo", "0")[0] == 2
+    assert memo._held == {}
 
 
-def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
+def _table_builds(monkeypatch):
     builds = []
     original = partitions.build_stat_table
 
@@ -75,12 +76,34 @@ def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
         return original(kind, n_max)
 
     monkeypatch.setattr(partitions, "build_stat_table", counted)
+    return builds
+
+
+def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
+    builds = _table_builds(monkeypatch)
     assert run_cli(capsys, "verify", "--identity", "crank-gf", "--order", "40")[0] == 0
     assert builds == [("crank", 40)]
     code, out, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "20")
     assert code == 0
     assert len(payload_of(out)["rows"]) == 21
     assert builds == [("crank", 40)]
+
+
+def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
+    builds, renders = _table_builds(monkeypatch), []
+    render = cli._render_rows
+    monkeypatch.setattr(cli, "_render_rows",
+                        lambda kind, n_max: renders.append((kind, n_max)) or render(kind, n_max))
+    assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "30")[0] == 0
+    for argv in (("coeffs", "--count", "21"),
+                 ("tables", "--kind", "crank", "--n-max", "20", "--format", "csv"),
+                 ("dissect", "--series", "crank-gf", "--m", "2", "--order", "30")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert renders == [("crank", 30)] and builds == [("crank", 30)]
+    assert {key: order for key, (order, _) in memo._held.items() if key[0] == "rows"} == {
+        ("rows", "crank"): 30}
+    assert run_cli(capsys, "coeffs", "--count", "32")[0] == 0
+    assert renders == [("crank", 30), ("crank", 31)]
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -275,6 +298,10 @@ def test_coeffs_match_the_crank_table(capsys):
                                       "the table cap 300"),
     (("dissect", "--series", "crank-gf", "--m", "5", "--order", "100000"),
      "order 100000 exceeds the table cap 300"),
+    (("dissect", "--series", "crank-gf", "--m", "2", "--order", "301"),
+     "order 301 exceeds the table cap 300"),
+    (("dissect", "--series", "crank-gf", "--m", "2", "--order", "301", "--format", "csv"),
+     "order 301 exceeds the table cap 300"),
 ])
 def test_crank_series_cap_refused_before_any_work(capsys, monkeypatch, argv, message):
     def refuse(*args):
@@ -286,29 +313,25 @@ def test_crank_series_cap_refused_before_any_work(capsys, monkeypatch, argv, mes
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1.0
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert memo._held == {}
 
 
 def test_coeffs_refusal_names_count(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the cap refusal")
 
-    monkeypatch.setattr(cli, "crank_coefficients", refuse)
+    monkeypatch.setattr(partitions, "build_stat_table", refuse)
     monkeypatch.setattr(partitions, "_columns", refuse)
     code, out, err = run_cli(capsys, "coeffs", "--count", "302")
     assert (code, out, err) == (2, "", "error: --count must be <= 301: coefficient q^301 is "
                                        "past the table cap 300\n")
+    assert memo._held == {}
 
 
 def test_coeffs_largest_count_accepted(capsys, monkeypatch):
-    asked = []
-
-    def fake(order):
-        asked.append(order)
-        return [LaurentPoly.ONE] * (order + 1)
-
-    monkeypatch.setattr(cli, "crank_coefficients", fake)
+    builds = _table_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "coeffs", "--count", "301")
-    assert code == 0 and asked == [300]
+    assert code == 0 and builds == [("crank", 300)]
     assert len(payload_of(out)["rows"]) == 301
 
 
@@ -460,6 +483,17 @@ GOLDEN = [
      "f2f26a7e846c0e2f2d0b9e3b6dc3f5bb108038fa4e64b6c834ae97a3ba5eaa73"),
     ("coeffs --count 30 --format csv",
      "eafb31ce319e56f649d24a61d95d5e5f721dcff0179d797f7853199922e97a48"),
+    # table-cap payloads, recorded before the CLI held rendered rows
+    ("tables --kind crank --n-max 300",
+     "32f6dbf74e92e79efc4869a6548b52205f0330374e11468d27131d7453e04ccc"),
+    ("tables --kind crank --n-max 300 --format csv",
+     "7d396f1acef568de1cc15b3e20c74b97ec2009c10bc453027b3668de6b88fd74"),
+    ("tables --kind rank --n-max 300 --format csv",
+     "95e340cdd1a8aacbff9e8d22ebbb8a913b839324110d894ca7e4e475d8f7211a"),
+    ("coeffs --count 301",
+     "66375adce131028f59c88e2eae41543b3192e202be0a161245ce6e568ec2f1fe"),
+    ("dissect --series crank-gf --m 7 --order 300",
+     "ef97abba2d9f99db1ca3d15096382f525d057d55cf647454c84a2a661088c3d3"),
 ]
 
 
@@ -467,6 +501,17 @@ GOLDEN = [
 def test_output_bytes_pinned_across_commits(capsys, request_line, digest):
     code, out, _ = run_cli(capsys, *request_line.split())
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
+
+
+def test_output_bytes_pinned_when_rows_are_held(capsys):
+    # every request again, now answered by slicing rows held at the cap
+    for kind in ("p", "crank", "rank"):
+        assert run_cli(capsys, "tables", "--kind", kind, "--n-max", "300")[0] == 0
+    assert {key[1]: order for key, (order, _) in memo._held.items() if key[0] == "rows"} == {
+        "p": 300, "crank": 300, "rank": 300}
+    for request_line, digest in GOLDEN:
+        code, out, _ = run_cli(capsys, *request_line.split())
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
 
 
 JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é",
@@ -486,8 +531,23 @@ JSON_VALUES = st.recursive(
           {"n": -12, "count": "", "exact": False, "witness": None}])
 @example({"passed": True, "failed": False})
 @example({"count": [-(10 ** 300)]})
+@example([{"a": [{"b": {"-1": "1", "-10": "2", "0": "-1"}, "c": {}}]}])
 def test_json_writer_matches_the_stdlib(value):
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert cli._json(value) == expected
+    # again with each object of scalars given as its members, written beforehand
+    assert cli._json(_prewritten(value)) == expected
+
+
+def _prewritten(value):
+    if type(value) is list:
+        return [_prewritten(item) for item in value]
+    if type(value) is not dict:
+        return value
+    if any(type(item) in (list, dict) for item in value.values()):
+        return {key: _prewritten(item) for key, item in value.items()}
+    return cli._Members([f"{json.dumps(key)}: {json.dumps(item)}"
+                         for key, item in sorted(value.items())])
 
 
 @pytest.mark.parametrize("value", [
