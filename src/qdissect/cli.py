@@ -36,7 +36,7 @@ from .identities import (
 )
 from .memo import largest
 from .partitions import TABLE_CAP, partition_count, stat_table
-from .series import crank_gf, euler_product, partition_gf
+from .series import crank_gf, euler_product
 
 if TYPE_CHECKING:
     import argparse
@@ -68,48 +68,65 @@ IDENTITIES = {
 }
 
 
-class _Members(tuple):
-    """A JSON object as its members, each written as '"key": value' on one
-    line, in sorted key order: _json writes it at any depth as the dict."""
+class _Text(str):
+    """The JSON text of one value, written at depth 0: _json writes it at any
+    depth by indenting its lines, never quoting it as it would a str."""
 
     __slots__ = ()
 
 
-def _render_rows(kind: str, n_max: int) -> tuple[tuple, tuple]:
+def _render_rows(kind: str, n_max: int) -> tuple[str, list, list, list]:
     if kind == "p":
         counts = [partition_count(n) for n in range(n_max + 1)]
-        return (tuple([_Members((f'"count": "{c}"', f'"n": {n}')) for n, c in enumerate(counts)]),
-                tuple([f"{n},{c}\n" for n, c in enumerate(counts)]))
-    rows = ([p._terms for p in crank_gf(n_max).coefficients] if kind == "crank"
-            else stat_table(kind, n_max).rows[:n_max + 1])
-    # a member sorts as its key does: '"' sorts before "-" and the digits
-    return (tuple([_Members(sorted([f'"{m}": "{c}"' for m, c in row.items()])) for row in rows]),
-            tuple(["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
-                   for n, row in enumerate(rows)]))
+        values = [f'"{c}"' for c in counts]
+        objects = [f'{{\n  "count": {v},\n  "n": {n}\n}}' for n, v in enumerate(values)]
+        lines = [f"{n},{c}\n" for n, c in enumerate(counts)]
+    else:
+        rows = ([p._terms for p in crank_gf(n_max).coefficients] if kind == "crank"
+                else stat_table(kind, n_max).rows[:n_max + 1])
+        # a member sorts as its key does: '"' sorts before "-" and the digits;
+        # no row is empty, since row n counts the p(n) >= 1 partitions of n
+        values = ["{\n  " + ",\n  ".join(sorted([f'"{m}": "{c}"' for m, c in row.items()]))
+                  + "\n}" for row in rows]
+        objects = ['{\n  "coefficients": ' + v.replace("\n", "\n  ") + f',\n  "n": {n}\n}}'
+                   for n, v in enumerate(values)]
+        lines = ["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
+                 for n, row in enumerate(rows)]
+    ends, end = [], -2
+    for text in objects:
+        end += len(text) + 2
+        ends.append(end)
+    return ",\n".join(objects), ends, values, lines
 
 
-def _held_rows(kind: str, n_max: int) -> tuple[tuple, tuple]:
-    """Rows 0..N, N >= n_max, of the p, crank or rank table as text: each row's
-    JSON object (p) or coefficient object (crank, rank) as _Members, and its
+def _held_rows(kind: str, n_max: int) -> tuple[str, list, list, list]:
+    """Rows 0..N, N >= n_max, of the p, crank or rank table as text: the row
+    objects written at depth 0 and joined as list items are, with the offset
+    where each row's object ends; each row's value at depth 0 (the quoted
+    count for p, the coefficient object for crank and rank); and each row's
     CSV lines.  A process renders a row once, whichever command asks."""
     return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n))
 
 
+def _list_text(items) -> _Text:
+    """The JSON list of items, each the text of one value at depth 0."""
+    return _Text(("[\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n]")
+
+
 def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
-    json_rows, csv_rows = _held_rows(kind, n_max)
+    joined, ends, _, lines = _held_rows(kind, n_max)
     if params["format"] == "csv":
         header = "n,count\n" if kind == "p" else "n,exponent,coefficient\n"
-        sys.stdout.write(header + "".join(csv_rows[:n_max + 1]))
+        sys.stdout.write(header + "".join(lines[:n_max + 1]))
     else:
-        rows = json_rows[:n_max + 1]
-        _emit_json(command, params, {"rows": list(rows) if kind == "p" else [
-            {"coefficients": members, "n": n} for n, members in enumerate(rows)]})
+        _emit_json(command, params, {"rows": _list_text((joined[:ends[n_max]],))})
 
 
 def _json(value, newline: str = "\n") -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
-    str, int, bool, None, list, dict with str keys and _Members; any other
-    type raises TypeError.  The stdlib's pure-Python encoder runs whenever
+    str, int, bool, None, list and dict with str keys; any other type raises
+    TypeError.  A _Text is written as the value it holds, indented to the
+    depth newline gives.  The stdlib's pure-Python encoder runs whenever
     indent is set, and it was the largest single cost of a small request."""
     kind = type(value)
     if kind is str:
@@ -127,9 +144,8 @@ def _json(value, newline: str = "\n") -> str:
                     repr(item) if type(item) is int else _json(item, inner))
             members.append(f"{_quote(key)}: {text}")    # _quote refuses a non-str key
         return "{" + inner + ("," + inner).join(members) + newline + "}"
-    if kind is _Members:
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join(value) + newline + "}" if value else "{}"
+    if kind is _Text:
+        return value.replace("\n", newline)
     if kind is list:
         if not value:
             return "[]"
@@ -249,30 +265,33 @@ def _cmd_dissect(args) -> int:
         raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
     params = {"series": args.series, "m": args.m, "order": args.order,
               "format": args.format}
-    laurent = args.series == "crank-gf"
-    if laurent and args.format == "json":
-        held = _held_rows("crank", args.order)[0][:args.order + 1]
-        _emit_json("dissect", params, {"components": [
-            {"component": k, "coefficients": list(held[k::args.m])} for k in range(args.m)]})
+    if args.series == "euler":
+        components = euler_product(args.order).dissect(args.m)
+        if args.format == "json":
+            _emit_json("dissect", params, {"components": [
+                {"component": k, "coefficients": [str(c) for c in comp.coefficients]}
+                for k, comp in enumerate(components)]})
+        else:
+            _emit_csv(("component", "index", "coefficient"),
+                      [(k, j, c) for k, comp in enumerate(components)
+                       for j, c in enumerate(comp.coefficients)])
         return 0
-    series = {"partition-gf": partition_gf, "euler": euler_product}.get(args.series, crank_gf)
-    components = series(args.order).dissect(args.m)
-
+    # row n of the crank or p table is the series' coefficient of q^n
+    kind = "crank" if args.series == "crank-gf" else "p"
+    _, _, values, lines = _held_rows(kind, args.order)
+    m, stop = args.m, args.order + 1
     if args.format == "json":
         _emit_json("dissect", params, {"components": [
-            {"component": k, "coefficients": [str(c) for c in comp.coefficients]}
-            for k, comp in enumerate(components)]})
-    else:
-        rows = []
-        for k, comp in enumerate(components):
-            for j, c in enumerate(comp.coefficients):
-                if laurent:
-                    rows.extend([(k, j, e, v) for e, v in sorted(c._terms.items())])
-                else:
-                    rows.append((k, j, c))
-        header = (("component", "index", "exponent", "coefficient") if laurent
-                  else ("component", "index", "coefficient"))
-        _emit_csv(header, rows)
+            {"component": k, "coefficients": _list_text(values[k:stop:m])} for k in range(m)]})
+        return 0
+    # row n's lines start "n,"; component k, index j holds row n = j*m + k
+    out = ["component,index,exponent,coefficient\n" if kind == "crank"
+           else "component,index,coefficient\n"]
+    for k in range(m):
+        for j, n in enumerate(range(k, stop, m)):
+            old, new = f"{n},", f"{k},{j},"
+            out.append(new + lines[n][len(old):].replace("\n" + old, "\n" + new))
+    sys.stdout.write("".join(out))
     return 0
 
 

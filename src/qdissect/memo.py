@@ -10,7 +10,10 @@ series' coordinates in Z[a]/(modulus)), both from the column form;
 ``("product", kind, size)`` (the rows of the product formula, the other
 side of the table checks and of component-4-vanishing); per dissection
 ``(identity,)`` (the coordinates of its right-hand side); and ``("rows",
-kind)`` (the p, crank or rank table rows as text the CLI writes).
+kind)`` (the p, crank or rank table rows as the text the CLI writes: the
+row objects joined with each row's end offset, each row's value, and each
+row's CSV lines; p grows with ``tables --kind p --n-max`` and ``dissect
+--series partition-gf --order``).
 ``largest`` itself refuses a negative order for every key.  A refusal
 that depends on the order must run before ``largest`` is called: one at
 the start of ``build`` runs only on a miss, so a held entry would answer a

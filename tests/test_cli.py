@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect import cli, identities, memo, partitions
 from qdissect.cli import IDENTITIES, main
-from qdissect.series import crank_gf
+from qdissect.series import crank_gf, partition_gf
 
 # a small valid order for every identity that accepts --perturb-power
 PERTURBABLE = {"crank-gf": 10, "rank-gf": 10, "crank-columns": 10, "rank-columns": 10,
@@ -95,15 +95,26 @@ def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_render_rows",
                         lambda kind, n_max: renders.append((kind, n_max)) or render(kind, n_max))
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "30")[0] == 0
+    assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "40")[0] == 0
     for argv in (("coeffs", "--count", "21"),
                  ("tables", "--kind", "crank", "--n-max", "20", "--format", "csv"),
-                 ("dissect", "--series", "crank-gf", "--m", "2", "--order", "30")):
+                 ("dissect", "--series", "crank-gf", "--m", "2", "--order", "30"),
+                 ("dissect", "--series", "crank-gf", "--m", "5", "--order", "30",
+                  "--format", "csv"),
+                 ("dissect", "--series", "partition-gf", "--m", "5", "--order", "40"),
+                 ("dissect", "--series", "partition-gf", "--m", "7", "--order", "33",
+                  "--format", "csv")):
         assert run_cli(capsys, *argv)[0] == 0
-    assert renders == [("crank", 30)] and builds == [("crank", 30)]
+    assert renders == [("crank", 30), ("p", 40)] and builds == [("crank", 30)]
     assert {key: order for key, (order, _) in memo._held.items() if key[0] == "rows"} == {
-        ("rows", "crank"): 30}
+        ("rows", "crank"): 30, ("rows", "p"): 40}
     assert run_cli(capsys, "coeffs", "--count", "32")[0] == 0
-    assert renders == [("crank", 30), ("crank", 31)]
+    assert renders == [("crank", 30), ("p", 40), ("crank", 31)]
+    for fmt in ("json", "csv", "json"):
+        assert run_cli(capsys, "dissect", "--series", "partition-gf", "--m", "2",
+                       "--order", "60", "--format", fmt)[0] == 0
+    assert renders == [("crank", 30), ("p", 40), ("crank", 31), ("p", 60)]
+    assert builds == [("crank", 30), ("crank", 31)]
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -494,6 +505,20 @@ GOLDEN = [
      "66375adce131028f59c88e2eae41543b3192e202be0a161245ce6e568ec2f1fe"),
     ("dissect --series crank-gf --m 7 --order 300",
      "ef97abba2d9f99db1ca3d15096382f525d057d55cf647454c84a2a661088c3d3"),
+    # session-sized dissects, recorded while they still went through
+    # TruncatedSeries.dissect
+    ("dissect --series partition-gf --m 5 --order 100",
+     "49d208d896688e8ef523f131c5685e4eb4335cca09d2c6436d43d2dd2f5057e1"),
+    ("dissect --series partition-gf --m 7 --order 100 --format csv",
+     "cc370803e1fba826f99758565a0769592e62573a8f85ecb568d61175ef562e7c"),
+    ("dissect --series partition-gf --m 2 --order 60",
+     "f2be31a33c681c5f7b05a6b74f8aeb678ba6e87159ee47bb2d7f482fb15fd1fe"),
+    ("dissect --series crank-gf --m 2 --order 30 --format csv",
+     "e5657dcd38e641f13e5f5de9175fa4800e80a7a69328a3163eaa21bc8d866594"),
+    ("dissect --series crank-gf --m 31 --order 30 --format csv",
+     "5febea15d947702a3d32548abdb66c8fb5b104a39d6bd89bec3fc8ba54dc8507"),
+    ("dissect --series partition-gf --m 1 --order 0 --format csv",
+     "70ecea3fbc370c7a54746729bbfec3429a7255dad7b8c3baf6a6b0968f2c5569"),
 ]
 
 
@@ -512,6 +537,52 @@ def test_output_bytes_pinned_when_rows_are_held(capsys):
     for request_line, digest in GOLDEN:
         code, out, _ = run_cli(capsys, *request_line.split())
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
+
+
+def _library_dissection(series, m, order, fmt):
+    """What dissect should write, from the library's series and dissect and
+    the stdlib's json and csv writers."""
+    crank = series == "crank-gf"
+    components = (crank_gf if crank else partition_gf)(order).dissect(m)
+    if fmt == "json":
+        return json.dumps({
+            "format_version": "1", "command": "dissect",
+            "parameters": {"series": series, "m": m, "order": order, "format": fmt},
+            "payload": {"components": [
+                {"component": k, "coefficients": [
+                    {str(e): str(c) for e, c in coefficient.terms.items()} if crank
+                    else str(coefficient) for coefficient in comp.coefficients]}
+                for k, comp in enumerate(components)]},
+        }, sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["component", "index"] + (["exponent"] if crank else []) + ["coefficient"])
+    for k, comp in enumerate(components):
+        for j, coefficient in enumerate(comp.coefficients):
+            writer.writerows([(k, j, e, c) for e, c in sorted(coefficient.terms.items())]
+                             if crank else [(k, j, coefficient)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("series", ["crank-gf", "partition-gf"])
+def test_dissect_matches_the_library_dissection(capsys, monkeypatch, series):
+    # every request runs twice: from a memo emptied at each order, and from
+    # one that holds the p and crank rows at the cap
+    for kind in ("p", "crank"):
+        assert run_cli(capsys, "tables", "--kind", kind, "--n-max", "300")[0] == 0
+    held = memo._held
+    for fmt in ("json", "csv"):
+        for order in range(61):
+            fresh = {}
+            for m in range(1, order + 2):
+                argv = ("dissect", "--series", series, "--m", str(m), "--order", str(order),
+                        "--format", fmt)
+                outputs = []
+                for state in (fresh, held):
+                    monkeypatch.setattr(memo, "_held", state)
+                    outputs.append(run_cli(capsys, *argv)[:2])
+                expected = (0, _library_dissection(series, m, order, fmt))
+                assert outputs == [expected, expected], argv
 
 
 JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é",
@@ -535,19 +606,19 @@ JSON_VALUES = st.recursive(
 def test_json_writer_matches_the_stdlib(value):
     expected = json.dumps(value, sort_keys=True, indent=2)
     assert cli._json(value) == expected
-    # again with each object of scalars given as its members, written beforehand
+    # again with each object or list of scalars written beforehand at depth 0
     assert cli._json(_prewritten(value)) == expected
 
 
 def _prewritten(value):
+    if type(value) not in (list, dict):
+        return value
+    items = value.values() if type(value) is dict else value
+    if all(type(item) not in (list, dict) for item in items):
+        return cli._Text(json.dumps(value, sort_keys=True, indent=2))
     if type(value) is list:
         return [_prewritten(item) for item in value]
-    if type(value) is not dict:
-        return value
-    if any(type(item) in (list, dict) for item in value.values()):
-        return {key: _prewritten(item) for key, item in value.items()}
-    return cli._Members([f"{json.dumps(key)}: {json.dumps(item)}"
-                         for key, item in sorted(value.items())])
+    return {key: _prewritten(item) for key, item in value.items()}
 
 
 @pytest.mark.parametrize("value", [
@@ -568,10 +639,12 @@ def test_cli_never_reaches_the_stdlib_encoder(capsys, monkeypatch):
     monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
     monkeypatch.setattr(json, "dumps", refuse)
     for argv, expected in (
+        (("tables", "--kind", "p", "--n-max", "6"), 0),
         (("tables", "--kind", "crank", "--n-max", "6", "--modulo", "3"), 0),
         (("verify", "--identity", "dissection-2", "--order", "10"), 0),
         (("verify", "--identity", "rank-gf", "--order", "10", "--perturb-power", "4"), 1),
         (("dissect", "--series", "crank-gf", "--m", "2", "--order", "6"), 0),
+        (("dissect", "--series", "partition-gf", "--m", "3", "--order", "6"), 0),
         (("coeffs", "--count", "5"), 0),
     ):
         code, out, _ = run_cli(capsys, *argv)
