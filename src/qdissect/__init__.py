@@ -45,7 +45,6 @@ from .series import (
     pochhammer_fin,
     pochhammer_inf,
     rank_gf,
-    reassemble,
     theta,
 )
 
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentPoly", "Modulus", "QuotientElem", "PHI5", "PHI8", "PHI9",
     "TruncatedSeries", "euler_product", "pochhammer_inf", "pochhammer_fin",
-    "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf", "reassemble",
+    "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",
     "TABLE_CAP",

@@ -49,18 +49,18 @@ IDENTITIES = {
     "rank-gf": (40, True, lambda o, r, p: verify_rank_gf(o, perturb_power=p)),
     "crank-columns": (100, True, lambda o, r, p: verify_crank_columns(o, perturb_power=p)),
     "rank-columns": (100, True, lambda o, r, p: verify_rank_columns(o, perturb_power=p)),
-    "congruence-5-4": (20, False, lambda o, r, p: verify_congruence(5, 4, o)),
-    "congruence-7-5": (15, False, lambda o, r, p: verify_congruence(7, 5, o)),
-    "congruence-11-6": (10, False, lambda o, r, p: verify_congruence(11, 6, o)),
+    "congruence-5-4": (20, False, lambda o, r, p: verify_congruence(5, o)),
+    "congruence-7-5": (15, False, lambda o, r, p: verify_congruence(7, o)),
+    "congruence-11-6": (10, False, lambda o, r, p: verify_congruence(11, o)),
     # the largest orders the table cap allows
-    "equidist-crank-5": (59, False, lambda o, r, p: verify_equidistribution("crank", 5, 4, o)),
-    "equidist-crank-7": (42, False, lambda o, r, p: verify_equidistribution("crank", 7, 5, o)),
-    "equidist-crank-11": (26, False, lambda o, r, p: verify_equidistribution("crank", 11, 6, o)),
-    "equidist-rank-5": (59, False, lambda o, r, p: verify_equidistribution("rank", 5, 4, o)),
-    "equidist-rank-7": (42, False, lambda o, r, p: verify_equidistribution("rank", 7, 5, o)),
+    "equidist-crank-5": (59, False, lambda o, r, p: verify_equidistribution("crank", 5, o)),
+    "equidist-crank-7": (42, False, lambda o, r, p: verify_equidistribution("crank", 7, o)),
+    "equidist-crank-11": (26, False, lambda o, r, p: verify_equidistribution("crank", 11, o)),
+    "equidist-rank-5": (59, False, lambda o, r, p: verify_equidistribution("rank", 5, o)),
+    "equidist-rank-7": (42, False, lambda o, r, p: verify_equidistribution("rank", 7, o)),
     # recognized so the refusal is explained, but always a usage error:
     # the rank does not equidistribute modulo 11
-    "equidist-rank-11": (3, False, lambda o, r, p: verify_equidistribution("rank", 11, 6, o)),
+    "equidist-rank-11": (3, False, lambda o, r, p: verify_equidistribution("rank", 11, o)),
     "dissection-2": (80, True, lambda o, r, p: verify_2_dissection(o, perturb_power=p)),
     "dissection-3": (81, True, lambda o, r, p: verify_3_dissection(o, perturb_power=p)),
     "dissection-5": (100, True, lambda o, r, p: verify_5_dissection(o, root_power=r, perturb_power=p)),
@@ -75,9 +75,10 @@ class _Text(str):
     __slots__ = ()
 
 
-def _render_rows(kind: str, n_max: int) -> tuple[str, list, list, list]:
-    if kind == "p":
-        counts = [partition_count(n) for n in range(n_max + 1)]
+def _render_rows(kind: str, n_max: int) -> tuple[list, list, list]:
+    if kind in ("p", "euler"):
+        counts = ([partition_count(n) for n in range(n_max + 1)] if kind == "p"
+                  else euler_product(n_max).coefficients)
         values = [f'"{c}"' for c in counts]
         objects = [f'{{\n  "count": {v},\n  "n": {n}\n}}' for n, v in enumerate(values)]
         lines = [f"{n},{c}\n" for n, c in enumerate(counts)]
@@ -92,19 +93,18 @@ def _render_rows(kind: str, n_max: int) -> tuple[str, list, list, list]:
                    for n, v in enumerate(values)]
         lines = ["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
                  for n, row in enumerate(rows)]
-    ends, end = [], -2
-    for text in objects:
-        end += len(text) + 2
-        ends.append(end)
-    return ",\n".join(objects), ends, values, lines
+    return objects, values, lines
 
 
-def _held_rows(kind: str, n_max: int) -> tuple[str, list, list, list]:
-    """Rows 0..N, N >= n_max, of the p, crank or rank table as text: the row
-    objects written at depth 0 and joined as list items are, with the offset
-    where each row's object ends; each row's value at depth 0 (the quoted
-    count for p, the coefficient object for crank and rank); and each row's
-    CSV lines.  A process renders a row once, whichever command asks."""
+def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
+    """Rows 0..N, N >= n_max, of the p, crank, rank or euler table as text:
+    each row's object and each row's value written at depth 0 (the value is
+    the quoted integer for p and euler, the coefficient object for crank and
+    rank), and each row's CSV lines.  A process renders a row once, whichever
+    command asks; past TABLE_CAP the rows are rendered for the one request
+    and not held, so what a process holds stays bounded."""
+    if n_max > TABLE_CAP:
+        return _render_rows(kind, n_max)
     return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n))
 
 
@@ -114,12 +114,12 @@ def _list_text(items) -> _Text:
 
 
 def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
-    joined, ends, _, lines = _held_rows(kind, n_max)
+    objects, _, lines = _held_rows(kind, n_max)
     if params["format"] == "csv":
         header = "n,count\n" if kind == "p" else "n,exponent,coefficient\n"
         sys.stdout.write(header + "".join(lines[:n_max + 1]))
     else:
-        _emit_json(command, params, {"rows": _list_text((joined[:ends[n_max]],))})
+        _emit_json(command, params, {"rows": _list_text(objects[:n_max + 1])})
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -265,20 +265,9 @@ def _cmd_dissect(args) -> int:
         raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
     params = {"series": args.series, "m": args.m, "order": args.order,
               "format": args.format}
-    if args.series == "euler":
-        components = euler_product(args.order).dissect(args.m)
-        if args.format == "json":
-            _emit_json("dissect", params, {"components": [
-                {"component": k, "coefficients": [str(c) for c in comp.coefficients]}
-                for k, comp in enumerate(components)]})
-        else:
-            _emit_csv(("component", "index", "coefficient"),
-                      [(k, j, c) for k, comp in enumerate(components)
-                       for j, c in enumerate(comp.coefficients)])
-        return 0
-    # row n of the crank or p table is the series' coefficient of q^n
-    kind = "crank" if args.series == "crank-gf" else "p"
-    _, _, values, lines = _held_rows(kind, args.order)
+    # row n of the crank, p or euler rows is the series' coefficient of q^n
+    kind = {"crank-gf": "crank", "partition-gf": "p", "euler": "euler"}[args.series]
+    _, values, lines = _held_rows(kind, args.order)
     m, stop = args.m, args.order + 1
     if args.format == "json":
         _emit_json("dissect", params, {"components": [

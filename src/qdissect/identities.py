@@ -37,9 +37,9 @@ from .ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, product_rows, theta)
 
-CONGRUENCE_PAIRS = ((5, 4), (7, 5), (11, 6))
+# modulus -> the residue r of Ramanujan's congruence p(modulus*n + r) = 0 mod modulus
+RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
-RESIDUE_FOR_MODULUS = dict(CONGRUENCE_PAIRS)
 # a -> a^r for these r sends a primitive 5th root of unity to each of the four
 FIFTH_ROOTS = (1, 2, 3, 4)
 
@@ -177,11 +177,12 @@ def verify_rank_columns(order: int, perturb_power: int | None = None) -> Verific
 # ---------------------------------------------------------------------------
 # arithmetic congruences and equidistribution
 
-def verify_congruence(modulus: int, residue: int, n_max: int) -> VerificationReport:
+def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
     """p(modulus*n + residue) is divisible by modulus for all n <= n_max,
-    for the three classical pairs (5,4), (7,5), (11,6)."""
-    if (modulus, residue) not in CONGRUENCE_PAIRS:
-        raise ValueError(f"unsupported congruence pair ({modulus}, {residue})")
+    for the three classical moduli 5, 7, 11 and their residues 4, 5, 6."""
+    residue = RESIDUE_FOR_MODULUS.get(modulus)
+    if residue is None:
+        raise ValueError(f"unsupported congruence modulus {modulus}")
     _check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -196,10 +197,10 @@ def verify_congruence(modulus: int, residue: int, n_max: int) -> VerificationRep
     return _report(f"congruence-{modulus}-{residue}", n_max, witness, started)
 
 
-def verify_equidistribution(statistic: str, modulus: int, residue: int,
-                            n_max: int) -> VerificationReport:
+def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> VerificationReport:
     """Every residue class of the statistic modulo `modulus` holds exactly
-    p(modulus*n + residue)/modulus partitions.
+    p(modulus*n + residue)/modulus partitions, with the residue of the
+    congruence mod `modulus` (RESIDUE_FOR_MODULUS).
 
     Supported: crank for moduli 5, 7, 11; rank for moduli 5 and 7 only (the
     rank does not equidistribute modulo 11).
@@ -208,8 +209,7 @@ def verify_equidistribution(statistic: str, modulus: int, residue: int,
         raise ValueError(f"unknown statistic {statistic!r}")
     if modulus not in EQUIDISTRIBUTION_MODULI[statistic]:
         raise ValueError(f"equidistribution of the {statistic} is not available mod {modulus}")
-    if residue != RESIDUE_FOR_MODULUS[modulus]:
-        raise ValueError(f"residue must be {RESIDUE_FOR_MODULUS[modulus]} for modulus {modulus}")
+    residue = RESIDUE_FOR_MODULUS[modulus]
     _check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -10,10 +10,11 @@ series' coordinates in Z[a]/(modulus)), both from the column form;
 ``("product", kind, size)`` (the rows of the product formula, the other
 side of the table checks and of component-4-vanishing); per dissection
 ``(identity,)`` (the coordinates of its right-hand side); and ``("rows",
-kind)`` (the p, crank or rank table rows as the text the CLI writes: the
-row objects joined with each row's end offset, each row's value, and each
-row's CSV lines; p grows with ``tables --kind p --n-max`` and ``dissect
---series partition-gf --order``).
+kind)`` (the p, crank, rank or euler rows as the text the CLI writes:
+``(objects, values, lines)``, per row its object and its value written at
+depth 0 and its CSV lines; p grows with ``tables --kind p --n-max`` and
+``dissect --series partition-gf --order``, euler with ``dissect --series
+euler --order``).
 ``largest`` itself refuses a negative order for every key.  A refusal
 that depends on the order must run before ``largest`` is called: one at
 the start of ``build`` runs only on a miss, so a held entry would answer a
@@ -28,6 +29,8 @@ Kept out, on purpose:
   make ``tables --kind p --n-max 300`` quadratic.
 - ``tables --modulo`` folds: their keys would grow with the modulus (up
   to 601 per kind), and the memo would no longer stay bounded.
+- Rows asked for past TABLE_CAP (only p and euler can be): the CLI renders
+  them for the one request, so three texts of every p(n) do not outlive it.
 - ``Modulus._inv_a`` is a per-object constant, not a series built up to
   an order.
 - Hits and misses are not counted yet: nothing reads such counts.

@@ -82,9 +82,6 @@ class LaurentPoly:
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
 
-    def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
-
     def is_palindromic(self) -> bool:
         """True iff the coefficient of a^k equals that of a^-k for all k."""
         return all(self._terms.get(-e) == c for e, c in self._terms.items())

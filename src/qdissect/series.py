@@ -77,11 +77,6 @@ class TruncatedSeries:
     def coefficients(self) -> tuple:
         return self._coeffs
 
-    def coefficient(self, n: int):
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
-        return self._coeffs[n]
-
     def _zero(self):
         # the zero of this series' ring
         return self._coeffs[0] * 0
@@ -167,30 +162,6 @@ class TruncatedSeries:
                 out[n] = -(y0 * acc)
         return TruncatedSeries(tuple(out))
 
-    def substitute_power(self, m: int, order: int | None = None) -> "TruncatedSeries":
-        """Substitute q -> q^m: coefficient of q^(mn) becomes c_n, zeros elsewhere.
-
-        The default result order equals the input's.  A larger order may be
-        requested up to m*(order+1) - 1, beyond which the substituted series
-        would no longer be determined by the known coefficients.
-        """
-        if m < 1:
-            raise ValueError("substitution power must be >= 1")
-        if order is None:
-            order = self.order
-        if order > m * (self.order + 1) - 1:
-            raise ValueError(
-                f"order {order} not determined by a series of order {self.order} under q -> q^{m}"
-            )
-        if m == 1:
-            return self.truncate(min(order, self.order))
-        out = [self._zero()] * (order + 1)
-        for n, c in enumerate(self._coeffs):
-            if m * n > order:
-                break
-            out[m * n] = c
-        return TruncatedSeries(tuple(out))
-
     def dissect(self, m: int) -> list["TruncatedSeries"]:
         """Split by exponent residue: returns P_0..P_{m-1} with P_k[j] = c_{jm+k}.
 
@@ -211,17 +182,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"
-
-
-def reassemble(parts: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
-    """Rebuild sum_k q^k P_k(q^m) from the m dissection components."""
-    m = len(parts)
-    total = TruncatedSeries((parts[0]._zero(),) * (order + 1))
-    for k, part in enumerate(parts):
-        if k > order:
-            break
-        total = total + part.substitute_power(m, order - k).shift(k)
-    return total
 
 
 def euler_product(order: int) -> TruncatedSeries:

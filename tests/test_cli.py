@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect import cli, identities, memo, partitions
 from qdissect.cli import IDENTITIES, main
-from qdissect.series import crank_gf, partition_gf
+from qdissect.series import crank_gf, euler_product, partition_gf
 
 # a small valid order for every identity that accepts --perturb-power
 PERTURBABLE = {"crank-gf": 10, "rank-gf": 10, "crank-columns": 10, "rank-columns": 10,
@@ -137,7 +137,8 @@ def test_verify_perturbed_exit_one(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    assert run_cli(capsys, "verify", "--identity", "equidist-rank-11")[0] == 2
+    assert run_cli(capsys, "verify", "--identity", "equidist-rank-11") == (
+        2, "", "error: equidistribution of the rank is not available mod 11\n")
     assert run_cli(capsys, "verify", "--identity", "no-such-thing")[0] == 2
     assert run_cli(capsys, "verify", "--identity", "congruence-5-4",
                    "--n-root", "2")[0] == 2
@@ -261,7 +262,7 @@ def test_dissect_crank_gf_roundtrip(capsys):
     for k, comp in enumerate(comps):
         for j, coeffs in enumerate(comp["coefficients"]):
             n = 2 * j + k
-            assert {int(e): int(c) for e, c in coeffs.items()} == expected.coefficient(n).terms
+            assert {int(e): int(c) for e, c in coeffs.items()} == expected.coefficients[n].terms
 
 
 def test_dissect_crank_gf_csv(capsys):
@@ -519,6 +520,59 @@ GOLDEN = [
      "5febea15d947702a3d32548abdb66c8fb5b104a39d6bd89bec3fc8ba54dc8507"),
     ("dissect --series partition-gf --m 1 --order 0 --format csv",
      "70ecea3fbc370c7a54746729bbfec3429a7255dad7b8c3baf6a6b0968f2c5569"),
+    # euler dissects, recorded while they still went through TruncatedSeries.dissect
+    ("dissect --series euler --m 1 --order 0",
+     "56ac9c874f88165a23597d4b4934857fbb5b7b82a3b2c9940ae37b55e6912c8f"),
+    ("dissect --series euler --m 1 --order 0 --format csv",
+     "70ecea3fbc370c7a54746729bbfec3429a7255dad7b8c3baf6a6b0968f2c5569"),
+    ("dissect --series euler --m 1 --order 20",
+     "2bee0a0c45e8bd1308f12ef0481855a26366674fe79fa807212ad89b0c9d672f"),
+    ("dissect --series euler --m 1 --order 20 --format csv",
+     "e971af5ba8fd6165f60f7f77679e2fcefd9f31f64437697dd38084b98d16e975"),
+    ("dissect --series euler --m 2 --order 20",
+     "86e4ccfe522df16eb809865e6455026bd3c269154883dee5b9540969959a9fc3"),
+    ("dissect --series euler --m 2 --order 20 --format csv",
+     "2371331fc971c9f1590bd046561e8319c7c30318e390e788f620daf2e4b7bbac"),
+    ("dissect --series euler --m 5 --order 20",
+     "a1c37f090238b34a5beab3398af521c5594f55f28ed47bc7232d86f02f1a9dbd"),
+    ("dissect --series euler --m 5 --order 20 --format csv",
+     "ed7e277c9469e2a09fe106ade4b52d5aec186f7e03cd102707c96d35c61e5769"),
+    ("dissect --series euler --m 21 --order 20",
+     "a1e11ae7d006d2d4b52dfc1304826d5e886d40025703ea1cead1f74bdae98f69"),
+    ("dissect --series euler --m 21 --order 20 --format csv",
+     "961a2e3422a89764c8e0d71a921b0ec98dd4d5c7311baddd47b71f75dad93c11"),
+    ("dissect --series euler --m 1 --order 100",
+     "4a85cdf853dee912f4ea405822a0c1a69aa583275c14ee5e1465953324dd4863"),
+    ("dissect --series euler --m 1 --order 100 --format csv",
+     "6d938dcdae343d1178fbda2130505323bb3b78101977a039ca36dd2789b2bb36"),
+    ("dissect --series euler --m 2 --order 100",
+     "7b13bc96d6a04e289bb7d746cc2804331491582d6f5443a9ed436d62f98b0d87"),
+    ("dissect --series euler --m 2 --order 100 --format csv",
+     "ececabda545600f62e647fb73d45f85255d85ecbae4849748e0c37938323bc8f"),
+    ("dissect --series euler --m 5 --order 100",
+     "ecd061a2dc62826f977d434d25ca6138b7eea7e4c5a6db1da9a06cf05303a490"),
+    ("dissect --series euler --m 5 --order 100 --format csv",
+     "e008c03ad0a8b57906efacd737d26345365cdf33d62e7f46de56fcb5ddfbdb67"),
+    ("dissect --series euler --m 101 --order 100",
+     "9442a1889ad3b193457c7c3abd88f764d35ec4bf237c7871bfd25f8edcbfdfb1"),
+    ("dissect --series euler --m 101 --order 100 --format csv",
+     "16362a59a34554a648ffb0ae9745909b0925cbc14861bbc843e32754b72db3ac"),
+    ("dissect --series euler --m 1 --order 301",
+     "e7544bb09079558a4ef958689048975631239ed674acd68cd81182e3468cf47b"),
+    ("dissect --series euler --m 1 --order 301 --format csv",
+     "f991b3cd60e054179935177930dc01065c4dfc350f67622fdb398cefb17de294"),
+    ("dissect --series euler --m 2 --order 301",
+     "14e64786480ea40b88c95b6ac2860a9854ef5dacb23367bce30ead69ed2c4b6e"),
+    ("dissect --series euler --m 2 --order 301 --format csv",
+     "a1fb6229754ae285bc34360a8ea399dbb6e4d36f566a4ca98da570d58d0c6914"),
+    ("dissect --series euler --m 5 --order 301",
+     "3cb354e8a890167c1114af6af42b4700362211b7a1cf2a144c131373a25ece44"),
+    ("dissect --series euler --m 5 --order 301 --format csv",
+     "8da37f7ea603c8593488fcac7ec26794054a5e51e14345fc783147abc5a0711b"),
+    ("dissect --series euler --m 302 --order 301",
+     "ac12ee0ecec40dd7daf0752e202dba82b441d63db8a5a79ac4f9759f567f223a"),
+    ("dissect --series euler --m 302 --order 301 --format csv",
+     "c2fbe108464188b28cc811625fe94b0e63dc3ba1cec2d1fe533838dd98f2cbc0"),
 ]
 
 
@@ -539,11 +593,34 @@ def test_output_bytes_pinned_when_rows_are_held(capsys):
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
 
 
+# dissects past the table cap, recorded when the CLI still held their rows
+PAST_THE_CAP = [
+    ("dissect --series partition-gf --m 7 --order 1000",
+     "c4f44cf1409fc858e4ca460c6af56c653f0b96347ac343c42c39cc663e95f57d"),
+    ("dissect --series partition-gf --m 7 --order 1000 --format csv",
+     "73865f1424e319a25c65549eda7d9f1b6b84645f29630c239c7f856895bd8e06"),
+    ("dissect --series euler --m 7 --order 1000",
+     "5b4cf3688190a5cc34d6eadc96bb5169f306411dd3dbe6e7c61bc908d74386f2"),
+    ("dissect --series euler --m 7 --order 1000 --format csv",
+     "6fb6d4c8d49ab680230e1c8a7264963144fff2326aee68d7b3583725e094f3ea"),
+]
+
+
+def test_rows_past_the_table_cap_are_not_held(capsys):
+    assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "300")[0] == 0
+    for request_line, digest in PAST_THE_CAP:
+        code, out, _ = run_cli(capsys, *request_line.split())
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
+    assert {key: order for key, (order, _) in memo._held.items() if key[0] == "rows"} == {
+        ("rows", "p"): 300}
+
+
 def _library_dissection(series, m, order, fmt):
     """What dissect should write, from the library's series and dissect and
     the stdlib's json and csv writers."""
     crank = series == "crank-gf"
-    components = (crank_gf if crank else partition_gf)(order).dissect(m)
+    build = {"crank-gf": crank_gf, "partition-gf": partition_gf, "euler": euler_product}
+    components = build[series](order).dissect(m)
     if fmt == "json":
         return json.dumps({
             "format_version": "1", "command": "dissect",
@@ -564,12 +641,13 @@ def _library_dissection(series, m, order, fmt):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("series", ["crank-gf", "partition-gf"])
+@pytest.mark.parametrize("series", ["crank-gf", "partition-gf", "euler"])
 def test_dissect_matches_the_library_dissection(capsys, monkeypatch, series):
     # every request runs twice: from a memo emptied at each order, and from
-    # one that holds the p and crank rows at the cap
+    # one that holds the p, crank and euler rows at the cap
     for kind in ("p", "crank"):
         assert run_cli(capsys, "tables", "--kind", kind, "--n-max", "300")[0] == 0
+    assert run_cli(capsys, "dissect", "--series", "euler", "--m", "1", "--order", "300")[0] == 0
     held = memo._held
     for fmt in ("json", "csv"):
         for order in range(61):

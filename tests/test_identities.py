@@ -109,30 +109,29 @@ def test_failure_witnesses_are_frozen(verify, order, kwargs, witness):
 
 
 def test_verify_congruence():
-    assert verify_congruence(5, 4, 8).passed
-    assert verify_congruence(7, 5, 6).passed
-    assert verify_congruence(11, 6, 4).passed
-    with pytest.raises(ValueError):
-        verify_congruence(5, 3, 8)
-    with pytest.raises(ValueError):
-        verify_congruence(13, 6, 8)
+    assert verify_congruence(5, 8).passed
+    assert verify_congruence(7, 6).passed
+    assert verify_congruence(11, 4).passed
+    with pytest.raises(ValueError, match="unsupported congruence modulus 13"):
+        verify_congruence(13, 8)
 
 
 def test_verify_equidistribution():
-    assert verify_equidistribution("crank", 5, 4, 2).passed
-    assert verify_equidistribution("crank", 7, 5, 1).passed
-    assert verify_equidistribution("crank", 11, 6, 1).passed
-    assert verify_equidistribution("rank", 5, 4, 2).passed
-    assert verify_equidistribution("rank", 7, 5, 1).passed
+    assert verify_equidistribution("crank", 5, 2).passed
+    assert verify_equidistribution("crank", 7, 1).passed
+    assert verify_equidistribution("crank", 11, 1).passed
+    assert verify_equidistribution("rank", 5, 2).passed
+    assert verify_equidistribution("rank", 7, 1).passed
 
 
 def test_equidistribution_usage_errors():
-    with pytest.raises(ValueError):
-        verify_equidistribution("rank", 11, 6, 1)     # fails mathematically, refused
-    with pytest.raises(ValueError):
-        verify_equidistribution("crank", 5, 3, 1)     # wrong residue
-    with pytest.raises(ValueError):
-        verify_equidistribution("median", 5, 4, 1)
+    # fails mathematically, refused
+    with pytest.raises(ValueError, match="the rank is not available mod 11"):
+        verify_equidistribution("rank", 11, 1)
+    with pytest.raises(ValueError, match="the crank is not available mod 13"):
+        verify_equidistribution("crank", 13, 1)
+    with pytest.raises(ValueError, match="unknown statistic 'median'"):
+        verify_equidistribution("median", 5, 1)
 
 
 def test_dissection_2():
@@ -261,7 +260,7 @@ def oracle_perturbed(series, power):
 
 def oracle_first_mismatch(expected, actual):
     for n in range(min(expected.order, actual.order) + 1):
-        e, a = expected.coefficient(n), actual.coefficient(n)
+        e, a = expected.coefficients[n], actual.coefficients[n]
         if e != a:
             return FailureWitness(n, str(e), str(a), f"quotient({e.modulus})")
     return None
@@ -362,8 +361,8 @@ def refuse_all_work(monkeypatch):
 @pytest.mark.parametrize("value", [True, False, 20.0, 2.5, "20", None])
 @pytest.mark.parametrize("verify", [
     verify_crank_gf, verify_rank_gf, verify_crank_columns, verify_rank_columns,
-    functools.partial(verify_congruence, 5, 4),
-    functools.partial(verify_equidistribution, "crank", 5, 4),
+    functools.partial(verify_congruence, 5),
+    functools.partial(verify_equidistribution, "crank", 5),
     verify_2_dissection, verify_3_dissection, verify_5_dissection,
     verify_component_4_vanishing,
 ], ids=["crank-gf", "rank-gf", "crank-columns", "rank-columns", "congruence",
@@ -431,7 +430,7 @@ def test_root_mapped_crank_series_held(monkeypatch, root):
                         lambda self, p: projected.append(p) or project(self, p))
         w = verify_5_dissection(30, root, perturb_power=11).failure_witness
     assert len(projected) == 2
-    expected = mapped_crank(30, PHI5, root).coefficient(11)
+    expected = mapped_crank(30, PHI5, root).coefficients[11]
     assert (w.power, w.expected, w.actual) == (11, str(expected), str(expected + 1))
 
     for order in range(5, 61, 5):
@@ -465,8 +464,8 @@ def test_reports_are_deterministic():
     second = verify_2_dissection(10)
     assert first == second          # elapsed is excluded from comparison
     assert first.elapsed >= 0.0
-    f1 = verify_congruence(5, 4, 6)
-    f2 = verify_congruence(5, 4, 6)
+    f1 = verify_congruence(5, 6)
+    f2 = verify_congruence(5, 6)
     assert f1 == f2
     assert f1.identity == "congruence-5-4"
     assert f1.order == 6

@@ -24,8 +24,6 @@ def mirrored(p):
 def test_canonical_form_drops_zeros():
     p = LaurentPoly({3: 0, 1: 2, 0: 0, -2: -1})
     assert p.terms == {1: 2, -2: -1}
-    assert p.coefficient(-2) == -1
-    assert p.coefficient(0) == 0
     assert LaurentPoly({5: 0}) == ZERO
     assert not ZERO
     assert ONE

@@ -17,7 +17,6 @@ from qdissect.series import (
     pochhammer_inf,
     product_rows,
     rank_gf,
-    reassemble,
     theta,
 )
 
@@ -167,9 +166,7 @@ def test_shift_truncate_scale():
         x.shift(-1)
 
 
-def test_coefficient_bounds_checked():
-    with pytest.raises(ValueError):
-        S(1, 2).coefficient(3)
+def test_empty_series_and_negative_orders_refused():
     with pytest.raises(ValueError):
         TruncatedSeries(())
     for constructor in (TruncatedSeries.one, TruncatedSeries.zero):
@@ -227,8 +224,7 @@ def test_series_stay_in_the_ring_of_their_coefficients():
     a5 = PHI5.project(A)
     for cls, x in ((LaurentPoly, TruncatedSeries((LaurentPoly.ONE, A, A_INV, 2 * A))),
                    (QuotientElem, TruncatedSeries((PHI5.one(), a5, a5 * a5, -a5)))):
-        derived = [x.shift(2), x.substitute_power(3, 8), x * x, x.inverse(), -x, x + x,
-                   reassemble(x.dissect(2), x.order), *x.dissect(5)]
+        derived = [x.shift(2), x * x, x.inverse(), -x, x + x, *x.dissect(5)]
         z = A if cls is LaurentPoly else a5
         derived += [pochhammer_inf(z, 1, 2, 6), pochhammer_fin(z, 3, 6),
                     pochhammer_fin(z, 2, 6, start=1)]
@@ -236,18 +232,7 @@ def test_series_stay_in_the_ring_of_their_coefficients():
             assert all(type(c) is cls for c in series.coefficients), series
 
 
-# --- substitution and dissection --------------------------------------------------
-
-def test_substitute_power_examples():
-    assert S(1, 1, 0, 0, 0).substitute_power(2) == S(1, 0, 1, 0, 0)
-    x = S(2, 3, 4)
-    assert x.substitute_power(1) == x
-    assert S(1, 1, 1).substitute_power(3, order=6) == S(1, 0, 0, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        S(1, 1).substitute_power(2, order=4)   # q^4 needs the unknown c_2
-    with pytest.raises(ValueError):
-        x.substitute_power(0)
-
+# --- dissection ---------------------------------------------------------------
 
 def test_dissect_geometric():
     geo = S(*[1] * 11)
@@ -265,7 +250,9 @@ def test_dissect_partition_gf_component_4():
 
 @given(int_series, st.sampled_from((2, 3, 5, 7)))
 def test_dissection_roundtrip(x, m):
-    assert reassemble(x.dissect(m), x.order) == x
+    # interleaving the components gives the series back: c_n = P_(n mod m)[n // m]
+    parts = x.dissect(m)
+    assert TruncatedSeries([parts[n % m].coefficients[n // m] for n in range(x.order + 1)]) == x
 
 
 # --- named products -----------------------------------------------------------------
@@ -303,7 +290,7 @@ def test_pochhammer_inf_examples():
 def test_pochhammer_fin_examples():
     assert pochhammer_fin(1, 0, 6) == TruncatedSeries.one(6)
     one_factor = pochhammer_fin(A, 1, 3, start=1)
-    assert one_factor.coefficient(1) == LaurentPoly.monomial(-1, 1)
+    assert one_factor.coefficients[1] == LaurentPoly.monomial(-1, 1)
     # frozen from (1-aq)(1-aq^2) by hand
     two = pochhammer_fin(A, 2, 3, start=1)
     assert two == TruncatedSeries(
@@ -331,15 +318,15 @@ def test_theta_argument_symmetry(r, s):
 
 def test_crank_gf_low_coefficients():
     gf = crank_gf(2)
-    assert gf.coefficient(0) == LaurentPoly.ONE
-    assert gf.coefficient(1) == LaurentPoly({1: 1, 0: -1, -1: 1})
-    assert gf.coefficient(2) == LaurentPoly({2: 1, -2: 1})
+    assert gf.coefficients[0] == LaurentPoly.ONE
+    assert gf.coefficients[1] == LaurentPoly({1: 1, 0: -1, -1: 1})
+    assert gf.coefficients[2] == LaurentPoly({2: 1, -2: 1})
 
 
 def test_crank_gf_palindromic_and_bounded_support():
     gf = crank_gf(25)
     for n in range(26):
-        c = gf.coefficient(n)
+        c = gf.coefficients[n]
         assert c.is_palindromic()
         assert c == LaurentPoly.ZERO or (-n <= min(c.terms) and max(c.terms) <= n)
 
@@ -347,19 +334,19 @@ def test_crank_gf_palindromic_and_bounded_support():
 def test_crank_gf_at_one_counts_partitions():
     gf = crank_gf(30)
     for n in range(31):
-        assert sum(gf.coefficient(n).terms.values()) == partition_gf(30).coefficient(n)
+        assert sum(gf.coefficients[n].terms.values()) == partition_gf(30).coefficients[n]
 
 
 def test_rank_gf_low_coefficients():
     gf = rank_gf(4)
-    assert gf.coefficient(0) == LaurentPoly.ONE
-    assert gf.coefficient(1) == LaurentPoly.ONE
-    assert gf.coefficient(4) == LaurentPoly({3: 1, 1: 1, 0: 1, -1: 1, -3: 1})
+    assert gf.coefficients[0] == LaurentPoly.ONE
+    assert gf.coefficients[1] == LaurentPoly.ONE
+    assert gf.coefficients[4] == LaurentPoly({3: 1, 1: 1, 0: 1, -1: 1, -3: 1})
 
 
 def test_rank_gf_palindromic():
     gf = rank_gf(20)
-    assert all(gf.coefficient(n).is_palindromic() for n in range(21))
+    assert all(gf.coefficients[n].is_palindromic() for n in range(21))
 
 
 def test_crank_gf_matches_inverse_product():
@@ -503,7 +490,7 @@ def test_digit_bits_cover_the_coefficient_bound(order):
     # [q^order] 1/((1 - q)(q;q)_inf^2) by series inversion
     euler = euler_product(order)
     geometric = TruncatedSeries((1, -1) + (0,) * order).truncate(order)
-    bound = (euler * euler * geometric).inverse().coefficient(order)
+    bound = (euler * euler * geometric).inverse().coefficients[order]
     bits = series._digit_bits(order)
     assert bits % 8 == 0
     assert bound.bit_length() + 1 <= bits <= bound.bit_length() + 8
@@ -526,10 +513,10 @@ def test_laurent_crank_gf_at_high_order():
     gf = crank_gf(120)
     p = partition_gf(120)
     for n in range(2, 121):
-        c = gf.coefficient(n)
+        c = gf.coefficients[n]
         assert c.is_palindromic()
         assert -n <= min(c.terms) and max(c.terms) <= n
-        assert sum(c.terms.values()) == p.coefficient(n)
+        assert sum(c.terms.values()) == p.coefficients[n]
 
 
 def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, monkeypatch):
