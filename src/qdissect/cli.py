@@ -12,6 +12,7 @@ indent=2)`` would write it.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -75,24 +76,27 @@ class _Text(str):
     __slots__ = ()
 
 
-def _render_rows(kind: str, n_max: int) -> tuple[list, list, list]:
+def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, list]:
+    """Rows start..n_max of the text _held_rows describes.  The euler rows
+    have no objects: no command writes them (``tables`` has no euler kind)."""
     if kind in ("p", "euler"):
-        counts = ([partition_count(n) for n in range(n_max + 1)] if kind == "p"
-                  else euler_product(n_max).coefficients)
+        counts = ([partition_count(n) for n in range(start, n_max + 1)] if kind == "p"
+                  else euler_product(n_max).coefficients[start:])
         values = [f'"{c}"' for c in counts]
-        objects = [f'{{\n  "count": {v},\n  "n": {n}\n}}' for n, v in enumerate(values)]
-        lines = [f"{n},{c}\n" for n, c in enumerate(counts)]
+        objects = [] if kind == "euler" else [
+            f'{{\n  "count": {v},\n  "n": {n}\n}}' for n, v in enumerate(values, start)]
+        lines = [f"{n},{c}\n" for n, c in enumerate(counts, start)]
     else:
-        rows = ([p._terms for p in crank_gf(n_max).coefficients] if kind == "crank"
-                else stat_table(kind, n_max).rows[:n_max + 1])
+        rows = ([p._terms for p in crank_gf(n_max).coefficients[start:]] if kind == "crank"
+                else stat_table(kind, n_max).rows[start:n_max + 1])
         # a member sorts as its key does: '"' sorts before "-" and the digits;
         # no row is empty, since row n counts the p(n) >= 1 partitions of n
         values = ["{\n  " + ",\n  ".join(sorted([f'"{m}": "{c}"' for m, c in row.items()]))
                   + "\n}" for row in rows]
         objects = ['{\n  "coefficients": ' + v.replace("\n", "\n  ") + f',\n  "n": {n}\n}}'
-                   for n, v in enumerate(values)]
+                   for n, v in enumerate(values, start)]
         lines = ["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
-                 for n, row in enumerate(rows)]
+                 for n, row in enumerate(rows, start)]
     return objects, values, lines
 
 
@@ -101,11 +105,16 @@ def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
     each row's object and each row's value written at depth 0 (the value is
     the quoted integer for p and euler, the coefficient object for crank and
     rank), and each row's CSV lines.  A process renders a row once, whichever
-    command asks; past TABLE_CAP the rows are rendered for the one request
-    and not held, so what a process holds stays bounded."""
+    command asks: a request past the held rows renders only the rows after
+    them, and the held lists are replaced by new ones, never extended, so a
+    render that raises leaves them as they were.  Past TABLE_CAP the rows are
+    rendered for the one request and not held, so what a process holds stays
+    bounded."""
     if n_max > TABLE_CAP:
         return _render_rows(kind, n_max)
-    return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n))
+    return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n),
+                   lambda held_n, held, n: tuple(
+                       old + new for old, new in zip(held, _render_rows(kind, n, held_n + 1))))
 
 
 def _list_text(items) -> _Text:
@@ -427,5 +436,17 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry (``python -m qdissect.cli`` and the ``qdissect``
+    script): main() after gc.freeze(), which moves every object made so far,
+    the whole import-time heap, into the collector's permanent generation.
+    Neither the request's own collections nor the ones at interpreter exit
+    then walk that heap, which a process that ends after one request never
+    needs collected.  A caller that serves many requests in one process
+    calls main(), which leaves the collector as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

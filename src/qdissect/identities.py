@@ -29,6 +29,8 @@ is refused before any work otherwise.
 from __future__ import annotations
 
 import time
+from itertools import compress, count
+from operator import ne
 from typing import Callable
 
 from .memo import largest
@@ -92,11 +94,12 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
     the tuple of column entries at that power); None if they agree."""
     if expected == actual:
         return None
-    for n in range(len(expected[0])):
-        e, a = tuple(c[n] for c in expected), tuple(c[n] for c in actual)
-        if e != a:
-            return FailureWitness(n, render(e), render(a), ring)
-    return None
+    # each column pair's first differing index, found in one C-level pass
+    n = min([next(compress(count(), map(ne, e, a)), len(e)) for e, a in zip(expected, actual)])
+    if n == len(expected[0]):
+        return None
+    return FailureWitness(n, render(tuple(c[n] for c in expected)),
+                          render(tuple(c[n] for c in actual)), ring)
 
 
 def _check_int(name: str, value: int) -> None:

@@ -14,13 +14,16 @@ kind)`` (the p, crank, rank or euler rows as the text the CLI writes:
 ``(objects, values, lines)``, per row its object and its value written at
 depth 0 and its CSV lines; p grows with ``tables --kind p --n-max`` and
 ``dissect --series partition-gf --order``, euler with ``dissect --series
-euler --order``).
+euler --order``).  The rows are the one entry that grows from what is held
+(``grow``): a row's text does not depend on the order, so a larger request
+renders only the rows past the held ones.
 ``largest`` itself refuses a negative order for every key.  A refusal
 that depends on the order must run before ``largest`` is called: one at
 the start of ``build`` runs only on a miss, so a held entry would answer a
 request it should refuse.  A refusal that depends only on the key may run
 in ``build`` (``crank_coordinates`` refuses a modulus there), because a
-held entry has passed it.  A build that raises stores nothing.
+held entry has passed it.  A build or growth that raises stores nothing,
+and neither may change the held value: growth returns a new one.
 
 Kept out, on purpose:
 
@@ -46,13 +49,17 @@ T = TypeVar("T")
 _held: dict[Hashable, tuple[int, object]] = {}
 
 
-def largest(key: Hashable, order: int, build: Callable[[int], T]) -> T:
+def largest(key: Hashable, order: int, build: Callable[[int], T],
+            grow: Callable[[int, T, int], T] | None = None) -> T:
     """The value held under key if it was built at order or above; otherwise
-    build(order), kept with its order in place of the smaller one."""
+    build(order), or grow(held order, held value, order) if a smaller value
+    is held and grow is given, kept with its order in place of the smaller
+    one."""
     if order < 0:
         raise ValueError("order must be >= 0")
     entry = _held.get(key)
     if entry is None or entry[0] < order:
-        entry = (order, build(order))
+        entry = (order, build(order) if entry is None or grow is None
+                 else grow(*entry, order))
         _held[key] = entry
     return entry[1]

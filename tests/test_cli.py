@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import gc
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 import time
@@ -92,8 +96,8 @@ def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
 def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
     builds, renders = _table_builds(monkeypatch), []
     render = cli._render_rows
-    monkeypatch.setattr(cli, "_render_rows",
-                        lambda kind, n_max: renders.append((kind, n_max)) or render(kind, n_max))
+    monkeypatch.setattr(cli, "_render_rows", lambda kind, n_max, start=0:
+                        renders.append((kind, n_max)) or render(kind, n_max, start))
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "30")[0] == 0
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "40")[0] == 0
     for argv in (("coeffs", "--count", "21"),
@@ -115,6 +119,72 @@ def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
                        "--order", "60", "--format", fmt)[0] == 0
     assert renders == [("crank", 30), ("p", 40), ("crank", 31), ("p", 60)]
     assert builds == [("crank", 30), ("crank", 31)]
+
+
+def _rendered(monkeypatch):
+    renders = []
+    render = cli._render_rows
+
+    def counted(kind, n_max, start=0):
+        renders.append((kind, start, n_max))
+        return render(kind, n_max, start)
+
+    monkeypatch.setattr(cli, "_render_rows", counted)
+    return renders
+
+
+def test_rows_grow_from_the_held_order(capsys, monkeypatch):
+    renders = _rendered(monkeypatch)
+    for argv in (("tables", "--kind", "p", "--n-max", "60"),
+                 ("dissect", "--series", "partition-gf", "--m", "5", "--order", "100"),
+                 ("tables", "--kind", "crank", "--n-max", "20", "--format", "csv"),
+                 ("dissect", "--series", "partition-gf", "--m", "2", "--order", "200",
+                  "--format", "csv"),
+                 ("coeffs", "--count", "31"),
+                 ("tables", "--kind", "p", "--n-max", "300"),
+                 ("dissect", "--series", "crank-gf", "--m", "3", "--order", "25")):
+        assert run_cli(capsys, *argv)[0] == 0
+    # each row rendered exactly once, and held as one list per kind
+    assert renders == [("p", 0, 60), ("p", 61, 100), ("crank", 0, 20), ("p", 101, 200),
+                       ("crank", 21, 30), ("p", 201, 300)]
+    objects, values, lines = memo._held[("rows", "p")][1]
+    assert len(objects) == len(values) == len(lines) == 301
+    assert lines[300] == f"300,{partitions.partition_count(300)}\n"
+    assert '"n": 300' in objects[300] and values[0] == '"1"'
+
+
+def test_rows_held_grown_write_every_golden_request(capsys, monkeypatch):
+    # one memo for all requests, in both orders: rows grow on the way up
+    renders = _rendered(monkeypatch)
+    for requests in (GOLDEN, GOLDEN[::-1]):
+        monkeypatch.setattr(memo, "_held", {})
+        for request_line, digest in requests:
+            code, out, _ = run_cli(capsys, *request_line.split())
+            assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
+    assert any(start > 0 for _, start, _ in renders)
+
+
+def test_render_that_raises_leaves_the_held_rows(capsys, monkeypatch):
+    assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "40")[0] == 0
+    entry = memo._held[("rows", "p")]
+    objects, values, lines = entry[1]
+
+    def failing(n):
+        raise RuntimeError("no p(n) today")
+
+    monkeypatch.setattr(cli, "partition_count", failing)
+    with pytest.raises(RuntimeError):
+        main(["tables", "--kind", "p", "--n-max", "41"])
+    assert memo._held[("rows", "p")] is entry
+    assert entry[0] == 40 and len(objects) == len(values) == len(lines) == 41
+    capsys.readouterr()
+
+
+def test_euler_rows_hold_no_objects(capsys):
+    assert run_cli(capsys, "dissect", "--series", "euler", "--m", "2", "--order", "30")[0] == 0
+    assert run_cli(capsys, "dissect", "--series", "euler", "--m", "2", "--order", "40")[0] == 0
+    objects, values, lines = memo._held[("rows", "euler")][1]
+    assert objects == [] and len(values) == len(lines) == 41
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -805,6 +875,67 @@ def test_closed_stdout_exits_141_quietly():
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 141
+
+
+def _timeless(err):
+    # verify's stderr line ends in its own wall time, which no two runs share
+    return re.sub(r", \d+\.\d\ds\)", ", <elapsed>)", err)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--identity", "dissection-5", "--order", "10"], 0),
+    (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "2"], 1),
+    (["verify", "--identity", "dissection-5", "--order", "11"], 2),
+    (["tables", "--kind", "crank", "--n-max", "12", "--format", "csv"], 0),
+])
+def test_process_entry_writes_what_main_writes(capsys, argv, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "qdissect.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == code
+    assert (done.returncode, done.stdout, _timeless(done.stderr)) == (
+        code, expected[1], _timeless(expected[2]))
+
+
+# runpy runs a second copy of the module, which it warns about
+@pytest.mark.filterwarnings("ignore:'qdissect.cli' found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_enters_through_the_freeze(capsys, monkeypatch):
+    argv = ["coeffs", "--count", "3", "--format", "csv"]
+    expected = run_cli(capsys, *argv)[:2]
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 1)
+    assert cli.entry() == 1
+    assert calls == ["freeze", "main"]
+    # a fresh copy of the module, whose main is not the one patched above
+    monkeypatch.setattr(sys, "argv", ["qdissect", *argv])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("qdissect.cli", run_name="__main__")
+    assert calls == ["freeze", "main", "freeze"]
+    assert (exited.value.code, capsys.readouterr().out) == expected
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # perfbench's child and the tests serve many requests in one process;
+    # only the process entry may freeze
+    frozen = gc.get_freeze_count()
+    for argv in (["verify", "--identity", "crank-gf", "--order", "10"],
+                 ["tables", "--kind", "p", "--n-max", "30"],
+                 ["dissect", "--series", "euler", "--m", "2", "--order", "0", "--format", "csv"],
+                 ["coeffs", "--count", "0"]):
+        run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+
+
+def test_installed_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["qdissect"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
 
 
 # sha256 of the exit code, stdout and stderr of requests only argparse

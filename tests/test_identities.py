@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdissect import identities, memo, partitions, series
 from qdissect.identities import (
@@ -264,6 +264,27 @@ def oracle_first_mismatch(expected, actual):
         if e != a:
             return FailureWitness(n, str(e), str(a), f"quotient({e.modulus})")
     return None
+
+
+def tuple_first_mismatch(expected, actual, render, ring):
+    # the reference: compare the tuple of column entries power by power
+    for n in range(len(expected[0])):
+        e, a = tuple(c[n] for c in expected), tuple(c[n] for c in actual)
+        if e != a:
+            return FailureWitness(n, render(e), render(a), ring)
+    return None
+
+
+@given(st.integers(1, 3).flatmap(lambda width: st.integers(1, 8).flatmap(
+    lambda length: st.lists(st.tuples(*[st.integers(-2, 2)] * length),
+                            min_size=2 * width, max_size=2 * width))))
+@example([(1, 2, 3), (1, 2, 0), (4, 5, 6), (4, 0, 6)])
+@example([(1, 2), (1, 2), (3, 4), (3, 4)])
+def test_first_mismatch_equals_the_power_by_power_comparison(columns):
+    # a mismatch may sit in any column, and a later column may differ first
+    expected, actual = tuple(columns[::2]), tuple(columns[1::2])
+    assert identities._first_mismatch(expected, actual, repr, "Z") == \
+        tuple_first_mismatch(expected, actual, repr, "Z")
 
 
 ORACLE_ORDER = 60
