@@ -643,6 +643,68 @@ GOLDEN = [
      "ac12ee0ecec40dd7daf0752e202dba82b441d63db8a5a79ac4f9759f567f223a"),
     ("dissect --series euler --m 302 --order 301 --format csv",
      "c2fbe108464188b28cc811625fe94b0e63dc3ba1cec2d1fe533838dd98f2cbc0"),
+    # folds whose class keys sort differently as strings and as numbers
+    # (10, 12, 41 classes) and the one-class fold, congruence, equidistribution
+    # and recurrence checks, and a verify at its default order, recorded
+    # before the CLI wrote folds and verify records from text
+    ("tables --kind crank --n-max 20 --modulo 10",
+     "c82a99e956e0c33f12e1deffe2e78b52246e47f1f1aab7b69bb1b0d39ec10481"),
+    ("tables --kind crank --n-max 20 --modulo 10 --format csv",
+     "9802c2190c044aa2bae85ffea5926ce221ab401388daf02751a9baedb6180a55"),
+    ("tables --kind crank --n-max 20 --modulo 12",
+     "cb40229779ad9eed0382a18b7707328f90eda489a76b95caddab72d4167ce62a"),
+    ("tables --kind crank --n-max 20 --modulo 12 --format csv",
+     "f51686a0fa5fc7d3248a9f31cffbe295e922482fb2135841b321152670f21597"),
+    ("tables --kind crank --n-max 20 --modulo 41",
+     "2bb33779d4c53b7d6523630c93d6001978e3b1856a5fc4600ec0d7d98a100370"),
+    ("tables --kind crank --n-max 20 --modulo 41 --format csv",
+     "bca8d4879f00978d67cd323c4ddbe39f03bb6d72ad0c6702b25d60489312e89a"),
+    ("tables --kind crank --n-max 0 --modulo 1",
+     "0d163383f64acb8e760f978f3d770d898a2372c2169eabad529d8f46a4f1f973"),
+    ("tables --kind crank --n-max 0 --modulo 1 --format csv",
+     "d4bebbb3bd04087807b8d9f93fbf953684e31db6a0b1c212dde9b7d47c9aa960"),
+    ("tables --kind rank --n-max 20 --modulo 10",
+     "ef9b515d64f9ee1b123b140fe8e560dfa7dd479704eb01a670c8fb62594ff265"),
+    ("tables --kind rank --n-max 20 --modulo 10 --format csv",
+     "3305560f2070b46551634f322c4c5a78e813e477b6e98092d9e630daa075c1ce"),
+    ("tables --kind rank --n-max 20 --modulo 12",
+     "d2642113f9257b1251a55e9d19c65706b3aa6f70e7d9779308d9cd4375762aa9"),
+    ("tables --kind rank --n-max 20 --modulo 12 --format csv",
+     "a5deb624e541575f9c2af241cf154c4d600188b86de87150b1bab4bddb230fc0"),
+    ("tables --kind rank --n-max 20 --modulo 41",
+     "3e9d4f75bca701675537edbbc44c1fc2646870193c71ec43a8ba70676cf5cbf7"),
+    ("tables --kind rank --n-max 20 --modulo 41 --format csv",
+     "21f0d944e2b1144f561ce37e2f8b5c4c64677a9b31f8cdcfccfc33b3b0bc4b67"),
+    ("tables --kind rank --n-max 0 --modulo 1",
+     "c5e0f683c1570b122034561665a9154e0ee2454d77b59f32cb3af4e4cb76552b"),
+    ("tables --kind rank --n-max 0 --modulo 1 --format csv",
+     "d4bebbb3bd04087807b8d9f93fbf953684e31db6a0b1c212dde9b7d47c9aa960"),
+    ("verify --identity congruence-5-4 --order 20",
+     "f2f011be68abbca3533eeb9971e937401e8d3615595102dafbedea8cf19e0e8e"),
+    ("verify --identity congruence-7-5 --order 15 --format csv",
+     "c00d0f3315d6bb8044d54e8a5353af85e7213eb846319ec3529b9dc2a0015cfe"),
+    ("verify --identity congruence-11-6 --order 10",
+     "e723a86ae14e6109424fae1de36acf4cf980329b69b452d93f207808763a208a"),
+    ("verify --identity equidist-crank-5 --order 6",
+     "ab6bb997ff107acf6a99f9f9d817caa104443ec36e579e5373eee76805094ab3"),
+    ("verify --identity equidist-crank-7 --order 5 --format csv",
+     "54f4138529352ba7ce0a59e63b6d0990dcbcad29d68803ba22e850453e17cea3"),
+    ("verify --identity equidist-crank-11 --order 3",
+     "554425e26dd861f517c48960af12246b4e51e4aab6bf077af0b74db449d93cfd"),
+    ("verify --identity equidist-rank-5 --order 6",
+     "145acc48eddc3aa9eb50131a0c8c0e300586364c4d3040afcc9988ed79de555a"),
+    ("verify --identity equidist-rank-7 --order 5",
+     "eee541699d335cf697f0a8f78f4673135315cdeff4ab310421904879bb6edaee"),
+    ("verify --identity crank-columns --order 20",
+     "df2778913aff96bcb1fa530818358261a3ce280336213a738c0f7371a3aa4830"),
+    ("verify --identity crank-columns --order 20 --perturb-power 9",
+     "90e945ea87a30940035c371420563af766cf4a2fad9dacd95302fa923f625b2c"),
+    ("verify --identity rank-columns --order 20",
+     "02e75385a87040dc0974845fd7e8056d9aaf9c66ea74dfe60faec433ff748573"),
+    ("verify --identity rank-columns --order 20 --perturb-power 9 --format csv",
+     "ceabb33be537c62bf1eb7e3e023bb97c02c75179e283cdf8bdfb3f0c9cf0e4b3"),
+    ("verify --identity congruence-7-5",
+     "339d0aa4d304fe8bc7180b6fb4609459f5a8044a5005a1af9c6ab4dff445a993"),
 ]
 
 
