@@ -5,9 +5,10 @@ Exit codes: 0 success / identity verified, 1 identity verifiably fails,
 2 usage error, 141 stdout closed early (what a shell reports for SIGPIPE).
 Output for fixed inputs is byte-stable: timing information never enters
 the payload.  Big counts and coefficients are serialized as decimal
-strings since they outgrow 64-bit integers quickly.  JSON is written by
-the function ``_json``, byte for byte as ``json.dumps(record, sort_keys=True,
-indent=2)`` would write it.
+strings since they outgrow 64-bit integers quickly.  Every payload has a
+fixed shape, and its JSON is written from text by ``_object`` and
+``_list_text``, each value at the depth where it lands, byte for byte as
+``json.dumps(record, sort_keys=True, indent=2)`` would write it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from _json import encode_basestring_ascii as _quote
 
 from .identities import (
     FIFTH_ROOTS,
-    VerificationReport,
     verify_2_dissection,
     verify_3_dissection,
     verify_5_dissection,
@@ -69,11 +69,23 @@ IDENTITIES = {
 }
 
 
-class _Text(str):
-    """The JSON text of one value, written at depth 0: _json writes it at any
-    depth by indenting its lines, never quoting it as it would a str."""
+# the newline and indent that start a line at depth 0..6 of a payload
+_PAD = tuple("\n" + "  " * depth for depth in range(7))
 
-    __slots__ = ()
+
+def _list_text(items, pad: str, brackets: str = "[]") -> str:
+    """The JSON list of items, each the text of a value written for the depth
+    below pad, with its closing bracket at the start of the line pad starts;
+    with brackets "{}", the JSON object of items that are member texts.  No
+    payload list or object is empty."""
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _object(members, pad: str) -> str:
+    """The JSON object of members, (str key, value text) pairs in sorted key
+    order, as _list_text writes it."""
+    return _list_text([f"{_quote(key)}: {text}" for key, text in members], pad, "{}")
 
 
 def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, list]:
@@ -83,18 +95,20 @@ def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, lis
         counts = ([partition_count(n) for n in range(start, n_max + 1)] if kind == "p"
                   else euler_product(n_max).coefficients[start:])
         values = [f'"{c}"' for c in counts]
+        template = _object((("count", "%s"), ("n", "%d")), _PAD[3])
         objects = [] if kind == "euler" else [
-            f'{{\n  "count": {v},\n  "n": {n}\n}}' for n, v in enumerate(values, start)]
+            template % (v, n) for n, v in enumerate(values, start)]
         lines = [f"{n},{c}\n" for n, c in enumerate(counts, start)]
     else:
         rows = ([p._terms for p in crank_gf(n_max).coefficients[start:]] if kind == "crank"
                 else stat_table(kind, n_max).rows[start:n_max + 1])
         # a member sorts as its key does: '"' sorts before "-" and the digits;
         # no row is empty, since row n counts the p(n) >= 1 partitions of n
-        values = ["{\n  " + ",\n  ".join(sorted([f'"{m}": "{c}"' for m, c in row.items()]))
-                  + "\n}" for row in rows]
-        objects = ['{\n  "coefficients": ' + v.replace("\n", "\n  ") + f',\n  "n": {n}\n}}'
-                   for n, v in enumerate(values, start)]
+        members = [sorted([f'"{m}": "{c}"' for m, c in row.items()]) for row in rows]
+        values = [_list_text(row, _PAD[5], "{}") for row in members]
+        template = _object((("coefficients", "%s"), ("n", "%d")), _PAD[3])
+        objects = [template % (_list_text(row, _PAD[4], "{}"), n)
+                   for n, row in enumerate(members, start)]
         lines = ["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
                  for n, row in enumerate(rows, start)]
     return objects, values, lines
@@ -102,8 +116,9 @@ def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, lis
 
 def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
     """Rows 0..N, N >= n_max, of the p, crank, rank or euler table as text:
-    each row's object and each row's value written at depth 0 (the value is
-    the quoted integer for p and euler, the coefficient object for crank and
+    each row's object, written at depth 3 as ``tables`` and ``coeffs`` write
+    it, each row's value, written at depth 5 as ``dissect`` writes it (the
+    quoted integer for p and euler, the coefficient object for crank and
     rank), and each row's CSV lines.  A process renders a row once, whichever
     command asks: a request past the held rows renders only the rows after
     them, and the held lists are replaced by new ones, never extended, so a
@@ -117,121 +132,60 @@ def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
                        old + new for old, new in zip(held, _render_rows(kind, n, held_n + 1))))
 
 
-def _list_text(items) -> _Text:
-    """The JSON list of items, each the text of one value at depth 0."""
-    return _Text(("[\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n]")
-
-
 def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
     objects, _, lines = _held_rows(kind, n_max)
     if params["format"] == "csv":
         header = "n,count\n" if kind == "p" else "n,exponent,coefficient\n"
         sys.stdout.write(header + "".join(lines[:n_max + 1]))
     else:
-        _emit_json(command, params, {"rows": _list_text(objects[:n_max + 1])})
+        _emit_json(command, params, (("rows", _list_text(objects[:n_max + 1], _PAD[2])),))
 
 
-def _json(value, newline: str = "\n") -> str:
-    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
-    str, int, bool, None, list and dict with str keys; any other type raises
-    TypeError.  A _Text is written as the value it holds, indented to the
-    depth newline gives.  The stdlib's pure-Python encoder runs whenever
-    indent is set, and it was the largest single cost of a small request."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        # str and int members are written in place; keys sort faster alone than
-        # as items, and a loop skips the call a comprehension makes
-        members = []
-        for key in sorted(value):
-            item = value[key]
-            text = (_quote(item) if type(item) is str else
-                    repr(item) if type(item) is int else _json(item, inner))
-            members.append(f"{_quote(key)}: {text}")    # _quote refuses a non-str key
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    if kind is _Text:
-        return value.replace("\n", newline)
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([
-            _quote(item) if type(item) is str else repr(item) if type(item) is int
-            else _json(item, inner) for item in value]) + newline + "]")
-    if kind is int:
-        return repr(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    raise TypeError(f"{kind.__name__} is not a JSON payload type")
-
-
-def _emit_json(command: str, parameters: dict, payload) -> None:
-    record = {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-    }
-    sys.stdout.write(_json(record) + "\n")
-
-
-def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
-    """header, then rows, as CSV lines in one write.  No field needs quoting:
-    they are ints, names, pass/fail and witness strings made by str of ints,
-    LaurentPoly and QuotientElem, none with a comma, quote or newline.  One
-    %-format per row costs less than joining the str() of each field."""
-    line = ",".join(["%s"] * len(header)) + "\n"
-    sys.stdout.write("".join([line % row for row in (header, *rows)]))
-
-
-def _report_payload(report: VerificationReport) -> dict:
-    witness = None
-    if report.failure_witness is not None:
-        w = report.failure_witness
-        witness = {"power": w.power, "expected": w.expected, "actual": w.actual, "ring": w.ring}
-    return {
-        "identity": report.identity,
-        "order": report.order,
-        "status": report.status,
-        "failure_witness": witness,
-    }
+def _emit_json(command: str, params: dict, payload) -> None:
+    """The record of one request: its parameters, str, int or None each, and
+    its payload, the members of an object at depth 1."""
+    parameters = [(key, "null" if value is None else _quote(value) if type(value) is str
+                   else str(value)) for key, value in sorted(params.items())]
+    sys.stdout.write(_object((
+        ("command", _quote(command)),
+        ("format_version", _quote(FORMAT_VERSION)),
+        ("parameters", _object(parameters, _PAD[1])),
+        ("payload", _object(payload, _PAD[1])),
+    ), _PAD[0]) + "\n")
 
 
 def _cmd_tables(args) -> int:
     params = {"kind": args.kind, "n_max": args.n_max, "modulo": args.modulo,
               "format": args.format}
+    t = args.modulo
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
-    if args.kind == "p":
-        if args.modulo is not None:
+    if t is not None:
+        if args.kind == "p":
             raise ValueError("--modulo applies to crank/rank tables only")
-        _emit_rows("tables", params, "p", args.n_max)
-        return 0
-
-    if args.modulo is not None and args.modulo < 1:
-        raise ValueError("--modulo must be >= 1")
-    # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
-    # each class holds at most one value
-    if args.modulo is not None and args.modulo > 2 * args.n_max + 1:
-        raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
-    table = stat_table(args.kind, args.n_max)     # refuses n_max past the table cap
-    if args.modulo is None:
+        if t < 1:
+            raise ValueError("--modulo must be >= 1")
+        # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
+        # each class holds at most one value
+        if t > 2 * args.n_max + 1:
+            raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
+    if args.kind != "p":
+        table = stat_table(args.kind, args.n_max)     # refuses n_max past the table cap
+    if t is None:
         _emit_rows("tables", params, args.kind, args.n_max)
         return 0
     # folds are not held: their key space grows with the modulus
-    rows = [enumerate(table.count_mod(args.modulo, n)) for n in range(args.n_max + 1)]
-    if args.format == "json":
-        _emit_json("tables", params, {"rows": [
-            {"n": n, "classes": {str(m): str(c) for m, c in row}} for n, row in enumerate(rows)]})
-    else:
-        _emit_csv(("n", "residue", "count"),
-                  [(n, m, c) for n, row in enumerate(rows) for m, c in row])
+    folds = [table.count_mod(t, n) for n in range(args.n_max + 1)]
+    if args.format == "csv":
+        sys.stdout.write("n,residue,count\n" + "".join([
+            f"{n},{m},{c}\n" for n, fold in enumerate(folds) for m, c in enumerate(fold)]))
+        return 0
+    # one template for every row, its classes in the string order of their keys
+    order = sorted(range(t), key=str)
+    template = _object((("classes", _list_text([f'"{m}": "%d"' for m in order], _PAD[4], "{}")),
+                        ("n", "%d")), _PAD[3])
+    rows = [template % (*map(fold.__getitem__, order), n) for n, fold in enumerate(folds)]
+    _emit_json("tables", params, (("rows", _list_text(rows, _PAD[2])),))
     return 0
 
 
@@ -251,16 +205,22 @@ def _cmd_verify(args) -> int:
         params["n_root"] = n_root
     if args.perturb_power is not None:
         params["perturb_power"] = args.perturb_power
+    w = report.failure_witness
     if args.format == "json":
-        _emit_json("verify", params, _report_payload(report))
+        witness = "null" if w is None else _object((
+            ("actual", _quote(w.actual)), ("expected", _quote(w.expected)),
+            ("power", str(w.power)), ("ring", _quote(w.ring))), _PAD[2])
+        _emit_json("verify", params, (
+            ("failure_witness", witness), ("identity", _quote(report.identity)),
+            ("order", str(report.order)), ("status", _quote(report.status))))
     else:
-        w = report.failure_witness
-        _emit_csv(
-            ("identity", "order", "status", "witness_power", "witness_expected",
-             "witness_actual", "witness_ring"),
-            [(report.identity, report.order, report.status) + (
-                ("", "", "", "") if w is None else (w.power, w.expected, w.actual, w.ring))],
-        )
+        # no field needs quoting: names, ints, pass/fail, and witnesses that
+        # are str of ints, LaurentPoly and QuotientElem, with no comma, quote
+        # or newline
+        sys.stdout.write(
+            "identity,order,status,witness_power,witness_expected,witness_actual,witness_ring\n"
+            f"{report.identity},{report.order},{report.status},"
+            + (",,," if w is None else f"{w.power},{w.expected},{w.actual},{w.ring}") + "\n")
     return 0 if report.passed else 1
 
 
@@ -279,8 +239,9 @@ def _cmd_dissect(args) -> int:
     _, values, lines = _held_rows(kind, args.order)
     m, stop = args.m, args.order + 1
     if args.format == "json":
-        _emit_json("dissect", params, {"components": [
-            {"component": k, "coefficients": _list_text(values[k:stop:m])} for k in range(m)]})
+        components = [_object((("coefficients", _list_text(values[k:stop:m], _PAD[4])),
+                               ("component", str(k))), _PAD[3]) for k in range(m)]
+        _emit_json("dissect", params, (("components", _list_text(components, _PAD[2])),))
         return 0
     # row n's lines start "n,"; component k, index j holds row n = j*m + k
     out = ["component,index,exponent,coefficient\n" if kind == "crank"

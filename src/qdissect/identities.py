@@ -146,7 +146,8 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
     # the other route first: a refusal of its own then comes before any table
     # work.  Rows are dicts without zeros, so they compare as they are
     actual = (tuple(other(kind, order)),)
-    expected = _perturbed((stat_table(kind, order).rows[:order + 1],), perturb_power,
+    rows = stat_table(kind, order).rows
+    expected = _perturbed((rows if len(rows) == order + 1 else rows[:order + 1],), perturb_power,
                           lambda row: (LaurentPoly(row) + 1).terms)
     witness = _first_mismatch(expected, actual, lambda values: str(LaurentPoly(values[0])),
                               "laurent")
@@ -296,7 +297,8 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
                         column[j] += w * c
         return tuple(map(tuple, columns))
 
-    return tuple(c[:order + 1] for c in largest((identity,), order, build))
+    held = largest((identity,), order, build)
+    return held if len(held[0]) == order + 1 else tuple(c[:order + 1] for c in held)
 
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,

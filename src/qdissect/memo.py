@@ -11,12 +11,13 @@ series' coordinates in Z[a]/(modulus)), both from the column form;
 side of the table checks and of component-4-vanishing); per dissection
 ``(identity,)`` (the coordinates of its right-hand side); and ``("rows",
 kind)`` (the p, crank, rank or euler rows as the text the CLI writes:
-``(objects, values, lines)``, per row its object and its value written at
-depth 0 and its CSV lines; p grows with ``tables --kind p --n-max`` and
-``dissect --series partition-gf --order``, euler with ``dissect --series
-euler --order``).  The rows are the one entry that grows from what is held
-(``grow``): a row's text does not depend on the order, so a larger request
-renders only the rows past the held ones.
+``(objects, values, lines)``, per row its object and its value, each
+written at the one depth where the CLI puts it, and its CSV lines; p
+grows with ``tables --kind p --n-max`` and ``dissect --series
+partition-gf --order``, euler with ``dissect --series euler --order``).
+The rows are the one entry that grows from what is held (``grow``): a
+row's text does not depend on the order, so a larger request renders
+only the rows past the held ones.
 ``largest`` itself refuses a negative order for every key.  A refusal
 that depends on the order must run before ``largest`` is called: one at
 the start of ``build`` runs only on a miss, so a held entry would answer a

@@ -59,9 +59,15 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # each field's slot setter, looked up once per class rather than by
+        # name through object.__setattr__ for every field of every record
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        """Set the fields, one value each in __slots__ order."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -414,7 +414,8 @@ def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], 
                     rows[m][e] = c
         return tuple(rows)
 
-    return largest(("product", kind, size), order, build)[:order + 1]
+    rows = largest(("product", kind, size), order, build)
+    return rows if len(rows) == order + 1 else rows[:order + 1]
 
 
 def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
@@ -438,7 +439,8 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
                     columns[i] = [y + x * c for y, c in zip(columns[i], values)]
         return tuple(map(tuple, columns))
 
-    return tuple(c[:order + 1] for c in largest(("crank-coordinates", modulus), order, build))
+    held = largest(("crank-coordinates", modulus), order, build)
+    return held if len(held[0]) == order + 1 else tuple(c[:order + 1] for c in held)
 
 
 def _table_series(kind: str, order: int) -> TruncatedSeries:

@@ -798,48 +798,37 @@ def test_dissect_matches_the_library_dissection(capsys, monkeypatch, series):
 JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é",
                                      "\u2028", "\ud800", "\U0001d11e"])
                     | st.characters())
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-10 ** 300, 10 ** 300) | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
-    max_leaves=20,
-)
+JSON_SCALARS = st.none() | st.integers(-10 ** 300, 10 ** 300) | JSON_TEXT
 
 
 @settings(deadline=None)
-@given(JSON_VALUES)
-@example({'"\\\x00\u00e9\ud800\U0001d11e': [10 ** 100, -1, True, False, None, {}, [], ""]})
-@example([{"n": 0, "count": "1", "exact": True, "witness": None},
-          {"n": -12, "count": "", "exact": False, "witness": None}])
-@example({"passed": True, "failed": False})
-@example({"count": [-(10 ** 300)]})
-@example([{"a": [{"b": {"-1": "1", "-10": "2", "0": "-1"}, "c": {}}]}])
-def test_json_writer_matches_the_stdlib(value):
-    expected = json.dumps(value, sort_keys=True, indent=2)
-    assert cli._json(value) == expected
-    # again with each object or list of scalars written beforehand at depth 0
-    assert cli._json(_prewritten(value)) == expected
+@given(st.dictionaries(JSON_TEXT, JSON_SCALARS, min_size=1, max_size=6),
+       st.lists(JSON_SCALARS, min_size=1, max_size=6), st.integers(0, 6))
+@example({'"\\\x00\u00e9\ud800\U0001d11e': 10 ** 100, "-1": None, "10": "", "2": "\u2028"},
+         [-1, "", None], 0)
+@example({"-10": "2", "-1": "1", "0": "-1", "9": "1"}, ["1"], 5)
+def test_object_and_list_writers_match_the_stdlib(obj, items, depth):
+    pad = cli._PAD[depth]
+    members = [(key, json.dumps(value)) for key, value in sorted(obj.items())]
+    assert cli._object(members, pad) == json.dumps(obj, sort_keys=True, indent=2).replace(
+        "\n", pad)
+    assert cli._list_text([json.dumps(value) for value in items], pad) == json.dumps(
+        items, indent=2).replace("\n", pad)
 
 
-def _prewritten(value):
-    if type(value) not in (list, dict):
-        return value
-    items = value.values() if type(value) is dict else value
-    if all(type(item) not in (list, dict) for item in items):
-        return cli._Text(json.dumps(value, sort_keys=True, indent=2))
-    if type(value) is list:
-        return [_prewritten(item) for item in value]
-    return {key: _prewritten(item) for key, item in value.items()}
+def test_json_payloads_equal_the_stdlib_encoding(capsys, monkeypatch):
+    def check(request_line):
+        out = run_cli(capsys, *request_line.split())[1]
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", request_line
 
-
-@pytest.mark.parametrize("value", [
-    {1: "a"}, {"a": {2: "b"}}, {"a": 1, 2: "b"}, 1.5, ["a", 0.0], (1, 2), {"a": (1,)}, {"a"},
-], ids=["int-key", "nested-int-key", "mixed-keys", "float", "float-in-list", "tuple",
-        "nested-tuple", "set"])
-def test_json_writer_refuses_other_types(value):
-    # json.dumps would write most of these (keys coerced to str, tuples as
-    # lists); the writer refuses rather than risk bytes that differ from it
-    with pytest.raises(TypeError):
-        cli._json(value)
+    requests = [r for r, _ in GOLDEN if "--format csv" not in r]
+    for request_line in requests:
+        monkeypatch.setattr(memo, "_held", {})
+        check(request_line)
+    # again from one memo that every request has been through
+    monkeypatch.setattr(memo, "_held", {})
+    for request_line in requests + requests:
+        check(request_line)
 
 
 def test_cli_never_reaches_the_stdlib_encoder(capsys, monkeypatch):

@@ -425,6 +425,22 @@ def test_dissections_pass_at_every_intermediate_order():
                 assert tuple(c[:order + 1] for c in coords) == direct[key]
 
 
+def test_held_columns_answer_their_own_order_as_they_are(monkeypatch):
+    # a request at the held order gets the held tuples themselves; a smaller
+    # one gets new, shorter ones
+    compared = []
+    monkeypatch.setattr(identities, "_perturbed",
+                        lambda columns, power, plus_one=None: compared.append(columns) or columns)
+    assert verify_2_dissection(40).passed and verify_crank_gf(30).passed
+    assert compared[1][0] is memo._held[("table", "crank")][1].rows
+    for key, get in ((("dissection-2",), lambda n: _rhs_coordinates("dissection-2", n)),
+                     (("crank-coordinates", PHI8), lambda n: crank_coordinates(n, PHI8)),
+                     (("product", "crank", 0), lambda n: series.product_rows("crank", n))):
+        order, held = memo._held[key]
+        assert get(order) is held
+        assert get(order - 2) is not held
+
+
 @pytest.mark.parametrize("root", [2, 3, 4])
 def test_root_mapped_crank_series_held(monkeypatch, root):
     assert verify_5_dissection(60, root).passed
@@ -527,6 +543,9 @@ def test_records_compare_by_value_and_refuse_assignment():
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             setattr(record, "extra", None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is not None
 
 
 # --- every route can fail on its own ------------------------------------------------
