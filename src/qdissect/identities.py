@@ -18,18 +18,24 @@ The statistic tables (the column form) are checked against the two other
 routes of :mod:`qdissect.partitions`: the product formulas (``crank-gf``,
 ``rank-gf``) and the recurrences (``crank-columns``, ``rank-columns``).
 
+A shape difference fails at the first power one side lacks ("missing").
+The congruences p(mn + r) = 0 (mod m) and component-4's mod-5 check share
+one divisibility loop, ``_first_indivisible``; equidistribution is checked
+as m*N(k, m, n) = p(n) for every class k, which implies the congruence.
+
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the table
 checks, the right-hand side of the dissections), used by the mutation tests
 and the CLI self-test flag to confirm the checks can actually fail.  Every
-order, n_max and perturbation power must be an ``int`` (not a ``bool``) and
-is refused before any work otherwise.
+order and n_max passes one check, ``_check_order`` (an ``int``, not a
+``bool``, in range), and a perturbation power must lie in 0..order; both
+are refused before any work otherwise.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import compress, count
+from itertools import compress, count, zip_longest
 from operator import ne
 from typing import Callable
 
@@ -89,24 +95,28 @@ Columns = tuple[tuple, ...]
 
 def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple], str],
                     ring: str) -> FailureWitness | None:
-    """The first power of q at which two series of one order, held as
-    columns, differ, with both coefficients rendered by render (which gets
+    """The first power of q at which two series held as columns differ, or
+    one side lacks, with both coefficients rendered by render (which gets
     the tuple of column entries at that power); None if they agree."""
     if expected == actual:
         return None
-    # each column pair's first differing index, found in one C-level pass
-    n = min([next(compress(count(), map(ne, e, a)), len(e)) for e, a in zip(expected, actual)])
-    if n == len(expected[0]):
-        return None
-    return FailureWitness(n, render(tuple(c[n] for c in expected)),
-                          render(tuple(c[n] for c in actual)), ring)
+    # each column pair's first differing index, found in one C-level pass,
+    # or the first power the shorter lacks (a column one side lacks is
+    # empty); a side without a whole q^n coefficient shows "missing"
+    pairs = list(zip_longest(expected, actual, fillvalue=()))
+    n = min([next(compress(count(), map(ne, e, a)), min(len(e), len(a))) for e, a in pairs])
+    return FailureWitness(n, *[render(tuple(c[n] for c in side)) if n < min(map(len, side))
+                               else "missing" for side in zip(*pairs)], ring)
 
 
-def _check_int(name: str, value: int) -> None:
-    # before any work, as _check_perturb_power: a bool would run as 0 or 1,
-    # and a float would fail deep inside
+def _check_order(name: str, value: int, least: int = 0, step: int = 1) -> None:
+    # every verifier's order or n_max, before any work: a bool would run as
+    # 0 or 1, and a float would fail deep inside
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least or value % step:
+        raise ValueError(f"{name} must be >= {least}" if step == 1
+                         else f"{name} must be a positive multiple of {step}")
 
 
 def _check_perturb_power(power: int | None, order: int) -> None:
@@ -136,9 +146,7 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
                   ) -> VerificationReport:
     """Rows 0..order of the statistic table (the column form) against the
     rows other(kind, order) of another route."""
-    _check_int("order", order)
-    if order < least:
-        raise ValueError(f"order must be >= {least}")
+    _check_order("order", order, least)
     if order > TABLE_CAP:
         raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
     _check_perturb_power(perturb_power, order)
@@ -181,30 +189,34 @@ def verify_rank_columns(order: int, perturb_power: int | None = None) -> Verific
 # ---------------------------------------------------------------------------
 # arithmetic congruences and equidistribution
 
+def _first_indivisible(powers: range, value: Callable[[int], int]) -> FailureWitness | None:
+    """The first n in powers (all n = r mod m, m = powers.step) at which m
+    does not divide value(n), with its remainder; None if m divides all."""
+    modulus = powers.step
+    for n in powers:
+        remainder = value(n) % modulus
+        if remainder:
+            return FailureWitness(n, "0", str(remainder), f"integers mod {modulus}")
+    return None
+
+
 def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
     """p(modulus*n + residue) is divisible by modulus for all n <= n_max,
     for the three classical moduli 5, 7, 11 and their residues 4, 5, 6."""
     residue = RESIDUE_FOR_MODULUS.get(modulus)
     if residue is None:
         raise ValueError(f"unsupported congruence modulus {modulus}")
-    _check_int("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_order("n_max", n_max)
     started = time.perf_counter()
-    witness = None
-    for n in range(n_max + 1):
-        arg = modulus * n + residue
-        rem = partition_count(arg) % modulus
-        if rem:
-            witness = FailureWitness(arg, "0", str(rem), f"integers mod {modulus}")
-            break
+    witness = _first_indivisible(range(residue, modulus * n_max + residue + 1, modulus),
+                                 partition_count)
     return _report(f"congruence-{modulus}-{residue}", n_max, witness, started)
 
 
 def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> VerificationReport:
-    """Every residue class of the statistic modulo `modulus` holds exactly
-    p(modulus*n + residue)/modulus partitions, with the residue of the
-    congruence mod `modulus` (RESIDUE_FOR_MODULUS).
+    """m*N(k, m, n) = p(n) for every class k, m = `modulus` and n = m*j +
+    residue, j <= n_max (RESIDUE_FOR_MODULUS): the N(k, m, n) partitions of
+    n whose statistic is k mod m are the same number in every class.
 
     Supported: crank for moduli 5, 7, 11; rank for moduli 5 and 7 only (the
     rank does not equidistribute modulo 11).
@@ -214,9 +226,7 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     if modulus not in EQUIDISTRIBUTION_MODULI[statistic]:
         raise ValueError(f"equidistribution of the {statistic} is not available mod {modulus}")
     residue = RESIDUE_FOR_MODULUS[modulus]
-    _check_int("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_order("n_max", n_max)
     size = modulus * n_max + residue
     if size > TABLE_CAP:
         raise ValueError(f"order {n_max} needs the {statistic} table to n = {size}, past "
@@ -225,16 +235,12 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     started = time.perf_counter()
     table = stat_table(statistic, size)
     witness = None
-    for n in range(n_max + 1):
-        arg = modulus * n + residue
-        total = partition_count(arg)
-        if total % modulus:
-            witness = FailureWitness(arg, f"multiple of {modulus}", str(total), "integer")
-            break
-        share = total // modulus
-        for k, got in enumerate(table.count_mod(modulus, arg)):
-            if got != share:
-                witness = FailureWitness(arg, str(share), f"{got} (class {k})", "integer")
+    for n in range(residue, size + 1, modulus):
+        p = partition_count(n)
+        # one comparison per class, each row folded once
+        for k, got in enumerate(table.count_mod(modulus, n)):
+            if modulus * got != p:
+                witness = FailureWitness(n, str(p), f"{modulus * got} (class {k})", "integer")
                 break
         if witness:
             break
@@ -304,9 +310,7 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
     m, modulus, _, _ = _DISSECTIONS[identity]
-    _check_int("order", order)
-    if order < m or order % m:
-        raise ValueError(f"order must be a positive multiple of {m}")
+    _check_order("order", order, m, m)
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
     lhs = crank_coordinates(order, modulus)
@@ -358,32 +362,25 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     product formula in Z[a]/(a - 1), checked against the p(n) of the
     pentagonal recurrence: the column form gives p(n) there by itself, as
     (1 - a) kills every term but 1/(q;q)_inf."""
-    _check_int("order", order)
-    if order < 5 or order % 5:
-        raise ValueError("order must be a positive multiple of 5")
+    m = _DISSECTIONS["dissection-5"][0]
+    _check_order("order", order, m, m)
     started = time.perf_counter()
+    powers = range(4, order + 1, m)
     witness = None
 
-    # the right-hand side that dissection-5 holds
+    # the right-hand side that dissection-5 holds, its coordinates per power
     rhs = _rhs_coordinates("dissection-5", order)
-    for n in range(4, order + 1, 5):
-        values = tuple(c[n] for c in rhs)
+    for n, values in zip(powers, zip(*[c[4::m] for c in rhs])):
         if any(values):
             witness = FailureWitness(n, "0", str(QuotientElem(values, PHI5)),
                                      f"quotient({PHI5})")
             break
 
     if witness is None:
-        at_one = (tuple(row.get(0, 0) for row in product_rows("crank", order, 1)),)
-        witness = _first_mismatch((partition_gf(order).coefficients,), at_one,
-                                  lambda values: str(values[0]), "integer")
-
-    if witness is None:
-        for n in range(4, order + 1, 5):
-            c = at_one[0][n]
-            if c % 5:
-                witness = FailureWitness(n, "0 mod 5", str(c % 5), "integers mod 5")
-                break
+        at_one = tuple(row.get(0, 0) for row in product_rows("crank", order, 1))
+        witness = (_first_mismatch((partition_gf(order).coefficients,), (at_one,),
+                                   lambda values: str(values[0]), "integer")
+                   or _first_indivisible(powers, at_one.__getitem__))
 
     return _report("component-4-vanishing", order, witness, started)
 

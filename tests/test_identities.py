@@ -565,13 +565,13 @@ def _corrupt_columns(monkeypatch):
     monkeypatch.setattr(series, "_columns", corrupted)
 
 
-def _corrupt_product(monkeypatch, name):
-    """One wrong entry in a packed product build: class 0 at q^7."""
+def _corrupt_product(monkeypatch, name, power=7):
+    """One wrong entry in a packed product build: class 0 at q^power."""
     packed = getattr(series, name)
 
     def corrupted(order, size, bits):
         classes = packed(order, size, bits)
-        return [classes[0] + (1 << bits * 7)] + classes[1:]
+        return [classes[0] + (1 << bits * power)] + classes[1:]
 
     monkeypatch.setattr(series, name, corrupted)
 
@@ -641,14 +641,86 @@ def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
     assert verify_component_4_vanishing(30).failure_witness.power == 9
 
 
+def _wrong_partition_number(monkeypatch, n):
+    """p(n) one too large in the pentagonal-recurrence cache."""
+    wrong = [partition_count(k) for k in range(61)]
+    wrong[n] += 1
+    monkeypatch.setattr(partitions, "_pcounts", wrong)
+
+
 def test_a_wrong_partition_number_fails_both_a_one_checks(monkeypatch):
     # p(24) one too large: the column form multiplies by the wrong p(n), and
     # the a = 1 side of component-4-vanishing is compared with it, while the
     # product formula never reads p(n)
-    wrong = [partition_count(n) for n in range(61)]
-    wrong[24] += 1
-    monkeypatch.setattr(partitions, "_pcounts", wrong)
+    _wrong_partition_number(monkeypatch, 24)
     for verify in (verify_component_4_vanishing, verify_crank_gf):
         report = verify(60)
         assert report.status == "fail"
         assert report.failure_witness.power == 24
+
+
+@pytest.mark.parametrize("modulus,witness", [
+    (5, (24, "0", "1", "integers mod 5")),
+    (7, (19, "0", "1", "integers mod 7")),
+    (11, (17, "0", "1", "integers mod 11")),
+], ids=["congruence-5-4", "congruence-7-5", "congruence-11-6"])
+def test_each_congruence_can_fail(monkeypatch, modulus, witness):
+    # p(n) one too large at one argument of the residue class
+    _wrong_partition_number(monkeypatch, witness[0])
+    w = verify_congruence(modulus, 4).failure_witness
+    assert (w.power, w.expected, w.actual, w.ring) == witness
+
+
+@pytest.mark.parametrize("statistic,modulus,k,witness", [
+    ("crank", 5, 2, (9, "30", "35 (class 2)", "integer")),
+    ("crank", 7, 3, (12, "77", "84 (class 3)", "integer")),
+    ("crank", 11, 4, (17, "297", "308 (class 4)", "integer")),
+    ("rank", 5, 0, (14, "135", "140 (class 0)", "integer")),
+    ("rank", 7, 6, (19, "490", "497 (class 6)", "integer")),
+], ids=["equidist-crank-5", "equidist-crank-7", "equidist-crank-11", "equidist-rank-5",
+        "equidist-rank-7"])
+def test_each_equidistribution_can_fail(monkeypatch, statistic, modulus, k, witness):
+    # class k counted once too often at one argument: expected p(n), actual
+    # m*N(k, m, n) of the wrong count
+    count_mod = partitions.StatTable.count_mod
+
+    def corrupted(table, t, n):
+        counts = list(count_mod(table, t, n))
+        if n == witness[0]:
+            counts[k] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(partitions.StatTable, "count_mod", corrupted)
+    w = verify_equidistribution(statistic, modulus, 3).failure_witness
+    assert (w.power, w.expected, w.actual, w.ring) == witness
+
+
+def test_component_4_vanishing_fails_on_its_divisibility(monkeypatch):
+    # both a = 1 sides one too large at q^9, so they agree on 31, not 0 mod 5
+    _wrong_partition_number(monkeypatch, 9)
+    _corrupt_product(monkeypatch, "_packed_crank", power=9)
+    w = verify_component_4_vanishing(30).failure_witness
+    assert (w.power, w.expected, w.actual, w.ring) == (9, "0", "1", "integers mod 5")
+
+
+@pytest.mark.parametrize("expected,actual,witness", [
+    (((1, 2),), ((1,),), (1, "(2,)", "missing")),
+    (((1,),), ((1, 2),), (1, "missing", "(2,)")),
+    (((1, 2),), ((1, 2), (3, 4)), (0, "missing", "(1, 3)")),
+    (((1, 2), (3, 4)), ((1, 2),), (0, "(1, 3)", "missing")),
+    (((1, 2), (3, 4)), ((1, 2), (3,)), (1, "(2, 4)", "missing")),
+    (((1, 2), (3, 4)), ((1, 5), (3,)), (1, "(2, 4)", "missing")),
+], ids=["power-short", "power-long", "column-fewer", "column-more", "one-column-short",
+        "short-and-different"])
+def test_first_mismatch_fails_on_any_shape_difference(expected, actual, witness):
+    # the witness sits at the first power one side lacks, shown "missing"
+    w = identities._first_mismatch(expected, actual, repr, "Z")
+    assert (w.power, w.expected, w.actual, w.ring) == (*witness, "Z")
+
+
+def test_a_route_one_row_short_fails(monkeypatch):
+    rows = identities.product_rows
+    monkeypatch.setattr(identities, "product_rows", lambda kind, order: rows(kind, order)[:-1])
+    w = verify_crank_gf(20).failure_witness
+    assert (w.power, w.actual, w.ring) == (20, "missing", "laurent")
+    assert w.expected == str(crank_gf(20).coefficients[20])

@@ -1,7 +1,12 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from qdissect.cli import IDENTITIES
+from qdissect.identities import EQUIDISTRIBUTION_MODULI, RESIDUE_FOR_MODULUS
+from qdissect.partitions import TABLE_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +22,21 @@ def test_verify_all_quick():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("0 failure(s)")
 
+
+def test_registry_equidistribution_orders_and_refusals():
+    # each equidistribution check runs by default at the largest order the
+    # table cap allows, and verify_all.py skips exactly the refused ones
+    spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
+    verify_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify_all)
+    equidist = {}
+    for name in IDENTITIES:
+        if name.startswith("equidist-"):
+            _, statistic, m = name.split("-")
+            equidist[name] = statistic, int(m)
+    assert verify_all.REFUSED == {name for name, (statistic, m) in equidist.items()
+                                  if m not in EQUIDISTRIBUTION_MODULI[statistic]}
+    for name, (statistic, m) in equidist.items():
+        if name not in verify_all.REFUSED:
+            assert IDENTITIES[name][0] == (TABLE_CAP - RESIDUE_FOR_MODULUS[m]) // m, name
+    assert len(equidist) - len(verify_all.REFUSED) == 5
