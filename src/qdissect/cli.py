@@ -53,12 +53,12 @@ IDENTITIES = {
     "congruence-5-4": (20, False, lambda o, r, p: verify_congruence(5, o)),
     "congruence-7-5": (15, False, lambda o, r, p: verify_congruence(7, o)),
     "congruence-11-6": (10, False, lambda o, r, p: verify_congruence(11, o)),
-    # the largest orders the table cap allows
-    "equidist-crank-5": (59, False, lambda o, r, p: verify_equidistribution("crank", 5, o)),
-    "equidist-crank-7": (42, False, lambda o, r, p: verify_equidistribution("crank", 7, o)),
-    "equidist-crank-11": (26, False, lambda o, r, p: verify_equidistribution("crank", 11, o)),
-    "equidist-rank-5": (59, False, lambda o, r, p: verify_equidistribution("rank", 5, o)),
-    "equidist-rank-7": (42, False, lambda o, r, p: verify_equidistribution("rank", 7, o)),
+    # (2000 - r) // m: the largest orders whose n = m*order + r stays <= 2000
+    "equidist-crank-5": (399, False, lambda o, r, p: verify_equidistribution("crank", 5, o)),
+    "equidist-crank-7": (285, False, lambda o, r, p: verify_equidistribution("crank", 7, o)),
+    "equidist-crank-11": (181, False, lambda o, r, p: verify_equidistribution("crank", 11, o)),
+    "equidist-rank-5": (399, False, lambda o, r, p: verify_equidistribution("rank", 5, o)),
+    "equidist-rank-7": (285, False, lambda o, r, p: verify_equidistribution("rank", 7, o)),
     # recognized so the refusal is explained, but always a usage error:
     # the rank does not equidistribute modulo 11
     "equidist-rank-11": (3, False, lambda o, r, p: verify_equidistribution("rank", 11, o)),

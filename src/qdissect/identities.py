@@ -20,8 +20,9 @@ routes of :mod:`qdissect.partitions`: the product formulas (``crank-gf``,
 
 A shape difference fails at the first power one side lacks ("missing").
 The congruences p(mn + r) = 0 (mod m) and component-4's mod-5 check share
-one divisibility loop, ``_first_indivisible``; equidistribution is checked
-as m*N(k, m, n) = p(n) for every class k, which implies the congruence.
+one divisibility loop, ``_first_indivisible``; equidistribution checks
+m*N(k, m, n) = p(n), which implies the congruence, on the m classes of the
+column form in Z[a]/(a^m - 1): no statistic table, so no table cap.
 
 Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the table
@@ -40,7 +41,7 @@ from operator import ne
 from typing import Callable
 
 from .memo import largest
-from .partitions import TABLE_CAP, _Record, partition_count, recurrence_rows, stat_table
+from .partitions import TABLE_CAP, _columns, _Record, partition_count, recurrence_rows, stat_table
 from .ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, product_rows, theta)
@@ -216,7 +217,8 @@ def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
 def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> VerificationReport:
     """m*N(k, m, n) = p(n) for every class k, m = `modulus` and n = m*j +
     residue, j <= n_max (RESIDUE_FOR_MODULUS): the N(k, m, n) partitions of
-    n whose statistic is k mod m are the same number in every class.
+    n whose statistic is k mod m, class k of ``partitions._columns`` at
+    size m, held per (statistic, m), are the same number in every class.
 
     Supported: crank for moduli 5, 7, 11; rank for moduli 5 and 7 only (the
     rank does not equidistribute modulo 11).
@@ -228,23 +230,16 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     residue = RESIDUE_FOR_MODULUS[modulus]
     _check_order("n_max", n_max)
     size = modulus * n_max + residue
-    if size > TABLE_CAP:
-        raise ValueError(f"order {n_max} needs the {statistic} table to n = {size}, past "
-                         f"the table cap {TABLE_CAP}; the largest order is "
-                         f"{(TABLE_CAP - residue) // modulus}")
     started = time.perf_counter()
-    table = stat_table(statistic, size)
-    witness = None
+    classes = largest(("classes", statistic, modulus), size,
+                      lambda n: tuple(map(tuple, _columns(statistic, n, modulus))))
     for n in range(residue, size + 1, modulus):
         p = partition_count(n)
-        # one comparison per class, each row folded once
-        for k, got in enumerate(table.count_mod(modulus, n)):
+        for k, got in enumerate([column[n] for column in classes]):
             if modulus * got != p:
-                witness = FailureWitness(n, str(p), f"{modulus * got} (class {k})", "integer")
-                break
-        if witness:
-            break
-    return _report(f"equidist-{statistic}-{modulus}", n_max, witness, started)
+                return _report(f"equidist-{statistic}-{modulus}", n_max, FailureWitness(
+                    n, str(p), f"{modulus * got} (class {k})", "integer"), started)
+    return _report(f"equidist-{statistic}-{modulus}", n_max, None, started)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,7 @@ def test_perturb_power_fails_in_range_and_is_refused_outside(capsys, identity):
 
 
 @pytest.mark.parametrize("identity,order", [("crank-gf", 375), ("rank-gf", 301),
-                                            ("crank-columns", 301), ("rank-columns", 1000),
-                                            ("equidist-crank-11", 30)])
+                                            ("crank-columns", 301), ("rank-columns", 1000)])
 def test_table_cap_refused_before_any_work(capsys, identity, order):
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
@@ -252,18 +251,11 @@ def test_table_cap_refused_before_any_work(capsys, identity, order):
 
 
 @pytest.mark.parametrize("identity,order,message", [
-    ("equidist-crank-5", 60, "order 60 needs the crank table to n = 304, past the table "
-                             "cap 300; the largest order is 59"),
-    ("equidist-rank-7", 43, "order 43 needs the rank table to n = 306, past the table "
-                            "cap 300; the largest order is 42"),
-    ("equidist-crank-11", 27, "order 27 needs the crank table to n = 303, past the table "
-                              "cap 300; the largest order is 26"),
     ("crank-gf", 301, "order 301 exceeds the table cap 300"),
     ("rank-gf", 301, "order 301 exceeds the table cap 300"),
     ("crank-columns", 301, "order 301 exceeds the table cap 300"),
     ("rank-columns", 301, "order 301 exceeds the table cap 300"),
-], ids=["equidist-crank-5", "equidist-rank-7", "equidist-crank-11", "crank-gf", "rank-gf",
-        "crank-columns", "rank-columns"])
+], ids=["crank-gf", "rank-gf", "crank-columns", "rank-columns"])
 def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order, message):
     # the refusal names what the caller gave and runs before any table,
     # series or recurrence is built
@@ -278,8 +270,9 @@ def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_largest_equidistribution_order_under_the_cap_runs(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-11", "--order", "4")
+def test_equidistribution_runs_past_the_table_cap(capsys):
+    # n = 11*30 + 6 = 336: the classes come from no table, so no cap applies
+    code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-11", "--order", "30")
     assert code == 0
     assert payload_of(out)["status"] == "pass"
 
@@ -417,7 +410,7 @@ def test_coeffs_largest_count_accepted(capsys, monkeypatch):
     assert len(payload_of(out)["rows"]) == 301
 
 
-def _fold_calls(monkeypatch):
+def test_tables_modulo_folds_each_row_once(capsys, monkeypatch):
     calls = []
     original = partitions.StatTable.count_mod
 
@@ -426,11 +419,6 @@ def _fold_calls(monkeypatch):
         return original(self, t, n)
 
     monkeypatch.setattr(partitions.StatTable, "count_mod", counted)
-    return calls
-
-
-def test_tables_modulo_folds_each_row_once(capsys, monkeypatch):
-    calls = _fold_calls(monkeypatch)
     code, out, _ = run_cli(capsys, "tables", "--kind", "crank", "--n-max", "16", "--modulo", "7")
     assert code == 0
     assert calls == [(7, n) for n in range(17)]
@@ -440,11 +428,23 @@ def test_tables_modulo_folds_each_row_once(capsys, monkeypatch):
         for n in range(17)]
 
 
-def test_equidistribution_folds_each_row_once(capsys, monkeypatch):
-    calls = _fold_calls(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-5", "--order", "3")
-    assert code == 0 and payload_of(out)["status"] == "pass"
-    assert calls == [(5, 5 * n + 4) for n in range(4)]
+def test_equidistribution_builds_no_table_and_its_classes_once(capsys, monkeypatch):
+    # no statistic table and no fold: each (statistic, m) builds its classes
+    # once, and a request at a smaller order reads the held ones
+    def refuse(*args):
+        raise AssertionError("equidistribution built or folded a table")
+
+    monkeypatch.setattr(partitions, "build_stat_table", refuse)
+    monkeypatch.setattr(partitions.StatTable, "count_mod", refuse)
+    builds = []
+    columns = identities._columns
+    monkeypatch.setattr(identities, "_columns",
+                        lambda *args: builds.append(args) or columns(*args))
+    for identity in ("equidist-crank-5", "equidist-rank-7"):
+        for order in ("6", "3"):
+            code, out, _ = run_cli(capsys, "verify", "--identity", identity, "--order", order)
+            assert code == 0 and payload_of(out)["status"] == "pass"
+    assert builds == [("crank", 34, 5), ("rank", 47, 7)]
 
 
 @pytest.mark.parametrize("argv,bound", [

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect import identities, memo, partitions, series
 from qdissect.identities import (
+    EQUIDISTRIBUTION_MODULI,
     FIFTH_ROOTS,
     FailureWitness,
     VerificationReport,
@@ -21,8 +22,8 @@ from qdissect.identities import (
     verify_rank_gf,
 )
 from qdissect.identities import _rhs_coordinates
-from qdissect.partitions import (Partition, build_stat_table, enumerate_partitions,
-                                 partition_count)
+from qdissect.partitions import (TABLE_CAP, Partition, build_stat_table,
+                                 enumerate_partitions, partition_count)
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, pochhammer_inf, theta
 
@@ -122,6 +123,26 @@ def test_verify_equidistribution():
     assert verify_equidistribution("crank", 11, 1).passed
     assert verify_equidistribution("rank", 5, 2).passed
     assert verify_equidistribution("rank", 7, 1).passed
+
+
+@pytest.mark.parametrize("statistic,modulus", [
+    (statistic, m) for statistic, moduli in EQUIDISTRIBUTION_MODULI.items() for m in moduli])
+def test_equidistribution_classes_equal_the_product_route(statistic, modulus):
+    # the classes the check holds against the product formula at size m,
+    # which shares no code with the column form below partition_count (its
+    # exponents lie in -m/2..m/2, so they are read mod m), and up to the
+    # table cap against the table's fold as well
+    assert verify_equidistribution(statistic, modulus, 400 // modulus).passed
+    held, classes = memo._held[("classes", statistic, modulus)]
+    assert held >= 400
+    table = partitions.stat_table(statistic, TABLE_CAP)
+    for n, row in enumerate(series.product_rows(statistic, 400, modulus)[2:], 2):
+        counts = [0] * modulus
+        for e, c in row.items():
+            counts[e % modulus] += c
+        assert [column[n] for column in classes] == counts, n
+        if n <= TABLE_CAP:
+            assert table.count_mod(modulus, n) == tuple(counts), n
 
 
 def test_equidistribution_usage_errors():
@@ -374,8 +395,8 @@ def refuse_all_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 
-    for name in ("stat_table", "crank_coordinates", "_rhs_coordinates", "product_rows",
-                 "recurrence_rows", "partition_count", "partition_gf"):
+    for name in ("stat_table", "_columns", "crank_coordinates", "_rhs_coordinates",
+                 "product_rows", "recurrence_rows", "partition_count", "partition_gf"):
         monkeypatch.setattr(identities, name, refuse)
 
 
@@ -681,16 +702,17 @@ def test_each_congruence_can_fail(monkeypatch, modulus, witness):
         "equidist-rank-7"])
 def test_each_equidistribution_can_fail(monkeypatch, statistic, modulus, k, witness):
     # class k counted once too often at one argument: expected p(n), actual
-    # m*N(k, m, n) of the wrong count
-    count_mod = partitions.StatTable.count_mod
+    # m*N(k, m, n) of the wrong count.  _columns returns one list for the
+    # classes k and m - k, so only a copy of class k is corrupted
+    columns = partitions._columns
 
-    def corrupted(table, t, n):
-        counts = list(count_mod(table, t, n))
-        if n == witness[0]:
-            counts[k] += 1
-        return tuple(counts)
+    def corrupted(kind, order, size):
+        classes = list(columns(kind, order, size))
+        classes[k] = list(classes[k])
+        classes[k][witness[0]] += 1
+        return classes
 
-    monkeypatch.setattr(partitions.StatTable, "count_mod", corrupted)
+    monkeypatch.setattr(identities, "_columns", corrupted)
     w = verify_equidistribution(statistic, modulus, 3).failure_witness
     assert (w.power, w.expected, w.actual, w.ring) == witness
 

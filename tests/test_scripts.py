@@ -6,7 +6,6 @@ from pathlib import Path
 
 from qdissect.cli import IDENTITIES
 from qdissect.identities import EQUIDISTRIBUTION_MODULI, RESIDUE_FOR_MODULUS
-from qdissect.partitions import TABLE_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,8 +23,9 @@ def test_verify_all_quick():
 
 
 def test_registry_equidistribution_orders_and_refusals():
-    # each equidistribution check runs by default at the largest order the
-    # table cap allows, and verify_all.py skips exactly the refused ones
+    # each equidistribution check runs by default at the largest order whose
+    # n = m*order + r stays <= 2000, and verify_all.py skips exactly the
+    # refused ones
     spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
     verify_all = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(verify_all)
@@ -38,5 +38,5 @@ def test_registry_equidistribution_orders_and_refusals():
                                   if m not in EQUIDISTRIBUTION_MODULI[statistic]}
     for name, (statistic, m) in equidist.items():
         if name not in verify_all.REFUSED:
-            assert IDENTITIES[name][0] == (TABLE_CAP - RESIDUE_FOR_MODULUS[m]) // m, name
+            assert IDENTITIES[name][0] == (2000 - RESIDUE_FOR_MODULUS[m]) // m, name
     assert len(equidist) - len(verify_all.REFUSED) == 5
