@@ -15,8 +15,8 @@ number of ones).  Three routes compute them, and they share no code below
 - ``series.product_rows`` expands the product formulas (the
   ``crank-gf``/``rank-gf`` checks).
 
-Each of the three refuses rows beyond ``TABLE_CAP`` itself, before any
-work, whoever calls it.
+Each of the three refuses an unknown kind, a negative order and rows
+beyond ``TABLE_CAP`` itself, before any work, whoever calls it.
 
 Enumeration (lexicographically descending) with ``rank``/``crank`` and
 ``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
@@ -43,8 +43,8 @@ from .memo import largest
 # formulas at the Laurent size 2n + 1 are refused beyond this n, whichever
 # entry point asks.  The column form alone would reach much
 # further (0.12 s to n = 400, 2-core VM, CPython 3.11); the cap is where its
-# checks still run in a few seconds: to n = 300 the crank recurrence takes
-# about 2.2 s and the crank product 1.2 s, to n = 400 about 6-9 s and 3.3 s.
+# checks still run in a few seconds: to n = 300 the rank recurrence takes
+# about 2.2 s and the crank product 1.2 s, the crank recurrence about 0.1 s.
 TABLE_CAP = 300
 
 
@@ -274,49 +274,46 @@ def _rank_rows(n_max: int) -> list[dict[int, int]]:
 
 
 def _crank_rows(n_max: int) -> list[dict[int, int]]:
-    # E[j][t]: partitions of t into exactly j parts
-    E = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    E[0][0] = 1
-    for t in range(1, n_max + 1):
-        for j in range(1, t + 1):
-            E[j][t] = E[j - 1][t - 1] + E[j][t - j]
-    # D[s]: partitions of s into parts 2..w, one part size added per w
-    D = [1] + [0] * n_max
+    # F[j][s], s < n_max: partitions of s into parts >= 2, exactly j of them
+    # above w, i.e. prod_{2<=k<=w} 1/(1 - q^k) * prod_{k>w} 1/(1 - z q^k).
+    # Seeded at w = n_max, where no part of such an s lies above w.
+    F = [[1] + [0] * (n_max - 1)]
+    for k in range(2, n_max):
+        for s in range(k, n_max):
+            F[0][s] += F[0][s - k]
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for w in range(1, n_max + 1):
-        if w >= 2:
-            for s in range(w, n_max + 1):
-                D[s] += D[s - w]
-            # no ones and largest part w: crank w; the other parts lie in 2..w
-            for n in range(w, n_max + 1):
-                c = D[n - w]
+    for w in range(n_max, 0, -1):
+        # from w + 1 down to w (no change at w = n_max): F times
+        # (1 - q^u)/(1 - z q^u), u = w + 1, row j adding the new row j - 1
+        # shifted by u; j parts above w need j*u < n_max
+        u = w + 1
+        F += [[0] * n_max for _ in range(len(F), (n_max - 1) // u + 1)]
+        below = [0] * n_max
+        for counts in F:
+            counts[u:] = [c - d + b for c, d, b in zip(counts[u:], counts, below)]
+            below = counts
+        # n = w + s: w ones and j parts above w have crank j - w; for w >= 2,
+        # no ones and largest part w (the rest in 2..w, row 0) have crank w
+        for j, counts in enumerate(F):
+            for s, c in enumerate(counts[:n_max - w + 1]):
                 if c:
-                    rows[n][w] = rows[n].get(w, 0) + c
-        # w ones, parts 2..w summing to s, and j parts above w: crank j - w.
-        # Taking w from each of the j parts leaves a partition of t into
-        # exactly j parts, so n = w + s + j*w + t.
-        for s in range(n_max - w + 1):
-            d = D[s]
-            if not d:
-                continue
-            for j in range((n_max - w - s) // (w + 1) + 1):
-                base = w + s + j * w
-                col = E[j]
-                for t in range(j, n_max - base + 1):
-                    c = col[t]
-                    if c:
-                        row = rows[base + t]
-                        row[j - w] = row.get(j - w, 0) + d * c
+                    row = rows[w + s]
+                    row[j - w] = row.get(j - w, 0) + c
+                    if not j and w >= 2:
+                        row[w] = row.get(w, 0) + c
     return rows
 
 
 def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
-    """Rows 0..n_max of the rank or crank table by the recurrences above,
-    the rank split by (largest part, number of parts), the crank by (number
-    of ones w, parts larger than w), after Andrews-Garvan, "Dyson's crank of
-    a partition", Bull. AMS 18 (1988), with the conventions set at n <= 1:
-    O(n_max^3) steps and O(n_max^2) integers.  n_max beyond TABLE_CAP is
-    refused before any work."""
+    """Rows 0..n_max of the rank or crank table by the recurrences above:
+    the rank by (largest part, number of parts) in O(n_max^3) steps, the
+    crank by (number of ones w, parts above w), after Andrews-Garvan, Bull.
+    AMS 18 (1988), in about O(n_max^2 log n_max).  Rows n <= 1 are the
+    conventions; an unknown kind or bad n_max is refused before any work."""
+    if kind not in ("rank", "crank"):
+        raise ValueError(f"unknown statistic kind {kind!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if n_max > TABLE_CAP:
         raise ValueError(f"n_max {n_max} exceeds the table cap {TABLE_CAP}")
     rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)

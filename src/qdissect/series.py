@@ -398,8 +398,10 @@ def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], 
     2*order + 1, where they are the Laurent exponents: |crank| and |rank| of
     a partition of n are at most n, so no class wraps.
 
-    Held per (kind, size) at the largest order so far.  A build at the
-    Laurent size beyond TABLE_CAP is refused before any work."""
+    Held per (kind, size) at the largest order so far.  An unknown kind and a
+    Laurent-size build beyond TABLE_CAP are refused before any work."""
+    if kind not in ("rank", "crank"):
+        raise ValueError(f"unknown statistic kind {kind!r}")
     if not size and order > TABLE_CAP:
         raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
 

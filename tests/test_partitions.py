@@ -148,24 +148,29 @@ def test_count_mod_folds_every_row(kind):
             table.count_mod(5, n)
 
 
+# the three table routes and the name each gives its order
+ROUTES = [(build_stat_table, "n_max"), (recurrence_rows, "n_max"), (product_rows, "order")]
+ROUTE_IDS = ["table", "recurrence", "product"]
+
+
 def test_build_validation():
-    with pytest.raises(ValueError):
-        build_stat_table("median", 4)
-    with pytest.raises(ValueError):
-        build_stat_table("rank", -1)
-    with pytest.raises(ValueError, match="n_max 301 exceeds the table cap 300"):
-        build_stat_table("crank", TABLE_CAP + 1)
+    # the three routes refuse the same inputs
+    for build, name in ROUTES:
+        with pytest.raises(ValueError, match="^unknown statistic kind 'median'$"):
+            build("median", 4)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            build("rank", -1)
+        with pytest.raises(ValueError, match=f"{name} 301 exceeds the table cap 300"):
+            build("crank", TABLE_CAP + 1)
 
 
 @pytest.mark.parametrize("kind", ["crank", "rank"])
-@pytest.mark.parametrize("build,name", [(build_stat_table, "n_max"),
-                                        (recurrence_rows, "n_max"),
-                                        (product_rows, "order")],
-                         ids=["table", "recurrence", "product"])
+@pytest.mark.parametrize("build,name", ROUTES, ids=ROUTE_IDS)
 def test_laurent_size_builds_refused_past_the_cap(monkeypatch, kind, build, name):
-    # each kernel bounds its own work, whoever calls it
+    # each kernel bounds its own work, whoever calls it, and a refused
+    # request holds nothing
     def refuse(*args):
-        raise AssertionError("work started before the cap refusal")
+        raise AssertionError("work started before the refusal")
 
     for home, attr in ((partitions, "_columns"), (partitions, "_crank_rows"),
                        (partitions, "_rank_rows"), (series, "_packed_crank"),
@@ -174,6 +179,10 @@ def test_laurent_size_builds_refused_past_the_cap(monkeypatch, kind, build, name
     with pytest.raises(ValueError, match=f"^{name} {TABLE_CAP + 1} exceeds the table cap "
                                          f"{TABLE_CAP}$"):
         build(kind, TABLE_CAP + 1)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        build(kind, -1)
+    with pytest.raises(ValueError, match="^unknown statistic kind 'median'$"):
+        build("median", 4)
     assert memo._held == {}
 
 
@@ -210,10 +219,31 @@ def test_recurrence_rows_match_enumeration():
 
 
 @pytest.mark.parametrize("kind", ["crank", "rank"])
-def test_recurrence_rows_match_generating_functions_to_the_cap(kind):
-    # the three routes, row for row, with the conventions at n <= 1
+def test_recurrence_rows_match_generating_functions_to_the_cap(monkeypatch, kind):
+    # the three routes, row for row, with the conventions at n <= 1; the
+    # recurrences read neither the column form, the products, p(n) nor the
+    # enumeration
     rows = build_stat_table(kind, 60).rows
-    assert tuple(recurrence_rows(kind, 60)) == rows == product_rows(kind, 60)
+    assert product_rows(kind, 60) == rows
+
+    def refuse(*args):
+        raise AssertionError("the recurrence route shares code with another")
+
+    for home, attr in ((partitions, "_columns"), (partitions, "partition_count"),
+                       (partitions, "enumerate_partitions"), (series, "_unpacked")):
+        monkeypatch.setattr(home, attr, refuse)
+    assert tuple(recurrence_rows(kind, 60)) == rows
+
+
+def test_crank_recurrence_past_the_cap():
+    # the cap does not bound the sweep itself; its raw rows at n <= 1 differ
+    # from the column form's by convention
+    size = 801
+    columns = partitions._columns("crank", 400, size)
+    rows = partitions._crank_rows(400)
+    for n in range(2, 401):
+        assert rows[n] == {r if r <= 400 else r - size: column[n]
+                           for r, column in enumerate(columns) if column[n]}, n
 
 
 @pytest.mark.parametrize("kind,checks", [
