@@ -24,6 +24,7 @@ from .identities import (
     verify_rank_gf,
 )
 from .partitions import (
+    ORDER_CAP,
     TABLE_CAP,
     Partition,
     StatTable,
@@ -56,7 +57,7 @@ __all__ = [
     "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf",
     "Partition", "StatTable", "enumerate_partitions", "partition_count",
     "rank", "crank", "rank_row", "crank_row", "build_stat_table",
-    "TABLE_CAP",
+    "TABLE_CAP", "ORDER_CAP",
     "VerificationReport", "FailureWitness",
     "verify_crank_gf", "verify_rank_gf", "verify_crank_columns", "verify_rank_columns",
     "verify_congruence",

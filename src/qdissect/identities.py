@@ -28,9 +28,11 @@ Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the table
 checks, the right-hand side of the dissections), used by the mutation tests
 and the CLI self-test flag to confirm the checks can actually fail.  Every
-order and n_max passes one check, ``_check_order`` (an ``int``, not a
-``bool``, in range), and a perturbation power must lie in 0..order; both
-are refused before any work otherwise.
+order and n_max passes the library's one check, ``partitions._check_order``
+(an ``int``, not a ``bool``, in range); no check touches a power of q past
+``ORDER_CAP`` (``_check_reach``), the table checks none past ``TABLE_CAP``;
+and a perturbation power must lie in 0..order.  All of these are refused
+before any work and before any held entry is read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from operator import ne
 from typing import Callable
 
 from .memo import largest
-from .partitions import TABLE_CAP, _columns, _Record, partition_count, recurrence_rows, stat_table
+from .partitions import (ORDER_CAP, _check_order, _columns, _Record, partition_count,
+                         recurrence_rows, stat_table)
 from .ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, product_rows, theta)
@@ -110,14 +113,11 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
                                else "missing" for side in zip(*pairs)], ring)
 
 
-def _check_order(name: str, value: int, least: int = 0, step: int = 1) -> None:
-    # every verifier's order or n_max, before any work: a bool would run as
-    # 0 or 1, and a float would fail deep inside
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < least or value % step:
-        raise ValueError(f"{name} must be >= {least}" if step == 1
-                         else f"{name} must be a positive multiple of {step}")
+def _check_reach(name: str, value: int, reach: int) -> None:
+    # after _check_order and before any work: reach is the largest power of
+    # q the check would touch for this order or n_max
+    if reach > ORDER_CAP:
+        raise ValueError(f"{name} {value} reaches q^{reach}, past the order cap {ORDER_CAP}")
 
 
 def _check_perturb_power(power: int | None, order: int) -> None:
@@ -147,9 +147,7 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
                   ) -> VerificationReport:
     """Rows 0..order of the statistic table (the column form) against the
     rows other(kind, order) of another route."""
-    _check_order("order", order, least)
-    if order > TABLE_CAP:
-        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
+    _check_order("order", order, least, table=True)
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
     # the other route first: a refusal of its own then comes before any table
@@ -208,6 +206,7 @@ def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
     if residue is None:
         raise ValueError(f"unsupported congruence modulus {modulus}")
     _check_order("n_max", n_max)
+    _check_reach("n_max", n_max, modulus * n_max + residue)
     started = time.perf_counter()
     witness = _first_indivisible(range(residue, modulus * n_max + residue + 1, modulus),
                                  partition_count)
@@ -230,6 +229,7 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     residue = RESIDUE_FOR_MODULUS[modulus]
     _check_order("n_max", n_max)
     size = modulus * n_max + residue
+    _check_reach("n_max", n_max, size)
     started = time.perf_counter()
     classes = largest(("classes", statistic, modulus), size,
                       lambda n: tuple(map(tuple, _columns(statistic, n, modulus))))
@@ -306,6 +306,7 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
     m, modulus, _, _ = _DISSECTIONS[identity]
     _check_order("order", order, m, m)
+    _check_reach("order", order, order)
     _check_perturb_power(perturb_power, order)
     started = time.perf_counter()
     lhs = crank_coordinates(order, modulus)
@@ -359,6 +360,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     (1 - a) kills every term but 1/(q;q)_inf."""
     m = _DISSECTIONS["dissection-5"][0]
     _check_order("order", order, m, m)
+    _check_reach("order", order, order)
     started = time.perf_counter()
     powers = range(4, order + 1, m)
     witness = None
@@ -382,5 +384,6 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
 
 def crank_coefficients(order: int = 20) -> list[LaurentPoly]:
     """The Laurent-polynomial coefficients of q^0..q^order of the crank
-    generating function (default: the first 21)."""
+    generating function (default: the first 21).  No program path calls it;
+    it stays because perfbench/tracer.py patches it by name."""
     return list(crank_gf(order).coefficients)

@@ -15,8 +15,9 @@ number of ones).  Three routes compute them, and they share no code below
 - ``series.product_rows`` expands the product formulas (the
   ``crank-gf``/``rank-gf`` checks).
 
-Each of the three refuses an unknown kind, a negative order and rows
-beyond ``TABLE_CAP`` itself, before any work, whoever calls it.
+Each of the three refuses an unknown kind, an order that is not an int
+>= 0 (``_check_order``, the one order check of every library entry point)
+and rows beyond ``TABLE_CAP`` itself, before any work, whoever calls it.
 
 Enumeration (lexicographically descending) with ``rank``/``crank`` and
 ``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
@@ -46,6 +47,30 @@ from .memo import largest
 # checks still run in a few seconds: to n = 300 the rank recurrence takes
 # about 2.2 s and the crank product 1.2 s, the crank recurrence about 0.1 s.
 TABLE_CAP = 300
+
+# No verifier touches a power of q past this one: the congruences and
+# equidistribution refuse an n_max whose n = m*n_max + r lies beyond it, the
+# dissections and component-4-vanishing an order beyond it.  It is above
+# every registry default (n <= 2000); past it the work grows fast: the column
+# kernel takes 1.7 s at n = 5000 and 7 s at 10 000, verify_2_dissection 2.7 s
+# at order 5000 and 12.4 s at 10 000 (2-core VM, CPython 3.11).
+ORDER_CAP = 5000
+
+
+def _check_order(name: str, value: int, least: int = 0, step: int = 1,
+                 table: bool = False) -> None:
+    """The one order check of every library entry point, run before any work
+    and before ``memo.largest``, so that a held entry cannot answer first.
+    A bool would run as 0 or 1 and a float would fail deep inside, so only
+    an ``int`` >= least and a multiple of step passes, and for a table (or
+    other Laurent-size work) none past TABLE_CAP."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least or value % step:
+        raise ValueError(f"{name} must be >= {least}" if step == 1
+                         else f"{name} must be a positive multiple of {step}")
+    if table and value > TABLE_CAP:
+        raise ValueError(f"{name} {value} exceeds the table cap {TABLE_CAP}")
 
 
 class _Record:
@@ -239,7 +264,9 @@ class StatTable(_Record):
             raise ValueError(f"n={n} outside table range 0..{self.n_max}")
 
     def row(self, n: int) -> dict[int, int]:
-        """A copy of row n, which the caller may change freely."""
+        """A copy of row n, which the caller may change freely.  No program
+        path reads a row through it; it stays because perfbench/tracer.py
+        patches it by name."""
         self._check_n(n)
         return dict(self.rows[n])
 
@@ -312,10 +339,7 @@ def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
     conventions; an unknown kind or bad n_max is refused before any work."""
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > TABLE_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the table cap {TABLE_CAP}")
+    _check_order("n_max", n_max, table=True)
     rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
     rows[0] = {0: 1}
     if kind == "crank" and n_max >= 1:
@@ -381,10 +405,7 @@ def build_stat_table(kind: str, n_max: int) -> StatTable:
     """
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > TABLE_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the table cap {TABLE_CAP}")
+    _check_order("n_max", n_max, table=True)
     size = 2 * n_max + 1
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for r, column in enumerate(_columns(kind, n_max, size)):
@@ -401,6 +422,7 @@ def stat_table(kind: str, n_max: int) -> StatTable:
     Tables are immutable, so the largest one built so far per kind is kept
     in ``memo`` and shared; a request beyond it builds a new one.
     """
+    _check_order("n_max", n_max)
     # the lambda looks build_stat_table up when it runs, so a wrapped or
     # patched one is the one that builds
     return largest(("table", kind), n_max, lambda n: build_stat_table(kind, n))

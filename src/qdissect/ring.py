@@ -82,10 +82,6 @@ class LaurentPoly:
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
 
-    def is_palindromic(self) -> bool:
-        """True iff the coefficient of a^k equals that of a^-k for all k."""
-        return all(self._terms.get(-e) == c for e, c in self._terms.items())
-
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Substitute a -> a^k (k >= 1), e.g. to move to another root of unity."""
         if k < 1:
@@ -144,6 +140,8 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
+        """No program path multiplies Laurent polynomials; this stays
+        because perfbench/tracer.py patches it by name."""
         if isinstance(other, int):
             if not other:
                 return _LP_ZERO
@@ -406,7 +404,8 @@ class QuotientElem:
 
         Runs the extended Euclidean algorithm over Q[a]; the element is a
         unit over Z exactly when the rational inverse has integer
-        coefficients.  Raises ValueError otherwise.
+        coefficients.  Raises ValueError otherwise.  No program path inverts
+        a residue; this stays because perfbench/tracer.py patches it by name.
         """
         # imported here: no series built by the verifiers needs a quotient
         # inverse, and fractions pulls in decimal at import time

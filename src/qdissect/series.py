@@ -1,12 +1,13 @@
 """Truncated formal power series in q with exact coefficients.
 
 A series is a dense coefficient vector c_0..c_N (N = truncation order,
-inclusive).  The coefficients are ``int``, :class:`~qdissect.ring.LaurentPoly`
-or :class:`~qdissect.ring.QuotientElem`, and each carries its own ring: the
-zero that pads a series and the one that seeds a product come from the
-coefficients themselves, so a series stays in one ring.  Everything is
-formal: no convergence, no floats.  Binary operations truncate to the
-smaller order, so precision never silently inflates.
+inclusive).  Its arithmetic, multiplication and inversion, is over the
+integers, the one ring a program path multiplies or inverts series in:
+the dissections' right-hand sides are integer theta quotients.  A product
+is cut to the smaller order, so precision never silently inflates.
+``crank_gf``/``rank_gf`` hold their Laurent rows in a series, and the
+q-Pochhammer products keep the ring of their argument, but no series
+arithmetic runs on those.  Everything is formal: no convergence, no floats.
 
 The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
@@ -29,7 +30,8 @@ Z[a]/(a^M - 1), M Python ints, one per residue class of the exponent of
 ``a``, each holding its q-coefficients as fixed-width digits, so that
 division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
 additions per class.  Like the tables, a build at the Laurent size
-2N + 1 is refused beyond TABLE_CAP.
+2N + 1 is refused beyond TABLE_CAP.  Every order passes
+``partitions._check_order`` before any work.
 """
 
 from __future__ import annotations
@@ -39,17 +41,13 @@ from math import isqrt
 from typing import Callable, Sequence
 
 from .memo import largest
-from .partitions import TABLE_CAP, _columns, partition_count, stat_table
+from .partitions import TABLE_CAP, _check_order, _columns, partition_count, stat_table
 from .ring import LaurentPoly, Modulus, QuotientElem
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-
 class TruncatedSeries:
-    """Formal power series known exactly through q^order."""
+    """Formal power series known exactly through q^order; * and inverse()
+    take integer coefficients."""
 
     __slots__ = ("_coeffs",)
 
@@ -59,16 +57,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the q^0 coefficient")
         self._coeffs = coeffs
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        _check_order(order)
-        return cls((1,) + (0,) * order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        _check_order(order)
-        return cls((0,) * (order + 1))
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -76,10 +64,6 @@ class TruncatedSeries:
     @property
     def coefficients(self) -> tuple:
         return self._coeffs
-
-    def _zero(self):
-        # the zero of this series' ring
-        return self._coeffs[0] * 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -89,52 +73,19 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self._coeffs)
 
-    def __add__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(x + y for x, y in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "TruncatedSeries":
+        """The product, cut to the smaller order."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        x, y = self._coeffs, other._coeffs
-        out = [x[0] * y[0] * 0] * (n + 1)
-        for i in range(n + 1):
-            xi = x[i]
-            if not xi:
-                continue
-            for j in range(n + 1 - i):
-                yj = y[j]
-                if not yj:
-                    continue
-                out[i + j] = out[i + j] + xi * yj
-        return TruncatedSeries(tuple(out))
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by q^k (k >= 0).  Exact, so the order grows by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return TruncatedSeries((self._zero(),) * k + self._coeffs)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above the given order (which must not exceed ours)."""
-        if order > self.order:
-            raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return TruncatedSeries(self._coeffs[: order + 1])
+        n = min(len(self._coeffs), len(other._coeffs))
+        y = other._coeffs[:n]
+        out = [0] * n
+        for i, xi in enumerate(self._coeffs[:n]):
+            if xi:
+                for j, yj in enumerate(y[:n - i], i):
+                    if yj:
+                        out[j] += xi * yj
+        return TruncatedSeries(out)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse through the truncation order.
@@ -143,42 +94,22 @@ class TruncatedSeries:
         it is its own inverse; the rest follows from the recurrence
         y_n = -y_0 * sum c_k y_{n-k}.
         """
-        y0 = self._coeffs[0]
+        c = self._coeffs
+        y0 = c[0]
         if not (y0 == 1 or y0 == -1):
             raise ValueError(f"constant term {y0} is not 1 or -1")
-        zero = y0 * 0
-        out = [y0] + [zero] * self.order
-        for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                ck = self._coeffs[k]
-                if not ck:
-                    continue
-                yk = out[n - k]
-                if not yk:
-                    continue
-                acc = acc + ck * yk
-            if acc:
-                out[n] = -(y0 * acc)
-        return TruncatedSeries(tuple(out))
-
-    def dissect(self, m: int) -> list["TruncatedSeries"]:
-        """Split by exponent residue: returns P_0..P_{m-1} with P_k[j] = c_{jm+k}.
-
-        Residue classes beyond the truncation order come back as order-0
-        zero series; they carry no information but keep the list length m.
-        """
-        if m < 1:
-            raise ValueError("dissection modulus must be >= 1")
-        parts = []
-        for k in range(m):
-            sub = self._coeffs[k :: m] if k <= self.order else (self._zero(),)
-            parts.append(TruncatedSeries(sub))
-        return parts
-
-    def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
-        """Apply fn to every coefficient, e.g. to lift it into another ring."""
-        return TruncatedSeries(tuple(fn(c) for c in self._coeffs))
+        # the nonzero c_k, k >= 1: the series inverted (q-Pochhammer products,
+        # theta sums) are sparse
+        terms = [(k, ck) for k, ck in enumerate(c) if k and ck]
+        out = [y0] + [0] * (len(c) - 1)
+        for n in range(1, len(c)):
+            acc = 0
+            for k, ck in terms:
+                if k > n:
+                    break
+                acc += ck * out[n - k]
+            out[n] = -y0 * acc
+        return TruncatedSeries(out)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"
@@ -200,7 +131,7 @@ def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
         raise ValueError("start must be >= 1 so the constant term is one")
     if step < 1:
         raise ValueError("step must be >= 1")
-    _check_order(order)
+    _check_order("order", order)
     zero = z * 0
     out = [zero] * (order + 1)
     out[0] = zero + 1
@@ -220,10 +151,12 @@ def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries
 
     With start=1 this is the shifted product (zq;q)_count as a series in q.
     count=0 gives the empty product 1.  The coefficients lie in the ring of z.
+    No program path builds one; it stays because perfbench/tracer.py
+    patches it by name.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    _check_order(order)
+    _check_order("order", order)
     zero = z * 0
     one = zero + 1
     out = [zero] * (order + 1)
@@ -256,7 +189,7 @@ def theta(r: int, s: int, order: int) -> TruncatedSeries:
     """
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("exponents must be nonnegative and not both zero")
-    _check_order(order)
+    _check_order("order", order)
     out = [0] * (order + 1)
     # n = 0, 1, 2, ... and then n = -1, -2, ...: the exponent is strictly
     # increasing in |n| once n != 0, so the first overshoot on each side
@@ -271,7 +204,7 @@ def theta(r: int, s: int, order: int) -> TruncatedSeries:
 def partition_gf(order: int) -> TruncatedSeries:
     """Generating function of the partition numbers: 1/(q;q)_inf, read from
     the cached p(n) of the pentagonal recurrence rather than inverted."""
-    _check_order(order)
+    _check_order("order", order)
     return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
 
 
@@ -402,8 +335,7 @@ def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], 
     Laurent-size build beyond TABLE_CAP are refused before any work."""
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
-    if not size and order > TABLE_CAP:
-        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
+    _check_order("order", order, table=not size)
 
     def build(n: int) -> tuple[dict[int, int], ...]:
         classes = size or 2 * n + 1
@@ -430,6 +362,7 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     residue of a^j.  A modulus where a has no order M <= 2*TABLE_CAP + 1 is
     refused before any kernel work; the order itself is not capped.  The
     columns are held per modulus at the largest order so far."""
+    _check_order("order", order)
 
     def build(n: int) -> tuple[tuple, ...]:
         # a refusal that depends only on the modulus: a held entry passed it
@@ -447,9 +380,7 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
 
 def _table_series(kind: str, order: int) -> TruncatedSeries:
     # the held table's rows, shared as they are: neither side writes them
-    _check_order(order)
-    if order > TABLE_CAP:
-        raise ValueError(f"order {order} exceeds the table cap {TABLE_CAP}")
+    _check_order("order", order, table=True)
     rows = stat_table(kind, order).rows[:order + 1]
     return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
 
@@ -468,5 +399,7 @@ def crank_gf(order: int) -> TruncatedSeries:
 
 def rank_gf(order: int) -> TruncatedSeries:
     """Rank generating function, sum over n of q^(n^2) / ((aq;q)_n (q/a;q)_n):
-    the rows of the rank table, refused beyond TABLE_CAP before any work."""
+    the rows of the rank table, refused beyond TABLE_CAP before any work.
+    No program path calls it (the CLI reads the rank table itself); it stays
+    because perfbench/tracer.py patches it by name."""
     return _table_series("rank", order)

@@ -270,6 +270,29 @@ def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("identity,order,message", [
+    ("equidist-crank-11", 100000, "n_max 100000 reaches q^1100006, past the order cap 5000"),
+    ("equidist-rank-5", 1000, "n_max 1000 reaches q^5004, past the order cap 5000"),
+    ("congruence-5-4", 20000, "n_max 20000 reaches q^100004, past the order cap 5000"),
+    ("dissection-2", 10000, "order 10000 reaches q^10000, past the order cap 5000"),
+    ("dissection-5", 5005, "order 5005 reaches q^5005, past the order cap 5000"),
+    ("component-4-vanishing", 5005, "order 5005 reaches q^5005, past the order cap 5000"),
+], ids=["equidist-crank-11", "equidist-rank-5", "congruence-5-4", "dissection-2",
+        "dissection-5", "component-4-vanishing"])
+def test_order_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order, message):
+    # past the largest power of q a check may touch, refused before any
+    # kernel runs and before anything is held
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the cap refusal")
+
+    for name in ("largest", "_columns", "partition_count", "crank_coordinates",
+                 "_rhs_coordinates", "product_rows"):
+        monkeypatch.setattr(identities, name, refuse)
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert memo._held == {}
+
+
 def test_equidistribution_runs_past_the_table_cap(capsys):
     # n = 11*30 + 6 = 336: the classes come from no table, so no cap applies
     code, out, _ = run_cli(capsys, "verify", "--identity", "equidist-crank-11", "--order", "30")
@@ -748,11 +771,12 @@ def test_rows_past_the_table_cap_are_not_held(capsys):
 
 
 def _library_dissection(series, m, order, fmt):
-    """What dissect should write, from the library's series and dissect and
-    the stdlib's json and csv writers."""
+    """What dissect should write, from the library's series, split by
+    exponent residue by slicing, and the stdlib's json and csv writers."""
     crank = series == "crank-gf"
     build = {"crank-gf": crank_gf, "partition-gf": partition_gf, "euler": euler_product}
-    components = build[series](order).dissect(m)
+    coefficients = build[series](order).coefficients
+    components = [coefficients[k::m] for k in range(m)]
     if fmt == "json":
         return json.dumps({
             "format_version": "1", "command": "dissect",
@@ -760,14 +784,14 @@ def _library_dissection(series, m, order, fmt):
             "payload": {"components": [
                 {"component": k, "coefficients": [
                     {str(e): str(c) for e, c in coefficient.terms.items()} if crank
-                    else str(coefficient) for coefficient in comp.coefficients]}
+                    else str(coefficient) for coefficient in comp]}
                 for k, comp in enumerate(components)]},
         }, sort_keys=True, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["component", "index"] + (["exponent"] if crank else []) + ["coefficient"])
     for k, comp in enumerate(components):
-        for j, coefficient in enumerate(comp.coefficients):
+        for j, coefficient in enumerate(comp):
             writer.writerows([(k, j, e, c) for e, c in sorted(coefficient.terms.items())]
                              if crank else [(k, j, coefficient)])
     return out.getvalue()

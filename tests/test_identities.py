@@ -7,6 +7,7 @@ from qdissect import identities, memo, partitions, series
 from qdissect.identities import (
     EQUIDISTRIBUTION_MODULI,
     FIFTH_ROOTS,
+    RESIDUE_FOR_MODULUS,
     FailureWitness,
     VerificationReport,
     crank_coefficients,
@@ -22,10 +23,11 @@ from qdissect.identities import (
     verify_rank_gf,
 )
 from qdissect.identities import _rhs_coordinates
-from qdissect.partitions import (TABLE_CAP, Partition, build_stat_table,
+from qdissect.partitions import (ORDER_CAP, TABLE_CAP, Partition, build_stat_table,
                                  enumerate_partitions, partition_count)
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
-from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, pochhammer_inf, theta
+from qdissect.series import TruncatedSeries, crank_coordinates, crank_gf, theta
+from series_oracle import add, inverse, lift, mul, product, shift
 
 
 def test_verify_crank_gf_passes():
@@ -205,47 +207,58 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
 
 
 # oracle: the right-hand sides built with every factor, product and inverse
-# in the quotient ring itself; the integer theta series are lifted into it
+# in the quotient ring itself, by the tests' own series arithmetic; the
+# integer theta series are lifted into it
 def lifted_theta(modulus, r, s, order):
-    return theta(r, s, order).map_coefficients(modulus.from_int)
+    return lift(theta(r, s, order).coefficients, modulus.from_int)
+
+
+def weighted(series, weight, k, modulus):
+    """The quotient-ring series times weight * q^k."""
+    return shift(lift(series, lambda c: c * weight), k, modulus.zero())
 
 
 def quotient_rhs_2(order):
-    inv = pochhammer_inf(PHI8.from_int(-1), 4, 4, order).inverse()
-    even = lifted_theta(PHI8, 6, 10, order) * inv
-    odd = lifted_theta(PHI8, 2, 14, order) * inv
-    weight = PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
-    return even + odd.map_coefficients(lambda c: c * weight).shift(1)
+    zero, one = PHI8.zero(), PHI8.one()
+    inv = inverse(product(PHI8.from_int(-1), range(4, order + 1, 4), order + 1, zero, one),
+                  zero, one)
+    even = mul(lifted_theta(PHI8, 6, 10, order), inv, zero)
+    odd = mul(lifted_theta(PHI8, 2, 14, order), inv, zero)
+    return add(even, weighted(odd, PHI8.project(LaurentPoly({1: 1, 0: -1, -1: 1})), 1, PHI8))
 
 
 def quotient_rhs_3(order):
+    zero, one = PHI9.zero(), PHI9.one()
     t_a = lifted_theta(PHI9, 6, 21, order)
     t_b = lifted_theta(PHI9, 12, 15, order)
     t_c = lifted_theta(PHI9, 3, 24, order)
-    inv = pochhammer_inf(PHI9.one(), 27, 27, order).inverse()
+    inv = inverse(product(one, range(27, order + 1, 27), order + 1, zero, one), zero, one)
     w1 = PHI9.project(LaurentPoly({1: 1, 0: -1, -1: 1}))
     w2 = PHI9.project(LaurentPoly({2: 1, -2: 1}))
-    return (t_a * t_b
-            + (t_c * t_b).map_coefficients(lambda c: c * w1).shift(1)
-            + (t_c * t_a).map_coefficients(lambda c: c * w2).shift(2)) * inv
+    total = add(add(mul(t_a, t_b, zero), weighted(mul(t_c, t_b, zero), w1, 1, PHI9)),
+                weighted(mul(t_c, t_a, zero), w2, 2, PHI9))
+    return mul(total, inv, zero)
 
 
 def quotient_rhs_5(order, r):
+    zero, one = PHI5.zero(), PHI5.one()
     t1 = lifted_theta(PHI5, 10, 15, order)
     t2 = lifted_theta(PHI5, 5, 20, order)
-    t5sq = lifted_theta(PHI5, 25, 50, order) * lifted_theta(PHI5, 25, 50, order)
+    t5sq = mul(lifted_theta(PHI5, 25, 50, order), lifted_theta(PHI5, 25, 50, order), zero)
+    inv1, inv2 = inverse(t1, zero, one), inverse(t2, zero, one)
     w1 = PHI5.project(LaurentPoly({2 * r: 1, 0: 2, -2 * r: 1}))
     w2 = PHI5.project(LaurentPoly({2 * r: 1, -2 * r: 1}))
     w3 = PHI5.project(LaurentPoly({r: 1, -r: 1}))
-    return (t1 * t5sq * (t2 * t2).inverse()
-            + (t5sq * t2.inverse()).map_coefficients(lambda c: c * -w1).shift(1)
-            + (t5sq * t1.inverse()).map_coefficients(lambda c: c * w2).shift(2)
-            + (t2 * t5sq * (t1 * t1).inverse()).map_coefficients(lambda c: c * -w3).shift(3))
+    return functools.reduce(add, (
+        mul(mul(t1, t5sq, zero), mul(inv2, inv2, zero), zero),
+        weighted(mul(t5sq, inv2, zero), -w1, 1, PHI5),
+        weighted(mul(t5sq, inv1, zero), w2, 2, PHI5),
+        weighted(mul(mul(t2, t5sq, zero), mul(inv1, inv1, zero), zero), -w3, 3, PHI5)))
 
 
 def columns(series):
-    """The integer coordinate columns of a quotient-ring series."""
-    return tuple(zip(*(c.residue for c in series.coefficients)))
+    """The integer coordinate columns of quotient-ring coefficients."""
+    return tuple(zip(*(c.residue for c in series)))
 
 
 def mapped_columns(cols, modulus, root):
@@ -267,21 +280,21 @@ def test_integer_route_rhs_equals_quotient_ring_construction():
 # oracle: the left-hand side mapped coefficient by coefficient, and the
 # first mismatch and perturbation over quotient-ring series
 def mapped_crank(order, modulus, root):
-    return crank_gf(order).map_coefficients(
-        lambda c: modulus.project(c.substitute_power(root)))
+    return lift(crank_gf(order).coefficients,
+                lambda c: modulus.project(c.substitute_power(root)))
 
 
 def oracle_perturbed(series, power):
     if power is None:
         return series
-    coeffs = list(series.coefficients)
+    coeffs = list(series)
     coeffs[power] = coeffs[power] + 1
-    return TruncatedSeries(coeffs)
+    return coeffs
 
 
 def oracle_first_mismatch(expected, actual):
-    for n in range(min(expected.order, actual.order) + 1):
-        e, a = expected.coefficients[n], actual.coefficients[n]
+    for n in range(min(len(expected), len(actual))):
+        e, a = expected[n], actual[n]
         if e != a:
             return FailureWitness(n, str(e), str(a), f"quotient({e.modulus})")
     return None
@@ -328,8 +341,8 @@ def test_dissection_reports_equal_the_quotient_ring_oracle(data):
     root = data.draw(st.sampled_from(FIFTH_ROOTS), label="root") if m == 5 else 1
     power = data.draw(st.none() | st.integers(0, order), label="perturb_power")
     lhs, rhs = oracle_sides(m, root)
-    expected = oracle_first_mismatch(lhs.truncate(order),
-                                     oracle_perturbed(rhs.truncate(order), power))
+    expected = oracle_first_mismatch(lhs[:order + 1],
+                                     oracle_perturbed(rhs[:order + 1], power))
     verify = DISSECTIONS[m][0]
     kwargs = {"root_power": root} if m == 5 else {}
     report = verify(order, perturb_power=power, **kwargs)
@@ -396,7 +409,8 @@ def refuse_all_work(monkeypatch):
         raise AssertionError("work before the arguments were checked")
 
     for name in ("stat_table", "_columns", "crank_coordinates", "_rhs_coordinates",
-                 "product_rows", "recurrence_rows", "partition_count", "partition_gf"):
+                 "product_rows", "recurrence_rows", "partition_count", "partition_gf",
+                 "largest"):
         monkeypatch.setattr(identities, name, refuse)
 
 
@@ -416,6 +430,73 @@ def test_orders_must_be_ints(monkeypatch, verify, value):
     refuse_all_work(monkeypatch)
     with pytest.raises(ValueError, match="must be an int"):
         verify(value)
+
+
+# every series and table entry point, each called with one order
+ENTRY_POINTS = {
+    "euler_product": lambda order: series.euler_product(order),
+    "theta": lambda order: series.theta(1, 2, order),
+    "pochhammer_inf": lambda order: series.pochhammer_inf(1, 1, 1, order),
+    "pochhammer_fin": lambda order: series.pochhammer_fin(1, 3, order),
+    "partition_gf": lambda order: series.partition_gf(order),
+    "crank_gf": lambda order: series.crank_gf(order),
+    "rank_gf": lambda order: series.rank_gf(order),
+    "crank_coordinates": lambda order: series.crank_coordinates(order, PHI8),
+    "product_rows": lambda order: series.product_rows("crank", order),
+    "build_stat_table": lambda order: partitions.build_stat_table("crank", order),
+    "stat_table": lambda order: partitions.stat_table("crank", order),
+    "recurrence_rows": lambda order: partitions.recurrence_rows("crank", order),
+}
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "must be an int"), (False, "must be an int"), (2.0, "must be an int"),
+    (2.5, "must be an int"), ("2", "must be an int"), (None, "must be an int"),
+    (-1, "must be >= 0")])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_series_and_table_orders_must_be_ints(monkeypatch, name, value, message):
+    # one check for every entry point, before any kernel work and before the
+    # memo, so that what is held (here the crank table, its product rows and
+    # the crank coordinates mod Phi8) cannot answer first
+    assert verify_2_dissection(20).passed and verify_crank_gf(20).passed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the order was checked")
+
+    for module, names in ((series, ("largest", "_columns", "_unpacked", "partition_count",
+                                    "stat_table")),
+                          (partitions, ("largest", "_columns", "_crank_rows", "_rank_rows"))):
+        for kernel in names:
+            monkeypatch.setattr(module, kernel, refuse)
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[name](value)
+
+
+# verifier -> (the largest order whose check stays within ORDER_CAP, step)
+CAPPED = {
+    **{f"congruence-{m}": (functools.partial(verify_congruence, m),
+                           (ORDER_CAP - r) // m, 1) for m, r in RESIDUE_FOR_MODULUS.items()},
+    **{f"equidist-{statistic}-{m}": (functools.partial(verify_equidistribution, statistic, m),
+                                     (ORDER_CAP - RESIDUE_FOR_MODULUS[m]) // m, 1)
+       for statistic, moduli in EQUIDISTRIBUTION_MODULI.items() for m in moduli},
+    "dissection-2": (verify_2_dissection, ORDER_CAP // 2 * 2, 2),
+    "dissection-3": (verify_3_dissection, ORDER_CAP // 3 * 3, 3),
+    "dissection-5": (verify_5_dissection, ORDER_CAP // 5 * 5, 5),
+    "component-4-vanishing": (verify_component_4_vanishing, ORDER_CAP // 5 * 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_orders_past_the_order_cap_are_refused_before_any_work(monkeypatch, name):
+    # the largest order within the cap gets as far as the work, which is
+    # patched to raise; the next one is refused before it, naming the order
+    verify, last, step = CAPPED[name]
+    refuse_all_work(monkeypatch)
+    with pytest.raises(AssertionError, match="work before the arguments were checked"):
+        verify(last)
+    with pytest.raises(ValueError, match=f"^(order|n_max) {last + step} reaches q\\^\\d+, "
+                                         f"past the order cap {ORDER_CAP}$"):
+        verify(last + step)
 
 
 def test_dissections_pass_at_every_intermediate_order():
@@ -488,7 +569,7 @@ def test_root_mapped_crank_series_held(monkeypatch, root):
                         lambda self, p: projected.append(p) or project(self, p))
         w = verify_5_dissection(30, root, perturb_power=11).failure_witness
     assert len(projected) == 2
-    expected = mapped_crank(30, PHI5, root).coefficients[11]
+    expected = mapped_crank(30, PHI5, root)[11]
     assert (w.power, w.expected, w.actual) == (11, str(expected), str(expected + 1))
 
     for order in range(5, 61, 5):
@@ -644,7 +725,7 @@ def test_each_side_of_a_dissection_can_fail(monkeypatch, verify, order, identity
 
     def corrupted(n):
         first, *rest = parts(n)
-        return (first + TruncatedSeries((0,) * 7 + (1,) + (0,) * (n - 7)), *rest)
+        return (TruncatedSeries(oracle_perturbed(first.coefficients, 7)), *rest)
 
     monkeypatch.setitem(identities._DISSECTIONS, identity, (m, modulus, weights, corrupted))
     assert verify(order).failure_witness.power == 7
@@ -655,7 +736,7 @@ def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
 
     def corrupted(n):
         first, *rest = parts(n)
-        return (first + TruncatedSeries((0,) * 9 + (1,) + (0,) * (n - 9)), *rest)
+        return (TruncatedSeries(oracle_perturbed(first.coefficients, 9)), *rest)
 
     monkeypatch.setitem(identities._DISSECTIONS, "dissection-5",
                         (m, modulus, weights, corrupted))

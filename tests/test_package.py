@@ -1,5 +1,5 @@
 import qdissect
-from qdissect import ring, series
+from qdissect import partitions, ring, series
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +29,14 @@ def test_the_series_helpers_only_the_tests_called_are_gone():
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
     # a -> a^k on Laurent polynomials stays: it maps a dissection's root
     assert hasattr(ring.LaurentPoly, "substitute_power")
+
+
+def test_the_generic_series_arithmetic_is_gone():
+    # series arithmetic is over the integers; the tests' oracle
+    # (tests/series_oracle.py) has its own for every other ring
+    for name in ("one", "zero", "_zero", "__add__", "__neg__", "__sub__", "shift",
+                 "truncate", "dissect", "map_coefficients"):
+        assert not hasattr(series.TruncatedSeries, name), name
+    assert not hasattr(ring.LaurentPoly, "is_palindromic")
+    # one order check, the one in partitions
+    assert series._check_order is partitions._check_order
