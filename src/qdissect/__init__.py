@@ -8,46 +8,46 @@ theorems and 2-/3-/5-dissections, all in arbitrary-precision integer
 arithmetic with no floats anywhere.
 """
 
-from .identities import (
-    FailureWitness,
-    VerificationReport,
-    crank_coefficients,
-    verify_2_dissection,
-    verify_3_dissection,
-    verify_5_dissection,
-    verify_component_4_vanishing,
-    verify_congruence,
-    verify_crank_columns,
-    verify_crank_gf,
-    verify_equidistribution,
-    verify_rank_columns,
-    verify_rank_gf,
-)
-from .partitions import (
-    ORDER_CAP,
-    TABLE_CAP,
-    Partition,
-    StatTable,
-    build_stat_table,
-    crank,
-    crank_row,
-    enumerate_partitions,
-    partition_count,
-    rank,
-    rank_row,
-)
-from .ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
-from .series import (
-    TruncatedSeries,
-    crank_coordinates,
-    crank_gf,
-    euler_product,
-    partition_gf,
-    pochhammer_fin,
-    pochhammer_inf,
-    rank_gf,
-    theta,
-)
+import importlib
+
+# public name -> the submodule that defines it.  A name is imported on first
+# access (``__getattr__``), so ``import qdissect`` loads no submodule, and
+# ``python -m qdissect.cli``, which imports this package first, loads only
+# what its request runs.
+_HOMES = {name: module for module, names in (
+    ("identities", "FailureWitness VerificationReport crank_coefficients verify_2_dissection "
+                   "verify_3_dissection verify_5_dissection verify_component_4_vanishing "
+                   "verify_congruence verify_crank_columns verify_crank_gf "
+                   "verify_equidistribution verify_rank_columns verify_rank_gf"),
+    ("partitions", "ORDER_CAP TABLE_CAP Partition StatTable build_stat_table crank crank_row "
+                   "enumerate_partitions partition_count rank rank_row"),
+    ("ring", "PHI5 PHI8 PHI9 LaurentPoly Modulus QuotientElem"),
+    ("series", "TruncatedSeries crank_coordinates crank_gf euler_product partition_gf "
+               "pochhammer_fin pochhammer_inf rank_gf theta"),
+) for name in names.split()}
+
+# the library's submodules, also imported on first access as attributes of
+# the package: identities and series reach qdissect.ring that way, so that
+# ring loads with the first ring object a request builds
+_SUBMODULES = ("identities", "memo", "partitions", "ring", "series")
+
+
+def __getattr__(name: str):
+    """A public name or a library submodule, imported on first access; a
+    public name is then kept here, so later lookups find it directly."""
+    home = _HOMES.get(name)
+    if home is None and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home or name}")
+    if home is None:
+        return module       # the import bound it here
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})
+
 
 __version__ = "0.1.0"
 

@@ -5,10 +5,18 @@ Exit codes: 0 success / identity verified, 1 identity verifiably fails,
 2 usage error, 141 stdout closed early (what a shell reports for SIGPIPE).
 Output for fixed inputs is byte-stable: timing information never enters
 the payload.  Big counts and coefficients are serialized as decimal
-strings since they outgrow 64-bit integers quickly.  Every payload has a
-fixed shape, and its JSON is written from text by ``_object`` and
-``_list_text``, each value at the depth where it lands, byte for byte as
-``json.dumps(record, sort_keys=True, indent=2)`` would write it.
+strings since they outgrow 64-bit integers quickly.  The JSON text is
+written by :mod:`qdissect.jsontext`; the row commands (``tables``,
+``dissect``, ``coeffs``) live in :mod:`qdissect.rows`.
+
+What a process loads depends on how it reached this module.  An importer
+(``import qdissect.cli``: the installed ``qdissect`` script, the tests,
+``perfbench/child.py``, ``scripts/verify_all.py``) may serve many
+requests, so the import loads every submodule, and no request imports
+anything.  A ``python -m qdissect.cli`` process serves one request, and
+without cached bytecode it compiles every module it loads, so it loads
+:mod:`qdissect.rows` only for a row command, and :mod:`qdissect.ring` only
+when the request builds a ring object.
 """
 
 from __future__ import annotations
@@ -18,9 +26,6 @@ import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
-
-# the C escaper json.encoder uses, imported without loading the json package
-from _json import encode_basestring_ascii as _quote
 
 from .identities import (
     FIFTH_ROOTS,
@@ -35,14 +40,10 @@ from .identities import (
     verify_rank_columns,
     verify_rank_gf,
 )
-from .memo import largest
-from .partitions import TABLE_CAP, partition_count, stat_table
-from .series import crank_gf, euler_product
+from .jsontext import _PAD, _emit_json, _object, _quote
 
 if TYPE_CHECKING:
     import argparse
-
-FORMAT_VERSION = "1"
 
 # identity name -> (default order / n_max, accepts perturb-power, runner)
 IDENTITIES = {
@@ -67,126 +68,6 @@ IDENTITIES = {
     "dissection-5": (100, True, lambda o, r, p: verify_5_dissection(o, root_power=r, perturb_power=p)),
     "component-4-vanishing": (100, False, lambda o, r, p: verify_component_4_vanishing(o)),
 }
-
-
-# the newline and indent that start a line at depth 0..6 of a payload
-_PAD = tuple("\n" + "  " * depth for depth in range(7))
-
-
-def _list_text(items, pad: str, brackets: str = "[]") -> str:
-    """The JSON list of items, each the text of a value written for the depth
-    below pad, with its closing bracket at the start of the line pad starts;
-    with brackets "{}", the JSON object of items that are member texts.  No
-    payload list or object is empty."""
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
-def _object(members, pad: str) -> str:
-    """The JSON object of members, (str key, value text) pairs in sorted key
-    order, as _list_text writes it."""
-    return _list_text([f"{_quote(key)}: {text}" for key, text in members], pad, "{}")
-
-
-def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, list]:
-    """Rows start..n_max of the text _held_rows describes.  The euler rows
-    have no objects: no command writes them (``tables`` has no euler kind)."""
-    if kind in ("p", "euler"):
-        counts = ([partition_count(n) for n in range(start, n_max + 1)] if kind == "p"
-                  else euler_product(n_max).coefficients[start:])
-        values = [f'"{c}"' for c in counts]
-        template = _object((("count", "%s"), ("n", "%d")), _PAD[3])
-        objects = [] if kind == "euler" else [
-            template % (v, n) for n, v in enumerate(values, start)]
-        lines = [f"{n},{c}\n" for n, c in enumerate(counts, start)]
-    else:
-        rows = ([p._terms for p in crank_gf(n_max).coefficients[start:]] if kind == "crank"
-                else stat_table(kind, n_max).rows[start:n_max + 1])
-        # a member sorts as its key does: '"' sorts before "-" and the digits;
-        # no row is empty, since row n counts the p(n) >= 1 partitions of n
-        members = [sorted([f'"{m}": "{c}"' for m, c in row.items()]) for row in rows]
-        values = [_list_text(row, _PAD[5], "{}") for row in members]
-        template = _object((("coefficients", "%s"), ("n", "%d")), _PAD[3])
-        objects = [template % (_list_text(row, _PAD[4], "{}"), n)
-                   for n, row in enumerate(members, start)]
-        lines = ["".join([f"{n},{m},{c}\n" for m, c in sorted(row.items())])
-                 for n, row in enumerate(rows, start)]
-    return objects, values, lines
-
-
-def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
-    """Rows 0..N, N >= n_max, of the p, crank, rank or euler table as text:
-    each row's object, written at depth 3 as ``tables`` and ``coeffs`` write
-    it, each row's value, written at depth 5 as ``dissect`` writes it (the
-    quoted integer for p and euler, the coefficient object for crank and
-    rank), and each row's CSV lines.  A process renders a row once, whichever
-    command asks: a request past the held rows renders only the rows after
-    them, and the held lists are replaced by new ones, never extended, so a
-    render that raises leaves them as they were.  Past TABLE_CAP the rows are
-    rendered for the one request and not held, so what a process holds stays
-    bounded."""
-    if n_max > TABLE_CAP:
-        return _render_rows(kind, n_max)
-    return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n),
-                   lambda held_n, held, n: tuple(
-                       old + new for old, new in zip(held, _render_rows(kind, n, held_n + 1))))
-
-
-def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
-    objects, _, lines = _held_rows(kind, n_max)
-    if params["format"] == "csv":
-        header = "n,count\n" if kind == "p" else "n,exponent,coefficient\n"
-        sys.stdout.write(header + "".join(lines[:n_max + 1]))
-    else:
-        _emit_json(command, params, (("rows", _list_text(objects[:n_max + 1], _PAD[2])),))
-
-
-def _emit_json(command: str, params: dict, payload) -> None:
-    """The record of one request: its parameters, str, int or None each, and
-    its payload, the members of an object at depth 1."""
-    parameters = [(key, "null" if value is None else _quote(value) if type(value) is str
-                   else str(value)) for key, value in sorted(params.items())]
-    sys.stdout.write(_object((
-        ("command", _quote(command)),
-        ("format_version", _quote(FORMAT_VERSION)),
-        ("parameters", _object(parameters, _PAD[1])),
-        ("payload", _object(payload, _PAD[1])),
-    ), _PAD[0]) + "\n")
-
-
-def _cmd_tables(args) -> int:
-    params = {"kind": args.kind, "n_max": args.n_max, "modulo": args.modulo,
-              "format": args.format}
-    t = args.modulo
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
-    if t is not None:
-        if args.kind == "p":
-            raise ValueError("--modulo applies to crank/rank tables only")
-        if t < 1:
-            raise ValueError("--modulo must be >= 1")
-        # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
-        # each class holds at most one value
-        if t > 2 * args.n_max + 1:
-            raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
-    if args.kind != "p":
-        table = stat_table(args.kind, args.n_max)     # refuses n_max past the table cap
-    if t is None:
-        _emit_rows("tables", params, args.kind, args.n_max)
-        return 0
-    # folds are not held: their key space grows with the modulus
-    folds = [table.count_mod(t, n) for n in range(args.n_max + 1)]
-    if args.format == "csv":
-        sys.stdout.write("n,residue,count\n" + "".join([
-            f"{n},{m},{c}\n" for n, fold in enumerate(folds) for m, c in enumerate(fold)]))
-        return 0
-    # one template for every row, its classes in the string order of their keys
-    order = sorted(range(t), key=str)
-    template = _object((("classes", _list_text([f'"{m}": "%d"' for m in order], _PAD[4], "{}")),
-                        ("n", "%d")), _PAD[3])
-    rows = [template % (*map(fold.__getitem__, order), n) for n, fold in enumerate(folds)]
-    _emit_json("tables", params, (("rows", _list_text(rows, _PAD[2])),))
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -224,44 +105,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_dissect(args) -> int:
-    if args.m < 1:
-        raise ValueError("--m must be >= 1")
-    if args.order < 0:
-        raise ValueError("--order must be >= 0")
-    # past order + 1 components each one holds at most one coefficient
-    if args.m > args.order + 1:
-        raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
-    params = {"series": args.series, "m": args.m, "order": args.order,
-              "format": args.format}
-    # row n of the crank, p or euler rows is the series' coefficient of q^n
-    kind = {"crank-gf": "crank", "partition-gf": "p", "euler": "euler"}[args.series]
-    _, values, lines = _held_rows(kind, args.order)
-    m, stop = args.m, args.order + 1
-    if args.format == "json":
-        components = [_object((("coefficients", _list_text(values[k:stop:m], _PAD[4])),
-                               ("component", str(k))), _PAD[3]) for k in range(m)]
-        _emit_json("dissect", params, (("components", _list_text(components, _PAD[2])),))
-        return 0
-    # row n's lines start "n,"; component k, index j holds row n = j*m + k
-    out = ["component,index,exponent,coefficient\n" if kind == "crank"
-           else "component,index,coefficient\n"]
-    for k in range(m):
-        for j, n in enumerate(range(k, stop, m)):
-            old, new = f"{n},", f"{k},{j},"
-            out.append(new + lines[n][len(old):].replace("\n" + old, "\n" + new))
-    sys.stdout.write("".join(out))
-    return 0
+# The row commands.  An importer binds them now, with qdissect.ring, so that
+# no request loads a module; a one-shot process loads qdissect.rows only if
+# its request is one of them.
+if __name__ == "__main__":
+    def _loaded_when_run(name: str):
+        """The row command rows.<name>, imported when a request runs it."""
+        def command(args) -> int:
+            from . import rows
+            return getattr(rows, name)(args)
+        return command
 
-
-def _cmd_coeffs(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
-    if args.count > TABLE_CAP + 1:
-        raise ValueError(f"--count must be <= {TABLE_CAP + 1}: coefficient "
-                         f"q^{args.count - 1} is past the table cap {TABLE_CAP}")
-    _emit_rows("coeffs", {"count": args.count, "format": args.format}, "crank", args.count - 1)
-    return 0
+    _cmd_tables, _cmd_dissect, _cmd_coeffs = map(_loaded_when_run, ("tables", "dissect", "coeffs"))
+else:
+    from . import ring  # noqa: F401  (loaded now; the library reaches it as qdissect.ring)
+    from .rows import coeffs as _cmd_coeffs, dissect as _cmd_dissect, tables as _cmd_tables
 
 
 _FORMAT = {"dest": "format", "choices": ("json", "csv"), "default": "json"}

@@ -33,21 +33,32 @@ order and n_max passes the library's one check, ``partitions._check_order``
 ``ORDER_CAP`` (``_check_reach``), the table checks none past ``TABLE_CAP``;
 and a perturbation power must lie in 0..order.  All of these are refused
 before any work and before any held entry is read.
+
+Ring objects are built only by the dissections and component-4-vanishing
+(whose moduli and weights, ``_dissections()``, are built on first use) and
+by a table check's perturbation or witness.  The verifiers reach
+:mod:`qdissect.ring` as an attribute of the package, which imports it on
+first access, so a check that builds no ring object never loads it.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cache
 from itertools import compress, count, zip_longest
 from operator import ne
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+import qdissect
 
 from .memo import largest
 from .partitions import (ORDER_CAP, _check_order, _columns, _Record, partition_count,
                          recurrence_rows, stat_table)
-from .ring import PHI5, PHI8, PHI9, LaurentPoly, QuotientElem
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, product_rows, theta)
+
+if TYPE_CHECKING:
+    from .ring import LaurentPoly
 
 # modulus -> the residue r of Ramanujan's congruence p(modulus*n + r) = 0 mod modulus
 RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
@@ -155,9 +166,9 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
     actual = (tuple(other(kind, order)),)
     rows = stat_table(kind, order).rows
     expected = _perturbed((rows if len(rows) == order + 1 else rows[:order + 1],), perturb_power,
-                          lambda row: (LaurentPoly(row) + 1).terms)
-    witness = _first_mismatch(expected, actual, lambda values: str(LaurentPoly(values[0])),
-                              "laurent")
+                          lambda row: (qdissect.ring.LaurentPoly(row) + 1).terms)
+    witness = _first_mismatch(expected, actual,
+                              lambda values: str(qdissect.ring.LaurentPoly(values[0])), "laurent")
     return _report(identity, order, witness, started)
 
 
@@ -271,23 +282,26 @@ def _dissection_5_parts(order: int) -> tuple[TruncatedSeries, ...]:
     return t1 * t5sq * (inv2 * inv2), t5sq * inv2, t5sq * inv1, t2 * t5sq * (inv1 * inv1)
 
 
-_ONE = LaurentPoly.ONE
-_TWO_COS_1 = LaurentPoly({1: 1, -1: 1})
-_TWO_COS_2 = LaurentPoly({2: 1, -2: 1})
-
-# identity -> (m, modulus, weights w_k, builder of the S_k)
-_DISSECTIONS = {
-    "dissection-2": (2, PHI8, (_ONE, _TWO_COS_1 - 1), _dissection_2_parts),
-    "dissection-3": (3, PHI9, (_ONE, _TWO_COS_1 - 1, _TWO_COS_2), _dissection_3_parts),
-    # -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
-    "dissection-5": (5, PHI5, (_ONE, -_TWO_COS_2 - 2, _TWO_COS_2, -_TWO_COS_1),
-                     _dissection_5_parts),
-}
+@cache
+def _dissections() -> dict[str, tuple]:
+    """identity -> (m, modulus, weights w_k, builder of the S_k), built on
+    first use: the moduli and weights are ring objects."""
+    ring = qdissect.ring
+    one = ring.LaurentPoly.ONE
+    two_cos_1 = ring.LaurentPoly({1: 1, -1: 1})
+    two_cos_2 = ring.LaurentPoly({2: 1, -2: 1})
+    return {
+        "dissection-2": (2, ring.PHI8, (one, two_cos_1 - 1), _dissection_2_parts),
+        "dissection-3": (3, ring.PHI9, (one, two_cos_1 - 1, two_cos_2), _dissection_3_parts),
+        # -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
+        "dissection-5": (5, ring.PHI5, (one, -two_cos_2 - 2, two_cos_2, -two_cos_1),
+                         _dissection_5_parts),
+    }
 
 
 def _rhs_coordinates(identity: str, order: int) -> Columns:
     """The coordinates of sum_k q^k w_k S_k, held per identity."""
-    _, modulus, weights, parts = _DISSECTIONS[identity]
+    _, modulus, weights, parts = _dissections()[identity]
 
     def build(n: int) -> Columns:
         columns = [[0] * (n + 1) for _ in range(modulus.degree)]
@@ -304,7 +318,7 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
-    m, modulus, _, _ = _DISSECTIONS[identity]
+    m, modulus, _, _ = _dissections()[identity]
     _check_order("order", order, m, m)
     _check_reach("order", order, order)
     _check_perturb_power(perturb_power, order)
@@ -317,7 +331,7 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
     witness = _first_mismatch(
         lhs, rhs,
         lambda values: str(modulus.project(
-            QuotientElem(values, modulus).as_laurent().substitute_power(root))),
+            qdissect.ring.QuotientElem(values, modulus).as_laurent().substitute_power(root))),
         f"quotient({modulus})")
     return _report(identity, order, witness, started)
 
@@ -358,7 +372,7 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     product formula in Z[a]/(a - 1), checked against the p(n) of the
     pentagonal recurrence: the column form gives p(n) there by itself, as
     (1 - a) kills every term but 1/(q;q)_inf."""
-    m = _DISSECTIONS["dissection-5"][0]
+    m, modulus, _, _ = _dissections()["dissection-5"]
     _check_order("order", order, m, m)
     _check_reach("order", order, order)
     started = time.perf_counter()
@@ -369,8 +383,8 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     rhs = _rhs_coordinates("dissection-5", order)
     for n, values in zip(powers, zip(*[c[4::m] for c in rhs])):
         if any(values):
-            witness = FailureWitness(n, "0", str(QuotientElem(values, PHI5)),
-                                     f"quotient({PHI5})")
+            witness = FailureWitness(n, "0", str(qdissect.ring.QuotientElem(values, modulus)),
+                                     f"quotient({modulus})")
             break
 
     if witness is None:

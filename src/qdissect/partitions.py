@@ -153,11 +153,10 @@ def _descending_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, each once, in lexicographically descending order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for parts in _descending_parts(n, n):
-        yield Partition(parts)
+    """All partitions of n, each once, in lexicographically descending order.
+    A bad n is refused by the call, before any partition is asked for."""
+    _check_order("n", n)
+    return map(Partition, _descending_parts(n, n))
 
 
 _pcounts = [1]   # pentagonal-recurrence cache, p(0) = 1
@@ -165,8 +164,7 @@ _pcounts = [1]   # pentagonal-recurrence cache, p(0) = 1
 
 def partition_count(n: int) -> int:
     """p(n) via the Euler pentagonal recurrence (p(0) = 1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order("n", n)
     while len(_pcounts) <= n:
         m = len(_pcounts)
         total = 0

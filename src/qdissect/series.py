@@ -32,17 +32,25 @@ division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
 additions per class.  Like the tables, a build at the Laurent size
 2N + 1 is refused beyond TABLE_CAP.  Every order passes
 ``partitions._check_order`` before any work.
+
+Only ``crank_gf``/``rank_gf`` (Laurent rows) and ``crank_coordinates``
+build ring objects; they reach :mod:`qdissect.ring` as an attribute of the
+package, which imports it on first access, so the other series never load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import isqrt
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import qdissect
 
 from .memo import largest
 from .partitions import TABLE_CAP, _check_order, _columns, partition_count, stat_table
-from .ring import LaurentPoly, Modulus, QuotientElem
+
+if TYPE_CHECKING:
+    from .ring import Modulus, QuotientElem
 
 
 class TruncatedSeries:
@@ -313,7 +321,7 @@ def _powers_of_a(modulus: Modulus) -> list[QuotientElem]:
     """a^0..a^(M-1) in Z[a]/(modulus), where M is the multiplicative order
     of a.  Refused if a has no order M <= 2*TABLE_CAP + 1, the largest
     Laurent size."""
-    a = modulus.project(LaurentPoly.monomial(1, 1))
+    a = modulus.project(qdissect.ring.LaurentPoly.monomial(1, 1))
     powers = [modulus.one()]
     while len(powers) <= 2 * TABLE_CAP + 1:
         power = powers[-1] * a
@@ -382,7 +390,7 @@ def _table_series(kind: str, order: int) -> TruncatedSeries:
     # the held table's rows, shared as they are: neither side writes them
     _check_order("order", order, table=True)
     rows = stat_table(kind, order).rows[:order + 1]
-    return TruncatedSeries([LaurentPoly._raw(row) for row in rows])
+    return TruncatedSeries(map(qdissect.ring.LaurentPoly._raw, rows))
 
 
 def crank_gf(order: int) -> TruncatedSeries:

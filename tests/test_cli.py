@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, identities, memo, partitions
+from qdissect import cli, identities, jsontext, memo, partitions, rows
 from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf, euler_product, partition_gf
 
@@ -95,8 +95,8 @@ def test_tables_reuse_the_verifiers_cached_table(capsys, monkeypatch):
 
 def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
     builds, renders = _table_builds(monkeypatch), []
-    render = cli._render_rows
-    monkeypatch.setattr(cli, "_render_rows", lambda kind, n_max, start=0:
+    render = rows._render_rows
+    monkeypatch.setattr(rows, "_render_rows", lambda kind, n_max, start=0:
                         renders.append((kind, n_max)) or render(kind, n_max, start))
     assert run_cli(capsys, "tables", "--kind", "crank", "--n-max", "30")[0] == 0
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "40")[0] == 0
@@ -123,13 +123,13 @@ def test_rows_rendered_once_serve_every_later_request(capsys, monkeypatch):
 
 def _rendered(monkeypatch):
     renders = []
-    render = cli._render_rows
+    render = rows._render_rows
 
     def counted(kind, n_max, start=0):
         renders.append((kind, start, n_max))
         return render(kind, n_max, start)
 
-    monkeypatch.setattr(cli, "_render_rows", counted)
+    monkeypatch.setattr(rows, "_render_rows", counted)
     return renders
 
 
@@ -172,7 +172,7 @@ def test_render_that_raises_leaves_the_held_rows(capsys, monkeypatch):
     def failing(n):
         raise RuntimeError("no p(n) today")
 
-    monkeypatch.setattr(cli, "partition_count", failing)
+    monkeypatch.setattr(partitions, "partition_count", failing)
     with pytest.raises(RuntimeError):
         main(["tables", "--kind", "p", "--n-max", "41"])
     assert memo._held[("rows", "p")] is entry
@@ -412,6 +412,39 @@ def test_crank_series_cap_refused_before_any_work(capsys, monkeypatch, argv, mes
     assert time.perf_counter() - started < 1.0
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert memo._held == {}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("tables", "--kind", "p", "--n-max", "5001"), "n_max 5001 exceeds the order cap 5000"),
+    (("tables", "--kind", "p", "--n-max", "40000", "--format", "csv"),
+     "n_max 40000 exceeds the order cap 5000"),
+    (("dissect", "--series", "partition-gf", "--m", "2", "--order", "5001"),
+     "order 5001 exceeds the order cap 5000"),
+    (("dissect", "--series", "euler", "--m", "7", "--order", "40000", "--format", "csv"),
+     "order 40000 exceeds the order cap 5000"),
+])
+def test_count_rows_past_the_order_cap_refused_before_any_work(capsys, monkeypatch, argv,
+                                                               message):
+    def refuse(*args):
+        raise AssertionError("work started before the cap refusal")
+
+    monkeypatch.setattr(partitions, "partition_count", refuse)
+    monkeypatch.setattr("qdissect.series.euler_product", refuse)
+    monkeypatch.setattr(rows, "_render_rows", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert memo._held == {}
+
+
+def test_count_rows_at_the_order_cap_run(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--kind", "p", "--n-max", "5000", "--format", "csv")
+    assert code == 0
+    assert out.endswith(f"\n5000,{partitions.partition_count(5000)}\n")
+    code, out, _ = run_cli(capsys, "dissect", "--series", "euler", "--m", "5000", "--order",
+                           "5000", "--format", "csv")
+    assert code == 0
+    # (q;q)_inf has q^k(3k-1)/2 for every k; k = -57 gives q^4902, with sign (-1)^k
+    assert out.endswith("\n4999,0,0\n") and "\n4902,0,-1\n" in out
 
 
 def test_coeffs_refusal_names_count(capsys, monkeypatch):
@@ -832,11 +865,11 @@ JSON_SCALARS = st.none() | st.integers(-10 ** 300, 10 ** 300) | JSON_TEXT
          [-1, "", None], 0)
 @example({"-10": "2", "-1": "1", "0": "-1", "9": "1"}, ["1"], 5)
 def test_object_and_list_writers_match_the_stdlib(obj, items, depth):
-    pad = cli._PAD[depth]
+    pad = jsontext._PAD[depth]
     members = [(key, json.dumps(value)) for key, value in sorted(obj.items())]
-    assert cli._object(members, pad) == json.dumps(obj, sort_keys=True, indent=2).replace(
+    assert jsontext._object(members, pad) == json.dumps(obj, sort_keys=True, indent=2).replace(
         "\n", pad)
-    assert cli._list_text([json.dumps(value) for value in items], pad) == json.dumps(
+    assert jsontext._list_text([json.dumps(value) for value in items], pad) == json.dumps(
         items, indent=2).replace("\n", pad)
 
 
@@ -922,6 +955,50 @@ def test_import_loads_no_process_machinery():
                            text=True, check=True, timeout=60).stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
+    # an importer may serve many requests, so the import loads every
+    # submodule and no request loads one; the package alone loads none
+    probe = ("import sys, {}\n"
+             "print(sorted(m for m in sys.modules if m.startswith('qdissect.')))\n")
+    for module, loaded in (("qdissect.cli", sorted(f"qdissect.{path.stem}" for path in
+                                                   (src / "qdissect").glob("[!_]*.py"))),
+                           ("qdissect", [])):
+        out = subprocess.run([sys.executable, "-c", probe.format(module)], env=env,
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out == f"{loaded}\n", module
+
+
+# what the library loads besides the package, whatever the request
+LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions",
+           "qdissect.series"]
+
+
+@pytest.mark.parametrize("argv,more", [
+    (["verify", "--identity", "crank-gf", "--order", "10"], []),
+    (["verify", "--identity", "equidist-crank-5", "--order", "6"], []),
+    (["verify", "--identity", "congruence-5-4", "--order", "10"], []),
+    (["verify", "--identity", "crank-gf", "--order", "10", "--perturb-power", "3"],
+     ["qdissect.ring"]),
+    (["verify", "--identity", "dissection-2", "--order", "10"], ["qdissect.ring"]),
+    (["verify", "--identity", "component-4-vanishing", "--order", "10"], ["qdissect.ring"]),
+    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),
+    (["coeffs", "--count", "5"], ["qdissect.ring", "qdissect.rows"]),
+])
+def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):
+    # python -m qdissect.cli runs the module as __main__, as run_module does
+    # here; without cached bytecode it compiles every module it loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import runpy, sys\n"
+             f"sys.argv = ['qdissect', *{argv!r}]\n"
+             "try:\n"
+             "    runpy.run_module('qdissect.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exit:\n"
+             "    print(exit.code, sorted(m for m in sys.modules if m.startswith('qdissect.')),\n"
+             "          file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    code = 1 if "--perturb-power" in argv else 0
+    assert done.stderr.splitlines()[-1] == f"{code} {sorted(LIBRARY + more)}"
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -962,6 +1039,18 @@ def _timeless(err):
     (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "2"], 1),
     (["verify", "--identity", "dissection-5", "--order", "11"], 2),
     (["tables", "--kind", "crank", "--n-max", "12", "--format", "csv"], 0),
+    # one request per route: the witness of a perturbed table check loads
+    # qdissect.ring in a one-shot process, and the row commands qdissect.rows
+    (["verify", "--identity", "crank-gf", "--order", "12", "--perturb-power", "5"], 1),
+    (["verify", "--identity", "rank-gf", "--order", "12"], 0),
+    (["verify", "--identity", "equidist-rank-7", "--order", "4"], 0),
+    (["verify", "--identity", "dissection-2", "--order", "20"], 0),
+    (["verify", "--identity", "component-4-vanishing", "--order", "20", "--format", "csv"], 0),
+    (["tables", "--kind", "p", "--n-max", "30"], 0),
+    (["tables", "--kind", "crank", "--n-max", "12", "--modulo", "5"], 0),
+    (["dissect", "--series", "euler", "--m", "3", "--order", "30", "--format", "csv"], 0),
+    (["coeffs", "--count", "8"], 0),
+    (["verify", "--identity", "crank-gf", "--order", "ten"], 2),
 ])
 def test_process_entry_writes_what_main_writes(capsys, argv, code):
     src = Path(__file__).resolve().parents[1] / "src"

@@ -721,24 +721,24 @@ def test_each_side_of_a_dissection_can_fail(monkeypatch, verify, order, identity
         _corrupt_columns(mp)
         assert verify(order).failure_witness.power == 7
     memo._held.clear()
-    m, modulus, weights, parts = identities._DISSECTIONS[identity]
+    m, modulus, weights, parts = identities._dissections()[identity]
 
     def corrupted(n):
         first, *rest = parts(n)
         return (TruncatedSeries(oracle_perturbed(first.coefficients, 7)), *rest)
 
-    monkeypatch.setitem(identities._DISSECTIONS, identity, (m, modulus, weights, corrupted))
+    monkeypatch.setitem(identities._dissections(), identity, (m, modulus, weights, corrupted))
     assert verify(order).failure_witness.power == 7
 
 
 def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
-    m, modulus, weights, parts = identities._DISSECTIONS["dissection-5"]
+    m, modulus, weights, parts = identities._dissections()["dissection-5"]
 
     def corrupted(n):
         first, *rest = parts(n)
         return (TruncatedSeries(oracle_perturbed(first.coefficients, 9)), *rest)
 
-    monkeypatch.setitem(identities._DISSECTIONS, "dissection-5",
+    monkeypatch.setitem(identities._dissections(), "dissection-5",
                         (m, modulus, weights, corrupted))
     assert verify_component_4_vanishing(30).failure_witness.power == 9
 

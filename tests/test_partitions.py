@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qdissect import memo, partitions, series
@@ -45,6 +47,22 @@ def test_enumeration_order_and_content():
     assert sum(1 for _ in enumerate_partitions(9)) == 30
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+@pytest.mark.parametrize("n,message", [
+    (True, "n must be an int, not True"), (False, "n must be an int, not False"),
+    (2.5, "n must be an int, not 2.5"), (3.0, "n must be an int, not 3.0"),
+    (-1, "n must be >= 0"),
+])
+def test_partition_count_and_enumeration_refuse_a_bad_n(monkeypatch, n, message):
+    # refused by the call itself, before the p(n) cache grows or any
+    # partition is asked for
+    monkeypatch.setattr(partitions, "_pcounts", [1])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partition_count(n)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_partitions(n)
+    assert partitions._pcounts == [1]
 
 
 def test_enumeration_counts_match_recurrence():
