@@ -51,18 +51,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPoly", "Modulus", "QuotientElem", "PHI5", "PHI8", "PHI9",
-    "TruncatedSeries", "euler_product", "pochhammer_inf", "pochhammer_fin",
-    "theta", "partition_gf", "crank_gf", "crank_coordinates", "rank_gf",
-    "Partition", "StatTable", "enumerate_partitions", "partition_count",
-    "rank", "crank", "rank_row", "crank_row", "build_stat_table",
-    "TABLE_CAP", "ORDER_CAP",
-    "VerificationReport", "FailureWitness",
-    "verify_crank_gf", "verify_rank_gf", "verify_crank_columns", "verify_rank_columns",
-    "verify_congruence",
-    "verify_equidistribution", "verify_2_dissection", "verify_3_dissection",
-    "verify_5_dissection", "verify_component_4_vanishing",
-    "crank_coefficients",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]

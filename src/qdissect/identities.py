@@ -28,11 +28,12 @@ Verifiers accept an optional ``perturb_power``: a deliberate one-coefficient
 corruption of the comparison (``_perturbed``; the table side of the table
 checks, the right-hand side of the dissections), used by the mutation tests
 and the CLI self-test flag to confirm the checks can actually fail.  Every
-order and n_max passes the library's one check, ``partitions._check_order``
-(an ``int``, not a ``bool``, in range); no check touches a power of q past
-``ORDER_CAP`` (``_check_reach``), the table checks none past ``TABLE_CAP``;
-and a perturbation power must lie in 0..order.  All of these are refused
-before any work and before any held entry is read.
+order, n_max and perturbation power passes the library's one check,
+``partitions._check_order`` (an ``int``, not a ``bool``, in range), before
+any work and before any held entry is read: no check touches a power of q
+past ``ORDER_CAP`` (so the congruences and equidistribution cap n_max where
+m*n_max + r would pass it), the table checks none past ``TABLE_CAP``, and a
+perturbation power lies in 0..order.
 
 Ring objects are built only by the dissections and component-4-vanishing
 (whose moduli and weights, ``_dissections()``, are built on first use) and
@@ -52,8 +53,8 @@ from typing import TYPE_CHECKING, Callable
 import qdissect
 
 from .memo import largest
-from .partitions import (ORDER_CAP, _check_order, _columns, _Record, partition_count,
-                         recurrence_rows, stat_table)
+from .partitions import (ORDER_CAP, TABLE_CAP, _check_order, _columns, _Record,
+                         partition_count, recurrence_rows, stat_table)
 from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
                      pochhammer_inf, product_rows, theta)
 
@@ -124,20 +125,6 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
                                else "missing" for side in zip(*pairs)], ring)
 
 
-def _check_reach(name: str, value: int, reach: int) -> None:
-    # after _check_order and before any work: reach is the largest power of
-    # q the check would touch for this order or n_max
-    if reach > ORDER_CAP:
-        raise ValueError(f"{name} {value} reaches q^{reach}, past the order cap {ORDER_CAP}")
-
-
-def _check_perturb_power(power: int | None, order: int) -> None:
-    # every verifier calls this before any work, so a self-test that could
-    # not perturb anything is refused instead of reporting a pass
-    if power is not None and (type(power) is not int or not 0 <= power <= order):
-        raise ValueError(f"perturbation power {power} outside order {order}")
-
-
 def _perturbed(columns: Columns, power: int | None,
                plus_one: Callable = lambda c: c + 1) -> Columns:
     """columns with the ring's one added to the q^power coefficient: plus_one
@@ -158,8 +145,10 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
                   ) -> VerificationReport:
     """Rows 0..order of the statistic table (the column form) against the
     rows other(kind, order) of another route."""
-    _check_order("order", order, least, table=True)
-    _check_perturb_power(perturb_power, order)
+    _check_order("order", order, least, cap=TABLE_CAP)
+    # a self-test that could not perturb anything is refused, not passed
+    if perturb_power is not None:
+        _check_order("perturbation power", perturb_power, cap=order)
     started = time.perf_counter()
     # the other route first: a refusal of its own then comes before any table
     # work.  Rows are dicts without zeros, so they compare as they are
@@ -216,8 +205,7 @@ def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
     residue = RESIDUE_FOR_MODULUS.get(modulus)
     if residue is None:
         raise ValueError(f"unsupported congruence modulus {modulus}")
-    _check_order("n_max", n_max)
-    _check_reach("n_max", n_max, modulus * n_max + residue)
+    _check_order("n_max", n_max, cap=(ORDER_CAP - residue) // modulus)
     started = time.perf_counter()
     witness = _first_indivisible(range(residue, modulus * n_max + residue + 1, modulus),
                                  partition_count)
@@ -238,9 +226,8 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     if modulus not in EQUIDISTRIBUTION_MODULI[statistic]:
         raise ValueError(f"equidistribution of the {statistic} is not available mod {modulus}")
     residue = RESIDUE_FOR_MODULUS[modulus]
-    _check_order("n_max", n_max)
+    _check_order("n_max", n_max, cap=(ORDER_CAP - residue) // modulus)
     size = modulus * n_max + residue
-    _check_reach("n_max", n_max, size)
     started = time.perf_counter()
     classes = largest(("classes", statistic, modulus), size,
                       lambda n: tuple(map(tuple, _columns(statistic, n, modulus))))
@@ -320,8 +307,8 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
     m, modulus, _, _ = _dissections()[identity]
     _check_order("order", order, m, m)
-    _check_reach("order", order, order)
-    _check_perturb_power(perturb_power, order)
+    if perturb_power is not None:
+        _check_order("perturbation power", perturb_power, cap=order)
     started = time.perf_counter()
     lhs = crank_coordinates(order, modulus)
     rhs = _perturbed(_rhs_coordinates(identity, order), perturb_power)
@@ -374,7 +361,6 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     (1 - a) kills every term but 1/(q;q)_inf."""
     m, modulus, _, _ = _dissections()["dissection-5"]
     _check_order("order", order, m, m)
-    _check_reach("order", order, order)
     started = time.perf_counter()
     powers = range(4, order + 1, m)
     witness = None

@@ -20,12 +20,12 @@ partition-gf --order``, euler with ``dissect --series euler --order``).
 The rows are the one entry that grows from what is held (``grow``): a
 row's text does not depend on the order, so a larger request renders
 only the rows past the held ones.
-``largest`` itself refuses a negative order for every key.  A refusal
-that depends on the order must run before ``largest`` is called: one at
-the start of ``build`` runs only on a miss, so a held entry would answer a
-request it should refuse.  A refusal that depends only on the key may run
-in ``build`` (``crank_coordinates`` refuses a modulus there), because a
-held entry has passed it.  A build or growth that raises stores nothing,
+A refusal that depends on the order (every caller passes the order
+through ``partitions._check_order`` first) must run before ``largest`` is
+called: one at the start of ``build`` runs only on a miss, so a held entry
+would answer a request it should refuse.  A refusal that depends only on
+the key may run in ``build`` (``crank_coordinates`` refuses a modulus
+there), because a held entry has passed it.  A build or growth that raises stores nothing,
 and neither may change the held value: growth returns a new one.
 
 Kept out, on purpose:
@@ -58,8 +58,6 @@ def largest(key: Hashable, order: int, build: Callable[[int], T],
     build(order), or grow(held order, held value, order) if a smaller value
     is held and grow is given, kept with its order in place of the smaller
     one."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     entry = _held.get(key)
     if entry is None or entry[0] < order:
         entry = (order, build(order) if entry is None or grow is None

@@ -15,9 +15,10 @@ number of ones).  Three routes compute them, and they share no code below
 - ``series.product_rows`` expands the product formulas (the
   ``crank-gf``/``rank-gf`` checks).
 
-Each of the three refuses an unknown kind, an order that is not an int
->= 0 (``_check_order``, the one order check of every library entry point)
-and rows beyond ``TABLE_CAP`` itself, before any work, whoever calls it.
+Each of the three refuses an unknown kind (``_check_kind``) and an order
+that is not an int in 0..``TABLE_CAP`` (``_check_order``, the one check of
+every int argument of the library) itself, before any work, whoever calls
+it.
 
 Enumeration (lexicographically descending) with ``rank``/``crank`` and
 ``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
@@ -58,19 +59,31 @@ ORDER_CAP = 5000
 
 
 def _check_order(name: str, value: int, least: int = 0, step: int = 1,
-                 table: bool = False) -> None:
-    """The one order check of every library entry point, run before any work
-    and before ``memo.largest``, so that a held entry cannot answer first.
-    A bool would run as 0 or 1 and a float would fail deep inside, so only
-    an ``int`` >= least and a multiple of step passes, and for a table (or
-    other Laurent-size work) none past TABLE_CAP."""
+                 cap: int = ORDER_CAP) -> None:
+    """The one check of every int argument of the library, run before any
+    work and before ``memo.largest``, so that a held entry cannot answer
+    first.  A bool would run as 0 or 1 and a float would fail deep inside,
+    so only an ``int`` passes, >= least, a multiple of step and <= cap.  The
+    cap is ORDER_CAP, TABLE_CAP for a table or other Laurent-size work, or a
+    bound of the caller's: the largest n_max whose power of q stays within
+    ORDER_CAP, a perturbation power's order, a table's last row."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if value < least or value % step:
         raise ValueError(f"{name} must be >= {least}" if step == 1
                          else f"{name} must be a positive multiple of {step}")
-    if table and value > TABLE_CAP:
-        raise ValueError(f"{name} {value} exceeds the table cap {TABLE_CAP}")
+    if value > cap:
+        # the two caps arrive as these very objects, so identity tells them
+        # from a caller's bound of the same value (an order of 300, say)
+        bound = ("the order cap " if cap is ORDER_CAP
+                 else "the table cap " if cap is TABLE_CAP else "")
+        raise ValueError(f"{name} {value} exceeds {bound}{cap}")
+
+
+def _check_kind(kind: str) -> None:
+    """The one check of a statistic kind, run before any work."""
+    if kind not in ("rank", "crank"):
+        raise ValueError(f"unknown statistic kind {kind!r}")
 
 
 class _Record:
@@ -164,7 +177,9 @@ _pcounts = [1]   # pentagonal-recurrence cache, p(0) = 1
 
 def partition_count(n: int) -> int:
     """p(n) via the Euler pentagonal recurrence (p(0) = 1)."""
-    _check_order("n", n)
+    # the inner call of the counting loops: the check runs only to refuse
+    if type(n) is not int or not 0 <= n <= ORDER_CAP:
+        _check_order("n", n)
     while len(_pcounts) <= n:
         m = len(_pcounts)
         total = 0
@@ -257,22 +272,17 @@ class StatTable(_Record):
     def n_max(self) -> int:
         return len(self.rows) - 1
 
-    def _check_n(self, n: int) -> None:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside table range 0..{self.n_max}")
-
     def row(self, n: int) -> dict[int, int]:
         """A copy of row n, which the caller may change freely.  No program
         path reads a row through it; it stays because perfbench/tracer.py
         patches it by name."""
-        self._check_n(n)
+        _check_order("n", n, cap=self.n_max)
         return dict(self.rows[n])
 
     def count_mod(self, t: int, n: int) -> tuple[int, ...]:
         """Row n folded mod t: entry k totals the values congruent to k."""
-        if t < 1:
-            raise ValueError("modulus must be >= 1")
-        self._check_n(n)
+        _check_order("t", t, 1)
+        _check_order("n", n, cap=self.n_max)
         out = [0] * t
         for m, c in self.rows[n].items():
             out[m % t] += c
@@ -335,9 +345,8 @@ def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
     crank by (number of ones w, parts above w), after Andrews-Garvan, Bull.
     AMS 18 (1988), in about O(n_max^2 log n_max).  Rows n <= 1 are the
     conventions; an unknown kind or bad n_max is refused before any work."""
-    if kind not in ("rank", "crank"):
-        raise ValueError(f"unknown statistic kind {kind!r}")
-    _check_order("n_max", n_max, table=True)
+    _check_kind(kind)
+    _check_order("n_max", n_max, cap=TABLE_CAP)
     rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
     rows[0] = {0: 1}
     if kind == "crank" and n_max >= 1:
@@ -401,9 +410,8 @@ def build_stat_table(kind: str, n_max: int) -> StatTable:
     values: |crank| and |rank| of a partition of n are at most n, so no
     class wraps.  n_max beyond TABLE_CAP is refused before any work.
     """
-    if kind not in ("rank", "crank"):
-        raise ValueError(f"unknown statistic kind {kind!r}")
-    _check_order("n_max", n_max, table=True)
+    _check_kind(kind)
+    _check_order("n_max", n_max, cap=TABLE_CAP)
     size = 2 * n_max + 1
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for r, column in enumerate(_columns(kind, n_max, size)):
@@ -420,7 +428,7 @@ def stat_table(kind: str, n_max: int) -> StatTable:
     Tables are immutable, so the largest one built so far per kind is kept
     in ``memo`` and shared; a request beyond it builds a new one.
     """
-    _check_order("n_max", n_max)
+    _check_order("n_max", n_max, cap=TABLE_CAP)
     # the lambda looks build_stat_table up when it runs, so a wrapped or
     # patched one is the one that builds
     return largest(("table", kind), n_max, lambda n: build_stat_table(kind, n))

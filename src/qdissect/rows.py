@@ -18,7 +18,7 @@ import sys
 from . import partitions, series
 from .jsontext import _PAD, _emit_json, _list_text, _object
 from .memo import largest
-from .partitions import ORDER_CAP, TABLE_CAP, stat_table
+from .partitions import ORDER_CAP, TABLE_CAP, _check_order, stat_table
 
 
 def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, list]:
@@ -74,35 +74,23 @@ def _emit_rows(command: str, params: dict, kind: str, n_max: int) -> None:
         _emit_json(command, params, (("rows", _list_text(objects[:n_max + 1], _PAD[2])),))
 
 
-def _check_count_rows(name: str, n_max: int) -> None:
-    # the p and euler rows need no table, so the table cap does not bound
-    # them; the order cap does, before any work
-    if n_max > ORDER_CAP:
-        raise ValueError(f"{name} {n_max} exceeds the order cap {ORDER_CAP}")
-
-
 def tables(args) -> int:
     params = {"kind": args.kind, "n_max": args.n_max, "modulo": args.modulo,
               "format": args.format}
+    # the p rows need no table, so the order cap bounds them, not the table cap
+    _check_order("n_max", args.n_max, cap=ORDER_CAP if args.kind == "p" else TABLE_CAP)
     t = args.modulo
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
-    if t is not None:
-        if args.kind == "p":
-            raise ValueError("--modulo applies to crank/rank tables only")
-        if t < 1:
-            raise ValueError("--modulo must be >= 1")
-        # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
-        # each class holds at most one value
-        if t > 2 * args.n_max + 1:
-            raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
-    if args.kind == "p":
-        _check_count_rows("n_max", args.n_max)
-    else:
-        table = stat_table(args.kind, args.n_max)     # refuses n_max past the table cap
     if t is None:
         _emit_rows("tables", params, args.kind, args.n_max)
         return 0
+    if args.kind == "p":
+        raise ValueError("--modulo applies to crank/rank tables only")
+    # statistic values lie in -n_max..n_max, so past 2*n_max + 1 classes
+    # each class holds at most one value
+    if t > 2 * args.n_max + 1:
+        raise ValueError(f"--modulo must be <= 2*n_max + 1 = {2 * args.n_max + 1}")
+    _check_order("--modulo", t, 1)
+    table = stat_table(args.kind, args.n_max)
     # folds are not held: their key space grows with the modulus
     folds = [table.count_mod(t, n) for n in range(args.n_max + 1)]
     if args.format == "csv":
@@ -119,19 +107,16 @@ def tables(args) -> int:
 
 
 def dissect(args) -> int:
-    if args.m < 1:
-        raise ValueError("--m must be >= 1")
-    if args.order < 0:
-        raise ValueError("--order must be >= 0")
+    # row n of the crank, p or euler rows is the series' coefficient of q^n
+    kind = {"crank-gf": "crank", "partition-gf": "p", "euler": "euler"}[args.series]
+    _check_order("order", args.order, cap=TABLE_CAP if kind == "crank" else ORDER_CAP)
     # past order + 1 components each one holds at most one coefficient
     if args.m > args.order + 1:
         raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")
+    # its cap is not the order cap, which m = order + 1 may pass
+    _check_order("--m", args.m, 1, cap=args.order + 1)
     params = {"series": args.series, "m": args.m, "order": args.order,
               "format": args.format}
-    # row n of the crank, p or euler rows is the series' coefficient of q^n
-    kind = {"crank-gf": "crank", "partition-gf": "p", "euler": "euler"}[args.series]
-    if kind != "crank":
-        _check_count_rows("order", args.order)
     _, values, lines = _held_rows(kind, args.order)
     m, stop = args.m, args.order + 1
     if args.format == "json":
@@ -151,10 +136,9 @@ def dissect(args) -> int:
 
 
 def coeffs(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
     if args.count > TABLE_CAP + 1:
         raise ValueError(f"--count must be <= {TABLE_CAP + 1}: coefficient "
                          f"q^{args.count - 1} is past the table cap {TABLE_CAP}")
+    _check_order("--count", args.count, 1)
     _emit_rows("coeffs", {"count": args.count, "format": args.format}, "crank", args.count - 1)
     return 0

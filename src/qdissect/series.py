@@ -30,8 +30,8 @@ Z[a]/(a^M - 1), M Python ints, one per residue class of the exponent of
 ``a``, each holding its q-coefficients as fixed-width digits, so that
 division by a factor (1 - a^(+-1) q^k) is a few big-int shifts and
 additions per class.  Like the tables, a build at the Laurent size
-2N + 1 is refused beyond TABLE_CAP.  Every order passes
-``partitions._check_order`` before any work.
+2N + 1 is refused beyond TABLE_CAP.  Every int argument passes
+``partitions._check_order`` before any work: no order past ORDER_CAP.
 
 Only ``crank_gf``/``rank_gf`` (Laurent rows) and ``crank_coordinates``
 build ring objects; they reach :mod:`qdissect.ring` as an attribute of the
@@ -47,7 +47,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import qdissect
 
 from .memo import largest
-from .partitions import TABLE_CAP, _check_order, _columns, partition_count, stat_table
+from .partitions import (ORDER_CAP, TABLE_CAP, _check_kind, _check_order, _columns,
+                         partition_count, stat_table)
 
 if TYPE_CHECKING:
     from .ring import Modulus, QuotientElem
@@ -135,10 +136,8 @@ def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
     start >= 1 keeps the constant term equal to one; only the factors with
     exponent <= order contribute.  The coefficients lie in the ring of z.
     """
-    if start < 1:
-        raise ValueError("start must be >= 1 so the constant term is one")
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    _check_order("start", start, 1)
+    _check_order("step", step, 1)
     _check_order("order", order)
     zero = z * 0
     out = [zero] * (order + 1)
@@ -162,9 +161,9 @@ def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries
     No program path builds one; it stays because perfbench/tracer.py
     patches it by name.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_order("count", count)
     _check_order("order", order)
+    _check_order("start", start)
     zero = z * 0
     one = zero + 1
     out = [zero] * (order + 1)
@@ -195,9 +194,11 @@ def theta(r: int, s: int, order: int) -> TruncatedSeries:
     number theorem.  Exponents r, s must be nonnegative and not both zero
     so the bilateral sum truncates.  The coefficients are ints.
     """
-    if r < 0 or s < 0 or r + s < 1:
-        raise ValueError("exponents must be nonnegative and not both zero")
+    _check_order("r", r)
+    _check_order("s", s)
     _check_order("order", order)
+    if r + s < 1:
+        raise ValueError("r and s must not both be zero")
     out = [0] * (order + 1)
     # n = 0, 1, 2, ... and then n = -1, -2, ...: the exponent is strictly
     # increasing in |n| once n != 0, so the first overshoot on each side
@@ -339,11 +340,12 @@ def product_rows(kind: str, order: int, size: int = 0) -> tuple[dict[int, int], 
     2*order + 1, where they are the Laurent exponents: |crank| and |rank| of
     a partition of n are at most n, so no class wraps.
 
-    Held per (kind, size) at the largest order so far.  An unknown kind and a
-    Laurent-size build beyond TABLE_CAP are refused before any work."""
-    if kind not in ("rank", "crank"):
-        raise ValueError(f"unknown statistic kind {kind!r}")
-    _check_order("order", order, table=not size)
+    Held per (kind, size) at the largest order so far.  An unknown kind, a
+    bad size and a Laurent-size build beyond TABLE_CAP are refused before
+    any work."""
+    _check_kind(kind)
+    _check_order("size", size)
+    _check_order("order", order, cap=ORDER_CAP if size else TABLE_CAP)
 
     def build(n: int) -> tuple[dict[int, int], ...]:
         classes = size or 2 * n + 1
@@ -368,7 +370,7 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     The column kernel runs in Z[a]/(a^M - 1), M the multiplicative order of
     a in the quotient, which maps onto the quotient: class j adds in the
     residue of a^j.  A modulus where a has no order M <= 2*TABLE_CAP + 1 is
-    refused before any kernel work; the order itself is not capped.  The
+    refused before any kernel work, and so is an order past ORDER_CAP.  The
     columns are held per modulus at the largest order so far."""
     _check_order("order", order)
 
@@ -388,7 +390,7 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
 
 def _table_series(kind: str, order: int) -> TruncatedSeries:
     # the held table's rows, shared as they are: neither side writes them
-    _check_order("order", order, table=True)
+    _check_order("order", order, cap=TABLE_CAP)
     rows = stat_table(kind, order).rows[:order + 1]
     return TruncatedSeries(map(qdissect.ring.LaurentPoly._raw, rows))
 

@@ -271,12 +271,13 @@ def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order,
 
 
 @pytest.mark.parametrize("identity,order,message", [
-    ("equidist-crank-11", 100000, "n_max 100000 reaches q^1100006, past the order cap 5000"),
-    ("equidist-rank-5", 1000, "n_max 1000 reaches q^5004, past the order cap 5000"),
-    ("congruence-5-4", 20000, "n_max 20000 reaches q^100004, past the order cap 5000"),
-    ("dissection-2", 10000, "order 10000 reaches q^10000, past the order cap 5000"),
-    ("dissection-5", 5005, "order 5005 reaches q^5005, past the order cap 5000"),
-    ("component-4-vanishing", 5005, "order 5005 reaches q^5005, past the order cap 5000"),
+    # n = m*n_max + r stays within the order cap for n_max <= (5000 - r) // m
+    ("equidist-crank-11", 100000, "n_max 100000 exceeds 454"),
+    ("equidist-rank-5", 1000, "n_max 1000 exceeds 999"),
+    ("congruence-5-4", 20000, "n_max 20000 exceeds 999"),
+    ("dissection-2", 10000, "order 10000 exceeds the order cap 5000"),
+    ("dissection-5", 5005, "order 5005 exceeds the order cap 5000"),
+    ("component-4-vanishing", 5005, "order 5005 exceeds the order cap 5000"),
 ], ids=["equidist-crank-11", "equidist-rank-5", "congruence-5-4", "dissection-2",
         "dissection-5", "component-4-vanishing"])
 def test_order_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order, message):

@@ -432,11 +432,23 @@ def test_orders_must_be_ints(monkeypatch, verify, value):
         verify(value)
 
 
+def refuse_kernels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the arguments were checked")
+
+    for module, names in ((series, ("largest", "_columns", "_unpacked", "partition_count",
+                                    "stat_table")),
+                          (partitions, ("largest", "_columns", "_crank_rows", "_rank_rows",
+                                        "_descending_parts"))):
+        for kernel in names:
+            monkeypatch.setattr(module, kernel, refuse)
+
+
 # every series and table entry point, each called with one order
 ENTRY_POINTS = {
     "euler_product": lambda order: series.euler_product(order),
     "theta": lambda order: series.theta(1, 2, order),
-    "pochhammer_inf": lambda order: series.pochhammer_inf(1, 1, 1, order),
+    "pochhammer_inf": lambda order: series.pochhammer_inf(1, 1, 1000, order),
     "pochhammer_fin": lambda order: series.pochhammer_fin(1, 3, order),
     "partition_gf": lambda order: series.partition_gf(order),
     "crank_gf": lambda order: series.crank_gf(order),
@@ -446,30 +458,87 @@ ENTRY_POINTS = {
     "build_stat_table": lambda order: partitions.build_stat_table("crank", order),
     "stat_table": lambda order: partitions.stat_table("crank", order),
     "recurrence_rows": lambda order: partitions.recurrence_rows("crank", order),
+    "partition_count": lambda n: partitions.partition_count(n),
+    "enumerate_partitions": lambda n: list(partitions.enumerate_partitions(n)),
 }
+# the entry points whose Laurent-size work stops at the table cap
+TABLE_CAPPED = {"crank_gf", "rank_gf", "product_rows", "build_stat_table", "stat_table",
+                "recurrence_rows"}
 
 
 @pytest.mark.parametrize("value,message", [
     (True, "must be an int"), (False, "must be an int"), (2.0, "must be an int"),
     (2.5, "must be an int"), ("2", "must be an int"), (None, "must be an int"),
-    (-1, "must be >= 0")])
+    (-1, "must be >= 0"),
+    (ORDER_CAP + 1,
+     f" {ORDER_CAP + 1} exceeds the (order cap {ORDER_CAP}|table cap {TABLE_CAP})$")])
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_series_and_table_orders_must_be_ints(monkeypatch, name, value, message):
     # one check for every entry point, before any kernel work and before the
     # memo, so that what is held (here the crank table, its product rows and
     # the crank coordinates mod Phi8) cannot answer first
     assert verify_2_dissection(20).passed and verify_crank_gf(20).passed
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("work before the order was checked")
-
-    for module, names in ((series, ("largest", "_columns", "_unpacked", "partition_count",
-                                    "stat_table")),
-                          (partitions, ("largest", "_columns", "_crank_rows", "_rank_rows"))):
-        for kernel in names:
-            monkeypatch.setattr(module, kernel, refuse)
+    refuse_kernels(monkeypatch)
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_series_and_table_orders_at_their_cap_pass_the_check(monkeypatch, name):
+    # the cap is inclusive: the largest order gets past the check, to the
+    # patched work or, for the sparse series and p(n), to the end
+    cap, bound = (TABLE_CAP, "table") if name in TABLE_CAPPED else (ORDER_CAP, "order")
+    refuse_kernels(monkeypatch)
+    try:
+        ENTRY_POINTS[name](cap)
+    except AssertionError as exc:
+        assert str(exc) == "work before the arguments were checked"
+    with pytest.raises(ValueError, match=f" {cap + 1} exceeds the {bound} cap {cap}$"):
+        ENTRY_POINTS[name](cap + 1)
+
+
+# every other int argument: (entry point, argument name, least value, cap)
+INT_ARGUMENTS = {
+    "pochhammer_inf-start": (lambda v: series.pochhammer_inf(1, v, 1, 10), "start", 1, ORDER_CAP),
+    "pochhammer_inf-step": (lambda v: series.pochhammer_inf(1, 1, v, 10), "step", 1, ORDER_CAP),
+    "pochhammer_fin-count": (lambda v: series.pochhammer_fin(1, v, 10), "count", 0, ORDER_CAP),
+    "pochhammer_fin-start": (lambda v: series.pochhammer_fin(1, 3, 10, start=v), "start", 0,
+                             ORDER_CAP),
+    "theta-r": (lambda v: series.theta(v, 2, 10), "r", 0, ORDER_CAP),
+    "theta-s": (lambda v: series.theta(1, v, 10), "s", 0, ORDER_CAP),
+    "product_rows-size": (lambda v: series.product_rows("crank", 5, v), "size", 0, ORDER_CAP),
+    "row-n": (lambda v: TABLE.row(v), "n", 0, 6),
+    "count_mod-t": (lambda v: TABLE.count_mod(v, 3), "t", 1, ORDER_CAP),
+    "count_mod-n": (lambda v: TABLE.count_mod(5, v), "n", 0, 6),
+    "verify_crank_gf-perturb_power": (lambda v: verify_crank_gf(10, perturb_power=v),
+                                      "perturbation power", 0, 10),
+    # an order equal to the table cap is not the table cap
+    "verify_2_dissection-perturb_power": (lambda v: verify_2_dissection(300, perturb_power=v),
+                                          "perturbation power", 0, 300),
+}
+TABLE = partitions.StatTable("crank", tuple({0: 1} for _ in range(7)))
+
+
+@pytest.mark.parametrize("name", sorted(INT_ARGUMENTS))
+def test_every_int_argument_is_checked_before_any_work(monkeypatch, name):
+    call, argument, least, cap = INT_ARGUMENTS[name]
+    refuse_kernels(monkeypatch)
+    refuse_all_work(monkeypatch)
+    # a perturbation power of None is no perturbation
+    for value in (True, False, 2.0, "2") + (() if argument == "perturbation power" else (None,)):
+        with pytest.raises(ValueError, match=f"^{argument} must be an int, not {value!r}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{argument} must be >= {least}$"):
+        call(least - 1)
+    bound = f"the order cap {cap}" if cap == ORDER_CAP else cap
+    with pytest.raises(ValueError, match=f"^{argument} {cap + 1} exceeds {bound}$"):
+        call(cap + 1)
+    assert memo._held == {}
+    # the largest value gets past the check, to the patched work or the end
+    try:
+        call(cap)
+    except AssertionError as exc:
+        assert str(exc) == "work before the arguments were checked"
 
 
 # verifier -> (the largest order whose check stays within ORDER_CAP, step)
@@ -494,8 +563,8 @@ def test_orders_past_the_order_cap_are_refused_before_any_work(monkeypatch, name
     refuse_all_work(monkeypatch)
     with pytest.raises(AssertionError, match="work before the arguments were checked"):
         verify(last)
-    with pytest.raises(ValueError, match=f"^(order|n_max) {last + step} reaches q\\^\\d+, "
-                                         f"past the order cap {ORDER_CAP}$"):
+    with pytest.raises(ValueError, match=f"^(order {last + step} exceeds the order cap "
+                                         f"{ORDER_CAP}|n_max {last + step} exceeds {last})$"):
         verify(last + step)
 
 
