@@ -27,9 +27,12 @@ _HOMES = {name: module for module, names in (
 ) for name in names.split()}
 
 # the library's submodules, also imported on first access as attributes of
-# the package: identities and series reach qdissect.ring that way, so that
-# ring loads with the first ring object a request builds
-_SUBMODULES = ("identities", "memo", "partitions", "ring", "series")
+# the package: identities reaches the route it checks that way (products,
+# recurrences, dissections, series), and series reaches qdissect.ring, so
+# that a module loads with the first request that runs it.  An importer of
+# qdissect.cli loads every one of them at once.
+_SUBMODULES = ("dissections", "identities", "memo", "partitions", "products", "recurrences",
+               "ring", "series")
 
 
 def __getattr__(name: str):

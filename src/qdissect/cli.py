@@ -15,8 +15,16 @@ What a process loads depends on how it reached this module.  An importer
 requests, so the import loads every submodule, and no request imports
 anything.  A ``python -m qdissect.cli`` process serves one request, and
 without cached bytecode it compiles every module it loads, so it loads
-:mod:`qdissect.rows` only for a row command, and :mod:`qdissect.ring` only
-when the request builds a ring object.
+only what its request runs: :mod:`qdissect.identities`,
+:mod:`qdissect.partitions`, :mod:`qdissect.memo` and this module's JSON
+writer always; the route a verify request checks
+(:mod:`qdissect.products` for ``crank-gf``/``rank-gf``,
+:mod:`qdissect.recurrences` for ``crank-columns``/``rank-columns``,
+:mod:`qdissect.dissections` with :mod:`qdissect.series` for a
+dissection, and all three for ``component-4-vanishing``, nothing more for
+a congruence or equidistribution check); :mod:`qdissect.rows` only for a
+row command; and :mod:`qdissect.ring` only when the request builds a ring
+object.
 """
 
 from __future__ import annotations
@@ -105,9 +113,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# The row commands.  An importer binds them now, with qdissect.ring, so that
-# no request loads a module; a one-shot process loads qdissect.rows only if
-# its request is one of them.
+# The row commands.  An importer binds them now, after loading every
+# library submodule, so that no request loads a module; a one-shot process
+# loads qdissect.rows only if its request is one of them.
 if __name__ == "__main__":
     def _loaded_when_run(name: str):
         """The row command rows.<name>, imported when a request runs it."""
@@ -118,7 +126,12 @@ if __name__ == "__main__":
 
     _cmd_tables, _cmd_dissect, _cmd_coeffs = map(_loaded_when_run, ("tables", "dissect", "coeffs"))
 else:
-    from . import ring  # noqa: F401  (loaded now; the library reaches it as qdissect.ring)
+    from importlib import import_module
+
+    from . import _SUBMODULES
+    # loaded now; the library reaches each as an attribute of the package
+    for _name in _SUBMODULES:
+        import_module(f"{__package__}.{_name}")
     from .rows import coeffs as _cmd_coeffs, dissect as _cmd_dissect, tables as _cmd_tables
 
 

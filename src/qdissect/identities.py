@@ -5,18 +5,24 @@ coefficient by exact coefficient, and returns a :class:`VerificationReport`
 with the first failing power of q when the sides disagree.  Both sides are
 held as columns (the coefficient of q^n is the tuple of every column's n-th
 entry), compared as tuples, and rendered by ``_first_mismatch`` only for a
-witness.  The 2-, 3- and 5-dissections share one verifier body and are
-checked in the cyclotomic quotient rings Z[a]/(a^4+1), Z[a]/(a^6+a^3+1) and
-Z[a]/(a^4+a^3+a^2+a+1), after rescaling q so that every exponent is
-integral, with one integer column per coordinate a^0..a^(d-1).  Their
-right-hand sides are kept at the largest order built so far in
-:mod:`qdissect.memo` and sliced down, as ``series.crank_coordinates`` keeps
-the crank side.  Both sides are built once, at the root a itself; the
-5-dissection's other primitive roots a -> a^r map only a failure witness.
+witness.  This module holds every public verifier; the work of each
+lies in the module of the route it checks, so that a one-shot process
+loads only that route:
 
-The statistic tables (the column form) are checked against the two other
-routes of :mod:`qdissect.partitions`: the product formulas (``crank-gf``,
-``rank-gf``) and the recurrences (``crank-columns``, ``rank-columns``).
+- The statistic tables (the column form, :mod:`qdissect.partitions`) are
+  checked against the product formulas of :mod:`qdissect.products`
+  (``crank-gf``, ``rank-gf``) and the recurrences of
+  :mod:`qdissect.recurrences` (``crank-columns``, ``rank-columns``), here
+  in ``_verify_table``.
+- The congruences and equidistribution read only p(n) and the column
+  form, here.
+- The 2-, 3- and 5-dissections and component-4-vanishing are checked in
+  cyclotomic quotient rings by :mod:`qdissect.dissections`, against
+  theta quotients of :mod:`qdissect.series`.
+
+The verifiers reach those modules as attributes of the package
+(``qdissect.products``), which imports each on first access, and call
+them through it, where a caller that rebinds a name finds it.
 
 A shape difference fails at the first power one side lacks ("missing").
 The congruences p(mn + r) = 0 (mod m) and component-4's mod-5 check share
@@ -36,16 +42,15 @@ m*n_max + r would pass it), the table checks none past ``TABLE_CAP``, and a
 perturbation power lies in 0..order.
 
 Ring objects are built only by the dissections and component-4-vanishing
-(whose moduli and weights, ``_dissections()``, are built on first use) and
-by a table check's perturbation or witness.  The verifiers reach
-:mod:`qdissect.ring` as an attribute of the package, which imports it on
-first access, so a check that builds no ring object never loads it.
+(whose moduli and weights, ``dissections._dissections()``, are built on
+first use).  A table check adds its perturbation to the a^0 entry of a row
+dict and renders its witness with ``partitions._format_terms``, the rule
+``LaurentPoly`` prints by, so it never loads :mod:`qdissect.ring`.
 """
 
 from __future__ import annotations
 
 import time
-from functools import cache
 from itertools import compress, count, zip_longest
 from operator import ne
 from typing import TYPE_CHECKING, Callable
@@ -53,10 +58,8 @@ from typing import TYPE_CHECKING, Callable
 import qdissect
 
 from .memo import largest
-from .partitions import (ORDER_CAP, TABLE_CAP, _check_order, _columns, _Record,
-                         partition_count, recurrence_rows, stat_table)
-from .series import (TruncatedSeries, crank_coordinates, crank_gf, partition_gf,
-                     pochhammer_inf, product_rows, theta)
+from .partitions import (ORDER_CAP, TABLE_CAP, _check_order, _columns, _format_terms, _Record,
+                         partition_count, stat_table)
 
 if TYPE_CHECKING:
     from .ring import LaurentPoly
@@ -128,8 +131,8 @@ def _first_mismatch(expected: Columns, actual: Columns, render: Callable[[tuple]
 def _perturbed(columns: Columns, power: int | None,
                plus_one: Callable = lambda c: c + 1) -> Columns:
     """columns with the ring's one added to the q^power coefficient: plus_one
-    applied to the first column's entry, which is a whole integer or Laurent
-    coefficient, or the a^0 coordinate of a quotient-ring one.  The result
+    applied to the first column's entry, which is a whole Laurent coefficient
+    (a row dict), or the a^0 coordinate of a quotient-ring one.  The result
     is new tuples, so a held series is never written."""
     if power is None:
         return columns
@@ -154,35 +157,43 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
     # work.  Rows are dicts without zeros, so they compare as they are
     actual = (tuple(other(kind, order)),)
     rows = stat_table(kind, order).rows
-    expected = _perturbed((rows if len(rows) == order + 1 else rows[:order + 1],), perturb_power,
-                          lambda row: (qdissect.ring.LaurentPoly(row) + 1).terms)
-    witness = _first_mismatch(expected, actual,
-                              lambda values: str(qdissect.ring.LaurentPoly(values[0])), "laurent")
+    # a row is a Laurent polynomial as {exponent: coefficient} without zeros:
+    # its one adds to the a^0 entry, and it prints as LaurentPoly prints it
+    expected = _perturbed(
+        (rows if len(rows) == order + 1 else rows[:order + 1],), perturb_power,
+        lambda row: {e: c for e, c in {**row, 0: row.get(0, 0) + 1}.items() if c})
+    witness = _first_mismatch(
+        expected, actual, lambda values: _format_terms(sorted(values[0].items(), reverse=True)),
+        "laurent")
     return _report(identity, order, witness, started)
 
 
 def verify_crank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Coefficients of the crank product formula equal the crank table,
     rows 0..order."""
-    return _verify_table("crank-gf", "crank", order, 2, product_rows, perturb_power)
+    return _verify_table("crank-gf", "crank", order, 2, qdissect.products.product_rows,
+                         perturb_power)
 
 
 def verify_rank_gf(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Coefficients of the rank series sum q^(n^2) / ((aq;q)_n (q/a;q)_n)
     equal the rank table, rows 0..order."""
-    return _verify_table("rank-gf", "rank", order, 1, product_rows, perturb_power)
+    return _verify_table("rank-gf", "rank", order, 1, qdissect.products.product_rows,
+                         perturb_power)
 
 
 def verify_crank_columns(order: int, perturb_power: int | None = None) -> VerificationReport:
     """The crank table equals the (ones, parts above the ones) recurrence of
-    ``partitions.recurrence_rows``, rows 0..order."""
-    return _verify_table("crank-columns", "crank", order, 2, recurrence_rows, perturb_power)
+    ``recurrences.recurrence_rows``, rows 0..order."""
+    return _verify_table("crank-columns", "crank", order, 2,
+                         qdissect.recurrences.recurrence_rows, perturb_power)
 
 
 def verify_rank_columns(order: int, perturb_power: int | None = None) -> VerificationReport:
     """The rank table equals the (largest part, number of parts) recurrence
-    of ``partitions.recurrence_rows``, rows 0..order."""
-    return _verify_table("rank-columns", "rank", order, 1, recurrence_rows, perturb_power)
+    of ``recurrences.recurrence_rows``, rows 0..order."""
+    return _verify_table("rank-columns", "rank", order, 1,
+                         qdissect.recurrences.recurrence_rows, perturb_power)
 
 
 # ---------------------------------------------------------------------------
@@ -241,98 +252,18 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
 
 
 # ---------------------------------------------------------------------------
-# dissections in the cyclotomic quotient rings, in integer coordinates
-
-# The right-hand sides: integer series S_k, and below their weights w_k in
-# a, stated at the root a itself.  2cos(2*pi*k/m) is realized exactly as
-# a^k + a^-k.
-
-def _dissection_2_parts(order: int) -> tuple[TruncatedSeries, ...]:
-    inv = pochhammer_inf(-1, 4, 4, order).inverse()
-    return theta(6, 10, order) * inv, theta(2, 14, order) * inv
-
-
-def _dissection_3_parts(order: int) -> tuple[TruncatedSeries, ...]:
-    t_a = theta(6, 21, order)
-    t_b = theta(12, 15, order)
-    inv = pochhammer_inf(1, 27, 27, order).inverse()
-    c_inv = theta(3, 24, order) * inv
-    return t_a * t_b * inv, c_inv * t_b, c_inv * t_a
-
-
-def _dissection_5_parts(order: int) -> tuple[TruncatedSeries, ...]:
-    t1 = theta(10, 15, order)
-    t2 = theta(5, 20, order)
-    t5sq = theta(25, 50, order)
-    t5sq = t5sq * t5sq                         # f(-q^25)^2
-    inv1, inv2 = t1.inverse(), t2.inverse()
-    return t1 * t5sq * (inv2 * inv2), t5sq * inv2, t5sq * inv1, t2 * t5sq * (inv1 * inv1)
-
-
-@cache
-def _dissections() -> dict[str, tuple]:
-    """identity -> (m, modulus, weights w_k, builder of the S_k), built on
-    first use: the moduli and weights are ring objects."""
-    ring = qdissect.ring
-    one = ring.LaurentPoly.ONE
-    two_cos_1 = ring.LaurentPoly({1: 1, -1: 1})
-    two_cos_2 = ring.LaurentPoly({2: 1, -2: 1})
-    return {
-        "dissection-2": (2, ring.PHI8, (one, two_cos_1 - 1), _dissection_2_parts),
-        "dissection-3": (3, ring.PHI9, (one, two_cos_1 - 1, two_cos_2), _dissection_3_parts),
-        # -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
-        "dissection-5": (5, ring.PHI5, (one, -two_cos_2 - 2, two_cos_2, -two_cos_1),
-                         _dissection_5_parts),
-    }
-
-
-def _rhs_coordinates(identity: str, order: int) -> Columns:
-    """The coordinates of sum_k q^k w_k S_k, held per identity."""
-    _, modulus, weights, parts = _dissections()[identity]
-
-    def build(n: int) -> Columns:
-        columns = [[0] * (n + 1) for _ in range(modulus.degree)]
-        for k, (weight, part) in enumerate(zip(weights, parts(n))):
-            for column, w in zip(columns, modulus.project(weight).residue):
-                if w:
-                    for j, c in enumerate(part.coefficients[:n + 1 - k], k):
-                        column[j] += w * c
-        return tuple(map(tuple, columns))
-
-    held = largest((identity,), order, build)
-    return held if len(held[0]) == order + 1 else tuple(c[:order + 1] for c in held)
-
-
-def _verify_dissection(identity: str, order: int, perturb_power: int | None,
-                       root: int = 1) -> VerificationReport:
-    m, modulus, _, _ = _dissections()[identity]
-    _check_order("order", order, m, m)
-    if perturb_power is not None:
-        _check_order("perturbation power", perturb_power, cap=order)
-    started = time.perf_counter()
-    lhs = crank_coordinates(order, modulus)
-    rhs = _perturbed(_rhs_coordinates(identity, order), perturb_power)
-    # both sides are compared at the root a itself: a -> a^root is a ring
-    # automorphism, so they agree after it exactly where they agree before,
-    # and it fixes the one that _perturbed adds; it maps only the witness
-    witness = _first_mismatch(
-        lhs, rhs,
-        lambda values: str(modulus.project(
-            qdissect.ring.QuotientElem(values, modulus).as_laurent().substitute_power(root))),
-        f"quotient({modulus})")
-    return _report(identity, order, witness, started)
-
+# dissections in the cyclotomic quotient rings: qdissect.dissections
 
 def verify_2_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Crank generating function splits into its even/odd parts in
     Z[a]/(a^4+1), with q already rescaled so all exponents are integral."""
-    return _verify_dissection("dissection-2", order, perturb_power)
+    return qdissect.dissections._verify_dissection("dissection-2", order, perturb_power)
 
 
 def verify_3_dissection(order: int, perturb_power: int | None = None) -> VerificationReport:
     """Crank generating function splits by exponent residue mod 3 in
     Z[a]/(a^6+a^3+1), after rescaling q to clear third powers."""
-    return _verify_dissection("dissection-3", order, perturb_power)
+    return qdissect.dissections._verify_dissection("dissection-3", order, perturb_power)
 
 
 def verify_5_dissection(order: int, root_power: int = 1,
@@ -348,7 +279,8 @@ def verify_5_dissection(order: int, root_power: int = 1,
     """
     if type(root_power) is not int or root_power not in FIFTH_ROOTS:
         raise ValueError("root_power must be 1, 2, 3 or 4")
-    return _verify_dissection("dissection-5", order, perturb_power, root_power)
+    return qdissect.dissections._verify_dissection("dissection-5", order, perturb_power,
+                                                  root_power)
 
 
 def verify_component_4_vanishing(order: int) -> VerificationReport:
@@ -359,31 +291,11 @@ def verify_component_4_vanishing(order: int) -> VerificationReport:
     product formula in Z[a]/(a - 1), checked against the p(n) of the
     pentagonal recurrence: the column form gives p(n) there by itself, as
     (1 - a) kills every term but 1/(q;q)_inf."""
-    m, modulus, _, _ = _dissections()["dissection-5"]
-    _check_order("order", order, m, m)
-    started = time.perf_counter()
-    powers = range(4, order + 1, m)
-    witness = None
-
-    # the right-hand side that dissection-5 holds, its coordinates per power
-    rhs = _rhs_coordinates("dissection-5", order)
-    for n, values in zip(powers, zip(*[c[4::m] for c in rhs])):
-        if any(values):
-            witness = FailureWitness(n, "0", str(qdissect.ring.QuotientElem(values, modulus)),
-                                     f"quotient({modulus})")
-            break
-
-    if witness is None:
-        at_one = tuple(row.get(0, 0) for row in product_rows("crank", order, 1))
-        witness = (_first_mismatch((partition_gf(order).coefficients,), (at_one,),
-                                   lambda values: str(values[0]), "integer")
-                   or _first_indivisible(powers, at_one.__getitem__))
-
-    return _report("component-4-vanishing", order, witness, started)
+    return qdissect.dissections._verify_component_4(order)
 
 
 def crank_coefficients(order: int = 20) -> list[LaurentPoly]:
     """The Laurent-polynomial coefficients of q^0..q^order of the crank
     generating function (default: the first 21).  No program path calls it;
     it stays because perfbench/tracer.py patches it by name."""
-    return list(crank_gf(order).coefficients)
+    return list(qdissect.series.crank_gf(order).coefficients)

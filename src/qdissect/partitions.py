@@ -3,22 +3,23 @@
 The statistic tables count partitions of n by rank (largest part minus
 number of parts) and by crank (largest part if there are no ones,
 otherwise the number of parts exceeding the number of ones minus the
-number of ones).  Three routes compute them, and they share no code below
-``partition_count``:
+number of ones).  Three routes compute them, each in a module of its own,
+and they share no code below ``partition_count``:
 
-- ``build_stat_table`` reads every table off ``_columns``, the column
+- ``build_stat_table`` here reads every table off ``_columns``, the column
   (Lambert-series) form of the generating functions, whose rows are also
   ``series.crank_gf``/``rank_gf``; ``series.crank_coordinates`` folds the
   same kernel in a quotient ring.
-- ``recurrence_rows`` counts by integer recurrences over the shape of a
-  partition (the ``crank-columns``/``rank-columns`` checks).
-- ``series.product_rows`` expands the product formulas (the
+- ``recurrences.recurrence_rows`` counts by integer recurrences over the
+  shape of a partition (the ``crank-columns``/``rank-columns`` checks).
+- ``products.product_rows`` expands the product formulas (the
   ``crank-gf``/``rank-gf`` checks).
 
 Each of the three refuses an unknown kind (``_check_kind``) and an order
 that is not an int in 0..``TABLE_CAP`` (``_check_order``, the one check of
 every int argument of the library) itself, before any work, whoever calls
-it.
+it.  A one-shot process that checks one route against the table loads
+only that route's module.
 
 Enumeration (lexicographically descending) with ``rank``/``crank`` and
 ``rank_row``/``crank_row`` stays as the small-n oracle the tests compare
@@ -29,6 +30,9 @@ than the combinatorial count: the n=1 row is {-1: 1, 0: -1, 1: 1}, which
 is what the product formula forces (the lone partition {1} combinatorially
 has crank -1; ``crank_row`` reports that raw row if wanted).  The column
 form gives these rows by itself; ``recurrence_rows`` sets them.
+``_format_terms`` renders such a row, or any Laurent polynomial or
+quotient-ring residue, as text: the one rendering of :mod:`qdissect.ring`
+and of a table check's witness.
 
 Tables store one row dict per n, so a row lookup touches only that row;
 ``stat_table`` shares the largest table built so far per kind through
@@ -84,6 +88,19 @@ def _check_kind(kind: str) -> None:
     """The one check of a statistic kind, run before any work."""
     if kind not in ("rank", "crank"):
         raise ValueError(f"unknown statistic kind {kind!r}")
+
+
+def _format_terms(pairs) -> str:
+    """(exponent, coefficient) pairs, highest exponent first and no
+    coefficient zero, as a polynomial in the symbol a: "a^2 - 2a + 3 - a^-1"."""
+    chunks = []
+    for e, c in pairs:
+        var = "" if e == 0 else "a" if e == 1 else f"a^{e}"
+        body = var if abs(c) == 1 and var else f"{abs(c)}{var}"
+        chunks.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(chunks)
+    # the first term carries its sign without a space, "-" only
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 class _Record:
@@ -287,71 +304,6 @@ class StatTable(_Record):
         for m, c in self.rows[n].items():
             out[m % t] += c
         return tuple(out)
-
-
-def _rank_rows(n_max: int) -> list[dict[int, int]]:
-    # T[n][k]: partitions of n into exactly k parts, all <= L.  Raising the
-    # bound to L adds T[n-L][k-1] (ascending n, so several parts L may be
-    # taken); that term counts the partitions with largest part exactly L
-    # and k parts, whose rank is L - k.
-    T = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    T[0][0] = 1
-    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for L in range(1, n_max + 1):
-        for n in range(L, n_max + 1):
-            below, here, row = T[n - L], T[n], rows[n]
-            for k in range(1, n - L + 2):
-                c = below[k - 1]
-                if c:
-                    here[k] += c
-                    row[L - k] = row.get(L - k, 0) + c
-    return rows
-
-
-def _crank_rows(n_max: int) -> list[dict[int, int]]:
-    # F[j][s], s < n_max: partitions of s into parts >= 2, exactly j of them
-    # above w, i.e. prod_{2<=k<=w} 1/(1 - q^k) * prod_{k>w} 1/(1 - z q^k).
-    # Seeded at w = n_max, where no part of such an s lies above w.
-    F = [[1] + [0] * (n_max - 1)]
-    for k in range(2, n_max):
-        for s in range(k, n_max):
-            F[0][s] += F[0][s - k]
-    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for w in range(n_max, 0, -1):
-        # from w + 1 down to w (no change at w = n_max): F times
-        # (1 - q^u)/(1 - z q^u), u = w + 1, row j adding the new row j - 1
-        # shifted by u; j parts above w need j*u < n_max
-        u = w + 1
-        F += [[0] * n_max for _ in range(len(F), (n_max - 1) // u + 1)]
-        below = [0] * n_max
-        for counts in F:
-            counts[u:] = [c - d + b for c, d, b in zip(counts[u:], counts, below)]
-            below = counts
-        # n = w + s: w ones and j parts above w have crank j - w; for w >= 2,
-        # no ones and largest part w (the rest in 2..w, row 0) have crank w
-        for j, counts in enumerate(F):
-            for s, c in enumerate(counts[:n_max - w + 1]):
-                if c:
-                    row = rows[w + s]
-                    row[j - w] = row.get(j - w, 0) + c
-                    if not j and w >= 2:
-                        row[w] = row.get(w, 0) + c
-    return rows
-
-
-def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
-    """Rows 0..n_max of the rank or crank table by the recurrences above:
-    the rank by (largest part, number of parts) in O(n_max^3) steps, the
-    crank by (number of ones w, parts above w), after Andrews-Garvan, Bull.
-    AMS 18 (1988), in about O(n_max^2 log n_max).  Rows n <= 1 are the
-    conventions; an unknown kind or bad n_max is refused before any work."""
-    _check_kind(kind)
-    _check_order("n_max", n_max, cap=TABLE_CAP)
-    rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
-    rows[0] = {0: 1}
-    if kind == "crank" and n_max >= 1:
-        rows[1] = {-1: 1, 0: -1, 1: 1}
-    return rows
 
 
 def _columns(kind: str, order: int, size: int) -> list[list[int]]:

@@ -23,24 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-SYMBOL = "a"
-
-
-def _format_terms(pairs) -> str:
-    # pairs: (exponent, coefficient), rendered highest exponent first
-    chunks = []
-    for e, c in pairs:
-        if e == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            var = SYMBOL if e == 1 else f"{SYMBOL}^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks) if chunks else "0"
+from .partitions import ORDER_CAP, _check_order, _format_terms
 
 
 class LaurentPoly:
@@ -84,8 +67,7 @@ class LaurentPoly:
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Substitute a -> a^k (k >= 1), e.g. to move to another root of unity."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
+        _check_order("substitution power", k, 1)
         if k == 1:
             return self
         return LaurentPoly._raw({e * k: c for e, c in self._terms.items()})
@@ -387,8 +369,9 @@ class QuotientElem:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QuotientElem":
-        if not isinstance(n, int):
-            raise ValueError("exponent must be int")
+        """The n-th power; a negative n inverts first (ValueError if this
+        residue is not a unit)."""
+        _check_order("exponent", n, -ORDER_CAP)
         base = self.inverse() if n < 0 else self
         n = abs(n)
         result = self._modulus.one()

@@ -34,9 +34,12 @@ REQUESTS = [
 
 # spans every traced run must show; ring.quotient_inverse is patched too,
 # but no request calls QuotientElem.inverse, so it records no span
-SPANS = ("ring.project", "series.inverse", "series.products", "series.mul",
-         "series.crank_gf", "partitions.lookup", "identities.verify_5_dissection",
-         "cli.main")
+SPANS = ("ring.project", "ring.quotient_mul", "series.inverse", "series.products",
+         "series.mul", "series.crank_gf", "series.partition_gf", "partitions.lookup",
+         "partitions.build_stat_table", "partitions.partition_count",
+         "identities.verify_2_dissection", "identities.verify_3_dissection",
+         "identities.verify_5_dissection", "identities.verify_equidistribution",
+         "identities.verify_rank_gf", "identities.verify_component_4_vanishing", "cli.main")
 
 
 def test_traced_child_runs_every_kind_of_request():

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import cli, identities, jsontext, memo, partitions, rows
+from qdissect import (cli, dissections, identities, jsontext, memo, partitions, products,
+                      recurrences, rows, series)
 from qdissect.cli import IDENTITIES, main
 from qdissect.series import crank_gf, euler_product, partition_gf
 
@@ -264,8 +265,8 @@ def test_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, order,
 
     monkeypatch.setattr(partitions, "build_stat_table", refuse)
     monkeypatch.setattr(partitions, "_columns", refuse)
-    monkeypatch.setattr(identities, "product_rows", refuse)
-    monkeypatch.setattr(identities, "recurrence_rows", refuse)
+    monkeypatch.setattr(products, "product_rows", refuse)
+    monkeypatch.setattr(recurrences, "recurrence_rows", refuse)
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -286,9 +287,12 @@ def test_order_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the cap refusal")
 
-    for name in ("largest", "_columns", "partition_count", "crank_coordinates",
-                 "_rhs_coordinates", "product_rows"):
-        monkeypatch.setattr(identities, name, refuse)
+    for module, names in ((identities, ("largest", "_columns", "partition_count")),
+                          (series, ("crank_coordinates",)),
+                          (dissections, ("largest", "_rhs_coordinates")),
+                          (products, ("product_rows",))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--order", str(order))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert memo._held == {}
@@ -969,20 +973,27 @@ def test_import_loads_no_process_machinery():
 
 
 # what the library loads besides the package, whatever the request
-LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions",
-           "qdissect.series"]
+LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions"]
+# a dissection's route: its right-hand sides' series and quotient rings
+DISSECTION = ["qdissect.dissections", "qdissect.ring", "qdissect.series"]
 
 
 @pytest.mark.parametrize("argv,more", [
-    (["verify", "--identity", "crank-gf", "--order", "10"], []),
+    (["verify", "--identity", "crank-gf", "--order", "10"], ["qdissect.products"]),
     (["verify", "--identity", "equidist-crank-5", "--order", "6"], []),
     (["verify", "--identity", "congruence-5-4", "--order", "10"], []),
     (["verify", "--identity", "crank-gf", "--order", "10", "--perturb-power", "3"],
-     ["qdissect.ring"]),
-    (["verify", "--identity", "dissection-2", "--order", "10"], ["qdissect.ring"]),
-    (["verify", "--identity", "component-4-vanishing", "--order", "10"], ["qdissect.ring"]),
-    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),
-    (["coeffs", "--count", "5"], ["qdissect.ring", "qdissect.rows"]),
+     ["qdissect.products"]),
+    (["verify", "--identity", "rank-gf", "--order", "10", "--perturb-power", "3"],
+     ["qdissect.products"]),
+    (["verify", "--identity", "crank-columns", "--order", "10"], ["qdissect.recurrences"]),
+    (["verify", "--identity", "dissection-2", "--order", "10"], DISSECTION),
+    (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "3"],
+     DISSECTION),
+    (["verify", "--identity", "component-4-vanishing", "--order", "10"],
+     DISSECTION + ["qdissect.products"]),
+    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows", "qdissect.series"]),
+    (["coeffs", "--count", "5"], ["qdissect.ring", "qdissect.rows", "qdissect.series"]),
 ])
 def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):
     # python -m qdissect.cli runs the module as __main__, as run_module does

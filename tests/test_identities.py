@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import identities, memo, partitions, series
+from qdissect import dissections, identities, memo, partitions, products, recurrences, series
 from qdissect.identities import (
     EQUIDISTRIBUTION_MODULI,
     FIFTH_ROOTS,
@@ -22,7 +22,7 @@ from qdissect.identities import (
     verify_rank_columns,
     verify_rank_gf,
 )
-from qdissect.identities import _rhs_coordinates
+from qdissect.dissections import _rhs_coordinates
 from qdissect.partitions import (ORDER_CAP, TABLE_CAP, Partition, build_stat_table,
                                  enumerate_partitions, partition_count)
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
@@ -138,7 +138,7 @@ def test_equidistribution_classes_equal_the_product_route(statistic, modulus):
     held, classes = memo._held[("classes", statistic, modulus)]
     assert held >= 400
     table = partitions.stat_table(statistic, TABLE_CAP)
-    for n, row in enumerate(series.product_rows(statistic, 400, modulus)[2:], 2):
+    for n, row in enumerate(products.product_rows(statistic, 400, modulus)[2:], 2):
         counts = [0] * modulus
         for e, c in row.items():
             counts[e % modulus] += c
@@ -199,7 +199,7 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("right-hand side rebuilt")
 
-    monkeypatch.setattr(identities, "theta", refuse)
+    monkeypatch.setattr(series, "theta", refuse)
     for root in FIFTH_ROOTS:
         assert verify_5_dissection(10, root_power=root).passed
     assert verify_component_4_vanishing(15).passed
@@ -408,10 +408,12 @@ def refuse_all_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 
-    for name in ("stat_table", "_columns", "crank_coordinates", "_rhs_coordinates",
-                 "product_rows", "recurrence_rows", "partition_count", "partition_gf",
-                 "largest"):
-        monkeypatch.setattr(identities, name, refuse)
+    for module, names in ((identities, ("stat_table", "_columns", "partition_count", "largest")),
+                          (series, ("crank_coordinates", "partition_gf")),
+                          (dissections, ("_rhs_coordinates", "largest")),
+                          (products, ("product_rows",)), (recurrences, ("recurrence_rows",))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("value", [True, False, 20.0, 2.5, "20", None])
@@ -436,10 +438,10 @@ def refuse_kernels(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 
-    for module, names in ((series, ("largest", "_columns", "_unpacked", "partition_count",
-                                    "stat_table")),
-                          (partitions, ("largest", "_columns", "_crank_rows", "_rank_rows",
-                                        "_descending_parts"))):
+    for module, names in ((series, ("largest", "_columns", "partition_count", "stat_table")),
+                          (products, ("largest", "_unpacked")),
+                          (partitions, ("largest", "_columns", "_descending_parts")),
+                          (recurrences, ("_crank_rows", "_rank_rows"))):
         for kernel in names:
             monkeypatch.setattr(module, kernel, refuse)
 
@@ -454,10 +456,10 @@ ENTRY_POINTS = {
     "crank_gf": lambda order: series.crank_gf(order),
     "rank_gf": lambda order: series.rank_gf(order),
     "crank_coordinates": lambda order: series.crank_coordinates(order, PHI8),
-    "product_rows": lambda order: series.product_rows("crank", order),
+    "product_rows": lambda order: products.product_rows("crank", order),
     "build_stat_table": lambda order: partitions.build_stat_table("crank", order),
     "stat_table": lambda order: partitions.stat_table("crank", order),
-    "recurrence_rows": lambda order: partitions.recurrence_rows("crank", order),
+    "recurrence_rows": lambda order: recurrences.recurrence_rows("crank", order),
     "partition_count": lambda n: partitions.partition_count(n),
     "enumerate_partitions": lambda n: list(partitions.enumerate_partitions(n)),
 }
@@ -506,7 +508,9 @@ INT_ARGUMENTS = {
                              ORDER_CAP),
     "theta-r": (lambda v: series.theta(v, 2, 10), "r", 0, ORDER_CAP),
     "theta-s": (lambda v: series.theta(1, v, 10), "s", 0, ORDER_CAP),
-    "product_rows-size": (lambda v: series.product_rows("crank", 5, v), "size", 0, ORDER_CAP),
+    # bound now: refuse_all_work patches the name, which the verifiers call
+    "product_rows-size": (functools.partial(products.product_rows, "crank", 5), "size", 0,
+                          ORDER_CAP),
     "row-n": (lambda v: TABLE.row(v), "n", 0, 6),
     "count_mod-t": (lambda v: TABLE.count_mod(v, 3), "t", 1, ORDER_CAP),
     "count_mod-n": (lambda v: TABLE.count_mod(5, v), "n", 0, 6),
@@ -600,13 +604,14 @@ def test_held_columns_answer_their_own_order_as_they_are(monkeypatch):
     # a request at the held order gets the held tuples themselves; a smaller
     # one gets new, shorter ones
     compared = []
-    monkeypatch.setattr(identities, "_perturbed",
-                        lambda columns, power, plus_one=None: compared.append(columns) or columns)
+    for module in (identities, dissections):
+        monkeypatch.setattr(module, "_perturbed", lambda columns, power, plus_one=None:
+                            compared.append(columns) or columns)
     assert verify_2_dissection(40).passed and verify_crank_gf(30).passed
     assert compared[1][0] is memo._held[("table", "crank")][1].rows
     for key, get in ((("dissection-2",), lambda n: _rhs_coordinates("dissection-2", n)),
                      (("crank-coordinates", PHI8), lambda n: crank_coordinates(n, PHI8)),
-                     (("product", "crank", 0), lambda n: series.product_rows("crank", n))):
+                     (("product", "crank", 0), lambda n: products.product_rows("crank", n))):
         order, held = memo._held[key]
         assert get(order) is held
         assert get(order - 2) is not held
@@ -738,24 +743,24 @@ def _corrupt_columns(monkeypatch):
 
 def _corrupt_product(monkeypatch, name, power=7):
     """One wrong entry in a packed product build: class 0 at q^power."""
-    packed = getattr(series, name)
+    packed = getattr(products, name)
 
     def corrupted(order, size, bits):
         classes = packed(order, size, bits)
         return [classes[0] + (1 << bits * power)] + classes[1:]
 
-    monkeypatch.setattr(series, name, corrupted)
+    monkeypatch.setattr(products, name, corrupted)
 
 
 def _corrupt_recurrence(monkeypatch, name):
-    rows = getattr(partitions, name)
+    rows = getattr(recurrences, name)
 
     def corrupted(n_max):
         out = rows(n_max)
         out[7][0] = out[7].get(0, 0) + 1
         return out
 
-    monkeypatch.setattr(partitions, name, corrupted)
+    monkeypatch.setattr(recurrences, name, corrupted)
 
 
 @pytest.mark.parametrize("verify,corrupt", [
@@ -790,24 +795,24 @@ def test_each_side_of_a_dissection_can_fail(monkeypatch, verify, order, identity
         _corrupt_columns(mp)
         assert verify(order).failure_witness.power == 7
     memo._held.clear()
-    m, modulus, weights, parts = identities._dissections()[identity]
+    m, modulus, weights, parts = dissections._dissections()[identity]
 
     def corrupted(n):
         first, *rest = parts(n)
         return (TruncatedSeries(oracle_perturbed(first.coefficients, 7)), *rest)
 
-    monkeypatch.setitem(identities._dissections(), identity, (m, modulus, weights, corrupted))
+    monkeypatch.setitem(dissections._dissections(), identity, (m, modulus, weights, corrupted))
     assert verify(order).failure_witness.power == 7
 
 
 def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
-    m, modulus, weights, parts = identities._dissections()["dissection-5"]
+    m, modulus, weights, parts = dissections._dissections()["dissection-5"]
 
     def corrupted(n):
         first, *rest = parts(n)
         return (TruncatedSeries(oracle_perturbed(first.coefficients, 9)), *rest)
 
-    monkeypatch.setitem(identities._dissections(), "dissection-5",
+    monkeypatch.setitem(dissections._dissections(), "dissection-5",
                         (m, modulus, weights, corrupted))
     assert verify_component_4_vanishing(30).failure_witness.power == 9
 
@@ -891,8 +896,8 @@ def test_first_mismatch_fails_on_any_shape_difference(expected, actual, witness)
 
 
 def test_a_route_one_row_short_fails(monkeypatch):
-    rows = identities.product_rows
-    monkeypatch.setattr(identities, "product_rows", lambda kind, order: rows(kind, order)[:-1])
+    rows = products.product_rows
+    monkeypatch.setattr(products, "product_rows", lambda kind, order: rows(kind, order)[:-1])
     w = verify_crank_gf(20).failure_witness
     assert (w.power, w.actual, w.ring) == (20, "missing", "laurent")
     assert w.expected == str(crank_gf(20).coefficients[20])

@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import pytest
 
-from qdissect import memo, partitions, series
+from qdissect import memo, partitions, products, recurrences, series
 from qdissect.identities import (verify_crank_columns, verify_crank_gf, verify_rank_columns,
                                  verify_rank_gf)
 from qdissect.partitions import (
@@ -15,10 +16,10 @@ from qdissect.partitions import (
     partition_count,
     rank,
     rank_row,
-    recurrence_rows,
     stat_table,
 )
-from qdissect.series import product_rows
+from qdissect.products import product_rows
+from qdissect.recurrences import recurrence_rows
 
 
 # independent oracle: count partitions of n with parts <= m, bare recursion
@@ -190,9 +191,9 @@ def test_laurent_size_builds_refused_past_the_cap(monkeypatch, kind, build, name
     def refuse(*args):
         raise AssertionError("work started before the refusal")
 
-    for home, attr in ((partitions, "_columns"), (partitions, "_crank_rows"),
-                       (partitions, "_rank_rows"), (series, "_packed_crank"),
-                       (series, "_packed_rank"), (series, "_unpacked")):
+    for home, attr in ((partitions, "_columns"), (recurrences, "_crank_rows"),
+                       (recurrences, "_rank_rows"), (products, "_packed_crank"),
+                       (products, "_packed_rank"), (products, "_unpacked")):
         monkeypatch.setattr(home, attr, refuse)
     with pytest.raises(ValueError, match=f"^{name} {TABLE_CAP + 1} exceeds the table cap "
                                          f"{TABLE_CAP}$"):
@@ -247,7 +248,7 @@ def test_recurrence_rows_match_generating_functions_to_the_cap(monkeypatch, kind
         raise AssertionError("the recurrence route shares code with another")
 
     for home, attr in ((partitions, "_columns"), (partitions, "partition_count"),
-                       (partitions, "enumerate_partitions"), (series, "_unpacked")):
+                       (partitions, "enumerate_partitions"), (products, "_unpacked")):
         monkeypatch.setattr(home, attr, refuse)
     assert tuple(recurrence_rows(kind, 60)) == rows
 
@@ -257,10 +258,42 @@ def test_crank_recurrence_past_the_cap():
     # from the column form's by convention
     size = 801
     columns = partitions._columns("crank", 400, size)
-    rows = partitions._crank_rows(400)
+    rows = recurrences._crank_rows(400)
     for n in range(2, 401):
         assert rows[n] == {r if r <= 400 else r - size: column[n]
                            for r, column in enumerate(columns) if column[n]}, n
+
+
+# the rows 0..TABLE_CAP every route must give, pinned as the sha256 of each
+# row's sorted (value, count) pairs, so that each route is checked against
+# fixed data and not against another route
+ROWS_AT_THE_CAP = {
+    "crank": "b0a1a820fbfb042339d63de95de2e8145b4bf3bb3c3a5e4107e4d73b421bf63c",
+    "rank": "01751dc398913093b7a2c62e01a7be1dbdeea0df0db384eabfd2a4d3f65f787b",
+}
+
+
+@pytest.mark.parametrize("kind", ["crank", "rank"])
+@pytest.mark.parametrize("build,others", [
+    (build_stat_table, ((products, "_packed_crank"), (products, "_packed_rank"),
+                        (products, "_unpacked"), (recurrences, "_crank_rows"),
+                        (recurrences, "_rank_rows"))),
+    (recurrence_rows, ((partitions, "_columns"), (products, "_packed_crank"),
+                       (products, "_packed_rank"), (products, "_unpacked"))),
+    (product_rows, ((partitions, "_columns"), (series, "theta"), (series, "euler_product"))),
+], ids=ROUTE_IDS)
+def test_each_route_stands_alone_at_the_table_cap(monkeypatch, kind, build, others):
+    # north star 3: no route reads another's kernel, nor the theta series
+    # of the dissections' right-hand sides, so one bug cannot corrupt two
+    def refuse(*args):
+        raise AssertionError("the route shares code with another")
+
+    for home, attr in others:
+        monkeypatch.setattr(home, attr, refuse)
+    rows = build(kind, TABLE_CAP)
+    rows = rows.rows if build is build_stat_table else rows
+    text = repr([sorted(row.items()) for row in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_AT_THE_CAP[kind]
 
 
 @pytest.mark.parametrize("kind,checks", [

@@ -71,6 +71,21 @@ def test_substitute_power_and_eval():
     assert lam.substitute_power(1) is lam
     with pytest.raises(ValueError):
         lam.substitute_power(0)
+    # an exponent is an int: a float would make float exponents, a bool
+    # would run as 1
+    for k in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match=f"^substitution power must be an int, not {k!r}$"):
+            LaurentPoly({1: 1, -1: 2}).substitute_power(k)
+
+
+def test_quotient_powers_take_only_int_exponents():
+    a = PHI5.project(A)
+    for n in (True, False, 2.0, 1.5, "2", None):
+        with pytest.raises(ValueError, match=f"^exponent must be an int, not {n!r}$"):
+            a ** n
+    # a negative exponent inverts; zero is the one
+    assert a ** -2 == PHI5.project(LaurentPoly.monomial(1, -2))
+    assert a ** 0 == PHI5.one()
 
 
 def test_rendering():

@@ -3,10 +3,11 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qdissect import memo, partitions, series
+from qdissect import memo, partitions, products, series
 from qdissect.identities import FIFTH_ROOTS, verify_5_dissection, verify_component_4_vanishing
 from qdissect.ring import PHI5, PHI8, PHI9, LaurentPoly, Modulus, QuotientElem
 from qdissect.partitions import TABLE_CAP
+from qdissect.products import product_rows
 from qdissect.series import (
     TruncatedSeries,
     crank_coordinates,
@@ -15,7 +16,6 @@ from qdissect.series import (
     partition_gf,
     pochhammer_fin,
     pochhammer_inf,
-    product_rows,
     rank_gf,
     theta,
 )
@@ -400,7 +400,7 @@ def test_roots_share_one_crank_build(monkeypatch):
     # a -> a^r maps only a witness, so the four roots and
     # component-4-vanishing read one crank entry and one right-hand side
     builds = []
-    columns, packed = series._columns, series._packed_crank
+    columns, packed = series._columns, products._packed_crank
 
     def recording_columns(kind, order, size):
         builds.append(("columns", order, size))
@@ -411,7 +411,7 @@ def test_roots_share_one_crank_build(monkeypatch):
         return packed(order, size, bits)
 
     monkeypatch.setattr(series, "_columns", recording_columns)
-    monkeypatch.setattr(series, "_packed_crank", recording_product)
+    monkeypatch.setattr(products, "_packed_crank", recording_product)
     for order in (30, 60, 45):
         for root in FIFTH_ROOTS:
             assert verify_5_dissection(order, root).passed
@@ -426,12 +426,12 @@ def test_roots_share_one_crank_build(monkeypatch):
 
 # --- the two kernels, against each other and oracles that share none of their code ---
 
-@pytest.mark.parametrize("kind,build", [("crank", series._packed_crank),
-                                        ("rank", series._packed_rank)], ids=["crank", "rank"])
+@pytest.mark.parametrize("kind,build", [("crank", products._packed_crank),
+                                        ("rank", products._packed_rank)], ids=["crank", "rank"])
 @pytest.mark.parametrize("order", (0, 1, 2, 3, 8, 21, 55, 100))
 def test_column_kernel_equals_the_product_class_for_class(kind, build, order):
     for size in (1, 5, 7, 8, 9, 11, 2 * order + 1):
-        assert partitions._columns(kind, order, size) == series._unpacked(build, order, size)
+        assert partitions._columns(kind, order, size) == products._unpacked(build, order, size)
 
 
 def test_order_of_a_picks_the_packing_ring():
@@ -447,7 +447,7 @@ def test_digit_bits_cover_the_coefficient_bound(order):
     euler = euler_product(order)
     geometric = TruncatedSeries(((1, -1) + (0,) * order)[:order + 1])
     bound = (euler * euler * geometric).inverse().coefficients[order]
-    bits = series._digit_bits(order)
+    bits = products._digit_bits(order)
     assert bits % 8 == 0
     assert bound.bit_length() + 1 <= bits <= bound.bit_length() + 8
 
@@ -480,8 +480,8 @@ def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, 
     def refuse(*args):
         raise AssertionError("work started before the cap refusal")
 
-    monkeypatch.setattr(series, "_packed_crank", refuse)
-    monkeypatch.setattr(series, "_packed_rank", refuse)
+    monkeypatch.setattr(products, "_packed_crank", refuse)
+    monkeypatch.setattr(products, "_packed_rank", refuse)
     with pytest.raises(ValueError, match=f"order {TABLE_CAP + 1} exceeds the table cap"):
         crank_gf(TABLE_CAP + 1)
     for kind in ("crank", "rank"):
