@@ -4,12 +4,16 @@ The 2-, 3- and 5-dissections share one verifier body,
 ``_verify_dissection``, and are checked in the quotient rings
 Z[a]/(a^4+1), Z[a]/(a^6+a^3+1) and Z[a]/(a^4+a^3+a^2+a+1), after rescaling
 q so that every exponent is integral, with one integer column per
-coordinate a^0..a^(d-1).  The crank side is ``series.crank_coordinates``;
-each right-hand side states only its weights w_k and integer theta
-quotients S_k, and its coordinates are kept at the largest order built so
-far in :mod:`qdissect.memo` and sliced down (``_rhs_coordinates``).  Both
-sides are built once, at the root a itself; the 5-dissection's other
-primitive roots a -> a^r map only a failure witness.
+coordinate a^0..a^(d-1).  The crank side is ``series.crank_coordinates``.
+Each right-hand side is one row of ``_DISSECTIONS``: per component k its
+weight w_k and its integer series S_k, a product of theta sums
+f(-q^r, -q^s)^e, where (q^k;q^k)_inf is written f(-q^k, -q^2k).  One
+builder, ``_rhs_coordinates``, walks the rows; it builds each power once
+per build, so each theta sum is inverted at most once, and its
+coordinates are kept at the largest order built so far in
+:mod:`qdissect.memo` and sliced down.  Both sides are built once, at the
+root a itself; the 5-dissection's other primitive roots a -> a^r map only
+a failure witness.
 ``_verify_component_4`` also reads the 5-dissection's right-hand side, and
 the product route (:mod:`qdissect.products`) at a = 1, which it reaches
 as an attribute of the package, so a dissection never loads that route.
@@ -22,7 +26,6 @@ caller that rebinds them (perfbench's tracer) finds them.
 from __future__ import annotations
 
 import time
-from functools import cache
 
 import qdissect
 
@@ -32,57 +35,54 @@ from .identities import (Columns, FailureWitness, VerificationReport, _first_ind
 from .memo import largest
 from .partitions import _check_order
 
-# The right-hand sides: integer series S_k, and below their weights w_k in
-# a, stated at the root a itself.  2cos(2*pi*k/m) is realized exactly as
-# a^k + a^-k.
-
-
-def _dissection_2_parts(order: int) -> tuple[series.TruncatedSeries, ...]:
-    inv = series.pochhammer_inf(-1, 4, 4, order).inverse()
-    return series.theta(6, 10, order) * inv, series.theta(2, 14, order) * inv
-
-
-def _dissection_3_parts(order: int) -> tuple[series.TruncatedSeries, ...]:
-    t_a = series.theta(6, 21, order)
-    t_b = series.theta(12, 15, order)
-    inv = series.pochhammer_inf(1, 27, 27, order).inverse()
-    c_inv = series.theta(3, 24, order) * inv
-    return t_a * t_b * inv, c_inv * t_b, c_inv * t_a
-
-
-def _dissection_5_parts(order: int) -> tuple[series.TruncatedSeries, ...]:
-    t1 = series.theta(10, 15, order)
-    t2 = series.theta(5, 20, order)
-    t5sq = series.theta(25, 50, order)
-    t5sq = t5sq * t5sq                         # f(-q^25)^2
-    inv1, inv2 = t1.inverse(), t2.inverse()
-    return t1 * t5sq * (inv2 * inv2), t5sq * inv2, t5sq * inv1, t2 * t5sq * (inv1 * inv1)
-
-
-@cache
-def _dissections() -> dict[str, tuple]:
-    """identity -> (m, modulus, weights w_k, builder of the S_k), built on
-    first use: the moduli and weights are ring objects."""
-    one = ring.LaurentPoly.ONE
-    two_cos_1 = ring.LaurentPoly({1: 1, -1: 1})
-    two_cos_2 = ring.LaurentPoly({2: 1, -2: 1})
-    return {
-        "dissection-2": (2, ring.PHI8, (one, two_cos_1 - 1), _dissection_2_parts),
-        "dissection-3": (3, ring.PHI9, (one, two_cos_1 - 1, two_cos_2), _dissection_3_parts),
-        # -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
-        "dissection-5": (5, ring.PHI5, (one, -two_cos_2 - 2, two_cos_2, -two_cos_1),
-                         _dissection_5_parts),
-    }
+# The right-hand sides: identity -> (m, modulus, components).  Component k
+# pairs its weight w_k, as Laurent terms {exponent of a: coefficient} at the
+# root a itself (2cos(2*pi*j/m) is a^j + a^-j), with its integer series S_k,
+# as theta exponents {(r, s): e} for the product of f(-q^r, -q^s)^e.
+# (q^k;q^k)_inf is f(-q^k, -q^2k), and 1/(-q^4;q^4)_inf is
+# (q^4;q^4)_inf / (q^8;q^8)_inf.
+_DISSECTIONS = {
+    "dissection-2": (2, ring.PHI8, (
+        ({0: 1}, {(8, 16): -1, (6, 10): 1, (4, 8): 1}),
+        ({1: 1, 0: -1, -1: 1}, {(8, 16): -1, (2, 14): 1, (4, 8): 1}))),
+    "dissection-3": (3, ring.PHI9, (
+        ({0: 1}, {(27, 54): -1, (6, 21): 1, (12, 15): 1}),
+        ({1: 1, 0: -1, -1: 1}, {(27, 54): -1, (3, 24): 1, (12, 15): 1}),
+        ({2: 1, -2: 1}, {(27, 54): -1, (3, 24): 1, (6, 21): 1}))),
+    # weights 1, -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
+    "dissection-5": (5, ring.PHI5, (
+        ({0: 1}, {(5, 20): -2, (10, 15): 1, (25, 50): 2}),
+        ({2: -1, 0: -2, -2: -1}, {(5, 20): -1, (25, 50): 2}),
+        ({2: 1, -2: 1}, {(10, 15): -1, (25, 50): 2}),
+        ({1: -1, -1: -1}, {(10, 15): -2, (5, 20): 1, (25, 50): 2}))),
+}
 
 
 def _rhs_coordinates(identity: str, order: int) -> Columns:
     """The coordinates of sum_k q^k w_k S_k, held per identity."""
-    _, modulus, weights, parts = _dissections()[identity]
+    _, modulus, components = _DISSECTIONS[identity]
 
     def build(n: int) -> Columns:
+        powers: dict[tuple, series.TruncatedSeries] = {}
+
+        def power(r: int, s: int, e: int) -> series.TruncatedSeries:
+            # f(-q^r, -q^s)^e, built once per build: each theta sum is
+            # inverted at most once
+            if (r, s, e) not in powers:
+                unit = 1 if e > 0 else -1
+                powers[r, s, e] = (series.theta(r, s, n) if e == 1
+                                   else power(r, s, 1).inverse() if e == -1
+                                   else power(r, s, unit) * power(r, s, e - unit))
+            return powers[r, s, e]
+
         columns = [[0] * (n + 1) for _ in range(modulus.degree)]
-        for k, (weight, part) in enumerate(zip(weights, parts(n))):
-            for column, w in zip(columns, modulus.project(weight).residue):
+        for k, (weight, factors) in enumerate(components):
+            # the dense inverse factors first, then each sparse theta sum on
+            # the left: a product walks its left operand's nonzero terms
+            part = None
+            for (r, s), e in sorted(factors.items(), key=lambda factor: factor[1] > 0):
+                part = power(r, s, e) if part is None else power(r, s, e) * part
+            for column, w in zip(columns, modulus.project(ring.LaurentPoly(weight)).residue):
                 if w:
                     for j, c in enumerate(part.coefficients[:n + 1 - k], k):
                         column[j] += w * c
@@ -94,7 +94,7 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,
                        root: int = 1) -> VerificationReport:
-    m, modulus, _, _ = _dissections()[identity]
+    m, modulus, _ = _DISSECTIONS[identity]
     _check_order("order", order, m, m)
     if perturb_power is not None:
         _check_order("perturbation power", perturb_power, cap=order)
@@ -114,7 +114,7 @@ def _verify_dissection(identity: str, order: int, perturb_power: int | None,
 
 def _verify_component_4(order: int) -> VerificationReport:
     """The body of ``identities.verify_component_4_vanishing``."""
-    m, modulus, _, _ = _dissections()["dissection-5"]
+    m, modulus, _ = _DISSECTIONS["dissection-5"]
     _check_order("order", order, m, m)
     started = time.perf_counter()
     powers = range(4, order + 1, m)

@@ -42,10 +42,11 @@ m*n_max + r would pass it), the table checks none past ``TABLE_CAP``, and a
 perturbation power lies in 0..order.
 
 Ring objects are built only by the dissections and component-4-vanishing
-(whose moduli and weights, ``dissections._dissections()``, are built on
-first use).  A table check adds its perturbation to the a^0 entry of a row
-dict and renders its witness with ``partitions._format_terms``, the rule
-``LaurentPoly`` prints by, so it never loads :mod:`qdissect.ring`.
+(the moduli of ``dissections._DISSECTIONS`` and the weights its builder
+projects), whose module loads :mod:`qdissect.ring`.  A table check adds
+its perturbation to the a^0 entry of a row dict and renders its witness
+with ``partitions._format_terms``, the rule ``LaurentPoly`` prints by, so
+it never loads :mod:`qdissect.ring`.
 """
 
 from __future__ import annotations
@@ -213,9 +214,10 @@ def _first_indivisible(powers: range, value: Callable[[int], int]) -> FailureWit
 def verify_congruence(modulus: int, n_max: int) -> VerificationReport:
     """p(modulus*n + residue) is divisible by modulus for all n <= n_max,
     for the three classical moduli 5, 7, 11 and their residues 4, 5, 6."""
-    residue = RESIDUE_FOR_MODULUS.get(modulus)
-    if residue is None:
-        raise ValueError(f"unsupported congruence modulus {modulus}")
+    # the type first: 5.0 == 5, and a list is not hashable
+    if type(modulus) is not int or modulus not in RESIDUE_FOR_MODULUS:
+        raise ValueError(f"unsupported congruence modulus {modulus!r}")
+    residue = RESIDUE_FOR_MODULUS[modulus]
     _check_order("n_max", n_max, cap=(ORDER_CAP - residue) // modulus)
     started = time.perf_counter()
     witness = _first_indivisible(range(residue, modulus * n_max + residue + 1, modulus),
@@ -232,10 +234,12 @@ def verify_equidistribution(statistic: str, modulus: int, n_max: int) -> Verific
     Supported: crank for moduli 5, 7, 11; rank for moduli 5 and 7 only (the
     rank does not equidistribute modulo 11).
     """
-    if statistic not in EQUIDISTRIBUTION_MODULI:
+    # the types first: 5.0 == 5, and a list is not hashable
+    if type(statistic) is not str or statistic not in EQUIDISTRIBUTION_MODULI:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if modulus not in EQUIDISTRIBUTION_MODULI[statistic]:
-        raise ValueError(f"equidistribution of the {statistic} is not available mod {modulus}")
+    if type(modulus) is not int or modulus not in EQUIDISTRIBUTION_MODULI[statistic]:
+        raise ValueError(
+            f"equidistribution of the {statistic} is not available mod {modulus!r}")
     residue = RESIDUE_FOR_MODULUS[modulus]
     _check_order("n_max", n_max, cap=(ORDER_CAP - residue) // modulus)
     size = modulus * n_max + residue

@@ -16,7 +16,8 @@ kind)`` (the p, crank, rank or euler rows as the text the CLI writes:
 ``(objects, values, lines)``, per row its object and its value, each
 written at the one depth where the CLI puts it, and its CSV lines; p
 grows with ``tables --kind p --n-max`` and ``dissect --series
-partition-gf --order``, euler with ``dissect --series euler --order``).
+partition-gf --order``, euler with ``dissect --series euler --order``,
+both up to ORDER_CAP, the others up to TABLE_CAP).
 The rows are the one entry that grows from what is held (``grow``): a
 row's text does not depend on the order, so a larger request renders
 only the rows past the held ones.
@@ -35,8 +36,8 @@ Kept out, on purpose:
   make ``tables --kind p --n-max 300`` quadratic.
 - ``tables --modulo`` folds: their keys would grow with the modulus (up
   to 601 per kind), and the memo would no longer stay bounded.
-- Rows asked for past TABLE_CAP (only p and euler can be): the CLI renders
-  them for the one request, so three texts of every p(n) do not outlive it.
+- The theta powers f(-q^r, -q^s)^e of a dissection's right-hand side:
+  one build of its coordinates, which are held, makes each once.
 - ``Modulus._inv_a`` is a per-object constant, not a series built up to
   an order.
 - Hits and misses are not counted yet: nothing reads such counts.

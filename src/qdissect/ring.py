@@ -180,7 +180,9 @@ class Modulus:
     """
 
     def __init__(self, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError("modulus coefficients must be int")
         if len(coeffs) < 2:
             raise ValueError("modulus must have degree >= 1")
         if coeffs[-1] != 1:
@@ -208,7 +210,9 @@ class Modulus:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "QuotientElem":
-        return QuotientElem._raw((int(n),) + (0,) * (self.degree - 1), self)
+        if not isinstance(n, int):
+            raise TypeError("the constant must be an int")
+        return QuotientElem._raw((n,) + (0,) * (self.degree - 1), self)
 
     def inverse_of_a(self) -> "QuotientElem":
         """The residue of a^-1: a * (m(a) - c0)/a = -c0, so a^-1 = -c0 * (m - c0)/a."""
@@ -276,7 +280,9 @@ class QuotientElem:
     __slots__ = ("_residue", "_modulus")
 
     def __init__(self, residue: Iterable[int], modulus: Modulus):
-        residue = tuple(int(c) for c in residue)
+        residue = tuple(residue)
+        if not all(isinstance(c, int) for c in residue):
+            raise TypeError("residue coefficients must be int")
         if len(residue) != modulus.degree:
             raise ValueError("residue length must equal the modulus degree")
         self._residue = residue

@@ -6,16 +6,20 @@ the CLI writes (``_held_rows``), or folds of a statistic table.
 ``python -m qdissect.cli`` process loads this module only for a request
 that is one of them.  So this module does not import ``qdissect.cli``:
 under ``-m`` that would compile and run ``cli.py`` a second time.  The
-kernels are called as ``series.crank_gf``, ``series.euler_product`` and
-``partitions.partition_count``, where a caller that rebinds those names
-(perfbench's tracer) finds them.
+kernels are called as ``qdissect.series.crank_gf``,
+``qdissect.series.euler_product`` and ``partitions.partition_count``, where
+a caller that rebinds those names (perfbench's tracer) finds them; the
+series are reached as an attribute of the package, so the p rows never
+load :mod:`qdissect.series`.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import partitions, series
+import qdissect
+
+from . import partitions
 from .jsontext import _PAD, _emit_json, _list_text, _object
 from .memo import largest
 from .partitions import ORDER_CAP, TABLE_CAP, _check_order, stat_table
@@ -26,14 +30,14 @@ def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, lis
     have no objects: no command writes them (``tables`` has no euler kind)."""
     if kind in ("p", "euler"):
         counts = ([partitions.partition_count(n) for n in range(start, n_max + 1)]
-                  if kind == "p" else series.euler_product(n_max).coefficients[start:])
+                  if kind == "p" else qdissect.series.euler_product(n_max).coefficients[start:])
         values = [f'"{c}"' for c in counts]
         template = _object((("count", "%s"), ("n", "%d")), _PAD[3])
         objects = [] if kind == "euler" else [
             template % (v, n) for n, v in enumerate(values, start)]
         lines = [f"{n},{c}\n" for n, c in enumerate(counts, start)]
     else:
-        rows = ([p._terms for p in series.crank_gf(n_max).coefficients[start:]]
+        rows = ([p._terms for p in qdissect.series.crank_gf(n_max).coefficients[start:]]
                 if kind == "crank" else stat_table(kind, n_max).rows[start:n_max + 1])
         # a member sorts as its key does: '"' sorts before "-" and the digits;
         # no row is empty, since row n counts the p(n) >= 1 partitions of n
@@ -55,11 +59,9 @@ def _held_rows(kind: str, n_max: int) -> tuple[list, list, list]:
     rank), and each row's CSV lines.  A process renders a row once, whichever
     command asks: a request past the held rows renders only the rows after
     them, and the held lists are replaced by new ones, never extended, so a
-    render that raises leaves them as they were.  Past TABLE_CAP the rows are
-    rendered for the one request and not held, so what a process holds stays
-    bounded."""
-    if n_max > TABLE_CAP:
-        return _render_rows(kind, n_max)
+    render that raises leaves them as they were.  Every row is held, past
+    TABLE_CAP too: the p and euler rows stop at ORDER_CAP, so what a process
+    holds stays bounded."""
     return largest(("rows", kind), n_max, lambda n: _render_rows(kind, n),
                    lambda held_n, held, n: tuple(
                        old + new for old, new in zip(held, _render_rows(kind, n, held_n + 1))))

@@ -6,8 +6,9 @@ integers, the one ring a program path multiplies or inverts series in:
 the dissections' right-hand sides are integer theta quotients.  A product
 is cut to the smaller order, so precision never silently inflates.
 ``crank_gf``/``rank_gf`` hold their Laurent rows in a series, and the
-q-Pochhammer products keep the ring of their argument, but no series
-arithmetic runs on those.  Everything is formal: no convergence, no floats.
+q-Pochhammer products (which no program path builds) keep the ring of
+their argument, but no series arithmetic runs on those.  Everything is
+formal: no convergence, no floats.
 
 The named constructors build the classical q-series: the Euler product
 (q;q)_inf via its sparse pentagonal expansion, general q-Pochhammer
@@ -129,6 +130,9 @@ def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
 
     start >= 1 keeps the constant term equal to one; only the factors with
     exponent <= order contribute.  The coefficients lie in the ring of z.
+    No program path builds one (the dissections write (q^k;q^k)_inf as the
+    theta sum f(-q^k, -q^2k)); it stays because perfbench/tracer.py patches
+    it by name.
     """
     _check_order("start", start, 1)
     _check_order("step", step, 1)
@@ -234,9 +238,12 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
     The column kernel runs in Z[a]/(a^M - 1), M the multiplicative order of
     a in the quotient, which maps onto the quotient: class j adds in the
     residue of a^j.  A modulus where a has no order M <= 2*TABLE_CAP + 1 is
-    refused before any kernel work, and so is an order past ORDER_CAP.  The
-    columns are held per modulus at the largest order so far."""
+    refused before any kernel work, and so is an order past ORDER_CAP or a
+    modulus that is not a ``Modulus``.  The columns are held per modulus at
+    the largest order so far."""
     _check_order("order", order)
+    if not isinstance(modulus, qdissect.ring.Modulus):
+        raise ValueError(f"modulus must be a Modulus, not {modulus!r}")
 
     def build(n: int) -> tuple[tuple, ...]:
         # a refusal that depends only on the modulus: a held entry passed it

@@ -799,13 +799,23 @@ PAST_THE_CAP = [
 ]
 
 
-def test_rows_past_the_table_cap_are_not_held(capsys):
+def test_rows_past_the_table_cap_are_held(capsys, monkeypatch):
     assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "300")[0] == 0
     for request_line, digest in PAST_THE_CAP:
         code, out, _ = run_cli(capsys, *request_line.split())
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
     assert {key: order for key, (order, _) in memo._held.items() if key[0] == "rows"} == {
-        ("rows", "p"): 300}
+        ("rows", "p"): 1000, ("rows", "euler"): 1000}
+
+    # a later request at or below the held order renders nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows rendered again")
+
+    monkeypatch.setattr(rows, "_render_rows", refuse)
+    for request_line, _ in PAST_THE_CAP:
+        assert run_cli(capsys, *request_line.replace("1000", "900").split())[0] == 0
+        assert run_cli(capsys, *request_line.split())[0] == 0
+    assert run_cli(capsys, "tables", "--kind", "p", "--n-max", "1000")[0] == 0
 
 
 def _library_dissection(series, m, order, fmt):
@@ -992,7 +1002,10 @@ DISSECTION = ["qdissect.dissections", "qdissect.ring", "qdissect.series"]
      DISSECTION),
     (["verify", "--identity", "component-4-vanishing", "--order", "10"],
      DISSECTION + ["qdissect.products"]),
-    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows", "qdissect.series"]),
+    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),
+    (["dissect", "--series", "partition-gf", "--m", "2", "--order", "10"], ["qdissect.rows"]),
+    (["dissect", "--series", "euler", "--m", "2", "--order", "10"],
+     ["qdissect.rows", "qdissect.series"]),
     (["coeffs", "--count", "5"], ["qdissect.ring", "qdissect.rows", "qdissect.series"]),
 ])
 def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -117,6 +118,10 @@ def test_verify_congruence():
     assert verify_congruence(11, 4).passed
     with pytest.raises(ValueError, match="unsupported congruence modulus 13"):
         verify_congruence(13, 8)
+    # refused before the membership test: 5.0 == 5, and a list is unhashable
+    for modulus, text in ((5.0, "5.0"), ([5], r"\[5\]"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^unsupported congruence modulus {text}$"):
+            verify_congruence(modulus, 3)
 
 
 def test_verify_equidistribution():
@@ -155,6 +160,17 @@ def test_equidistribution_usage_errors():
         verify_equidistribution("crank", 13, 1)
     with pytest.raises(ValueError, match="unknown statistic 'median'"):
         verify_equidistribution("median", 5, 1)
+    # refused before the membership tests, on a cold memo and once the
+    # classes are held: 5.0 == 5, and a list is unhashable
+    for warm in (False, True):
+        if warm:
+            assert verify_equidistribution("crank", 5, 3).passed
+        with pytest.raises(ValueError, match="^unknown statistic \\['crank'\\]$"):
+            verify_equidistribution(["crank"], 5, 3)
+        for modulus, text in ((5.0, "5.0"), ([5], r"\[5\]")):
+            with pytest.raises(ValueError, match=f"^equidistribution of the crank is not "
+                                                 f"available mod {text}$"):
+                verify_equidistribution("crank", modulus, 3)
 
 
 def test_dissection_2():
@@ -179,9 +195,20 @@ def test_dissection_5_all_roots():
         verify_5_dissection(20, root_power=5)
 
 
-def test_dissection_5_inverts_each_theta_once(monkeypatch):
-    # the theta quotients are built once for all four roots and for
-    # component-4-vanishing
+# identity -> (the checks that read its right-hand side, theta sums it inverts)
+RHS_READERS = {
+    "dissection-2": ((verify_2_dissection,), 1),
+    "dissection-3": ((verify_3_dissection,), 1),
+    "dissection-5": ((*[functools.partial(verify_5_dissection, root_power=root)
+                        for root in FIFTH_ROOTS], verify_component_4_vanishing), 2),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(RHS_READERS))
+def test_each_dissection_inverts_each_theta_once(monkeypatch, identity):
+    # the theta quotients are built once for every check that reads them:
+    # the four roots and component-4-vanishing share the 5-dissection's
+    checks, inverses = RHS_READERS[identity]
     calls = []
     original = TruncatedSeries.inverse
 
@@ -190,22 +217,40 @@ def test_dissection_5_inverts_each_theta_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(TruncatedSeries, "inverse", counted)
-    for root in FIFTH_ROOTS:
-        assert verify_5_dissection(20, root_power=root).passed
-    assert verify_component_4_vanishing(20).passed
-    assert len(calls) == 2
+    for check in checks:
+        assert check(60).passed
+    assert calls == [60] * inverses
 
     # a smaller order is a slice of what is held: no theta series is built
     def refuse(*args, **kwargs):
         raise AssertionError("right-hand side rebuilt")
 
     monkeypatch.setattr(series, "theta", refuse)
-    for root in FIFTH_ROOTS:
-        assert verify_5_dissection(10, root_power=root).passed
-    assert verify_component_4_vanishing(15).passed
-    assert len(calls) == 2
+    for check in checks:
+        assert check(30).passed
+    assert len(calls) == inverses
 
 
+# the right-hand sides' coordinates as first built from hand-written
+# products of theta sums and q-Pochhammer products
+RHS_DIGESTS = {
+    ("dissection-2", 400): "fea2e1d120a7be0bd18814c1f25d77d51d7f1bbe7d7b4f46c1d64331bb2a323a",
+    ("dissection-3", 399): "67d8e0279d46e71c305ff94f76b4d93989c399a261f44a0bf0613a12ba96c9a9",
+    ("dissection-5", 400): "934e401023a3f6c8d0d0e54dc65992057fb9721f74b33d859414691f98b44776",
+}
+
+
+@pytest.mark.parametrize("identity,order", sorted(RHS_DIGESTS))
+def test_right_hand_side_coordinates_are_pinned(identity, order):
+    digest = hashlib.sha256(repr(_rhs_coordinates(identity, order)).encode()).hexdigest()
+    assert digest == RHS_DIGESTS[identity, order]
+
+
+@pytest.mark.parametrize("identity", sorted(dissections._DISSECTIONS))
+def test_each_right_hand_side_series_is_a_series_in_q_to_the_m(identity):
+    # every theta sum f(-q^r, -q^s) of a row is a series in q^m, so every S_k is one
+    m, _, components = dissections._DISSECTIONS[identity]
+    assert all(r % m == 0 and s % m == 0 for _, factors in components for r, s in factors)
 # oracle: the right-hand sides built with every factor, product and inverse
 # in the quotient ring itself, by the tests' own series arithmetic; the
 # integer theta series are lifted into it
@@ -268,13 +313,14 @@ def mapped_columns(cols, modulus, root):
                        for v in zip(*cols))))
 
 
-def test_integer_route_rhs_equals_quotient_ring_construction():
-    assert _rhs_coordinates("dissection-2", 20) == columns(quotient_rhs_2(20))
-    assert _rhs_coordinates("dissection-3", 21) == columns(quotient_rhs_3(21))
+@pytest.mark.parametrize("order", [20, 150])
+def test_integer_route_rhs_equals_quotient_ring_construction(order):
+    assert _rhs_coordinates("dissection-2", order) == columns(quotient_rhs_2(order))
+    assert _rhs_coordinates("dissection-3", order + 1) == columns(quotient_rhs_3(order + 1))
     # the other fifth roots are the automorphisms a -> a^r of the root-1 sum
-    at_root_1 = _rhs_coordinates("dissection-5", 20)
+    at_root_1 = _rhs_coordinates("dissection-5", order)
     for r in FIFTH_ROOTS:
-        assert mapped_columns(at_root_1, PHI5, r) == columns(quotient_rhs_5(20, r))
+        assert mapped_columns(at_root_1, PHI5, r) == columns(quotient_rhs_5(order, r))
 
 
 # oracle: the left-hand side mapped coefficient by coefficient, and the
@@ -795,25 +841,20 @@ def test_each_side_of_a_dissection_can_fail(monkeypatch, verify, order, identity
         _corrupt_columns(mp)
         assert verify(order).failure_witness.power == 7
     memo._held.clear()
-    m, modulus, weights, parts = dissections._dissections()[identity]
-
-    def corrupted(n):
-        first, *rest = parts(n)
-        return (TruncatedSeries(oracle_perturbed(first.coefficients, 7)), *rest)
-
-    monkeypatch.setitem(dissections._dissections(), identity, (m, modulus, weights, corrupted))
+    corrupt_s0(monkeypatch, identity, 7)
     assert verify(order).failure_witness.power == 7
 
 
+def corrupt_s0(monkeypatch, identity, power):
+    """S_0 of the identity's row times f(-q^power, -q^1000), which is
+    1 - q^power below q^1000: S_0 first changes at q^power."""
+    m, modulus, ((weight, factors), *rest) = dissections._DISSECTIONS[identity]
+    monkeypatch.setitem(dissections._DISSECTIONS, identity, (
+        m, modulus, ((weight, {**factors, (power, 1000): 1}), *rest)))
+
+
 def test_component_4_vanishing_fails_on_its_right_hand_side(monkeypatch):
-    m, modulus, weights, parts = dissections._dissections()["dissection-5"]
-
-    def corrupted(n):
-        first, *rest = parts(n)
-        return (TruncatedSeries(oracle_perturbed(first.coefficients, 9)), *rest)
-
-    monkeypatch.setitem(dissections._dissections(), "dissection-5",
-                        (m, modulus, weights, corrupted))
+    corrupt_s0(monkeypatch, "dissection-5", 9)
     assert verify_component_4_vanishing(30).failure_witness.power == 9
 
 

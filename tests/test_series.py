@@ -1,3 +1,4 @@
+import re
 from functools import cache
 
 import pytest
@@ -495,13 +496,23 @@ def test_laurent_crank_gf_capped_but_quotient_builds_are_not(fresh_crank_cache, 
     assert fresh_crank_cache == [TABLE_CAP + 1]
 
 
-def test_crank_coordinates_where_a_has_infinite_order(fresh_crank_cache):
+def test_crank_coordinates_where_a_has_infinite_order(fresh_crank_cache, monkeypatch):
     # no ring Z[a]/(a^M - 1) maps onto Z[a]/(a^2 - a - 1), at any order
     for order in (0, 30, TABLE_CAP + 1):
         with pytest.raises(ValueError, match="modulo a\\^2 - a - 1"):
             crank_coordinates(order, FIBONACCI)
     assert fresh_crank_cache == []                 # refused before any kernel work
     assert memo._held == {}
+
+    # and what is not a modulus at all, before the memo is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("the memo was read")
+
+    monkeypatch.setattr(series, "largest", refuse)
+    for modulus in ("x", (1, 0, 0, 0, 1), None):
+        with pytest.raises(ValueError, match=f"^modulus must be a Modulus, not "
+                                             f"{re.escape(repr(modulus))}$"):
+            crank_coordinates(10, modulus)
 
 
 def test_gf_cache_consistency():
