@@ -24,7 +24,7 @@ writer always; the route a verify request checks
 dissection, and all three for ``component-4-vanishing``, nothing more for
 a congruence or equidistribution check); :mod:`qdissect.rows` only for a
 row command; and :mod:`qdissect.ring` only when the request builds a ring
-object.
+object (Laurent rows, or a failing dissection's witness).
 """
 
 from __future__ import annotations

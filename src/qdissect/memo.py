@@ -5,8 +5,10 @@ whose value at a smaller order is a prefix of its value at a larger one, so
 one entry per key serves every request up to the order it was built at; the
 caller slices it down.  Keys name the object and what it depends on besides
 the order: ``("table", kind)`` (the statistic table, whose rows are also
-``crank_gf``/``rank_gf``), ``("crank-coordinates", modulus)`` (the crank
-series' coordinates in Z[a]/(modulus)), both from the column form;
+``crank_gf``/``rank_gf``), ``("crank-coordinates", coefficients)`` (the
+crank series' coordinates in Z[a]/(m(a)), m the monic modulus with these
+ascending coefficients, a plain tuple, so that the dissections key it
+without building a ``Modulus``), both from the column form;
 ``("product", kind, size)`` (the rows of the product formula, the other
 side of the table checks and of component-4-vanishing); ``("classes",
 kind, m)`` (the column form's classes mod a^m - 1, equidistribution's
@@ -26,7 +28,7 @@ through ``partitions._check_order`` first) must run before ``largest`` is
 called: one at the start of ``build`` runs only on a miss, so a held entry
 would answer a request it should refuse.  A refusal that depends only on
 the key may run in ``build`` (``crank_coordinates`` refuses a modulus
-there), because a held entry has passed it.  A build or growth that raises stores nothing,
+where a has no small order there), because a held entry has passed it.  A build or growth that raises stores nothing,
 and neither may change the held value: growth returns a new one.
 
 Kept out, on purpose:
@@ -39,7 +41,8 @@ Kept out, on purpose:
 - The theta powers f(-q^r, -q^s)^e of a dissection's right-hand side:
   one build of its coordinates, which are held, makes each once.
 - ``Modulus._inv_a`` is a per-object constant, not a series built up to
-  an order.
+  an order; so is each ``Modulus`` that ``dissections._moduli`` holds
+  for a witness.
 - Hits and misses are not counted yet: nothing reads such counts.
 """
 

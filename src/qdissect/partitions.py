@@ -30,9 +30,10 @@ than the combinatorial count: the n=1 row is {-1: 1, 0: -1, 1: 1}, which
 is what the product formula forces (the lone partition {1} combinatorially
 has crank -1; ``crank_row`` reports that raw row if wanted).  The column
 form gives these rows by itself; ``recurrence_rows`` sets them.
-``_format_terms`` renders such a row, or any Laurent polynomial or
-quotient-ring residue, as text: the one rendering of :mod:`qdissect.ring`
-and of a table check's witness.
+``_format_terms`` renders such a row, or any Laurent polynomial, as text,
+and ``_format_vector`` by the same rule a coefficient vector (a modulus or
+a quotient-ring residue): the one rendering of :mod:`qdissect.ring`, of a
+table check's witness and of a dissection's ring and witness.
 
 Tables store one row dict per n, so a row lookup touches only that row;
 ``stat_table`` shares the largest table built so far per kind through
@@ -101,6 +102,12 @@ def _format_terms(pairs) -> str:
     text = " ".join(chunks)
     # the first term carries its sign without a space, "-" only
     return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _format_vector(coefficients) -> str:
+    """Ascending coefficients c_0, c_1, ... of a polynomial in a (a modulus,
+    a quotient-ring residue), as ``_format_terms`` writes it."""
+    return _format_terms([(e, c) for e, c in enumerate(coefficients) if c][::-1])
 
 
 class _Record:

@@ -13,7 +13,12 @@ The quotient moduli used by the dissection identities are cyclotomic:
 ``PHI8 = a^4 + 1`` (a has multiplicative order 8), ``PHI9 = a^6 + a^3 + 1``
 (order 9) and ``PHI5 = a^4 + a^3 + a^2 + a + 1`` (order 5).  Working in
 these rings replaces floating-point roots of unity with decidable exact
-equality.
+equality.  :mod:`qdissect.dissections` holds these moduli as plain
+coefficient tuples and checks the identities in integer coordinates; it
+builds ring objects only to render a failure witness.  The reduction
+(``series._divstep``) and the text of a coefficient vector
+(``partitions._format_vector``) are shared with that integer code, so
+both write and reduce alike.
 
 All values are immutable after construction and all operations are pure,
 so anything here may be shared freely across threads.
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .partitions import ORDER_CAP, _check_order, _format_terms
+from .partitions import ORDER_CAP, _check_order, _format_terms, _format_vector
+from .series import _divstep
 
 
 class LaurentPoly:
@@ -160,18 +166,6 @@ LaurentPoly.ZERO = _LP_ZERO
 LaurentPoly.ONE = _LP_ONE
 
 
-def _divstep(vec: list[int], mod: tuple[int, ...], degree: int) -> list[int]:
-    # in-place remainder of vec by the monic polynomial mod (ascending coeffs)
-    for i in range(len(vec) - 1, degree - 1, -1):
-        t = vec[i]
-        if t:
-            vec[i] = 0
-            base = i - degree
-            for j in range(degree):
-                vec[base + j] -= t * mod[j]
-    return vec
-
-
 class Modulus:
     """Monic integer polynomial m(a) with constant term +-1, degree >= 1.
 
@@ -191,9 +185,6 @@ class Modulus:
             raise ValueError("modulus constant term must be +1 or -1")
         self._coeffs = coeffs
         self._inv_a: QuotientElem | None = None
-        # rendered once: every dissection report names its ring by it
-        self._text = _format_terms(sorted(((e, c) for e, c in enumerate(coeffs) if c),
-                                          reverse=True))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -255,7 +246,7 @@ class Modulus:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        return self._text
+        return _format_vector(self._coeffs)
 
     def __repr__(self) -> str:
         return f"Modulus({list(self._coeffs)!r})"
@@ -355,6 +346,10 @@ class QuotientElem:
         return (-self) + other
 
     def __mul__(self, other) -> "QuotientElem":
+        """No program path multiplies residues (the dissections work in
+        integer coordinates, and their witnesses project no negative
+        exponent); ``project`` and ``**`` use it, and perfbench/tracer.py
+        patches it by name."""
         if isinstance(other, int):
             return QuotientElem._raw(
                 tuple(x * other for x in self._residue), self._modulus
@@ -440,8 +435,7 @@ class QuotientElem:
         return QuotientElem._raw(tuple(vec[: mod.degree]), mod)
 
     def __str__(self) -> str:
-        pairs = [(e, c) for e, c in enumerate(self._residue) if c]
-        return _format_terms(sorted(pairs, reverse=True))
+        return _format_vector(self._residue)
 
     def __repr__(self) -> str:
         return f"QuotientElem({self}, mod {self._modulus})"

@@ -21,19 +21,25 @@ are Laurent polynomials in the statistic-counting symbol ``a``.
 ``crank_coordinates`` folds the same kernel in Z[a]/(a^M - 1), M the
 multiplicative order of ``a`` in a quotient ring Z[a]/(m(a)), into that
 ring's integer coordinates (the one quotient-ring route, held once per
-modulus).  Every ring the identities use makes ``a`` a root of unity; a
-modulus where ``a`` has no order M <= 2*TABLE_CAP + 1 is refused.  The
-other two routes to the crank and rank live in modules of their own and
-use nothing here: the product formulas in :mod:`qdissect.products`, the
-recurrences in :mod:`qdissect.recurrences`.  So a check of the table
-against one of them never loads this module; the dissections'
-right-hand sides (:mod:`qdissect.dissections`) and ``coeffs`` do.  Every
-int argument passes ``partitions._check_order`` before any work: no order
-past ORDER_CAP.
+modulus under ``("crank-coordinates", coefficients)``, the modulus'
+ascending coefficients).  The fold reads one integer table of the powers
+of ``a``, ``_powers_of_a``, which also folds the dissections' weights; it
+reduces by ``_divstep``, the one polynomial remainder, which
+:mod:`qdissect.ring` uses too.  Every ring the identities use makes ``a``
+a root of unity; a modulus where ``a`` has no order M <= 2*TABLE_CAP + 1
+is refused.  The other two routes to the crank and rank live in modules
+of their own and use nothing here: the product formulas in
+:mod:`qdissect.products`, the recurrences in :mod:`qdissect.recurrences`.
+So a check of the table against one of them never loads this module; the
+dissections' right-hand sides (:mod:`qdissect.dissections`) and
+``coeffs`` do.  Every int argument passes ``partitions._check_order``
+before any work: no order past ORDER_CAP.
 
-Only ``crank_gf``/``rank_gf`` (Laurent rows) and ``crank_coordinates``
-build ring objects; they reach :mod:`qdissect.ring` as an attribute of the
-package, which imports it on first access, so the other series never load it.
+Only ``crank_gf``/``rank_gf`` build ring objects (Laurent rows), and
+``crank_coordinates`` reads the ``Modulus`` class to check its argument;
+they reach :mod:`qdissect.ring` as an attribute of the package, which
+imports it on first access, so the other series and the dissections'
+integer kernel (``_crank_coordinates``) never load it.
 """
 
 from __future__ import annotations
@@ -43,10 +49,11 @@ from typing import TYPE_CHECKING, Sequence
 import qdissect
 
 from .memo import largest
-from .partitions import TABLE_CAP, _check_order, _columns, partition_count, stat_table
+from .partitions import (TABLE_CAP, _check_order, _columns, _format_vector, partition_count,
+                         stat_table)
 
 if TYPE_CHECKING:
-    from .ring import Modulus, QuotientElem
+    from .ring import Modulus
 
 
 class TruncatedSeries:
@@ -215,19 +222,52 @@ def partition_gf(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(partition_count(n) for n in range(order + 1)))
 
 
-def _powers_of_a(modulus: Modulus) -> list[QuotientElem]:
-    """a^0..a^(M-1) in Z[a]/(modulus), where M is the multiplicative order
-    of a.  Refused if a has no order M <= 2*TABLE_CAP + 1, the largest
-    Laurent size."""
-    a = modulus.project(qdissect.ring.LaurentPoly.monomial(1, 1))
-    powers = [modulus.one()]
+def _divstep(vec: list[int], mod: tuple[int, ...], degree: int) -> list[int]:
+    # in-place remainder of vec by the monic polynomial mod (ascending coeffs)
+    for i in range(len(vec) - 1, degree - 1, -1):
+        t = vec[i]
+        if t:
+            vec[i] = 0
+            base = i - degree
+            for j in range(degree):
+                vec[base + j] -= t * mod[j]
+    return vec
+
+
+def _powers_of_a(coefficients: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The integer coordinates of a^0..a^(M-1) in Z[a]/(m(a)), m the monic
+    modulus with these ascending coefficients and M the multiplicative order
+    of a: each power is the one before shifted up a place and reduced.
+    Refused if a has no order M <= 2*TABLE_CAP + 1, the largest Laurent
+    size."""
+    degree = len(coefficients) - 1
+    powers = [(1,) + (0,) * (degree - 1)]
     while len(powers) <= 2 * TABLE_CAP + 1:
-        power = powers[-1] * a
+        power = tuple(_divstep([0, *powers[-1]], coefficients, degree)[:degree])
         if power == powers[0]:
             return powers
         powers.append(power)
     raise ValueError(f"a has no multiplicative order <= {2 * TABLE_CAP + 1} "
-                     f"modulo {modulus}")
+                     f"modulo {_format_vector(coefficients)}")
+
+
+def _crank_coordinates(order: int, coefficients: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The columns of ``crank_coordinates`` for the modulus with these
+    ascending coefficients, held under ("crank-coordinates", coefficients)
+    at the largest order so far.  The order is checked by the caller."""
+
+    def build(n: int) -> tuple[tuple, ...]:
+        # a refusal that depends only on the modulus: a held entry passed it
+        powers = _powers_of_a(coefficients)
+        columns = [[0] * (n + 1) for _ in range(len(coefficients) - 1)]
+        for power, values in zip(powers, _columns("crank", n, len(powers))):
+            for i, x in enumerate(power):
+                if x:
+                    columns[i] = [y + x * c for y, c in zip(columns[i], values)]
+        return tuple(map(tuple, columns))
+
+    held = largest(("crank-coordinates", coefficients), order, build)
+    return held if len(held[0]) == order + 1 else tuple(c[:order + 1] for c in held)
 
 
 def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
@@ -237,26 +277,16 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
 
     The column kernel runs in Z[a]/(a^M - 1), M the multiplicative order of
     a in the quotient, which maps onto the quotient: class j adds in the
-    residue of a^j.  A modulus where a has no order M <= 2*TABLE_CAP + 1 is
-    refused before any kernel work, and so is an order past ORDER_CAP or a
-    modulus that is not a ``Modulus``.  The columns are held per modulus at
-    the largest order so far."""
+    coordinates of a^j (``_powers_of_a``).  A modulus where a has no order
+    M <= 2*TABLE_CAP + 1 is refused before any kernel work, and so is an
+    order past ORDER_CAP or a modulus that is not a ``Modulus``.  The
+    columns are held per modulus at the largest order so far, shared with
+    the dissections, which call ``_crank_coordinates`` with the modulus'
+    coefficients."""
     _check_order("order", order)
     if not isinstance(modulus, qdissect.ring.Modulus):
         raise ValueError(f"modulus must be a Modulus, not {modulus!r}")
-
-    def build(n: int) -> tuple[tuple, ...]:
-        # a refusal that depends only on the modulus: a held entry passed it
-        powers = _powers_of_a(modulus)
-        columns = [[0] * (n + 1) for _ in range(modulus.degree)]
-        for power, values in zip(powers, _columns("crank", n, len(powers))):
-            for i, x in enumerate(power.residue):
-                if x:
-                    columns[i] = [y + x * c for y, c in zip(columns[i], values)]
-        return tuple(map(tuple, columns))
-
-    held = largest(("crank-coordinates", modulus), order, build)
-    return held if len(held[0]) == order + 1 else tuple(c[:order + 1] for c in held)
+    return _crank_coordinates(order, modulus.coeffs)
 
 
 def _table_series(kind: str, order: int) -> TruncatedSeries:

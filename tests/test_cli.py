@@ -288,7 +288,7 @@ def test_order_cap_refusals_name_the_given_order(capsys, monkeypatch, identity, 
         raise AssertionError("work started before the cap refusal")
 
     for module, names in ((identities, ("largest", "_columns", "partition_count")),
-                          (series, ("crank_coordinates",)),
+                          (series, ("crank_coordinates", "_crank_coordinates")),
                           (dissections, ("largest", "_rhs_coordinates")),
                           (products, ("product_rows",))):
         for name in names:
@@ -984,8 +984,9 @@ def test_import_loads_no_process_machinery():
 
 # what the library loads besides the package, whatever the request
 LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions"]
-# a dissection's route: its right-hand sides' series and quotient rings
-DISSECTION = ["qdissect.dissections", "qdissect.ring", "qdissect.series"]
+# a dissection's route: its right-hand sides' series, in integer
+# coordinates; only a failure witness renders in a quotient ring
+DISSECTION = ["qdissect.dissections", "qdissect.series"]
 
 
 @pytest.mark.parametrize("argv,more", [
@@ -998,8 +999,11 @@ DISSECTION = ["qdissect.dissections", "qdissect.ring", "qdissect.series"]
      ["qdissect.products"]),
     (["verify", "--identity", "crank-columns", "--order", "10"], ["qdissect.recurrences"]),
     (["verify", "--identity", "dissection-2", "--order", "10"], DISSECTION),
+    (["verify", "--identity", "dissection-5", "--order", "10", "--n-root", "3"], DISSECTION),
+    (["verify", "--identity", "dissection-2", "--order", "10", "--perturb-power", "3"],
+     DISSECTION + ["qdissect.ring"]),
     (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "3"],
-     DISSECTION),
+     DISSECTION + ["qdissect.ring"]),
     (["verify", "--identity", "component-4-vanishing", "--order", "10"],
      DISSECTION + ["qdissect.products"]),
     (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),

@@ -246,6 +246,26 @@ def test_right_hand_side_coordinates_are_pinned(identity, order):
     assert digest == RHS_DIGESTS[identity, order]
 
 
+@pytest.mark.parametrize("identity,ring_modulus", [
+    ("dissection-2", PHI8), ("dissection-3", PHI9), ("dissection-5", PHI5)],
+    ids=["dissection-2", "dissection-3", "dissection-5"])
+def test_each_table_modulus_is_its_cyclotomic_ring(identity, ring_modulus):
+    # the table holds plain coefficients, named as the quotient ring prints them
+    assert dissections._DISSECTIONS[identity][1] == ring_modulus.coeffs
+    assert dissections._RING_NAMES[identity] == f"quotient({ring_modulus})"
+
+
+@pytest.mark.parametrize("identity", sorted(dissections._DISSECTIONS))
+def test_each_weight_folds_to_its_projection(identity):
+    # a weight folded through the integer powers of a, against the quotient
+    # ring's projection of the Laurent polynomial
+    _, modulus, components = dissections._DISSECTIONS[identity]
+    powers = series._powers_of_a(modulus)
+    for weight, _ in components:
+        assert dissections._weight_coordinates(weight, powers) == list(
+            Modulus(modulus).project(LaurentPoly(weight)).residue)
+
+
 @pytest.mark.parametrize("identity", sorted(dissections._DISSECTIONS))
 def test_each_right_hand_side_series_is_a_series_in_q_to_the_m(identity):
     # every theta sum f(-q^r, -q^s) of a row is a series in q^m, so every S_k is one
@@ -455,7 +475,8 @@ def refuse_all_work(monkeypatch):
         raise AssertionError("work before the arguments were checked")
 
     for module, names in ((identities, ("stat_table", "_columns", "partition_count", "largest")),
-                          (series, ("crank_coordinates", "partition_gf")),
+                          (series, ("crank_coordinates", "_crank_coordinates",
+                                    "partition_gf")),
                           (dissections, ("_rhs_coordinates", "largest")),
                           (products, ("product_rows",)), (recurrences, ("recurrence_rows",))):
         for name in names:
@@ -629,7 +650,7 @@ def test_dissections_pass_at_every_intermediate_order():
     ):
         assert verify(top).passed                 # warms the caches
         builds = {(identity,): lambda n: _rhs_coordinates(identity, n),
-                  ("crank-coordinates", modulus): lambda n: crank_coordinates(n, modulus)}
+                  ("crank-coordinates", modulus.coeffs): lambda n: crank_coordinates(n, modulus)}
         held = {key: memo._held[key] for key in builds}
         for held_order, coords in held.values():
             assert held_order == top
@@ -656,7 +677,7 @@ def test_held_columns_answer_their_own_order_as_they_are(monkeypatch):
     assert verify_2_dissection(40).passed and verify_crank_gf(30).passed
     assert compared[1][0] is memo._held[("table", "crank")][1].rows
     for key, get in ((("dissection-2",), lambda n: _rhs_coordinates("dissection-2", n)),
-                     (("crank-coordinates", PHI8), lambda n: crank_coordinates(n, PHI8)),
+                     (("crank-coordinates", PHI8.coeffs), lambda n: crank_coordinates(n, PHI8)),
                      (("product", "crank", 0), lambda n: products.product_rows("crank", n))):
         order, held = memo._held[key]
         assert get(order) is held
@@ -666,7 +687,7 @@ def test_held_columns_answer_their_own_order_as_they_are(monkeypatch):
 @pytest.mark.parametrize("root", [2, 3, 4])
 def test_root_mapped_crank_series_held(monkeypatch, root):
     assert verify_5_dissection(60, root).passed
-    held_order, held = memo._held[("crank-coordinates", PHI5)]
+    held_order, held = memo._held[("crank-coordinates", PHI5.coeffs)]
     assert held_order == 60
 
     # a warm request slices what is held: no ring or series arithmetic

@@ -368,7 +368,7 @@ def test_crank_cache_keeps_each_modulus(fresh_crank_cache):
     crank_gf(5)
     assert fresh_crank_cache == [30, 20, 25, 5]
     assert {key[1]: order for key, (order, _) in memo._held.items()
-            if key[0] == "crank-coordinates"} == {PHI8: 30, PHI9: 25}
+            if key[0] == "crank-coordinates"} == {PHI8.coeffs: 30, PHI9.coeffs: 25}
     assert memo._held[("table", "crank")][0] == 5
     for modulus, order in ((PHI8, 30), (PHI9, 25), (None, 5)):
         assert built_crank(order, modulus) == expected_crank(order, modulus)
@@ -421,7 +421,7 @@ def test_roots_share_one_crank_build(monkeypatch):
     # for the specialisation a = 1 in one class
     assert builds == [("columns", 30, 5), ("product", 30, 1),
                       ("columns", 60, 5), ("product", 60, 1)]
-    assert set(memo._held) == {("crank-coordinates", PHI5), ("product", "crank", 1),
+    assert set(memo._held) == {("crank-coordinates", PHI5.coeffs), ("product", "crank", 1),
                                ("dissection-5",)}
 
 
@@ -436,10 +436,22 @@ def test_column_kernel_equals_the_product_class_for_class(kind, build, order):
 
 
 def test_order_of_a_picks_the_packing_ring():
-    assert [len(series._powers_of_a(m)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [8, 9, 5, 1]
+    assert [len(series._powers_of_a(m.coeffs)) for m in (PHI8, PHI9, PHI5, AT_ONE)] == [
+        8, 9, 5, 1]
     # a^n = F(n) a + F(n-1) is never 1
-    with pytest.raises(ValueError, match=f"order <= {2 * TABLE_CAP + 1} modulo a\\^2 - a - 1"):
-        series._powers_of_a(FIBONACCI)
+    with pytest.raises(ValueError, match=f"^a has no multiplicative order <= {2 * TABLE_CAP + 1} "
+                                         f"modulo a\\^2 - a - 1$"):
+        series._powers_of_a(FIBONACCI.coeffs)
+
+
+@pytest.mark.parametrize("modulus", [PHI8, PHI9, PHI5, AT_ONE],
+                         ids=["phi8", "phi9", "phi5", "at-one"])
+def test_powers_of_a_equal_the_projected_monomials(modulus):
+    # the integer table against the quotient ring's own reduction
+    powers = series._powers_of_a(modulus.coeffs)
+    assert powers == [modulus.project(LaurentPoly.monomial(1, j)).residue
+                      for j in range(len(powers))]
+    assert all(type(p) is tuple and len(p) == modulus.degree for p in powers)
 
 
 @pytest.mark.parametrize("order", (0, 1, 10, 100))
