@@ -28,9 +28,9 @@ _HOMES = {name: module for module, names in (
 
 # the library's submodules, also imported on first access as attributes of
 # the package: identities reaches the route it checks that way (products,
-# recurrences, dissections, series), and series and the dissections'
-# witnesses reach qdissect.ring, so that a module loads with the first
-# request that runs it.  An importer of qdissect.cli loads every one of
+# recurrences, dissections, series), and series reaches qdissect.ring for
+# its Laurent rows, so that a module loads with the first request that
+# runs it.  An importer of qdissect.cli loads every one of
 # them at once.
 _SUBMODULES = ("dissections", "identities", "memo", "partitions", "products", "recurrences",
                "ring", "series")

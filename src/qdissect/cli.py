@@ -23,8 +23,9 @@ writer always; the route a verify request checks
 :mod:`qdissect.dissections` with :mod:`qdissect.series` for a
 dissection, and all three for ``component-4-vanishing``, nothing more for
 a congruence or equidistribution check); :mod:`qdissect.rows` only for a
-row command; and :mod:`qdissect.ring` only when the request builds a ring
-object (Laurent rows, or a failing dissection's witness).
+row command; and :mod:`qdissect.ring` only for a request that writes the
+crank rows, which are read as Laurent rows (``coeffs``, ``tables --kind
+crank``, ``dissect --series crank-gf``): no verify request loads it.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _cmd_verify(args) -> int:
             ("order", str(report.order)), ("status", _quote(report.status))))
     else:
         # no field needs quoting: names, ints, pass/fail, and witnesses that
-        # are str of ints, LaurentPoly and QuotientElem, with no comma, quote
-        # or newline
+        # are str of ints or partitions._format_terms/_format_vector text,
+        # with no comma, quote or newline
         sys.stdout.write(
             "identity,order,status,witness_power,witness_expected,witness_actual,witness_ring\n"
             f"{report.identity},{report.order},{report.status},"

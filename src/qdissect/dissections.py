@@ -16,13 +16,14 @@ table the crank side folds by), and its coordinates are kept at the
 largest order built so far in :mod:`qdissect.memo` and sliced down.  Both
 sides are built once, at the root a itself, in plain integers; the
 5-dissection's other primitive roots a -> a^r map only a failure witness,
-which ``_at_root`` renders in :mod:`qdissect.ring`, reached as an
-attribute of the package: a passing check never loads it.  Each ring's
-name, and component-4's witness, are written by
-``partitions._format_vector``, the rule the ring prints by.
+which ``_at_root`` maps in the same integer coordinates, reduced once by
+``series._divstep``, the library's one polynomial remainder: no check,
+passing or failing, builds a ring object.  Each ring's name, and every
+witness, are written by ``partitions._format_vector``, the rule the ring
+prints by.
 ``_verify_component_4`` also reads the 5-dissection's right-hand side, and
 the product route (:mod:`qdissect.products`) at a = 1, which it reaches
-the same way, so a dissection never loads that route.
+as an attribute of the package, so a dissection never loads that route.
 
 The public verifiers are the one-line calls in :mod:`qdissect.identities`.
 Series are called through their home module (``series.theta``), where a
@@ -68,10 +69,6 @@ _DISSECTIONS = {
 _RING_NAMES = {identity: f"quotient({_format_vector(modulus)})"
                for identity, (_, modulus, _) in _DISSECTIONS.items()}
 
-# modulus -> its qdissect.ring.Modulus, built by the first witness that maps
-# a coefficient to a root
-_moduli = {}
-
 
 def _weight_coordinates(weight: dict[int, int], powers: list[tuple]) -> list[int]:
     """The coordinates of sum_e c_e a^e, given those of a^0..a^(M-1): a^e
@@ -116,13 +113,13 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
 
 
 def _at_root(values: tuple, modulus: tuple[int, ...], root: int) -> str:
-    """A witness coefficient, given as its coordinates at the root a,
-    rendered at the root a^root: the one use of :mod:`qdissect.ring`."""
-    ring = qdissect.ring
-    held = _moduli.get(modulus)
-    if held is None:
-        held = _moduli[modulus] = ring.Modulus(modulus)
-    return str(held.project(ring.QuotientElem(values, held).as_laurent().substitute_power(root)))
+    """A witness coefficient, given as its coordinates v_i at the root a,
+    rendered at the root a^root: sum_i v_i a^(i*root), reduced by the
+    modulus (ascending coefficients)."""
+    degree = len(modulus) - 1
+    vec = [0] * ((degree - 1) * root + 1)
+    vec[::root] = values
+    return _format_vector(series._divstep(vec, modulus, degree)[:degree])
 
 
 def _verify_dissection(identity: str, order: int, perturb_power: int | None,

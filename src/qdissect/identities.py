@@ -41,12 +41,12 @@ past ``ORDER_CAP`` (so the congruences and equidistribution cap n_max where
 m*n_max + r would pass it), the table checks none past ``TABLE_CAP``, and a
 perturbation power lies in 0..order.
 
-No verifier builds a ring object on a pass.  The dissections and
-component-4-vanishing compute in integer coordinates, and only a failing
-dissection's witness loads :mod:`qdissect.ring`.  A table check adds its
-perturbation to the a^0 entry of a row dict and renders its witness with
-``partitions._format_terms``, the rule ``LaurentPoly`` prints by, so it
-never loads :mod:`qdissect.ring`.
+No verifier builds a ring object or loads :mod:`qdissect.ring`, passing
+or failing.  The dissections and component-4-vanishing compute, and map a
+failure witness to a root, in integer coordinates, written by
+``partitions._format_vector``.  A table check adds its perturbation to the
+a^0 entry of a row dict and renders its witness with
+``partitions._format_terms``, the rule ``LaurentPoly`` prints by.
 """
 
 from __future__ import annotations

@@ -41,8 +41,7 @@ Kept out, on purpose:
 - The theta powers f(-q^r, -q^s)^e of a dissection's right-hand side:
   one build of its coordinates, which are held, makes each once.
 - ``Modulus._inv_a`` is a per-object constant, not a series built up to
-  an order; so is each ``Modulus`` that ``dissections._moduli`` holds
-  for a witness.
+  an order.
 - Hits and misses are not counted yet: nothing reads such counts.
 """
 

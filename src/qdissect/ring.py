@@ -14,9 +14,9 @@ The quotient moduli used by the dissection identities are cyclotomic:
 (order 9) and ``PHI5 = a^4 + a^3 + a^2 + a + 1`` (order 5).  Working in
 these rings replaces floating-point roots of unity with decidable exact
 equality.  :mod:`qdissect.dissections` holds these moduli as plain
-coefficient tuples and checks the identities in integer coordinates; it
-builds ring objects only to render a failure witness.  The reduction
-(``series._divstep``) and the text of a coefficient vector
+coefficient tuples and checks the identities, and maps a failure witness
+to a root, in integer coordinates; it builds no ring object.  The
+reduction (``series._divstep``) and the text of a coefficient vector
 (``partitions._format_vector``) are shared with that integer code, so
 both write and reduce alike.
 
@@ -72,7 +72,9 @@ class LaurentPoly:
         return dict(self._terms)
 
     def substitute_power(self, k: int) -> "LaurentPoly":
-        """Substitute a -> a^k (k >= 1), e.g. to move to another root of unity."""
+        """Substitute a -> a^k (k >= 1), e.g. to move to another root of unity.
+        No program path calls it; it stays as the tests' oracle of
+        ``dissections._at_root``."""
         _check_order("substitution power", k, 1)
         if k == 1:
             return self
@@ -218,7 +220,9 @@ class Modulus:
         """Canonical residue of a Laurent polynomial in Z[a]/(m(a)).
 
         Negative exponents are cleared by multiplying through by a^k and
-        multiplying the reduced residue by (a^-1)^k afterwards.
+        multiplying the reduced residue by (a^-1)^k afterwards.  No program
+        path projects; this stays as the tests' oracle, and because
+        perfbench/tracer.py patches it by name.
         """
         d = self.degree
         terms = p._terms
@@ -295,6 +299,8 @@ class QuotientElem:
         return self._modulus
 
     def as_laurent(self) -> LaurentPoly:
+        """The residue as a Laurent polynomial; no program path calls it,
+        the tests' oracles do."""
         return LaurentPoly._raw({e: c for e, c in enumerate(self._residue) if c})
 
     def _check(self, other: "QuotientElem") -> None:
@@ -347,9 +353,8 @@ class QuotientElem:
 
     def __mul__(self, other) -> "QuotientElem":
         """No program path multiplies residues (the dissections work in
-        integer coordinates, and their witnesses project no negative
-        exponent); ``project`` and ``**`` use it, and perfbench/tracer.py
-        patches it by name."""
+        integer coordinates); ``project`` of a negative exponent and ``**``
+        use it, and perfbench/tracer.py patches it by name."""
         if isinstance(other, int):
             return QuotientElem._raw(
                 tuple(x * other for x in self._residue), self._modulus

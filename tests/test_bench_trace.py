@@ -32,11 +32,12 @@ REQUESTS = [
     (["verify", "--identity", "dissection-2", "--order", "7"], 2),
 ]
 
-# spans every traced run must show; ring.quotient_inverse and
-# ring.quotient_mul are patched too, but no request calls
-# QuotientElem.inverse or multiplies in a quotient ring (the dissections
-# fold in integer coordinates), so they record no span
-SPANS = ("ring.project", "series.inverse", "series.products",
+# spans every traced run must show; ring.quotient_inverse,
+# ring.quotient_mul and ring.project are patched too, but no request calls
+# QuotientElem.inverse, multiplies in a quotient ring or projects into one
+# (the dissections fold, and map a witness to a root, in integer
+# coordinates), so they record no span
+SPANS = ("series.inverse", "series.products",
          "series.mul", "series.crank_gf", "series.partition_gf", "partitions.lookup",
          "partitions.build_stat_table", "partitions.partition_count",
          "identities.verify_2_dissection", "identities.verify_3_dissection",

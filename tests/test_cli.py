@@ -984,8 +984,8 @@ def test_import_loads_no_process_machinery():
 
 # what the library loads besides the package, whatever the request
 LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions"]
-# a dissection's route: its right-hand sides' series, in integer
-# coordinates; only a failure witness renders in a quotient ring
+# a dissection's route: both sides, and a failure witness at any root, in
+# integer coordinates; no dissection request loads qdissect.ring
 DISSECTION = ["qdissect.dissections", "qdissect.series"]
 
 
@@ -1001,9 +1001,11 @@ DISSECTION = ["qdissect.dissections", "qdissect.series"]
     (["verify", "--identity", "dissection-2", "--order", "10"], DISSECTION),
     (["verify", "--identity", "dissection-5", "--order", "10", "--n-root", "3"], DISSECTION),
     (["verify", "--identity", "dissection-2", "--order", "10", "--perturb-power", "3"],
-     DISSECTION + ["qdissect.ring"]),
+     DISSECTION),
     (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "3"],
-     DISSECTION + ["qdissect.ring"]),
+     DISSECTION),
+    (["verify", "--identity", "dissection-5", "--order", "10", "--n-root", "3",
+      "--perturb-power", "3"], DISSECTION),
     (["verify", "--identity", "component-4-vanishing", "--order", "10"],
      DISSECTION + ["qdissect.products"]),
     (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),
@@ -1068,8 +1070,9 @@ def _timeless(err):
     (["verify", "--identity", "dissection-5", "--order", "10", "--perturb-power", "2"], 1),
     (["verify", "--identity", "dissection-5", "--order", "11"], 2),
     (["tables", "--kind", "crank", "--n-max", "12", "--format", "csv"], 0),
-    # one request per route: the witness of a perturbed table check loads
-    # qdissect.ring in a one-shot process, and the row commands qdissect.rows
+    # one request per route, so each lazily loaded module runs in a one-shot
+    # process: a table check loads qdissect.products, a dissection
+    # qdissect.dissections, the row commands qdissect.rows, coeffs qdissect.ring
     (["verify", "--identity", "crank-gf", "--order", "12", "--perturb-power", "5"], 1),
     (["verify", "--identity", "rank-gf", "--order", "12"], 0),
     (["verify", "--identity", "equidist-rank-7", "--order", "4"], 0),

@@ -266,6 +266,25 @@ def test_each_weight_folds_to_its_projection(identity):
             Modulus(modulus).project(LaurentPoly(weight)).residue)
 
 
+# residues with zeros, small, big and negative coordinates
+RESIDUE_COORDINATES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**80, 2**80))
+
+
+@pytest.mark.parametrize("modulus,roots", [
+    (PHI5, st.sampled_from(FIFTH_ROOTS)), (PHI8, st.integers(1, 17)), (PHI9, st.integers(1, 19))],
+    ids=["phi5", "phi8", "phi9"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_witness_at_a_root_is_the_ring_projection(modulus, roots, data):
+    # the integer witness map against the ring's: substitute a -> a^root in
+    # the residue's Laurent polynomial and project it back
+    values = tuple(data.draw(st.lists(RESIDUE_COORDINATES, min_size=modulus.degree,
+                                      max_size=modulus.degree), label="values"))
+    root = data.draw(roots, label="root")
+    expected = modulus.project(QuotientElem(values, modulus).as_laurent().substitute_power(root))
+    assert dissections._at_root(values, modulus.coeffs, root) == str(expected)
+
+
 @pytest.mark.parametrize("identity", sorted(dissections._DISSECTIONS))
 def test_each_right_hand_side_series_is_a_series_in_q_to_the_m(identity):
     # every theta sum f(-q^r, -q^s) of a row is a series in q^m, so every S_k is one
@@ -690,26 +709,20 @@ def test_root_mapped_crank_series_held(monkeypatch, root):
     held_order, held = memo._held[("crank-coordinates", PHI5.coeffs)]
     assert held_order == 60
 
-    # a warm request slices what is held: no ring or series arithmetic
+    # a warm request slices what is held, and a failing one maps its witness
+    # in integer coordinates: no ring object and no series arithmetic
     def refuse(*args, **kwargs):
         raise AssertionError("ring or series work on a warm request")
 
-    project, substitute_power = Modulus.project, LaurentPoly.substitute_power
-    projected = []
     with monkeypatch.context() as patched:
-        for cls, attr in ((LaurentPoly, "substitute_power"), (Modulus, "project"),
-                          (QuotientElem, "__mul__"), (TruncatedSeries, "__mul__"),
-                          (TruncatedSeries, "inverse")):
+        for cls, attr in ((LaurentPoly, "substitute_power"), (Modulus, "__init__"),
+                          (Modulus, "project"), (QuotientElem, "__init__"),
+                          (QuotientElem, "as_laurent"), (QuotientElem, "__mul__"),
+                          (TruncatedSeries, "__mul__"), (TruncatedSeries, "inverse")):
             patched.setattr(cls, attr, refuse)
         for order in (60, 30, 5):
             assert verify_5_dissection(order, root).passed
-        # a failing one maps its two witness coefficients to the root and
-        # projects them back, and does no other ring or series work
-        patched.setattr(LaurentPoly, "substitute_power", substitute_power)
-        patched.setattr(Modulus, "project",
-                        lambda self, p: projected.append(p) or project(self, p))
         w = verify_5_dissection(30, root, perturb_power=11).failure_witness
-    assert len(projected) == 2
     expected = mapped_crank(30, PHI5, root)[11]
     assert (w.power, w.expected, w.actual) == (11, str(expected), str(expected + 1))
 
