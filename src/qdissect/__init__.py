@@ -27,13 +27,13 @@ _HOMES = {name: module for module, names in (
 ) for name in names.split()}
 
 # the library's submodules, also imported on first access as attributes of
-# the package: identities reaches the route it checks that way (products,
-# recurrences, dissections, series), and series reaches qdissect.ring for
-# its Laurent rows, so that a module loads with the first request that
-# runs it.  An importer of qdissect.cli loads every one of
-# them at once.
+# the package: cli reaches identities and rows that way when a request runs,
+# identities the route it checks (products, recurrences, dissections,
+# series), and series qdissect.ring for its Laurent rows, so that a module
+# loads with the first request that runs it.  An importer of qdissect.cli
+# loads every one of them at once.
 _SUBMODULES = ("dissections", "identities", "memo", "partitions", "products", "recurrences",
-               "ring", "series")
+               "ring", "rows", "series")
 
 
 def __getattr__(name: str):

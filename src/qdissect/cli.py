@@ -9,23 +9,23 @@ strings since they outgrow 64-bit integers quickly.  The JSON text is
 written by :mod:`qdissect.jsontext`; the row commands (``tables``,
 ``dissect``, ``coeffs``) live in :mod:`qdissect.rows`.
 
-What a process loads depends on how it reached this module.  An importer
-(``import qdissect.cli``: the installed ``qdissect`` script, the tests,
-``perfbench/child.py``, ``scripts/verify_all.py``) may serve many
-requests, so the import loads every submodule, and no request imports
-anything.  A ``python -m qdissect.cli`` process serves one request, and
-without cached bytecode it compiles every module it loads, so it loads
-only what its request runs: :mod:`qdissect.identities`,
-:mod:`qdissect.partitions`, :mod:`qdissect.memo` and this module's JSON
-writer always; the route a verify request checks
+A handler reaches its module as an attribute of the package when its
+request runs (``qdissect.identities.verify_...``, ``qdissect.rows.<name>``),
+in every process, so a caller that rebinds a verifier finds it.  An
+importer (``import qdissect.cli``: the ``qdissect`` script, the tests,
+``perfbench/child.py``, ``scripts/verify_all.py``) may serve many requests,
+so the import loads every submodule and no request imports anything.  A
+``python -m qdissect.cli`` process serves one request, and without cached
+bytecode it compiles every module it loads, so it loads only what its
+request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
+:mod:`qdissect.partitions` and :mod:`qdissect.memo` always;
+:mod:`qdissect.identities` for a verify request, with the route it checks
 (:mod:`qdissect.products` for ``crank-gf``/``rank-gf``,
 :mod:`qdissect.recurrences` for ``crank-columns``/``rank-columns``,
-:mod:`qdissect.dissections` with :mod:`qdissect.series` for a
-dissection, and all three for ``component-4-vanishing``, nothing more for
-a congruence or equidistribution check); :mod:`qdissect.rows` only for a
-row command; and :mod:`qdissect.ring` only for a request that writes the
-crank rows, which are read as Laurent rows (``coeffs``, ``tables --kind
-crank``, ``dissect --series crank-gf``): no verify request loads it.
+:mod:`qdissect.dissections` with :mod:`qdissect.series` for a dissection,
+all three for ``component-4-vanishing``); :mod:`qdissect.rows` for a row
+command, with :mod:`qdissect.series` for the crank and euler rows, and
+:mod:`qdissect.ring` too for the crank rows, read as Laurent rows.
 """
 
 from __future__ import annotations
@@ -36,46 +36,50 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .identities import (
-    FIFTH_ROOTS,
-    verify_2_dissection,
-    verify_3_dissection,
-    verify_5_dissection,
-    verify_component_4_vanishing,
-    verify_congruence,
-    verify_crank_columns,
-    verify_crank_gf,
-    verify_equidistribution,
-    verify_rank_columns,
-    verify_rank_gf,
-)
+import qdissect
+
 from .jsontext import _PAD, _emit_json, _object, _quote
+from .partitions import FIFTH_ROOTS
 
 if TYPE_CHECKING:
     import argparse
 
 # identity name -> (default order / n_max, accepts perturb-power, runner)
 IDENTITIES = {
-    "crank-gf": (40, True, lambda o, r, p: verify_crank_gf(o, perturb_power=p)),
-    "rank-gf": (40, True, lambda o, r, p: verify_rank_gf(o, perturb_power=p)),
-    "crank-columns": (100, True, lambda o, r, p: verify_crank_columns(o, perturb_power=p)),
-    "rank-columns": (100, True, lambda o, r, p: verify_rank_columns(o, perturb_power=p)),
-    "congruence-5-4": (20, False, lambda o, r, p: verify_congruence(5, o)),
-    "congruence-7-5": (15, False, lambda o, r, p: verify_congruence(7, o)),
-    "congruence-11-6": (10, False, lambda o, r, p: verify_congruence(11, o)),
+    "crank-gf": (40, True, lambda o, r, p: qdissect.identities.verify_crank_gf(
+        o, perturb_power=p)),
+    "rank-gf": (40, True, lambda o, r, p: qdissect.identities.verify_rank_gf(
+        o, perturb_power=p)),
+    "crank-columns": (100, True, lambda o, r, p: qdissect.identities.verify_crank_columns(
+        o, perturb_power=p)),
+    "rank-columns": (100, True, lambda o, r, p: qdissect.identities.verify_rank_columns(
+        o, perturb_power=p)),
+    "congruence-5-4": (20, False, lambda o, r, p: qdissect.identities.verify_congruence(5, o)),
+    "congruence-7-5": (15, False, lambda o, r, p: qdissect.identities.verify_congruence(7, o)),
+    "congruence-11-6": (10, False, lambda o, r, p: qdissect.identities.verify_congruence(11, o)),
     # (2000 - r) // m: the largest orders whose n = m*order + r stays <= 2000
-    "equidist-crank-5": (399, False, lambda o, r, p: verify_equidistribution("crank", 5, o)),
-    "equidist-crank-7": (285, False, lambda o, r, p: verify_equidistribution("crank", 7, o)),
-    "equidist-crank-11": (181, False, lambda o, r, p: verify_equidistribution("crank", 11, o)),
-    "equidist-rank-5": (399, False, lambda o, r, p: verify_equidistribution("rank", 5, o)),
-    "equidist-rank-7": (285, False, lambda o, r, p: verify_equidistribution("rank", 7, o)),
+    "equidist-crank-5": (399, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "crank", 5, o)),
+    "equidist-crank-7": (285, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "crank", 7, o)),
+    "equidist-crank-11": (181, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "crank", 11, o)),
+    "equidist-rank-5": (399, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "rank", 5, o)),
+    "equidist-rank-7": (285, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "rank", 7, o)),
     # recognized so the refusal is explained, but always a usage error:
     # the rank does not equidistribute modulo 11
-    "equidist-rank-11": (3, False, lambda o, r, p: verify_equidistribution("rank", 11, o)),
-    "dissection-2": (80, True, lambda o, r, p: verify_2_dissection(o, perturb_power=p)),
-    "dissection-3": (81, True, lambda o, r, p: verify_3_dissection(o, perturb_power=p)),
-    "dissection-5": (100, True, lambda o, r, p: verify_5_dissection(o, root_power=r, perturb_power=p)),
-    "component-4-vanishing": (100, False, lambda o, r, p: verify_component_4_vanishing(o)),
+    "equidist-rank-11": (3, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
+        "rank", 11, o)),
+    "dissection-2": (80, True, lambda o, r, p: qdissect.identities.verify_2_dissection(
+        o, perturb_power=p)),
+    "dissection-3": (81, True, lambda o, r, p: qdissect.identities.verify_3_dissection(
+        o, perturb_power=p)),
+    "dissection-5": (100, True, lambda o, r, p: qdissect.identities.verify_5_dissection(
+        o, root_power=r, perturb_power=p)),
+    "component-4-vanishing": (100, False,
+                              lambda o, r, p: qdissect.identities.verify_component_4_vanishing(o)),
 }
 
 
@@ -114,26 +118,13 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# The row commands.  An importer binds them now, after loading every
-# library submodule, so that no request loads a module; a one-shot process
-# loads qdissect.rows only if its request is one of them.
-if __name__ == "__main__":
-    def _loaded_when_run(name: str):
-        """The row command rows.<name>, imported when a request runs it."""
-        def command(args) -> int:
-            from . import rows
-            return getattr(rows, name)(args)
-        return command
-
-    _cmd_tables, _cmd_dissect, _cmd_coeffs = map(_loaded_when_run, ("tables", "dissect", "coeffs"))
-else:
+# An importer loads every library submodule now, so that no request loads
+# one; a one-shot process loads each when its request first reaches it as
+# an attribute of the package, where every handler finds it.
+if __name__ != "__main__":
     from importlib import import_module
-
-    from . import _SUBMODULES
-    # loaded now; the library reaches each as an attribute of the package
-    for _name in _SUBMODULES:
+    for _name in qdissect._SUBMODULES:
         import_module(f"{__package__}.{_name}")
-    from .rows import coeffs as _cmd_coeffs, dissect as _cmd_dissect, tables as _cmd_tables
 
 
 _FORMAT = {"dest": "format", "choices": ("json", "csv"), "default": "json"}
@@ -144,7 +135,8 @@ _FORMAT = {"dest": "format", "choices": ("json", "csv"), "default": "json"}
 # _fast_args() reads it directly for the well-formed requests that make up
 # nearly all traffic, so that they never import or run argparse.
 _COMMANDS = {
-    "tables": (_cmd_tables, "emit p(n), crank or rank counting tables", {
+    "tables": (lambda args: qdissect.rows.tables(args),
+               "emit p(n), crank or rank counting tables", {
         "--kind": {"dest": "kind", "choices": ("p", "crank", "rank"), "required": True},
         "--n-max": {"dest": "n_max", "type": int, "required": True},
         "--modulo": {"dest": "modulo", "type": int, "default": None,
@@ -163,14 +155,15 @@ _COMMANDS = {
                                     "this power of q; the verifier must then fail"},
         "--format": _FORMAT,
     }),
-    "dissect": (_cmd_dissect, "split a named series by exponent residue", {
+    "dissect": (lambda args: qdissect.rows.dissect(args),
+                "split a named series by exponent residue", {
         "--series": {"dest": "series", "choices": ("partition-gf", "crank-gf", "euler"),
                      "required": True},
         "--m": {"dest": "m", "type": int, "required": True},
         "--order": {"dest": "order", "type": int, "default": 20},
         "--format": _FORMAT,
     }),
-    "coeffs": (_cmd_coeffs, "crank generating function coefficients", {
+    "coeffs": (lambda args: qdissect.rows.coeffs(args), "crank generating function coefficients", {
         "--count": {"dest": "count", "type": int, "default": 21,
                     "help": "number of coefficients, starting at q^0"},
         "--format": _FORMAT,

@@ -59,8 +59,8 @@ from typing import TYPE_CHECKING, Callable
 import qdissect
 
 from .memo import largest
-from .partitions import (ORDER_CAP, TABLE_CAP, _check_order, _columns, _format_terms, _Record,
-                         partition_count, stat_table)
+from .partitions import (FIFTH_ROOTS, ORDER_CAP, TABLE_CAP, _check_order, _columns,
+                         _format_terms, _Record, partition_count, stat_table)
 
 if TYPE_CHECKING:
     from .ring import LaurentPoly
@@ -68,8 +68,6 @@ if TYPE_CHECKING:
 # modulus -> the residue r of Ramanujan's congruence p(modulus*n + r) = 0 mod modulus
 RESIDUE_FOR_MODULUS = {5: 4, 7: 5, 11: 6}
 EQUIDISTRIBUTION_MODULI = {"crank": (5, 7, 11), "rank": (5, 7)}
-# a -> a^r for these r sends a primitive 5th root of unity to each of the four
-FIFTH_ROOTS = (1, 2, 3, 4)
 
 
 class FailureWitness(_Record):

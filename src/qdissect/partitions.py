@@ -62,6 +62,10 @@ TABLE_CAP = 300
 # at order 5000 and 12.4 s at 10 000 (2-core VM, CPython 3.11).
 ORDER_CAP = 5000
 
+# a -> a^r for these r sends a primitive 5th root of unity to each of the
+# four: the roots dissection-5 is checked at (``verify --n-root``)
+FIFTH_ROOTS = (1, 2, 3, 4)
+
 
 def _check_order(name: str, value: int, least: int = 0, step: int = 1,
                  cap: int = ORDER_CAP) -> None:

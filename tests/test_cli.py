@@ -983,21 +983,26 @@ def test_import_loads_no_process_machinery():
 
 
 # what the library loads besides the package, whatever the request
-LIBRARY = ["qdissect.identities", "qdissect.jsontext", "qdissect.memo", "qdissect.partitions"]
+LIBRARY = ["qdissect.jsontext", "qdissect.memo", "qdissect.partitions"]
+# what every verify request loads besides; no row command loads it
+VERIFY = ["qdissect.identities"]
 # a dissection's route: both sides, and a failure witness at any root, in
 # integer coordinates; no dissection request loads qdissect.ring
-DISSECTION = ["qdissect.dissections", "qdissect.series"]
+DISSECTION = VERIFY + ["qdissect.dissections", "qdissect.series"]
+# the row commands' module, loaded by no verify request
+ROWS = ["qdissect.rows"]
 
 
 @pytest.mark.parametrize("argv,more", [
-    (["verify", "--identity", "crank-gf", "--order", "10"], ["qdissect.products"]),
-    (["verify", "--identity", "equidist-crank-5", "--order", "6"], []),
-    (["verify", "--identity", "congruence-5-4", "--order", "10"], []),
+    (["verify", "--identity", "crank-gf", "--order", "10"], VERIFY + ["qdissect.products"]),
+    (["verify", "--identity", "equidist-crank-5", "--order", "6"], VERIFY),
+    (["verify", "--identity", "congruence-5-4", "--order", "10"], VERIFY),
     (["verify", "--identity", "crank-gf", "--order", "10", "--perturb-power", "3"],
-     ["qdissect.products"]),
+     VERIFY + ["qdissect.products"]),
     (["verify", "--identity", "rank-gf", "--order", "10", "--perturb-power", "3"],
-     ["qdissect.products"]),
-    (["verify", "--identity", "crank-columns", "--order", "10"], ["qdissect.recurrences"]),
+     VERIFY + ["qdissect.products"]),
+    (["verify", "--identity", "crank-columns", "--order", "10"],
+     VERIFY + ["qdissect.recurrences"]),
     (["verify", "--identity", "dissection-2", "--order", "10"], DISSECTION),
     (["verify", "--identity", "dissection-5", "--order", "10", "--n-root", "3"], DISSECTION),
     (["verify", "--identity", "dissection-2", "--order", "10", "--perturb-power", "3"],
@@ -1008,11 +1013,13 @@ DISSECTION = ["qdissect.dissections", "qdissect.series"]
       "--perturb-power", "3"], DISSECTION),
     (["verify", "--identity", "component-4-vanishing", "--order", "10"],
      DISSECTION + ["qdissect.products"]),
-    (["tables", "--kind", "p", "--n-max", "10"], ["qdissect.rows"]),
-    (["dissect", "--series", "partition-gf", "--m", "2", "--order", "10"], ["qdissect.rows"]),
-    (["dissect", "--series", "euler", "--m", "2", "--order", "10"],
-     ["qdissect.rows", "qdissect.series"]),
-    (["coeffs", "--count", "5"], ["qdissect.ring", "qdissect.rows", "qdissect.series"]),
+    (["tables", "--kind", "p", "--n-max", "10"], ROWS),
+    (["tables", "--kind", "rank", "--n-max", "12", "--modulo", "5"], ROWS),
+    (["dissect", "--series", "partition-gf", "--m", "2", "--order", "10"], ROWS),
+    (["dissect", "--series", "euler", "--m", "2", "--order", "10"], ROWS + ["qdissect.series"]),
+    (["dissect", "--series", "crank-gf", "--m", "2", "--order", "10"],
+     ROWS + ["qdissect.ring", "qdissect.series"]),
+    (["coeffs", "--count", "5"], ROWS + ["qdissect.ring", "qdissect.series"]),
 ])
 def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):
     # python -m qdissect.cli runs the module as __main__, as run_module does
@@ -1071,8 +1078,9 @@ def _timeless(err):
     (["verify", "--identity", "dissection-5", "--order", "11"], 2),
     (["tables", "--kind", "crank", "--n-max", "12", "--format", "csv"], 0),
     # one request per route, so each lazily loaded module runs in a one-shot
-    # process: a table check loads qdissect.products, a dissection
-    # qdissect.dissections, the row commands qdissect.rows, coeffs qdissect.ring
+    # process: a verify request loads qdissect.identities, a table check
+    # qdissect.products, a dissection qdissect.dissections, the row commands
+    # qdissect.rows, coeffs qdissect.ring
     (["verify", "--identity", "crank-gf", "--order", "12", "--perturb-power", "5"], 1),
     (["verify", "--identity", "rank-gf", "--order", "12"], 0),
     (["verify", "--identity", "equidist-rank-7", "--order", "4"], 0),

@@ -1,5 +1,7 @@
+from pathlib import Path
+
 import qdissect
-from qdissect import partitions, ring, series
+from qdissect import cli, identities, partitions, ring, series
 
 
 def test_every_exported_name_resolves():
@@ -40,3 +42,17 @@ def test_the_generic_series_arithmetic_is_gone():
     assert not hasattr(ring.LaurentPoly, "is_palindromic")
     # one order check, the one in partitions
     assert series._check_order is partitions._check_order
+
+
+def test_the_preload_names_every_library_module():
+    # an importer of qdissect.cli loads each of _SUBMODULES before its first
+    # request, so a module missing there would load inside a request; cli
+    # is that importer, and it imports jsontext itself
+    files = {path.stem for path in Path(qdissect.__file__).parent.glob("*.py")}
+    assert sorted(qdissect._SUBMODULES) == sorted(files - {"__init__", "cli", "jsontext"})
+
+
+def test_the_fifth_roots_have_one_definition():
+    # beside ORDER_CAP, which every request loads; identities re-exports it
+    assert identities.FIFTH_ROOTS is partitions.FIFTH_ROOTS
+    assert cli._COMMANDS["verify"][2]["--n-root"]["choices"] is partitions.FIFTH_ROOTS

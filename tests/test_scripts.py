@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,26 @@ def test_registry_equidistribution_orders_and_refusals():
         if name not in verify_all.REFUSED:
             assert IDENTITIES[name][0] == (2000 - RESIDUE_FOR_MODULUS[m]) // m, name
     assert len(equidist) - len(verify_all.REFUSED) == 5
+
+
+def test_request_nodes_reports_what_a_one_shot_request_compiles():
+    def nodes(stem):
+        source = (ROOT / "src" / "qdissect" / f"{stem}.py").read_text()
+        return sum(1 for _ in ast.walk(ast.parse(source)))
+
+    result = run_script("request_nodes.py", "tables --kind p --n-max 10",
+                        "verify --identity crank-gf --order ten")
+    assert result.returncode == 0, result.stderr
+    *requests, whole = result.stdout.splitlines()
+    found = [re.fullmatch(r"(.*): exit (\d+), ([\d,]+) nodes \((.*)\)", line).groups()
+             for line in requests]
+    # a row command loads no verifier; a usage error loads neither kind
+    assert [(request, code, modules) for request, code, _, modules in found] == [
+        ("tables --kind p --n-max 10", "0", "qdissect, cli, jsontext, memo, partitions, rows"),
+        ("verify --identity crank-gf --order ten", "2",
+         "qdissect, cli, jsontext, memo, partitions")]
+    for _, _, count, modules in found:
+        stems = ["__init__" if m == "qdissect" else m for m in modules.split(", ")]
+        assert int(count.replace(",", "")) == sum(map(nodes, stems))
+    package = sum(nodes(path.stem) for path in (ROOT / "src" / "qdissect").glob("*.py"))
+    assert whole == f"whole package: {package:,} nodes"
