@@ -29,8 +29,9 @@ _HOMES = {name: module for module, names in (
 # the library's submodules, also imported on first access as attributes of
 # the package: cli reaches identities and rows that way when a request runs,
 # identities the route it checks (products, recurrences, dissections,
-# series), and series qdissect.ring for its Laurent rows, so that a module
-# loads with the first request that runs it.  An importer of qdissect.cli
+# series), rows series for the euler rows, and series qdissect.ring for
+# its Laurent rows, which no request reads, so that a module loads with the
+# first request that runs it.  An importer of qdissect.cli
 # loads every one of them at once.
 _SUBMODULES = ("dissections", "identities", "memo", "partitions", "products", "recurrences",
                "ring", "rows", "series")

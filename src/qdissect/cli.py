@@ -24,8 +24,8 @@ request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
 :mod:`qdissect.recurrences` for ``crank-columns``/``rank-columns``,
 :mod:`qdissect.dissections` with :mod:`qdissect.series` for a dissection,
 all three for ``component-4-vanishing``); :mod:`qdissect.rows` for a row
-command, with :mod:`qdissect.series` for the crank and euler rows, and
-:mod:`qdissect.ring` too for the crank rows, read as Laurent rows.
+command, with :mod:`qdissect.series` for the euler rows.  No request loads
+:mod:`qdissect.ring`: the crank and rank rows are the statistic table's.
 """
 
 from __future__ import annotations

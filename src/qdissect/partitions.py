@@ -166,7 +166,7 @@ class Partition(_Record):
     def __init__(self, parts: tuple[int, ...] = ()):
         prev = None
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError("parts must be positive integers")
             if prev is not None and p > prev:
                 raise ValueError("parts must be weakly decreasing")

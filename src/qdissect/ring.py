@@ -46,7 +46,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[int, int] = {}
         for e, c in items:
-            if not isinstance(e, int) or not isinstance(c, int):
+            if type(e) is not int or type(c) is not int:
                 raise TypeError("exponents and coefficients must be int")
             if c:
                 v = clean.get(e, 0) + c
@@ -177,7 +177,7 @@ class Modulus:
 
     def __init__(self, coeffs: Iterable[int]):
         coeffs = tuple(coeffs)
-        if not all(isinstance(c, int) for c in coeffs):
+        if not all(type(c) is int for c in coeffs):
             raise TypeError("modulus coefficients must be int")
         if len(coeffs) < 2:
             raise ValueError("modulus must have degree >= 1")
@@ -203,7 +203,7 @@ class Modulus:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "QuotientElem":
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise TypeError("the constant must be an int")
         return QuotientElem._raw((n,) + (0,) * (self.degree - 1), self)
 
@@ -276,7 +276,7 @@ class QuotientElem:
 
     def __init__(self, residue: Iterable[int], modulus: Modulus):
         residue = tuple(residue)
-        if not all(isinstance(c, int) for c in residue):
+        if not all(type(c) is int for c in residue):
             raise TypeError("residue coefficients must be int")
         if len(residue) != modulus.degree:
             raise ValueError("residue length must equal the modulus degree")

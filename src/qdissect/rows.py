@@ -6,11 +6,13 @@ the CLI writes (``_held_rows``), or folds of a statistic table.
 ``python -m qdissect.cli`` process loads this module only for a request
 that is one of them.  So this module does not import ``qdissect.cli``:
 under ``-m`` that would compile and run ``cli.py`` a second time.  The
-kernels are called as ``qdissect.series.crank_gf``,
-``qdissect.series.euler_product`` and ``partitions.partition_count``, where
-a caller that rebinds those names (perfbench's tracer) finds them; the
-series are reached as an attribute of the package, so the p rows never
-load :mod:`qdissect.series`.
+crank and rank rows are the rows of the held statistic table, the dicts
+``partitions.stat_table`` keeps, read alike; no row is a ring object.  The
+p and euler kernels are called as ``partitions.partition_count`` and
+``qdissect.series.euler_product``, where a caller that rebinds those names
+(perfbench's tracer) finds them; the series are reached as an attribute
+of the package, so only the euler rows load :mod:`qdissect.series`, and
+no row command loads :mod:`qdissect.ring`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, lis
             template % (v, n) for n, v in enumerate(values, start)]
         lines = [f"{n},{c}\n" for n, c in enumerate(counts, start)]
     else:
-        rows = ([p._terms for p in qdissect.series.crank_gf(n_max).coefficients[start:]]
-                if kind == "crank" else stat_table(kind, n_max).rows[start:n_max + 1])
+        rows = stat_table(kind, n_max).rows[start:n_max + 1]
         # a member sorts as its key does: '"' sorts before "-" and the digits;
         # no row is empty, since row n counts the p(n) >= 1 partitions of n
         members = [sorted([f'"{m}": "{c}"' for m, c in row.items()]) for row in rows]

@@ -31,15 +31,18 @@ is refused.  The other two routes to the crank and rank live in modules
 of their own and use nothing here: the product formulas in
 :mod:`qdissect.products`, the recurrences in :mod:`qdissect.recurrences`.
 So a check of the table against one of them never loads this module; the
-dissections' right-hand sides (:mod:`qdissect.dissections`) and
-``coeffs`` do.  Every int argument passes ``partitions._check_order``
+dissections' right-hand sides (:mod:`qdissect.dissections`) and the euler
+rows of ``dissect`` do.  Every int argument passes ``partitions._check_order``
 before any work: no order past ORDER_CAP.
 
 Only ``crank_gf``/``rank_gf`` build ring objects (Laurent rows), and
 ``crank_coordinates`` reads the ``Modulus`` class to check its argument;
 they reach :mod:`qdissect.ring` as an attribute of the package, which
 imports it on first access, so the other series and the dissections'
-integer kernel (``_crank_coordinates``) never load it.
+integer kernel (``_crank_coordinates``) never load it.  No program path
+calls any of the three: the row commands read the crank and rank rows
+from the statistic tables themselves, so no request loads
+:mod:`qdissect.ring`.
 """
 
 from __future__ import annotations
@@ -84,14 +87,23 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self._coeffs)
 
+    def _int_coeffs(self) -> tuple[int, ...]:
+        # the arithmetic would run a float as a float and a bool as 0 or 1
+        for c in self._coeffs:
+            if type(c) is not int:
+                raise TypeError(f"series arithmetic takes int coefficients, not {c!r}")
+        return self._coeffs
+
     def __mul__(self, other) -> "TruncatedSeries":
-        """The product, cut to the smaller order."""
+        """The product, cut to the smaller order; a coefficient that is not
+        an int is refused before any work."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        y = other._coeffs[:n]
+        x, y = self._int_coeffs(), other._int_coeffs()
+        n = min(len(x), len(y))
+        y = y[:n]
         out = [0] * n
-        for i, xi in enumerate(self._coeffs[:n]):
+        for i, xi in enumerate(x[:n]):
             if xi:
                 for j, yj in enumerate(y[:n - i], i):
                     if yj:
@@ -101,11 +113,12 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse through the truncation order.
 
-        The constant term y_0 must equal 1 or -1 (ValueError otherwise), so
-        it is its own inverse; the rest follows from the recurrence
+        Every coefficient must be an int (TypeError otherwise) and the
+        constant term y_0 must equal 1 or -1 (ValueError otherwise), so it
+        is its own inverse; the rest follows from the recurrence
         y_n = -y_0 * sum c_k y_{n-k}.
         """
-        c = self._coeffs
+        c = self._int_coeffs()
         y0 = c[0]
         if not (y0 == 1 or y0 == -1):
             raise ValueError(f"constant term {y0} is not 1 or -1")
@@ -132,6 +145,20 @@ def euler_product(order: int) -> TruncatedSeries:
     return theta(1, 2, order)
 
 
+def _pochhammer(z, exponents: range, order: int) -> TruncatedSeries:
+    # prod over the exponents e (each <= order) of (1 - z q^e), each factor
+    # multiplied in place, highest coefficient first; at e = 0 that reads
+    # every coefficient c as it writes c - z*c
+    zero = z * 0
+    out = [zero + 1] + [zero] * order
+    for e in exponents:
+        for n in range(order, e - 1, -1):
+            c = out[n - e]
+            if c:
+                out[n] = out[n] - z * c
+    return TruncatedSeries(out)
+
+
 def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
     """Infinite product prod_{k>=0} (1 - z q^(start + k*step)), truncated.
 
@@ -144,18 +171,7 @@ def pochhammer_inf(z, start: int, step: int, order: int) -> TruncatedSeries:
     _check_order("start", start, 1)
     _check_order("step", step, 1)
     _check_order("order", order)
-    zero = z * 0
-    out = [zero] * (order + 1)
-    out[0] = zero + 1
-    e = start
-    while e <= order:
-        # multiply by (1 - z q^e) in place, highest coefficient first
-        for n in range(order, e - 1, -1):
-            c = out[n - e]
-            if c:
-                out[n] = out[n] - z * c
-        e += step
-    return TruncatedSeries(tuple(out))
+    return _pochhammer(z, range(start, order + 1, step), order)
 
 
 def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries:
@@ -169,26 +185,7 @@ def pochhammer_fin(z, count: int, order: int, start: int = 0) -> TruncatedSeries
     _check_order("count", count)
     _check_order("order", order)
     _check_order("start", start)
-    zero = z * 0
-    one = zero + 1
-    out = [zero] * (order + 1)
-    out[0] = one
-    for k in range(count):
-        e = start + k
-        if e > order:
-            break
-        if e == 0:
-            # constant factor (1 - z)
-            w = one - z
-            for n in range(order + 1):
-                if out[n]:
-                    out[n] = out[n] * w
-            continue
-        for n in range(order, e - 1, -1):
-            c = out[n - e]
-            if c:
-                out[n] = out[n] - z * c
-    return TruncatedSeries(tuple(out))
+    return _pochhammer(z, range(start, min(start + count, order + 1)), order)
 
 
 def theta(r: int, s: int, order: int) -> TruncatedSeries:
@@ -303,7 +300,8 @@ def crank_gf(order: int) -> TruncatedSeries:
     coefficient counts partitions of n by crank m (with the usual signed
     conventions at n <= 1): row n of the crank table, refused beyond
     TABLE_CAP before any work.  crank_coordinates gives the series in a
-    quotient ring.
+    quotient ring.  No program path calls it (the CLI reads the crank table
+    itself); it stays because perfbench/tracer.py patches it by name.
     """
     return _table_series("crank", order)
 

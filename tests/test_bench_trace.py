@@ -33,12 +33,15 @@ REQUESTS = [
 ]
 
 # spans every traced run must show; ring.quotient_inverse,
-# ring.quotient_mul and ring.project are patched too, but no request calls
-# QuotientElem.inverse, multiplies in a quotient ring or projects into one
-# (the dissections fold, and map a witness to a root, in integer
-# coordinates), so they record no span
+# ring.quotient_mul, ring.project and series.crank_gf are patched too, but
+# no request calls QuotientElem.inverse, multiplies in a quotient ring or
+# projects into one (the dissections fold, and map a witness to a root, in
+# integer coordinates), nor reads the crank rows as a Laurent series (the
+# row commands read the crank table's rows, as they read the rank table's),
+# so they record no span; test_tracer_patches_every_name_it_names keeps
+# their names
 SPANS = ("series.inverse", "series.products",
-         "series.mul", "series.crank_gf", "series.partition_gf", "partitions.lookup",
+         "series.mul", "series.partition_gf", "partitions.lookup",
          "partitions.build_stat_table", "partitions.partition_count",
          "identities.verify_2_dissection", "identities.verify_3_dissection",
          "identities.verify_5_dissection", "identities.verify_equidistribution",
@@ -56,3 +59,46 @@ def test_traced_child_runs_every_kind_of_request():
     totals = reply["trace"]["totals"]
     for name in SPANS:
         assert totals.get(name, [0])[0] > 0, name
+
+
+# every function and method the tracer patches, as its home names it
+PATCHED = """
+import json
+import tracer
+from qdissect import cli, identities, partitions, ring, series
+
+tracer.install(tracer.Tracer())
+names = {
+    **{f"ring.{cls.__name__}.{attr}": getattr(cls, attr) for cls, attrs in (
+        (ring.LaurentPoly, ("__mul__", "__rmul__")),
+        (ring.QuotientElem, ("__mul__", "__rmul__", "inverse")),
+        (ring.Modulus, ("project",))) for attr in attrs},
+    "series.TruncatedSeries.__mul__": series.TruncatedSeries.__mul__,
+    "series.TruncatedSeries.inverse": series.TruncatedSeries.inverse,
+    **{f"series.{attr}": getattr(series, attr) for attr in (
+        "euler_product", "pochhammer_inf", "pochhammer_fin", "theta", "crank_gf", "rank_gf",
+        "partition_gf")},
+    **{f"partitions.{attr}": getattr(partitions, attr) for attr in (
+        "build_stat_table", "partition_count", "enumerate_partitions")},
+    "partitions.StatTable.row": partitions.StatTable.row,
+    "partitions.StatTable.count_mod": partitions.StatTable.count_mod,
+    **{f"identities.{attr}": getattr(identities, attr) for attr in (
+        "verify_crank_gf", "verify_rank_gf", "verify_congruence", "verify_equidistribution",
+        "verify_2_dissection", "verify_3_dissection", "verify_5_dissection",
+        "verify_component_4_vanishing", "crank_coefficients")},
+    "cli.main": cli.main,
+}
+print(json.dumps(sorted(name for name, value in names.items()
+                        if not hasattr(value, "__wrapped__"))))
+"""
+
+
+def test_tracer_patches_every_name_it_names():
+    # the traced run above records a span only for what a request calls;
+    # this holds the names no request reaches (a renamed one fails here)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"),
+                                                       str(ROOT / "perfbench"))))
+    proc = subprocess.run([sys.executable, "-c", PATCHED], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

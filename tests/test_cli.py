@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from qdissect import (cli, dissections, identities, jsontext, memo, partitions, products,
                       recurrences, rows, series)
 from qdissect.cli import IDENTITIES, main
+from qdissect.ring import LaurentPoly
 from qdissect.series import crank_gf, euler_product, partition_gf
 
 # a small valid order for every identity that accepts --perturb-power
@@ -786,6 +787,23 @@ def test_output_bytes_pinned_when_rows_are_held(capsys):
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
 
 
+def test_crank_rows_build_no_ring_object(capsys, monkeypatch):
+    # the crank rows are the table's rows, as the rank rows are: no request
+    # reads them through crank_gf or wraps one as a Laurent polynomial
+    def refuse(*args):
+        raise AssertionError("a crank row went through the Laurent series")
+
+    monkeypatch.setattr(series, "crank_gf", refuse)
+    monkeypatch.setattr(LaurentPoly, "_raw", refuse)
+    requests = [(r, d) for r, d in GOLDEN if r.startswith(("coeffs", "dissect --series crank-gf"))
+                or r.startswith("tables --kind crank") and "--modulo" not in r]
+    assert {r.split()[0] for r, _ in requests} == {"tables", "dissect", "coeffs"}
+    assert {"--format csv" in r for r, _ in requests} == {False, True}
+    for request_line, digest in requests:
+        code, out, _ = run_cli(capsys, *request_line.split())
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, request_line
+
+
 # dissects past the table cap, recorded when the CLI still held their rows
 PAST_THE_CAP = [
     ("dissect --series partition-gf --m 7 --order 1000",
@@ -1017,9 +1035,9 @@ ROWS = ["qdissect.rows"]
     (["tables", "--kind", "rank", "--n-max", "12", "--modulo", "5"], ROWS),
     (["dissect", "--series", "partition-gf", "--m", "2", "--order", "10"], ROWS),
     (["dissect", "--series", "euler", "--m", "2", "--order", "10"], ROWS + ["qdissect.series"]),
-    (["dissect", "--series", "crank-gf", "--m", "2", "--order", "10"],
-     ROWS + ["qdissect.ring", "qdissect.series"]),
-    (["coeffs", "--count", "5"], ROWS + ["qdissect.ring", "qdissect.series"]),
+    (["tables", "--kind", "crank", "--n-max", "8"], ROWS),
+    (["dissect", "--series", "crank-gf", "--m", "2", "--order", "10"], ROWS),
+    (["coeffs", "--count", "5"], ROWS),
 ])
 def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):
     # python -m qdissect.cli runs the module as __main__, as run_module does

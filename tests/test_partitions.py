@@ -39,6 +39,10 @@ def test_partition_validation():
         Partition((1, 2))        # increasing
     with pytest.raises(ValueError):
         Partition((2, 0))        # nonpositive part
+    # no silent coercion: True is not read as the part 1, nor 2.0 as 2
+    for parts in ((True, True), (2, True), (2.0,)):
+        with pytest.raises(ValueError, match="^parts must be positive integers$"):
+            Partition(parts)
 
 
 def test_enumeration_order_and_content():

@@ -28,8 +28,8 @@ def test_canonical_form_drops_zeros():
     assert LaurentPoly({5: 0}) == ZERO
     assert not ZERO
     assert ONE
-    # no silent coercion: neither 0.5 nor 1.0 is read as an int
-    for terms in ({1: 0.5}, {1.0: 1}, {1: "2"}):
+    # no silent coercion: neither 0.5 nor 1.0 is read as an int, nor True as 1
+    for terms in ({1: 0.5}, {1.0: 1}, {1: "2"}, {1: True}, {True: 1}):
         with pytest.raises(TypeError, match="^exponents and coefficients must be int$"):
             LaurentPoly(terms)
 
@@ -128,11 +128,11 @@ def test_modulus_validation():
     with pytest.raises(ValueError):
         Modulus((2, 0, 1))       # constant term not a unit
     assert Modulus((-1, 0, 1)).degree == 2
-    # no silent coercion: 0.5 is not read as 0, nor 1.9 as 1
-    for coeffs in ([1, 0.5, 1], [1.9, 0, 1], [1, 0, 1.0], ["1", 0, 1]):
+    # no silent coercion: 0.5 is not read as 0, nor 1.9 as 1, nor True as 1
+    for coeffs in ([1, 0.5, 1], [1.9, 0, 1], [1, 0, 1.0], ["1", 0, 1], [1, True], [True, 1]):
         with pytest.raises(TypeError, match="^modulus coefficients must be int$"):
             Modulus(coeffs)
-    for n in (1.7, 2.0, "2"):
+    for n in (1.7, 2.0, "2", True, False):
         with pytest.raises(TypeError, match="^the constant must be an int$"):
             PHI5.from_int(n)
 
@@ -189,8 +189,8 @@ def test_modulus_mismatch_rejected():
 def test_residue_length_checked():
     with pytest.raises(ValueError):
         QuotientElem((1, 2), PHI8)
-    # no silent coercion: 1.7 is not read as 1
-    for residue in ((1.7, 0, 0, 0), (1, 0, 0, 2.0), ("1", 0, 0, 0)):
+    # no silent coercion: 1.7 is not read as 1, nor True as 1
+    for residue in ((1.7, 0, 0, 0), (1, 0, 0, 2.0), ("1", 0, 0, 0), (True, 0, 0, 0)):
         with pytest.raises(TypeError, match="^residue coefficients must be int$"):
             QuotientElem(residue, PHI5)
 

@@ -169,6 +169,17 @@ def test_empty_series_refused():
         TruncatedSeries(())
 
 
+@pytest.mark.parametrize("coeffs,bad", [((1, 0.5), 0.5), ((1.0, 1), 1.0), ((1, True), True),
+                                       ((True,), True), ((1, ONE), ONE)])
+def test_arithmetic_refuses_a_coefficient_that_is_not_an_int(coeffs, bad):
+    # no float runs as a float, no bool as 0 or 1, whichever side holds it
+    message = re.escape(f"series arithmetic takes int coefficients, not {bad!r}")
+    x = TruncatedSeries(coeffs)
+    for run in (x.inverse, lambda: x * S(1, 1), lambda: S(1, 1) * x):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            run()
+
+
 # --- inversion -----------------------------------------------------------------
 
 def test_invert_geometric():
@@ -258,6 +269,19 @@ def test_pochhammer_fin_examples():
     assert pochhammer_fin(1, 1, 2, start=0) == S(0, 0, 0)
     with pytest.raises(ValueError, match="order must be >= 0"):
         pochhammer_fin(1, 1, -1)
+
+
+@pytest.mark.parametrize("z,zero,one", [(A, ZERO, ONE), (-2, 0, 1)])
+def test_pochhammer_products_equal_the_oracle_product(z, zero, one):
+    # every factor past the order dropped, and at start = 0 the constant (1 - z)
+    for order in range(6):
+        for start in range(4):
+            for count in range(5):
+                assert pochhammer_fin(z, count, order, start).coefficients == tuple(
+                    product(z, range(start, start + count), order + 1, zero, one))
+            for step in range(1, 4):
+                assert pochhammer_inf(z, start + 1, step, order).coefficients == tuple(
+                    product(z, range(start + 1, order + 1, step), order + 1, zero, one))
 
 
 def test_theta_examples():
