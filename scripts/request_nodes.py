@@ -12,7 +12,11 @@ with ``run_name='__main__'``), with this checkout's ``src`` first on
 exit code, the syntax-tree nodes of the ``qdissect`` modules it loaded
 (the package and ``cli`` included), and those modules.  Without cached bytecode a
 process compiles every module it loads, so that total is what a cold
-request compiles.  A last line gives the nodes of the whole package.
+request compiles.  Then a line gives the same for an importer
+(``import qdissect.cli``, the ``qdissect`` script and every caller that
+serves many requests in one process), which loads every module a request
+can reach before its first request, and a last line the nodes of the
+whole package.
 """
 
 import argparse
@@ -38,6 +42,14 @@ except SystemExit as exit:
           file=sys.stderr)
 """
 
+# an importer's modules, after the import alone
+IMPORT_PROBE = """\
+import json, sys
+import qdissect.cli
+print(json.dumps(sorted(m for m in sys.modules if m == 'qdissect' or m.startswith('qdissect.'))),
+      file=sys.stderr)
+"""
+
 
 def nodes(module: str) -> int:
     """Syntax-tree nodes of the source of a qdissect module or the package."""
@@ -45,17 +57,28 @@ def nodes(module: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())))
 
 
+def run_probe(code: str, *args: str):
+    """The JSON of the last stderr line of a fresh interpreter running code
+    with args, with this checkout's src first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True, timeout=120)
+    return json.loads(done.stderr.splitlines()[-1])
+
+
 def loaded(argv: list[str]) -> tuple[int, list[str]]:
     """The exit code of one one-shot request and the qdissect modules it
     compiled: the ones it loaded and the CLI module it ran."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          check=True, timeout=120)
-    code, modules = json.loads(done.stderr.splitlines()[-1])
+    code, modules = run_probe(PROBE, json.dumps(argv))
     # cli.py ran as __main__, so it is not in sys.modules under its name
     return code, sorted({*modules, "qdissect.cli"})
+
+
+def line(modules: list[str]) -> str:
+    """The nodes of the modules, and their names."""
+    names = ", ".join(m.partition(".")[2] or m for m in modules)
+    return f"{sum(map(nodes, modules)):,} nodes ({names})"
 
 
 def main() -> int:
@@ -64,8 +87,8 @@ def main() -> int:
                         help='one quoted request each, e.g. "coeffs --count 5"')
     for request in parser.parse_args().requests:
         code, modules = loaded(request.split())
-        names = ", ".join(m.partition(".")[2] or m for m in modules)
-        print(f"{request}: exit {code}, {sum(map(nodes, modules)):,} nodes ({names})")
+        print(f"{request}: exit {code}, {line(modules)}")
+    print(f"import qdissect.cli: {line(run_probe(IMPORT_PROBE))}")
     package = sum(nodes(f"qdissect.{path.stem}") for path in PACKAGE.glob("*.py"))
     print(f"whole package: {package:,} nodes")
     return 0

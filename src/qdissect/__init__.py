@@ -1,11 +1,13 @@
 """qdissect: exact q-series arithmetic for partition statistics.
 
-Expands the crank and rank generating functions over Laurent polynomials
-and cyclotomic quotient rings, counts partitions by statistic by three
-routes (column form, product formula, integer recurrences), and
+Counts partitions by crank and rank by three routes (the statistic table's
+columns, the product formulas, integer recurrences), expands the crank
+series in the integer coordinates of the cyclotomic quotient rings, and
 mechanically verifies the classical congruences, equidistribution
 theorems and 2-/3-/5-dissections, all in arbitrary-precision integer
-arithmetic with no floats anywhere.
+arithmetic with no floats anywhere.  The ring objects
+(:mod:`qdissect.ring`: Laurent polynomials, quotient-ring residues) are
+there for callers and the tests; no request builds one.
 """
 
 import importlib
@@ -26,22 +28,23 @@ _HOMES = {name: module for module, names in (
                "pochhammer_fin pochhammer_inf rank_gf theta"),
 ) for name in names.split()}
 
-# the library's submodules, also imported on first access as attributes of
-# the package: cli reaches identities and rows that way when a request runs,
-# identities the route it checks (products, recurrences, dissections,
-# series), rows series for the euler rows, and series qdissect.ring for
-# its Laurent rows, which no request reads, so that a module loads with the
-# first request that runs it.  An importer of qdissect.cli
-# loads every one of them at once.
-_SUBMODULES = ("dissections", "identities", "memo", "partitions", "products", "recurrences",
-               "ring", "rows", "series")
+# the library modules a request can reach, also imported on first access as
+# attributes of the package: cli reaches identities and rows that way when a
+# request runs, identities the route it checks (products, recurrences,
+# dissections, series), rows series for the euler rows, so that a module
+# loads with the first request that runs it.  An importer of qdissect.cli
+# loads every one of them at once.  qdissect.ring is not among them: only
+# series' Laurent rows reach it, which no request reads, so it loads on
+# first access (``qdissect.ring``, a public name it defines, or an import).
+_REQUEST_MODULES = ("dissections", "identities", "memo", "partitions", "products",
+                    "recurrences", "rows", "series")
 
 
 def __getattr__(name: str):
-    """A public name or a library submodule, imported on first access; a
+    """A public name or a library module, imported on first access; a
     public name is then kept here, so later lookups find it directly."""
     home = _HOMES.get(name)
-    if home is None and name not in _SUBMODULES:
+    if home is None and name not in _REQUEST_MODULES and name not in _HOMES.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f"{__name__}.{home or name}")
     if home is None:
@@ -51,7 +54,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_HOMES, *_SUBMODULES})
+    return sorted({*globals(), *_HOMES, *_HOMES.values(), *_REQUEST_MODULES})
 
 
 __version__ = "0.1.0"

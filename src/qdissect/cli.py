@@ -14,7 +14,8 @@ request runs (``qdissect.identities.verify_...``, ``qdissect.rows.<name>``),
 in every process, so a caller that rebinds a verifier finds it.  An
 importer (``import qdissect.cli``: the ``qdissect`` script, the tests,
 ``perfbench/child.py``, ``scripts/verify_all.py``) may serve many requests,
-so the import loads every submodule and no request imports anything.  A
+so the import loads every module a request can reach
+(``qdissect._REQUEST_MODULES``) and no request imports anything.  A
 ``python -m qdissect.cli`` process serves one request, and without cached
 bytecode it compiles every module it loads, so it loads only what its
 request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
@@ -25,7 +26,8 @@ request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
 :mod:`qdissect.dissections` with :mod:`qdissect.series` for a dissection,
 all three for ``component-4-vanishing``); :mod:`qdissect.rows` for a row
 command, with :mod:`qdissect.series` for the euler rows.  No request loads
-:mod:`qdissect.ring`: the crank and rank rows are the statistic table's.
+:mod:`qdissect.ring`, in either kind of process (the crank and rank rows
+are the statistic table's), so not even an importer compiles it.
 """
 
 from __future__ import annotations
@@ -118,12 +120,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# An importer loads every library submodule now, so that no request loads
-# one; a one-shot process loads each when its request first reaches it as
-# an attribute of the package, where every handler finds it.
+# An importer loads every module a request can reach now, so that no
+# request loads one; a one-shot process loads each when its request first
+# reaches it as an attribute of the package, where every handler finds it.
 if __name__ != "__main__":
     from importlib import import_module
-    for _name in qdissect._SUBMODULES:
+    for _name in qdissect._REQUEST_MODULES:
         import_module(f"{__package__}.{_name}")
 
 

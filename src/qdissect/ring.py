@@ -37,7 +37,8 @@ class LaurentPoly:
 
     Stored as a mapping exponent -> coefficient with no zero coefficients;
     the zero polynomial has an empty mapping.  Supports +, -, * and exact
-    equality.  Integers coerce in arithmetic (``p - 1``, ``2 * p``).
+    equality.  Integers, but not bools, coerce in arithmetic (``p - 1``,
+    ``2 * p``).
     """
 
     __slots__ = ("_terms",)
@@ -98,7 +99,7 @@ class LaurentPoly:
         return hash(t.get(0, 0))
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.monomial(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -120,7 +121,7 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.monomial(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -132,7 +133,7 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         """No program path multiplies Laurent polynomials; this stays
         because perfbench/tracer.py patches it by name."""
-        if isinstance(other, int):
+        if type(other) is int:
             if not other:
                 return _LP_ZERO
             return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
@@ -327,7 +328,7 @@ class QuotientElem:
         return hash(r[0])
 
     def __add__(self, other) -> "QuotientElem":
-        if isinstance(other, int):
+        if type(other) is int:
             other = self._modulus.from_int(other)
         if not isinstance(other, QuotientElem):
             return NotImplemented
@@ -342,7 +343,7 @@ class QuotientElem:
         return QuotientElem._raw(tuple(-x for x in self._residue), self._modulus)
 
     def __sub__(self, other) -> "QuotientElem":
-        if isinstance(other, int):
+        if type(other) is int:
             other = self._modulus.from_int(other)
         if not isinstance(other, QuotientElem):
             return NotImplemented
@@ -355,7 +356,7 @@ class QuotientElem:
         """No program path multiplies residues (the dissections work in
         integer coordinates); ``project`` of a negative exponent and ``**``
         use it, and perfbench/tracer.py patches it by name."""
-        if isinstance(other, int):
+        if type(other) is int:
             return QuotientElem._raw(
                 tuple(x * other for x in self._residue), self._modulus
             )

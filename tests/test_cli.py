@@ -988,16 +988,63 @@ def test_import_loads_no_process_machinery():
                            text=True, check=True, timeout=60).stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
-    # an importer may serve many requests, so the import loads every
-    # submodule and no request loads one; the package alone loads none
+    # an importer may serve many requests, so the import loads every module
+    # a request can reach and no request loads one: every module but ring,
+    # which no request reaches; the package alone loads none
     probe = ("import sys, {}\n"
              "print(sorted(m for m in sys.modules if m.startswith('qdissect.')))\n")
-    for module, loaded in (("qdissect.cli", sorted(f"qdissect.{path.stem}" for path in
-                                                   (src / "qdissect").glob("[!_]*.py"))),
-                           ("qdissect", [])):
+    reached = sorted(f"qdissect.{path.stem}" for path in (src / "qdissect").glob("[!_]*.py")
+                     if path.stem != "ring")
+    for module, loaded in (("qdissect.cli", reached), ("qdissect", [])):
         out = subprocess.run([sys.executable, "-c", probe.format(module)], env=env,
                              capture_output=True, text=True, check=True, timeout=60).stdout
         assert out == f"{loaded}\n", module
+        assert "qdissect.ring" not in out, module
+
+
+# one request of every identity at its default order (and perturbed where
+# the identity allows it), of every row command, and one usage error, with
+# the exit code each gives; the probe below serves them all in one importer
+IMPORTER_PROBE = """\
+import contextlib, io, json, sys
+from qdissect.cli import IDENTITIES, main
+requests = []
+for name, (_, perturb, _) in IDENTITIES.items():
+    requests.append((['verify', '--identity', name], 2 if name == 'equidist-rank-11' else 0))
+    if perturb:
+        requests.append((['verify', '--identity', name, '--perturb-power', '2'], 1))
+requests += [(['tables', '--kind', kind, '--n-max', '12'], 0) for kind in ('p', 'crank', 'rank')]
+requests += [(['tables', '--kind', 'crank', '--n-max', '12', '--modulo', '5', '--format', 'csv'],
+              0)]
+requests += [(['dissect', '--series', series, '--m', '5', '--order', '30'], 0)
+             for series in ('partition-gf', 'crank-gf', 'euler')]
+requests += [(['coeffs', '--count', '8'], 0),
+             (['verify', '--identity', 'crank-gf', '--order', 'ten'], 2)]
+for argv, code in requests:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        print(json.dumps([argv, code, main(argv)]), file=sys.__stdout__)
+print('qdissect.ring' in sys.modules)
+import qdissect
+print(qdissect.PHI5 is qdissect.ring.PHI5, qdissect.ring.Modulus.__name__)
+from qdissect import LaurentPoly
+print(LaurentPoly is qdissect.ring.LaurentPoly)
+"""
+
+
+def test_no_request_in_an_importer_loads_the_ring_module():
+    # no request reaches qdissect.ring, so an importer does not compile it,
+    # and a request served later, while it is timed, would not
+    # compile it either; a caller still reaches it on first access
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    *served, loaded, by_name, imported = subprocess.run(
+        [sys.executable, "-c", IMPORTER_PROBE], env=env, capture_output=True, text=True,
+        check=True, timeout=120).stdout.splitlines()
+    served = [json.loads(line) for line in served]
+    assert len(served) == len(IDENTITIES) + sum(p for _, p, _ in IDENTITIES.values()) + 9
+    assert all(code == expected for _, expected, code in served), served
+    assert loaded == "False"
+    assert (by_name, imported) == ("True Modulus", "True")
 
 
 # what the library loads besides the package, whatever the request
@@ -1098,7 +1145,7 @@ def _timeless(err):
     # one request per route, so each lazily loaded module runs in a one-shot
     # process: a verify request loads qdissect.identities, a table check
     # qdissect.products, a dissection qdissect.dissections, the row commands
-    # qdissect.rows, coeffs qdissect.ring
+    # qdissect.rows
     (["verify", "--identity", "crank-gf", "--order", "12", "--perturb-power", "5"], 1),
     (["verify", "--identity", "rank-gf", "--order", "12"], 0),
     (["verify", "--identity", "equidist-rank-7", "--order", "4"], 0),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qdissect
@@ -44,12 +47,20 @@ def test_the_generic_series_arithmetic_is_gone():
     assert series._check_order is partitions._check_order
 
 
-def test_the_preload_names_every_library_module():
-    # an importer of qdissect.cli loads each of _SUBMODULES before its first
-    # request, so a module missing there would load inside a request; cli
-    # is that importer, and it imports jsontext itself
+def test_the_preload_names_every_module_a_request_reaches():
+    # an importer of qdissect.cli loads each of _REQUEST_MODULES before its
+    # first request, so a module missing there would load inside a request;
+    # cli is that importer, and it imports jsontext itself.  No request
+    # reaches ring, so the importer does not compile it
     files = {path.stem for path in Path(qdissect.__file__).parent.glob("*.py")}
-    assert sorted(qdissect._SUBMODULES) == sorted(files - {"__init__", "cli", "jsontext"})
+    assert sorted(qdissect._REQUEST_MODULES) == sorted(
+        files - {"__init__", "cli", "jsontext", "ring"})
+    assert "ring" in qdissect._HOMES.values() and "ring" in dir(qdissect)
+    src = Path(qdissect.__file__).resolve().parents[1]
+    probe = "import sys, qdissect.cli\nprint('qdissect.ring' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 def test_the_fifth_roots_have_one_definition():

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,22 @@ def test_int_coercion():
     assert 2 * A == LaurentPoly({1: 2})
     assert A * 0 == ZERO
     assert 1 - A == LaurentPoly({0: 1, 1: -1})
+
+
+# +, -, * with a bool on either side; == stays as Python's own, where 1 == True
+BOOL_ARITHMETIC = (operator.add, operator.sub, operator.mul)
+
+
+def test_arithmetic_reads_no_bool_as_an_int():
+    for value in (A, ONE, PHI5.one(), PHI8.project(A)):
+        for op in BOOL_ARITHMETIC:
+            for flag in (True, False):
+                with pytest.raises(TypeError):
+                    op(value, flag)
+                with pytest.raises(TypeError):
+                    op(flag, value)
+        assert value * 1 == value and 1 * value == value
+    assert ONE == True and PHI5.one() == True
 
 
 def test_palindrome_check():

@@ -52,7 +52,7 @@ def test_request_nodes_reports_what_a_one_shot_request_compiles():
     result = run_script("request_nodes.py", "tables --kind p --n-max 10",
                         "verify --identity crank-gf --order ten")
     assert result.returncode == 0, result.stderr
-    *requests, whole = result.stdout.splitlines()
+    *requests, importer, whole = result.stdout.splitlines()
     found = [re.fullmatch(r"(.*): exit (\d+), ([\d,]+) nodes \((.*)\)", line).groups()
              for line in requests]
     # a row command loads no verifier; a usage error loads neither kind
@@ -63,5 +63,10 @@ def test_request_nodes_reports_what_a_one_shot_request_compiles():
     for _, _, count, modules in found:
         stems = ["__init__" if m == "qdissect" else m for m in modules.split(", ")]
         assert int(count.replace(",", "")) == sum(map(nodes, stems))
+    # an importer compiles every module but ring, which no request reaches
+    stems = sorted(path.stem for path in (ROOT / "src" / "qdissect").glob("*.py")
+                   if path.stem != "ring")
+    modules = ", ".join("qdissect" if stem == "__init__" else stem for stem in stems)
+    assert importer == f"import qdissect.cli: {sum(map(nodes, stems)):,} nodes ({modules})"
     package = sum(nodes(path.stem) for path in (ROOT / "src" / "qdissect").glob("*.py"))
     assert whole == f"whole package: {package:,} nodes"
