@@ -12,11 +12,12 @@ with ``run_name='__main__'``), with this checkout's ``src`` first on
 exit code, the syntax-tree nodes of the ``qdissect`` modules it loaded
 (the package and ``cli`` included), and those modules.  Without cached bytecode a
 process compiles every module it loads, so that total is what a cold
-request compiles.  Then a line gives the same for an importer
-(``import qdissect.cli``, the ``qdissect`` script and every caller that
-serves many requests in one process), which loads every module a request
-can reach before its first request, and a last line the nodes of the
-whole package.
+request compiles; the installed ``qdissect`` script loads the same, since
+it runs ``qdissect.cli`` as ``__main__`` too.  Then a line gives the same
+for an importer (``import qdissect.cli``, as every caller that serves many
+requests in one process does), which loads every module a request can
+reach before its first request, and a last line the nodes of the whole
+package.
 """
 
 import argparse

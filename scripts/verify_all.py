@@ -4,37 +4,34 @@
 Usage:
     python scripts/verify_all.py
 
-The identities and their default orders come from the CLI registry
-(``qdissect.cli.IDENTITIES``); dissection-5 runs for all four primitive
-roots.  Exits nonzero if anything fails.
+The identities, their default orders and their options come from the CLI
+registry (``qdissect.cli.IDENTITIES``), and each runs through the CLI's
+own call (``qdissect.cli.run_identity``).  An identity with no default
+order (one the registry knows only to explain its refusal) is skipped,
+and one that takes ``n_root`` runs for all four primitive fifth roots.
+Exits nonzero if anything fails.
 """
 
 import argparse
 import sys
 import time
 
-from qdissect.cli import IDENTITIES
+from qdissect.cli import IDENTITIES, run_identity
 from qdissect.identities import FIFTH_ROOTS
-
-# the registry knows this one only to explain why it is refused: the rank
-# does not equidistribute modulo 11
-REFUSED = {"equidist-rank-11"}
 
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
 
-    runs = []
-    for name, (default_order, _, runner) in IDENTITIES.items():
-        if name in REFUSED:
-            continue
-        roots = FIFTH_ROOTS if name == "dissection-5" else (1,)
-        runs.extend(lambda o=default_order, r=r, run=runner: run(o, r, None) for r in roots)
+    runs = [(name, default_order, root)
+            for name, (default_order, _, _, options) in IDENTITIES.items()
+            if default_order is not None
+            for root in (FIFTH_ROOTS if "n_root" in options else (1,))]
 
     started = time.perf_counter()
     failures = 0
-    for run in runs:
-        report = run()
+    for name, order, root in runs:
+        report = run_identity(name, order, n_root=root)
         mark = "ok  " if report.passed else "FAIL"
         line = f"[{mark}] {report.identity:<24} order {report.order:<4} {report.elapsed:7.2f}s"
         if report.failure_witness is not None:

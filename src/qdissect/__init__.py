@@ -53,6 +53,16 @@ def __getattr__(name: str):
     return value
 
 
+def _script():
+    """The installed ``qdissect`` script: runs qdissect.cli as __main__,
+    exactly as ``python -m qdissect.cli`` does, so that the process loads
+    only what its request runs (an import of qdissect.cli would load every
+    module a request can reach); exits through the module's own
+    ``sys.exit(entry())``."""
+    import runpy
+    runpy.run_module(f"{__name__}.cli", run_name="__main__", alter_sys=True)
+
+
 def __dir__() -> list[str]:
     return sorted({*globals(), *_HOMES, *_HOMES.values(), *_REQUEST_MODULES})
 

@@ -9,16 +9,19 @@ strings since they outgrow 64-bit integers quickly.  The JSON text is
 written by :mod:`qdissect.jsontext`; the row commands (``tables``,
 ``dissect``, ``coeffs``) live in :mod:`qdissect.rows`.
 
-A handler reaches its module as an attribute of the package when its
-request runs (``qdissect.identities.verify_...``, ``qdissect.rows.<name>``),
-in every process, so a caller that rebinds a verifier finds it.  An
-importer (``import qdissect.cli``: the ``qdissect`` script, the tests,
-``perfbench/child.py``, ``scripts/verify_all.py``) may serve many requests,
-so the import loads every module a request can reach
-(``qdissect._REQUEST_MODULES``) and no request imports anything.  A
-``python -m qdissect.cli`` process serves one request, and without cached
-bytecode it compiles every module it loads, so it loads only what its
-request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
+Each identity is one row of plain data in IDENTITIES, and run_identity()
+is the one call of a verifier.  A handler reaches its module as an
+attribute of the package when its request runs (the verifier a row names
+in ``qdissect.identities``, ``qdissect.rows.<name>``), in every process,
+so a caller that rebinds a verifier finds it.  An importer (``import
+qdissect.cli``: the tests, ``perfbench/child.py``,
+``scripts/verify_all.py``) may serve many requests, so the import loads
+every module a request can reach (``qdissect._REQUEST_MODULES``) and no
+request imports anything.  A ``python -m qdissect.cli`` process, and the
+installed ``qdissect`` script, which runs this module as ``__main__`` the
+same way (``qdissect._script``), serve one request, and without cached
+bytecode such a process compiles every module it loads, so it loads only
+what its request runs (``scripts/request_nodes.py`` lists it): the JSON writer,
 :mod:`qdissect.partitions` and :mod:`qdissect.memo` always;
 :mod:`qdissect.identities` for a verify request, with the route it checks
 (:mod:`qdissect.products` for ``crank-gf``/``rank-gf``,
@@ -46,58 +49,54 @@ from .partitions import FIFTH_ROOTS
 if TYPE_CHECKING:
     import argparse
 
-# identity name -> (default order / n_max, accepts perturb-power, runner)
+# identity name -> (default order / n_max, the name of its verifier in
+# qdissect.identities, the verifier's arguments before the order, the
+# options it takes after the order, in its order).  A new identity is one row.
 IDENTITIES = {
-    "crank-gf": (40, True, lambda o, r, p: qdissect.identities.verify_crank_gf(
-        o, perturb_power=p)),
-    "rank-gf": (40, True, lambda o, r, p: qdissect.identities.verify_rank_gf(
-        o, perturb_power=p)),
-    "crank-columns": (100, True, lambda o, r, p: qdissect.identities.verify_crank_columns(
-        o, perturb_power=p)),
-    "rank-columns": (100, True, lambda o, r, p: qdissect.identities.verify_rank_columns(
-        o, perturb_power=p)),
-    "congruence-5-4": (20, False, lambda o, r, p: qdissect.identities.verify_congruence(5, o)),
-    "congruence-7-5": (15, False, lambda o, r, p: qdissect.identities.verify_congruence(7, o)),
-    "congruence-11-6": (10, False, lambda o, r, p: qdissect.identities.verify_congruence(11, o)),
+    "crank-gf": (40, "verify_crank_gf", (), ("perturb_power",)),
+    "rank-gf": (40, "verify_rank_gf", (), ("perturb_power",)),
+    "crank-columns": (100, "verify_crank_columns", (), ("perturb_power",)),
+    "rank-columns": (100, "verify_rank_columns", (), ("perturb_power",)),
+    "congruence-5-4": (20, "verify_congruence", (5,), ()),
+    "congruence-7-5": (15, "verify_congruence", (7,), ()),
+    "congruence-11-6": (10, "verify_congruence", (11,), ()),
     # (2000 - r) // m: the largest orders whose n = m*order + r stays <= 2000
-    "equidist-crank-5": (399, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "crank", 5, o)),
-    "equidist-crank-7": (285, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "crank", 7, o)),
-    "equidist-crank-11": (181, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "crank", 11, o)),
-    "equidist-rank-5": (399, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "rank", 5, o)),
-    "equidist-rank-7": (285, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "rank", 7, o)),
-    # recognized so the refusal is explained, but always a usage error:
-    # the rank does not equidistribute modulo 11
-    "equidist-rank-11": (3, False, lambda o, r, p: qdissect.identities.verify_equidistribution(
-        "rank", 11, o)),
-    "dissection-2": (80, True, lambda o, r, p: qdissect.identities.verify_2_dissection(
-        o, perturb_power=p)),
-    "dissection-3": (81, True, lambda o, r, p: qdissect.identities.verify_3_dissection(
-        o, perturb_power=p)),
-    "dissection-5": (100, True, lambda o, r, p: qdissect.identities.verify_5_dissection(
-        o, root_power=r, perturb_power=p)),
-    "component-4-vanishing": (100, False,
-                              lambda o, r, p: qdissect.identities.verify_component_4_vanishing(o)),
+    "equidist-crank-5": (399, "verify_equidistribution", ("crank", 5), ()),
+    "equidist-crank-7": (285, "verify_equidistribution", ("crank", 7), ()),
+    "equidist-crank-11": (181, "verify_equidistribution", ("crank", 11), ()),
+    "equidist-rank-5": (399, "verify_equidistribution", ("rank", 5), ()),
+    "equidist-rank-7": (285, "verify_equidistribution", ("rank", 7), ()),
+    # recognized so that the verifier explains the refusal, and no order of
+    # it is valid: the rank does not equidistribute modulo 11
+    "equidist-rank-11": (None, "verify_equidistribution", ("rank", 11), ()),
+    "dissection-2": (80, "verify_2_dissection", (), ("perturb_power",)),
+    "dissection-3": (81, "verify_3_dissection", (), ("perturb_power",)),
+    "dissection-5": (100, "verify_5_dissection", (), ("n_root", "perturb_power")),
+    "component-4-vanishing": (100, "verify_component_4_vanishing", (), ()),
 }
 
 
+def run_identity(identity: str, order: int | None, **given):
+    """The report of identity's verifier at order, passed the given values
+    of the options its row takes (None for one not given).  The verifier is
+    looked up in qdissect.identities when the call runs."""
+    _, verifier, leading, options = IDENTITIES[identity]
+    return getattr(qdissect.identities, verifier)(*leading, order, *map(given.get, options))
+
+
 def _cmd_verify(args) -> int:
-    default_order, allows_perturb, runner = IDENTITIES[args.identity]
+    default_order, _, _, options = IDENTITIES[args.identity]
     order = args.order if args.order is not None else default_order
-    if args.n_root is not None and args.identity != "dissection-5":
+    if args.n_root is not None and "n_root" not in options:
         raise ValueError("--n-root applies to dissection-5 only")
-    if args.perturb_power is not None and not allows_perturb:
+    if args.perturb_power is not None and "perturb_power" not in options:
         raise ValueError(f"--perturb-power is not supported for {args.identity}")
     n_root = args.n_root if args.n_root is not None else 1
-    report = runner(order, n_root, args.perturb_power)
+    report = run_identity(args.identity, order, n_root=n_root, perturb_power=args.perturb_power)
     print(f"{report.identity}: {report.status} "
           f"(order {report.order}, {report.elapsed:.2f}s)", file=sys.stderr)
     params = {"identity": args.identity, "order": order, "format": args.format}
-    if args.identity == "dissection-5":
+    if "n_root" in options:
         params["n_root"] = n_root
     if args.perturb_power is not None:
         params["perturb_power"] = args.perturb_power
@@ -265,9 +264,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """The process entry (``python -m qdissect.cli`` and the ``qdissect``
-    script): main() after gc.freeze(), which moves every object made so far,
-    the whole import-time heap, into the collector's permanent generation.
+    """The process entry (``python -m qdissect.cli``, and the ``qdissect``
+    script, which runs this module as ``__main__`` the same way): main()
+    after gc.freeze(), which moves every object made so far, the whole
+    import-time heap, into the collector's permanent generation.
     Neither the request's own collections nor the ones at interpreter exit
     then walk that heap, which a process that ends after one request never
     needs collected.  A caller that serves many requests in one process

@@ -128,6 +128,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
+        if type(other) is not int:     # before negating, so the error names -
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
@@ -350,6 +352,8 @@ class QuotientElem:
         return self + (-other)
 
     def __rsub__(self, other) -> "QuotientElem":
+        if type(other) is not int:     # before negating, so the error names -
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "QuotientElem":

@@ -2,7 +2,7 @@ import contextlib
 import csv
 import gc
 import hashlib
-import importlib
+import inspect
 import io
 import json
 import os
@@ -221,7 +221,18 @@ def test_verify_usage_errors(capsys):
 
 
 def test_perturbable_identities_listed():
-    assert {name for name, (_, allows, _) in IDENTITIES.items() if allows} == set(PERTURBABLE)
+    assert {name for name, (*_, options) in IDENTITIES.items()
+            if "perturb_power" in options} == set(PERTURBABLE)
+
+
+def test_every_registry_row_names_a_verifier_that_takes_its_arguments():
+    # a row is plain data, read when its request runs; this reads every row
+    # without one, so a misspelt verifier or a wrong argument count fails here
+    for name, (default_order, verifier, leading, options) in IDENTITIES.items():
+        assert default_order is None or type(default_order) is int, name
+        function = getattr(identities, verifier)
+        inspect.signature(function).bind(*leading, 1, *[None] * len(options))
+        assert set(options) <= {"n_root", "perturb_power"}, name
 
 
 @pytest.mark.parametrize("identity", sorted(PERTURBABLE))
@@ -1009,9 +1020,10 @@ IMPORTER_PROBE = """\
 import contextlib, io, json, sys
 from qdissect.cli import IDENTITIES, main
 requests = []
-for name, (_, perturb, _) in IDENTITIES.items():
-    requests.append((['verify', '--identity', name], 2 if name == 'equidist-rank-11' else 0))
-    if perturb:
+for name, (default_order, _, _, options) in IDENTITIES.items():
+    # no order of an identity without a default is valid: a usage error
+    requests.append((['verify', '--identity', name], 2 if default_order is None else 0))
+    if 'perturb_power' in options:
         requests.append((['verify', '--identity', name, '--perturb-power', '2'], 1))
 requests += [(['tables', '--kind', kind, '--n-max', '12'], 0) for kind in ('p', 'crank', 'rank')]
 requests += [(['tables', '--kind', 'crank', '--n-max', '12', '--modulo', '5', '--format', 'csv'],
@@ -1041,7 +1053,8 @@ def test_no_request_in_an_importer_loads_the_ring_module():
         [sys.executable, "-c", IMPORTER_PROBE], env=env, capture_output=True, text=True,
         check=True, timeout=120).stdout.splitlines()
     served = [json.loads(line) for line in served]
-    assert len(served) == len(IDENTITIES) + sum(p for _, p, _ in IDENTITIES.values()) + 9
+    perturbable = sum("perturb_power" in options for *_, options in IDENTITIES.values())
+    assert len(served) == len(IDENTITIES) + perturbable + 9
     assert all(code == expected for _, expected, code in served), served
     assert loaded == "False"
     assert (by_name, imported) == ("True Modulus", "True")
@@ -1088,20 +1101,28 @@ ROWS = ["qdissect.rows"]
 ])
 def test_a_one_shot_process_loads_only_what_its_request_runs(argv, more):
     # python -m qdissect.cli runs the module as __main__, as run_module does
-    # here; without cached bytecode it compiles every module it loads
+    # here, and the installed qdissect script runs it the same way through
+    # qdissect._script; without cached bytecode a process compiles every
+    # module it loads
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import runpy, sys\n"
-             f"sys.argv = ['qdissect', *{argv!r}]\n"
-             "try:\n"
-             "    runpy.run_module('qdissect.cli', run_name='__main__', alter_sys=True)\n"
-             "except SystemExit as exit:\n"
-             "    print(exit.code, sorted(m for m in sys.modules if m.startswith('qdissect.')),\n"
-             "          file=sys.stderr)\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
     code = 1 if "--perturb-power" in argv else 0
-    assert done.stderr.splitlines()[-1] == f"{code} {sorted(LIBRARY + more)}"
+    outs = []
+    for launch in ("import runpy; runpy.run_module('qdissect.cli', run_name='__main__', "
+                   "alter_sys=True)",
+                   "from qdissect import _script; _script()"):
+        probe = ("import sys\n"
+                 f"sys.argv = ['qdissect', *{argv!r}]\n"
+                 "try:\n"
+                 f"    {launch}\n"
+                 "except SystemExit as exit:\n"
+                 "    print(exit.code, sorted(m for m in sys.modules\n"
+                 "                            if m.startswith('qdissect.')), file=sys.stderr)\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stderr.splitlines()[-1] == f"{code} {sorted(LIBRARY + more)}", launch
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -1203,8 +1224,11 @@ def test_installed_script_is_the_process_entry():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         target = tomllib.load(f)["project"]["scripts"]["qdissect"]
-    module, _, name = target.partition(":")
-    assert getattr(importlib.import_module(module), name) is cli.entry
+    # the script imports the package alone, then runs qdissect.cli as
+    # __main__, which calls entry(), as python -m qdissect.cli does (the
+    # load-map test runs it); an import of qdissect.cli would load every
+    # module a request can reach
+    assert target == "qdissect:_script"
 
 
 # sha256 of the exit code, stdout and stderr of requests only argparse

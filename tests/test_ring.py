@@ -76,6 +76,10 @@ def test_arithmetic_reads_no_bool_as_an_int():
                     op(flag, value)
         assert value * 1 == value and 1 * value == value
     assert ONE == True and PHI5.one() == True
+    # a reflected subtraction refuses before it negates, so the error names -
+    for take in (lambda: True - ONE, lambda: 2.5 - PHI5.one()):
+        with pytest.raises(TypeError, match="unsupported operand type.* for -:"):
+            take()
 
 
 def test_palindrome_check():

@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import os
 import re
 import subprocess
@@ -7,7 +6,7 @@ import sys
 from pathlib import Path
 
 from qdissect.cli import IDENTITIES
-from qdissect.identities import EQUIDISTRIBUTION_MODULI, RESIDUE_FOR_MODULUS
+from qdissect.identities import EQUIDISTRIBUTION_MODULI, FIFTH_ROOTS, RESIDUE_FOR_MODULUS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,29 +18,33 @@ def run_script(name, *args):
 
 
 def test_verify_all_quick():
+    # one line per run: every identity with a default order, at each fifth
+    # root for one that takes n_root, then the total
     result = run_script("verify_all.py")
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.rstrip().endswith("0 failure(s)")
+    runs = sum(len(FIFTH_ROOTS) if "n_root" in options else 1
+               for default_order, *_, options in IDENTITIES.values() if default_order is not None)
+    lines = result.stdout.splitlines()
+    assert len(lines) == runs + 1
+    assert lines[-1].endswith("0 failure(s)")
 
 
 def test_registry_equidistribution_orders_and_refusals():
     # each equidistribution check runs by default at the largest order whose
-    # n = m*order + r stays <= 2000, and verify_all.py skips exactly the
-    # refused ones
-    spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
-    verify_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(verify_all)
-    equidist = {}
-    for name in IDENTITIES:
-        if name.startswith("equidist-"):
-            _, statistic, m = name.split("-")
-            equidist[name] = statistic, int(m)
-    assert verify_all.REFUSED == {name for name, (statistic, m) in equidist.items()
-                                  if m not in EQUIDISTRIBUTION_MODULI[statistic]}
-    for name, (statistic, m) in equidist.items():
-        if name not in verify_all.REFUSED:
-            assert IDENTITIES[name][0] == (2000 - RESIDUE_FOR_MODULUS[m]) // m, name
-    assert len(equidist) - len(verify_all.REFUSED) == 5
+    # n = m*order + r stays <= 2000, and exactly the refused ones have no
+    # default order, so verify_all.py skips them
+    equidist = {name: (default_order, *leading)
+                for name, (default_order, verifier, leading, _) in IDENTITIES.items()
+                if verifier == "verify_equidistribution"}
+    for name, (default_order, statistic, m) in equidist.items():
+        assert name == f"equidist-{statistic}-{m}"
+        if m in EQUIDISTRIBUTION_MODULI[statistic]:
+            assert default_order == (2000 - RESIDUE_FOR_MODULUS[m]) // m, name
+        else:
+            assert default_order is None, name
+    assert sum(default_order is not None for default_order, *_ in equidist.values()) == 5
+    assert not any(default_order is None for name, (default_order, *_) in IDENTITIES.items()
+                   if name not in equidist)
 
 
 def test_request_nodes_reports_what_a_one_shot_request_compiles():
