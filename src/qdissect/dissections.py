@@ -7,13 +7,16 @@ q so that every exponent is integral, with one integer column per
 coordinate a^0..a^(d-1).  The crank side is ``series._crank_coordinates``,
 the held kernel of ``series.crank_coordinates``.  Each right-hand side is
 one row of ``_DISSECTIONS``: its modulus as ascending coefficients, and
-per component k its weight w_k and its integer series S_k, a product of
-theta sums f(-q^r, -q^s)^e, where (q^k;q^k)_inf is written f(-q^k, -q^2k).
-One builder, ``_rhs_coordinates``, walks the rows; it builds each power
-once per build, so each theta sum is inverted at most once, folds each
-weight through the integer powers of a (``series._powers_of_a``, the
-table the crank side folds by), and its coordinates are kept at the
-largest order built so far in :mod:`qdissect.memo` and sliced down.  Both
+per component k its weight w_k, as its integer coordinates, and its
+integer series S_k, a product of theta sums f(-q^r, -q^s)^e, where
+(q^k;q^k)_inf is written f(-q^k, -q^2k).  One builder,
+``_rhs_coordinates``, walks the rows; it builds each power once per
+build, so each theta sum is inverted at most once, adds v_i q^k S_k into
+column i for each coordinate v_i of w_k, and its coordinates are kept at
+the largest order built so far in :mod:`qdissect.memo` and sliced down.
+So the right-hand side reads only ``series.theta`` and the series
+arithmetic, and shares no kernel with the crank side: the integer powers
+of a (``series._powers_of_a``) fold the crank side alone.  Both
 sides are built once, at the root a itself, in plain integers; the
 5-dissection's other primitive roots a -> a^r map only a failure witness,
 which ``_at_root`` maps in the same integer coordinates, reduced once by
@@ -43,38 +46,35 @@ from .memo import largest
 from .partitions import _check_order, _format_vector
 
 # The right-hand sides: identity -> (m, modulus, components).  The modulus
-# is its ascending coefficients.  Component k pairs its weight w_k, as
-# Laurent terms {exponent of a: coefficient} at the root a itself
-# (2cos(2*pi*j/m) is a^j + a^-j), with its integer series S_k, as theta
-# exponents {(r, s): e} for the product of f(-q^r, -q^s)^e.
-# (q^k;q^k)_inf is f(-q^k, -q^2k), and 1/(-q^4;q^4)_inf is
-# (q^4;q^4)_inf / (q^8;q^8)_inf.
+# is its ascending coefficients.  Component k pairs its weight w_k, as its
+# integer coordinates {i: v_i}, 0 <= i < degree, meaning sum_i v_i a^i at
+# the root a itself, with its integer series S_k, as theta exponents
+# {(r, s): e} for the product of f(-q^r, -q^s)^e.  (q^k;q^k)_inf is
+# f(-q^k, -q^2k), and 1/(-q^4;q^4)_inf is (q^4;q^4)_inf / (q^8;q^8)_inf.
+# Each row's comment gives its weights in a and a^-1, and as values of
+# 2cos(2*pi*j/M) = a^j + a^-j, with a = exp(2*pi*sqrt(-1)/M) of order M.
 _DISSECTIONS = {
+    # weights 1, a - 1 + a^-1 = 2cos(pi/4) - 1
     "dissection-2": (2, (1, 0, 0, 0, 1), (                  # a^4 + 1
         ({0: 1}, {(8, 16): -1, (6, 10): 1, (4, 8): 1}),
-        ({1: 1, 0: -1, -1: 1}, {(8, 16): -1, (2, 14): 1, (4, 8): 1}))),
+        ({0: -1, 1: 1, 3: -1}, {(8, 16): -1, (2, 14): 1, (4, 8): 1}))),
+    # weights 1, a - 1 + a^-1 = 2cos(2*pi/9) - 1, a^2 + a^-2 = 2cos(4*pi/9)
     "dissection-3": (3, (1, 0, 0, 1, 0, 0, 1), (            # a^6 + a^3 + 1
         ({0: 1}, {(27, 54): -1, (6, 21): 1, (12, 15): 1}),
-        ({1: 1, 0: -1, -1: 1}, {(27, 54): -1, (3, 24): 1, (12, 15): 1}),
-        ({2: 1, -2: 1}, {(27, 54): -1, (3, 24): 1, (6, 21): 1}))),
-    # weights 1, -4cos^2(2*pi/5), 2cos(4*pi/5), -2cos(2*pi/5)
+        ({0: -1, 1: 1, 2: -1, 5: -1}, {(27, 54): -1, (3, 24): 1, (12, 15): 1}),
+        ({1: -1, 2: 1, 4: -1}, {(27, 54): -1, (3, 24): 1, (6, 21): 1}))),
+    # weights 1, -a^2 - 2 - a^-2 = -4cos^2(2*pi/5), a^2 + a^-2 = 2cos(4*pi/5),
+    # -a - a^-1 = -2cos(2*pi/5)
     "dissection-5": (5, (1, 1, 1, 1, 1), (                  # a^4 + a^3 + a^2 + a + 1
         ({0: 1}, {(5, 20): -2, (10, 15): 1, (25, 50): 2}),
-        ({2: -1, 0: -2, -2: -1}, {(5, 20): -1, (25, 50): 2}),
-        ({2: 1, -2: 1}, {(10, 15): -1, (25, 50): 2}),
-        ({1: -1, -1: -1}, {(10, 15): -2, (5, 20): 1, (25, 50): 2}))),
+        ({0: -2, 2: -1, 3: -1}, {(5, 20): -1, (25, 50): 2}),
+        ({2: 1, 3: 1}, {(10, 15): -1, (25, 50): 2}),
+        ({0: 1, 2: 1, 3: 1}, {(10, 15): -2, (5, 20): 1, (25, 50): 2}))),
 }
 
 # the ring each identity's witnesses name, rendered once
 _RING_NAMES = {identity: f"quotient({_format_vector(modulus)})"
                for identity, (_, modulus, _) in _DISSECTIONS.items()}
-
-
-def _weight_coordinates(weight: dict[int, int], powers: list[tuple]) -> list[int]:
-    """The coordinates of sum_e c_e a^e, given those of a^0..a^(M-1): a^e
-    is a^(e mod M)."""
-    return [sum(c * powers[e % len(powers)][i] for e, c in weight.items())
-            for i in range(len(powers[0]))]
 
 
 def _rhs_coordinates(identity: str, order: int) -> Columns:
@@ -94,7 +94,6 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
                                    else power(r, s, unit) * power(r, s, e - unit))
             return powers[r, s, e]
 
-        powers_of_a = series._powers_of_a(modulus)
         columns = [[0] * (n + 1) for _ in range(len(modulus) - 1)]
         for k, (weight, factors) in enumerate(components):
             # the dense inverse factors first, then each sparse theta sum on
@@ -102,10 +101,10 @@ def _rhs_coordinates(identity: str, order: int) -> Columns:
             part = None
             for (r, s), e in sorted(factors.items(), key=lambda factor: factor[1] > 0):
                 part = power(r, s, e) if part is None else power(r, s, e) * part
-            for column, w in zip(columns, _weight_coordinates(weight, powers_of_a)):
-                if w:
-                    for j, c in enumerate(part.coefficients[:n + 1 - k], k):
-                        column[j] += w * c
+            for i, v in weight.items():
+                column = columns[i]
+                for j, c in enumerate(part.coefficients[:n + 1 - k], k):
+                    column[j] += v * c
         return tuple(map(tuple, columns))
 
     held = largest((identity,), order, build)

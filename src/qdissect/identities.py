@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable
 import qdissect
 
 from .memo import largest
-from .partitions import (FIFTH_ROOTS, ORDER_CAP, TABLE_CAP, _check_order, _columns,
+from .partitions import (FIFTH_ROOTS, ORDER_CAP, _check_order, _columns,
                          _format_terms, _Record, partition_count, stat_table)
 
 if TYPE_CHECKING:
@@ -147,7 +147,7 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
                   ) -> VerificationReport:
     """Rows 0..order of the statistic table (the column form) against the
     rows other(kind, order) of another route."""
-    _check_order("order", order, least, cap=TABLE_CAP)
+    _check_order("order", order, least, table=True)
     # a self-test that could not perturb anything is refused, not passed
     if perturb_power is not None:
         _check_order("perturbation power", perturb_power, cap=order)
@@ -155,11 +155,10 @@ def _verify_table(identity: str, kind: str, order: int, least: int,
     # the other route first: a refusal of its own then comes before any table
     # work.  Rows are dicts without zeros, so they compare as they are
     actual = (tuple(other(kind, order)),)
-    rows = stat_table(kind, order).rows
     # a row is a Laurent polynomial as {exponent: coefficient} without zeros:
     # its one adds to the a^0 entry, and it prints as LaurentPoly prints it
     expected = _perturbed(
-        (rows if len(rows) == order + 1 else rows[:order + 1],), perturb_power,
+        (stat_table(kind, order).rows[:order + 1],), perturb_power,
         lambda row: {e: c for e, c in {**row, 0: row.get(0, 0) + 1}.items() if c})
     witness = _first_mismatch(
         expected, actual, lambda values: _format_terms(sorted(values[0].items(), reverse=True)),

@@ -48,10 +48,11 @@ from .memo import largest
 
 # Tables, every check that reads one, and the recurrences and product
 # formulas at the Laurent size 2n + 1 are refused beyond this n, whichever
-# entry point asks.  The column form alone would reach much
-# further (0.12 s to n = 400, 2-core VM, CPython 3.11); the cap is where its
-# checks still run in a few seconds: to n = 300 the rank recurrence takes
-# about 2.2 s and the crank product 1.2 s, the crank recurrence about 0.1 s.
+# entry point asks.  The column form alone would reach much further (0.05 s
+# to n = 300, 0.11 s to n = 400); the cap is where its checks still run in
+# about a second: to n = 300 the rank recurrence takes 0.72 s, the crank
+# product 0.90 s, the crank recurrence 0.07 s and the rank product 0.10 s
+# (best of 3, 2-core VM, CPython 3.11).
 TABLE_CAP = 300
 
 # No verifier touches a power of q past this one: the congruences and
@@ -68,25 +69,27 @@ FIFTH_ROOTS = (1, 2, 3, 4)
 
 
 def _check_order(name: str, value: int, least: int = 0, step: int = 1,
-                 cap: int = ORDER_CAP) -> None:
+                 cap: int | None = None, table: bool = False) -> None:
     """The one check of every int argument of the library, run before any
     work and before ``memo.largest``, so that a held entry cannot answer
     first.  A bool would run as 0 or 1 and a float would fail deep inside,
-    so only an ``int`` passes, >= least, a multiple of step and <= cap.  The
-    cap is ORDER_CAP, TABLE_CAP for a table or other Laurent-size work, or a
-    bound of the caller's: the largest n_max whose power of q stays within
-    ORDER_CAP, a perturbation power's order, a table's last row."""
+    so only an ``int`` passes, >= least, a multiple of step and <= cap.  A
+    cap is a bound of the caller's, written as a number: the largest n_max
+    whose power of q stays within ORDER_CAP, a perturbation power's order,
+    a table's last row.  Without one the bound is the library's cap, named
+    in the refusal: TABLE_CAP if table (a table or other Laurent-size
+    work), else ORDER_CAP."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if value < least or value % step:
         raise ValueError(f"{name} must be >= {least}" if step == 1
                          else f"{name} must be a positive multiple of {step}")
+    label = ""
+    if cap is None:
+        cap = TABLE_CAP if table else ORDER_CAP
+        label = "the table cap " if table else "the order cap "
     if value > cap:
-        # the two caps arrive as these very objects, so identity tells them
-        # from a caller's bound of the same value (an order of 300, say)
-        bound = ("the order cap " if cap is ORDER_CAP
-                 else "the table cap " if cap is TABLE_CAP else "")
-        raise ValueError(f"{name} {value} exceeds {bound}{cap}")
+        raise ValueError(f"{name} {value} exceeds {label}{cap}")
 
 
 def _check_kind(kind: str) -> None:
@@ -239,19 +242,15 @@ def crank(pi: Partition) -> int:
     parts = pi.parts
     if not parts:
         raise ValueError("the empty partition has no crank")
-    ones = 0
-    for p in reversed(parts):
-        if p != 1:
-            break
-        ones += 1
+    ones = parts.count(1)
     if ones == 0:
         return parts[0]
+    # the parts descend, so those exceeding the ones come first
     exceeding = 0
     for p in parts:
-        if p > ones:
-            exceeding += 1
-        else:
+        if p <= ones:
             break
+        exceeding += 1
     return exceeding - ones
 
 
@@ -374,7 +373,7 @@ def build_stat_table(kind: str, n_max: int) -> StatTable:
     class wraps.  n_max beyond TABLE_CAP is refused before any work.
     """
     _check_kind(kind)
-    _check_order("n_max", n_max, cap=TABLE_CAP)
+    _check_order("n_max", n_max, table=True)
     size = 2 * n_max + 1
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for r, column in enumerate(_columns(kind, n_max, size)):
@@ -391,7 +390,7 @@ def stat_table(kind: str, n_max: int) -> StatTable:
     Tables are immutable, so the largest one built so far per kind is kept
     in ``memo`` and shared; a request beyond it builds a new one.
     """
-    _check_order("n_max", n_max, cap=TABLE_CAP)
+    _check_order("n_max", n_max, table=True)
     # the lambda looks build_stat_table up when it runs, so a wrapped or
     # patched one is the one that builds
     return largest(("table", kind), n_max, lambda n: build_stat_table(kind, n))

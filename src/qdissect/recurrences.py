@@ -10,7 +10,7 @@ before any work.
 
 from __future__ import annotations
 
-from .partitions import TABLE_CAP, _check_kind, _check_order
+from .partitions import _check_kind, _check_order
 
 
 def _rank_rows(n_max: int) -> list[dict[int, int]]:
@@ -70,7 +70,7 @@ def recurrence_rows(kind: str, n_max: int) -> list[dict[int, int]]:
     AMS 18 (1988), in about O(n_max^2 log n_max).  Rows n <= 1 are the
     conventions; an unknown kind or bad n_max is refused before any work."""
     _check_kind(kind)
-    _check_order("n_max", n_max, cap=TABLE_CAP)
+    _check_order("n_max", n_max, table=True)
     rows = _crank_rows(n_max) if kind == "crank" else _rank_rows(n_max)
     rows[0] = {0: 1}
     if kind == "crank" and n_max >= 1:

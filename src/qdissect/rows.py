@@ -24,7 +24,7 @@ import qdissect
 from . import partitions
 from .jsontext import _PAD, _emit_json, _list_text, _object
 from .memo import largest
-from .partitions import ORDER_CAP, TABLE_CAP, _check_order, stat_table
+from .partitions import TABLE_CAP, _check_order, stat_table
 
 
 def _render_rows(kind: str, n_max: int, start: int = 0) -> tuple[list, list, list]:
@@ -81,7 +81,7 @@ def tables(args) -> int:
     params = {"kind": args.kind, "n_max": args.n_max, "modulo": args.modulo,
               "format": args.format}
     # the p rows need no table, so the order cap bounds them, not the table cap
-    _check_order("n_max", args.n_max, cap=ORDER_CAP if args.kind == "p" else TABLE_CAP)
+    _check_order("n_max", args.n_max, table=args.kind != "p")
     t = args.modulo
     if t is None:
         _emit_rows("tables", params, args.kind, args.n_max)
@@ -112,7 +112,7 @@ def tables(args) -> int:
 def dissect(args) -> int:
     # row n of the crank, p or euler rows is the series' coefficient of q^n
     kind = {"crank-gf": "crank", "partition-gf": "p", "euler": "euler"}[args.series]
-    _check_order("order", args.order, cap=TABLE_CAP if kind == "crank" else ORDER_CAP)
+    _check_order("order", args.order, table=kind == "crank")
     # past order + 1 components each one holds at most one coefficient
     if args.m > args.order + 1:
         raise ValueError(f"--m must be <= order + 1 = {args.order + 1}")

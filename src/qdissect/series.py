@@ -23,12 +23,14 @@ multiplicative order of ``a`` in a quotient ring Z[a]/(m(a)), into that
 ring's integer coordinates (the one quotient-ring route, held once per
 modulus under ``("crank-coordinates", coefficients)``, the modulus'
 ascending coefficients).  The fold reads one integer table of the powers
-of ``a``, ``_powers_of_a``, which also folds the dissections' weights; it
-reduces by ``_divstep``, the one polynomial remainder, which
-:mod:`qdissect.ring` uses too.  Every ring the identities use makes ``a``
-a root of unity; a modulus where ``a`` has no order M <= 2*TABLE_CAP + 1
-is refused.  The other two routes to the crank and rank live in modules
-of their own and use nothing here: the product formulas in
+of ``a``, ``_powers_of_a``, and nothing else does: the dissections'
+right-hand sides hold their weights as integer coordinates, so they share
+no kernel with the crank side.  It reduces by ``_divstep``, the one
+polynomial remainder, which :mod:`qdissect.ring` uses too.  Every ring
+the identities use makes ``a`` a root of unity; a modulus where ``a``
+has no order M <= 2*TABLE_CAP + 1 is refused.  The other two routes to
+the crank and rank live in modules of their own and use nothing here:
+the product formulas in
 :mod:`qdissect.products`, the recurrences in :mod:`qdissect.recurrences`.
 So a check of the table against one of them never loads this module; the
 dissections' right-hand sides (:mod:`qdissect.dissections`) and the euler
@@ -288,7 +290,7 @@ def crank_coordinates(order: int, modulus: Modulus) -> tuple[tuple, ...]:
 
 def _table_series(kind: str, order: int) -> TruncatedSeries:
     # the held table's rows, shared as they are: neither side writes them
-    _check_order("order", order, cap=TABLE_CAP)
+    _check_order("order", order, table=True)
     rows = stat_table(kind, order).rows[:order + 1]
     return TruncatedSeries(map(qdissect.ring.LaurentPoly._raw, rows))
 

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdissect import dissections, identities, memo, partitions, products, recurrences, series
+from qdissect import cli, dissections, identities, memo, partitions, products, recurrences, series
 from qdissect.identities import (
     EQUIDISTRIBUTION_MODULI,
     FIFTH_ROOTS,
@@ -246,6 +246,63 @@ def test_right_hand_side_coordinates_are_pinned(identity, order):
     assert digest == RHS_DIGESTS[identity, order]
 
 
+def refuse_names(monkeypatch, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one side of the dissection shares code with the other")
+
+    for home, attr in names:
+        monkeypatch.setattr(home, attr, refuse)
+
+
+# what the crank side folds by and reads, in its home and where series reads it
+CRANK_SIDE = ((series, "_powers_of_a"), (series, "_divstep"), (series, "_crank_coordinates"),
+              (series, "_columns"), (series, "partition_count"), (partitions, "_columns"),
+              (partitions, "partition_count"))
+RHS_SIDE = ((series, "theta"), (TruncatedSeries, "__mul__"), (TruncatedSeries, "inverse"))
+
+
+@pytest.mark.parametrize("identity,order", sorted(RHS_DIGESTS))
+def test_each_side_of_a_dissection_stands_alone(monkeypatch, identity, order):
+    # north star 3: the right-hand side reads theta and the series
+    # arithmetic, the crank side the column kernel and the powers of a, and
+    # neither reads the other's, so one bug cannot corrupt both.  The two
+    # sides are equal, so one digest pins both
+    modulus = dissections._DISSECTIONS[identity][1]
+    with monkeypatch.context() as patched:
+        refuse_names(patched, CRANK_SIDE)
+        rhs = _rhs_coordinates(identity, order)
+    with monkeypatch.context() as patched:
+        refuse_names(patched, RHS_SIDE)
+        lhs = series._crank_coordinates(order, modulus)
+    for side in (rhs, lhs):
+        assert hashlib.sha256(repr(side).encode()).hexdigest() == RHS_DIGESTS[identity, order]
+
+
+# the witness of each dissection at its default order when the powers of a
+# fold every class to zero: the crank side is 0, the right-hand side's q^0
+# coefficient is the weight 1 of component 0
+ZERO_FOLD_WITNESSES = {
+    "dissection-2": (verify_2_dissection, FailureWitness(0, "0", "1", "quotient(a^4 + 1)")),
+    "dissection-3": (verify_3_dissection,
+                     FailureWitness(0, "0", "1", "quotient(a^6 + a^3 + 1)")),
+    "dissection-5": (verify_5_dissection,
+                     FailureWitness(0, "0", "1", "quotient(a^4 + a^3 + a^2 + a + 1)")),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(ZERO_FOLD_WITNESSES))
+def test_a_zero_fold_of_the_crank_side_fails_every_dissection(monkeypatch, identity):
+    # a mutation of the crank side's kernel alone: were the weights folded
+    # by the same table, both sides would read zero and the check would pass
+    real = series._powers_of_a
+    monkeypatch.setattr(series, "_powers_of_a",
+                        lambda coefficients: [(0,) * len(p) for p in real(coefficients)])
+    verify, witness = ZERO_FOLD_WITNESSES[identity]
+    report = verify(cli.IDENTITIES[identity][0])
+    assert report.status == "fail"
+    assert report.failure_witness == witness
+
+
 @pytest.mark.parametrize("identity,ring_modulus", [
     ("dissection-2", PHI8), ("dissection-3", PHI9), ("dissection-5", PHI5)],
     ids=["dissection-2", "dissection-3", "dissection-5"])
@@ -255,15 +312,28 @@ def test_each_table_modulus_is_its_cyclotomic_ring(identity, ring_modulus):
     assert dissections._RING_NAMES[identity] == f"quotient({ring_modulus})"
 
 
+# each row's weights as sums of 2cos(2*pi*j/M) = a^j + a^-j, written as
+# Laurent polynomials {exponent of a: coefficient}
+ONE, TWO_COS_MINUS_ONE = {0: 1}, {1: 1, 0: -1, -1: 1}
+TWO_COS_TWICE = {2: 1, -2: 1}
+WEIGHTS_IN_A = {
+    "dissection-2": (ONE, TWO_COS_MINUS_ONE),
+    "dissection-3": (ONE, TWO_COS_MINUS_ONE, TWO_COS_TWICE),
+    "dissection-5": (ONE, {2: -1, 0: -2, -2: -1}, TWO_COS_TWICE, {1: -1, -1: -1}),
+}
+
+
 @pytest.mark.parametrize("identity", sorted(dissections._DISSECTIONS))
-def test_each_weight_folds_to_its_projection(identity):
-    # a weight folded through the integer powers of a, against the quotient
-    # ring's projection of the Laurent polynomial
+def test_each_weight_is_the_projection_of_its_laurent_form(identity):
+    # provenance: a row's coordinates {i: v_i} are the quotient ring's
+    # projection of the weight's Laurent form, each i a coordinate
+    # 0..degree-1 and no v_i zero
     _, modulus, components = dissections._DISSECTIONS[identity]
-    powers = series._powers_of_a(modulus)
-    for weight, _ in components:
-        assert dissections._weight_coordinates(weight, powers) == list(
-            Modulus(modulus).project(LaurentPoly(weight)).residue)
+    assert len(components) == len(WEIGHTS_IN_A[identity])
+    for (weight, _), laurent in zip(components, WEIGHTS_IN_A[identity]):
+        assert set(weight) <= set(range(len(modulus) - 1)) and all(weight.values())
+        projected = Modulus(modulus).project(LaurentPoly(laurent)).residue
+        assert weight == {i: v for i, v in enumerate(projected) if v}
 
 
 # residues with zeros, small, big and negative coordinates
@@ -594,9 +664,10 @@ INT_ARGUMENTS = {
                              ORDER_CAP),
     "theta-r": (lambda v: series.theta(v, 2, 10), "r", 0, ORDER_CAP),
     "theta-s": (lambda v: series.theta(1, v, 10), "s", 0, ORDER_CAP),
-    # bound now: refuse_all_work patches the name, which the verifiers call
+    # bound now: refuse_all_work patches the name, which the verifiers call.
+    # size * order is at most 4*ORDER_CAP
     "product_rows-size": (functools.partial(products.product_rows, "crank", 5), "size", 0,
-                          ORDER_CAP),
+                          4 * ORDER_CAP // 5),
     "row-n": (lambda v: TABLE.row(v), "n", 0, 6),
     "count_mod-t": (lambda v: TABLE.count_mod(v, 3), "t", 1, ORDER_CAP),
     "count_mod-n": (lambda v: TABLE.count_mod(5, v), "n", 0, 6),
@@ -605,6 +676,13 @@ INT_ARGUMENTS = {
     # an order equal to the table cap is not the table cap
     "verify_2_dissection-perturb_power": (lambda v: verify_2_dissection(300, perturb_power=v),
                                           "perturbation power", 0, 300),
+    # nor is the table cap or the order cap itself, passed as an order
+    "verify_crank_gf-perturb_power-at-the-table-cap": (
+        lambda v: verify_crank_gf(TABLE_CAP, perturb_power=v), "perturbation power", 0,
+        TABLE_CAP),
+    "verify_2_dissection-perturb_power-at-the-order-cap": (
+        lambda v: verify_2_dissection(ORDER_CAP, perturb_power=v), "perturbation power", 0,
+        ORDER_CAP),
 }
 TABLE = partitions.StatTable("crank", tuple({0: 1} for _ in range(7)))
 
@@ -620,7 +698,10 @@ def test_every_int_argument_is_checked_before_any_work(monkeypatch, name):
             call(value)
     with pytest.raises(ValueError, match=f"^{argument} must be >= {least}$"):
         call(least - 1)
-    bound = f"the order cap {cap}" if cap == ORDER_CAP else cap
+    # a perturbation power's bound is the order, written as a number, as the
+    # CLI writes it
+    named = cap == ORDER_CAP and argument != "perturbation power"
+    bound = f"the order cap {cap}" if named else cap
     with pytest.raises(ValueError, match=f"^{argument} {cap + 1} exceeds {bound}$"):
         call(cap + 1)
     assert memo._held == {}

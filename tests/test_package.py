@@ -1,6 +1,10 @@
+import importlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import qdissect
@@ -67,3 +71,32 @@ def test_the_fifth_roots_have_one_definition():
     # beside ORDER_CAP, which every request loads; identities re-exports it
     assert identities.FIFTH_ROOTS is partitions.FIFTH_ROOTS
     assert cli._COMMANDS["verify"][2]["--n-root"]["choices"] is partitions.FIFTH_ROOTS
+
+
+def test_every_dotted_reference_in_the_docs_resolves():
+    # a rename or a deletion leaves no stale name in a docstring, comment or
+    # string of src, nor in README: every name written as module.attr, with
+    # or without the package (``series._powers_of_a``, qdissect.ring),
+    # resolves.  File names such as cli.py are not references
+    package = Path(qdissect.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    reference = re.compile(r"(?<![\w.])(?:qdissect|%s)(?:\.\w+)+" % "|".join(modules))
+    texts = [(path.name, token.string) for path in sorted(package.glob("*.py"))
+             for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+             if token.type in (tokenize.COMMENT, tokenize.STRING)]
+    texts.append(("README.md", (package.parents[1] / "README.md").read_text()))
+    found, stale, missing = 0, [], object()
+    for where, text in texts:
+        for name in reference.findall(text):
+            if name.endswith(".py"):
+                continue
+            found += 1
+            head, *attributes = name.removeprefix("qdissect.").split(".")
+            target = (importlib.import_module(f"qdissect.{head}") if head in modules
+                      else getattr(qdissect, head, missing))
+            for attribute in attributes:
+                target = getattr(target, attribute, missing)
+            if target is missing:
+                stale.append(f"{where}: {name}")
+    assert found > 100
+    assert stale == []
